@@ -7,10 +7,10 @@
 GO ?= go
 
 # Statement-coverage floor for the scenario engine, the trace codec, and
-# the sharded-engine driver — the packages whose tests ARE the regression
-# harness (golden digests, fuzz corpora, shard-invariance battery):
-# uncovered code there is unpinned behavior.
-COVER_PKGS = ./internal/scenario/ ./internal/trace/ ./internal/checkpoint/ ./internal/shard/ ./internal/invariant/ ./internal/serve/
+# the simulator and its sharded driver — the packages whose tests ARE the
+# regression harness (golden digests, fuzz corpora, shard-invariance
+# battery): uncovered code there is unpinned behavior.
+COVER_PKGS = ./internal/scenario/ ./internal/trace/ ./internal/checkpoint/ ./internal/sim/ ./internal/invariant/ ./internal/serve/
 COVER_FLOOR = 70
 
 .PHONY: ci vet build test race cover alloc-gate smoke resume-smoke shard-smoke serve-smoke soak battery fuzz-battery bench-record fuzz bench
@@ -29,8 +29,8 @@ test:
 # Short tier under the race detector: fast tests plus the worker-invariance
 # determinism tests, which fan training and evaluation across goroutines.
 # Explicit -timeout: race instrumentation is ~10-20x on the training loops,
-# which puts the root package near go's default 10m per-package limit on a
-# single-core CI host.
+# which puts the root package near go's default 10m per-package limit on
+# the 2-core CI host.
 race:
 	$(GO) test -short -race -timeout 1800s ./...
 
@@ -102,9 +102,9 @@ soak:
 	$(GO) test -run TestServeSoak -soak-events 250000 -timeout 900s -count=1 ./internal/serve/
 
 # Property-based robustness battery: 64 random fault compositions from the
-# full scenario zoo, each run on the sequential engine and the sharded
-# engine at shards=1 and 4, every invariant checked, shard-ladder digests
-# byte-compared. Fixed seed, so the CI tier is deterministic.
+# full scenario zoo, each run at shards=1 and 4, every invariant checked,
+# shard-ladder digests byte-compared. Fixed seed, so the CI tier is
+# deterministic.
 battery:
 	$(GO) test -short -run TestRobustnessBattery ./internal/invariant/
 
@@ -128,13 +128,13 @@ fuzz:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' ./...
 
-# Sharded-engine smoke: one clean short-mode episode plus the shards=1 vs
+# Shard-count smoke: one clean short-mode episode plus the shards=1 vs
 # shards=N equivalence on the small fixture. The full invariance battery
 # (all golden fixtures, every shard count) runs in `make test`.
 shard-smoke:
 	$(GO) test -short -run 'TestShardSmoke|TestShardCountInvariance' ./internal/shard/ .
 
-# Re-measure slot-stepping throughput (legacy vs shard ladder, three
+# Re-measure slot-stepping throughput (the shard ladder, three
 # scales, best of three reps each) and rewrite BENCH_sharding.json. Not in
 # ci: the full tier steps the paper's 20,130-taxi fleet for ~2 minutes.
 bench-record:

@@ -3,13 +3,12 @@ package fairmove
 import (
 	"testing"
 
-	"repro/internal/shard"
 	"repro/internal/sim"
 )
 
 // TestSimStepZeroAllocSteadyState asserts the acceptance criterion of the
 // zero-allocation pass directly: once every reusable buffer has reached its
-// high-water mark, stepping either engine allocates nothing. Two full
+// high-water mark, stepping the simulator allocates nothing. Two full
 // warm-up episodes on the same seed reach the marks and prove Reset keeps
 // them (a Reset that dropped working storage would re-pay growth in the
 // measured episode).
@@ -19,8 +18,7 @@ func TestSimStepZeroAllocSteadyState(t *testing.T) {
 		name string
 		env  sim.Environment
 	}{
-		{"legacy", sim.New(city, sim.DefaultOptions(1), 42)},
-		{"sharded1", shard.New(city, sim.DefaultOptions(1), 1, 42)},
+		{"sharded1", sim.New(city, sim.DefaultOptions(1), 42)},
 	}
 	for _, tc := range engines {
 		t.Run(tc.name, func(t *testing.T) {

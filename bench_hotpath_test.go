@@ -2,8 +2,8 @@ package fairmove
 
 // Hot-path benchmark set: the pinned micro/meso benchmarks behind
 // BENCH_hotpath.json and `make alloc-gate`. Each entry measures one layer of
-// the per-slot critical path — sequential stepping, sharded stepping, a
-// single observation build, single-row and batched network inference, and
+// the per-slot critical path — single-shard stepping, a single observation
+// build, single-row and batched network inference, and
 // the nearest-station lookup the matcher leans on.
 //
 // The set is pinned: names are stable identifiers recorded in
@@ -20,7 +20,6 @@ import (
 	"repro/internal/geo"
 	"repro/internal/nn"
 	"repro/internal/rng"
-	"repro/internal/shard"
 	"repro/internal/sim"
 )
 
@@ -35,11 +34,8 @@ type hotBench struct {
 // station index).
 func hotpathSet(tb testing.TB) []hotBench {
 	return []hotBench{
-		{"sim_step_legacy", func(b *testing.B) {
-			benchStepSlots(b, sim.New(benchCity(b), sim.DefaultOptions(1), 42))
-		}},
 		{"sim_step_sharded1", func(b *testing.B) {
-			benchStepSlots(b, shard.New(benchCity(b), sim.DefaultOptions(1), 1, 42))
+			benchStepSlots(b, sim.New(benchCity(b), sim.DefaultOptions(1), 42))
 		}},
 		{"env_observe", func(b *testing.B) {
 			env := sim.New(benchCity(b), sim.DefaultOptions(1), 42)

@@ -23,8 +23,8 @@ import (
 	"testing"
 
 	"repro/internal/invariant"
+	"repro/internal/policy"
 	"repro/internal/report"
-	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/synth"
 	"repro/internal/telemetry"
@@ -204,20 +204,12 @@ func benchStepSlots(b *testing.B, env sim.Environment) {
 	}
 }
 
-// BenchmarkEngineStepLegacy is the pre-sharding baseline: the sequential
-// engine's per-minute fleet sweeps.
-func BenchmarkEngineStepLegacy(b *testing.B) {
-	benchStepSlots(b, sim.New(benchCity(b), sim.DefaultOptions(1), 42))
-}
-
-// BenchmarkEngineStepSharded steps the region-sharded engine across the
-// shard ladder. The shards=1 row isolates the event-calendar win over the
-// legacy sweep; higher counts add barrier overhead and (on multi-core
-// hosts) concurrency.
+// BenchmarkEngineStepSharded steps the simulator across the shard ladder.
+// Higher counts add barrier overhead and (on multi-core hosts) concurrency.
 func BenchmarkEngineStepSharded(b *testing.B) {
 	for _, k := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", k), func(b *testing.B) {
-			benchStepSlots(b, shard.New(benchCity(b), sim.DefaultOptions(1), k, 42))
+			benchStepSlots(b, sim.New(benchCity(b), policy.EpisodeOptions(1, k), 42))
 		})
 	}
 }
@@ -256,8 +248,7 @@ var recordBench = flag.Bool("recordbench", false,
 	"re-measure the sharding benchmarks and rewrite BENCH_sharding.json (make bench-record)")
 
 type shardBenchEntry struct {
-	Engine    string  `json:"engine"` // "legacy" or "sharded"
-	Shards    int     `json:"shards,omitempty"`
+	Shards    int     `json:"shards"`
 	NsPerSlot float64 `json:"ns_per_slot"`
 	Slots     int     `json:"slots_timed"`
 }
@@ -267,7 +258,7 @@ type shardBenchScale struct {
 	Fleet          int               `json:"fleet"`
 	Regions        int               `json:"regions"`
 	Engines        []shardBenchEntry `json:"engines"`
-	SpeedupShards4 float64           `json:"speedup_shards4_vs_legacy"`
+	SpeedupShards4 float64           `json:"speedup_shards4_vs_shards1"`
 }
 
 type shardBenchFile struct {
@@ -275,9 +266,8 @@ type shardBenchFile struct {
 	Scales  []shardBenchScale `json:"scales"`
 }
 
-// TestRecordShardingBench re-measures slot-stepping throughput for the
-// legacy engine and the sharded engine at shards 1, 2, 4, 8 across the
-// small/default/full scales, and rewrites BENCH_sharding.json. Guarded by
+// TestRecordShardingBench re-measures slot-stepping throughput at shards
+// 1, 2, 4, 8 across the small/default/full scales, and rewrites BENCH_sharding.json. Guarded by
 // -recordbench because the full tier steps the paper's 20,130-taxi fleet.
 func TestRecordShardingBench(t *testing.T) {
 	if !*recordBench {
@@ -297,8 +287,8 @@ func TestRecordShardingBench(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Best of three repetitions per engine: the recorder wants the
-		// engines' algorithmic cost, and on a shared host the minimum is a
+		// Best of three repetitions per shard count: the recorder wants the
+		// algorithmic cost, and on a shared host the minimum is a
 		// far more stable estimator of that than any single run's mean.
 		measure := func(build func() sim.Environment) (float64, int) {
 			best, bestN := 0.0, 0
@@ -313,16 +303,17 @@ func TestRecordShardingBench(t *testing.T) {
 			return best, bestN
 		}
 		row := shardBenchScale{Scale: sc.name, Fleet: sc.cfg.Fleet, Regions: sc.cfg.Regions}
-		legacyNs, n := measure(func() sim.Environment { return sim.New(city, sim.DefaultOptions(1), 42) })
-		row.Engines = append(row.Engines, shardBenchEntry{Engine: "legacy", NsPerSlot: legacyNs, Slots: n})
-		t.Logf("%s: legacy %.0f ns/slot (%d slots)", sc.name, legacyNs, n)
+		var ns1 float64
 		for _, k := range []int{1, 2, 4, 8} {
 			k := k
-			ns, n := measure(func() sim.Environment { return shard.New(city, sim.DefaultOptions(1), k, 42) })
-			row.Engines = append(row.Engines, shardBenchEntry{Engine: "sharded", Shards: k, NsPerSlot: ns, Slots: n})
-			t.Logf("%s: shards=%d %.0f ns/slot (%d slots, %.2fx vs legacy)", sc.name, k, ns, n, legacyNs/ns)
+			ns, n := measure(func() sim.Environment { return sim.New(city, policy.EpisodeOptions(1, k), 42) })
+			row.Engines = append(row.Engines, shardBenchEntry{Shards: k, NsPerSlot: ns, Slots: n})
+			if k == 1 {
+				ns1 = ns
+			}
+			t.Logf("%s: shards=%d %.0f ns/slot (%d slots, %.2fx vs shards=1)", sc.name, k, ns, n, ns1/ns)
 			if k == 4 && ns > 0 {
-				row.SpeedupShards4 = legacyNs / ns
+				row.SpeedupShards4 = ns1 / ns
 			}
 		}
 		out.Scales = append(out.Scales, row)

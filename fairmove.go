@@ -29,7 +29,6 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/policy"
 	"repro/internal/scenario"
-	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/synth"
@@ -84,12 +83,10 @@ type Config struct {
 	// results for the same seed — parallelism only changes wall-clock.
 	Workers int
 
-	// Shards, when positive, runs every simulation (training and
-	// evaluation) on the region-sharded engine with that many shards.
-	// Results are invariant in the shard count — Shards=1 and Shards=8
-	// produce byte-identical trajectories — but the sharded engine is a
-	// different (faster) engine than the sequential default, so Shards=0
-	// (legacy) and Shards>0 trajectories differ. See DESIGN.md §Sharding.
+	// Shards is how many region shards every simulation (training and
+	// evaluation) steps in parallel; <= 0 means 1. It is parallelism only:
+	// Shards=1 and Shards=8 produce byte-identical trajectories. See
+	// DESIGN.md §7.
 	Shards int
 }
 
@@ -211,14 +208,9 @@ func NewSystem(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fairmove: %w", err)
 	}
-	ccfg := core.DefaultConfig(cfg.Alpha, cfg.Seed)
-	ccfg.Workers = cfg.Workers
-	fm, err := core.New(ccfg)
+	fm, err := core.New(coreConfig(cfg, cfg.Alpha))
 	if err != nil {
 		return nil, fmt.Errorf("fairmove: %w", err)
-	}
-	if cfg.Shards > 0 {
-		fm.SetEnvBuilder(shard.Builder(cfg.Shards))
 	}
 	return &System{
 		cfg:     cfg,
@@ -246,10 +238,9 @@ func (s *System) EvalSeed() int64 { return s.cfg.Seed + 1000 }
 // evaluation environment runs.
 func (s *System) EvalOptions() sim.Options { return s.evalOptions() }
 
-// EvalEnv builds a fresh evaluation environment — sequential or sharded per
-// Config.Shards, with the installed scenario, telemetry, and recorder
-// attached. Each call returns an independent environment; the caller owns
-// stepping it.
+// EvalEnv builds a fresh evaluation environment with the installed scenario,
+// telemetry, and recorder attached. Each call returns an independent
+// environment; the caller owns stepping it.
 func (s *System) EvalEnv() sim.Environment { return s.newEvalEnv() }
 
 // PolicyFor returns the policy implementing a method, training it first if
@@ -262,13 +253,10 @@ func (s *System) PolicyFor(m Method) (policy.Policy, error) { return s.policyFor
 // This is the validation step behind serve's hot swap: the running policy
 // keeps serving until the replacement loads completely.
 func (s *System) LoadPolicyInto(path string) (policy.Policy, error) {
-	ccfg := core.DefaultConfig(s.cfg.Alpha, s.cfg.Seed)
-	ccfg.Workers = s.cfg.Workers
-	fm, err := core.New(ccfg)
+	fm, err := core.New(coreConfig(s.cfg, s.cfg.Alpha))
 	if err != nil {
 		return nil, fmt.Errorf("fairmove: %w", err)
 	}
-	fm.SetEnvBuilder(s.envBuilder())
 	fm.SetTelemetry(s.tel)
 	if _, err := checkpoint.ReadFile(path, fm); err != nil {
 		return nil, fmt.Errorf("fairmove: %w", err)
@@ -303,20 +291,18 @@ func (s *System) SetTelemetry(r *telemetry.Registry) {
 	s.fm.SetTelemetry(r)
 }
 
-// envBuilder returns the engine selector for this system: nil (the
-// sequential default) unless Config.Shards asks for the region-sharded
-// engine. Trainers resolve nil via sim.BuildEnv.
-func (s *System) envBuilder() sim.EnvBuilder {
-	if s.cfg.Shards > 0 {
-		return shard.Builder(s.cfg.Shards)
-	}
-	return nil
+// coreConfig returns the CMA2C configuration for cfg at weight alpha.
+func coreConfig(cfg Config, alpha float64) core.Config {
+	c := core.DefaultConfig(alpha, cfg.Seed)
+	c.Workers = cfg.Workers
+	c.Shards = cfg.Shards
+	return c
 }
 
-// newEvalEnv builds an evaluation environment — sequential or sharded per
-// Config.Shards — with the installed scenario (if any) attached.
+// newEvalEnv builds an evaluation environment with the installed scenario
+// (if any) attached.
 func (s *System) newEvalEnv() sim.Environment {
-	env := sim.BuildEnv(s.envBuilder(), s.city, s.evalOptions(), s.cfg.Seed)
+	env := sim.New(s.city, s.evalOptions(), s.cfg.Seed)
 	if s.scn != nil {
 		// Validated in SetScenario; Attach re-checks against the same city.
 		if _, err := scenario.Attach(env, s.scn); err != nil {
@@ -449,14 +435,14 @@ func (s *System) policyFor(m Method) (policy.Policy, error) {
 		p = policy.NewSD2()
 	case TQL:
 		q := policy.NewTQL(s.cfg.Alpha)
-		q.Env = s.envBuilder()
+		q.Shards = s.cfg.Shards
 		q.SetTelemetry(s.tel)
 		q.Pretrain(s.city, teacher, s.cfg.PretrainEpisodes, s.cfg.TrainDays, s.cfg.Seed)
 		q.Train(s.city, s.cfg.TrainEpisodes, s.cfg.TrainDays, s.cfg.Seed)
 		p = q
 	case DQN:
 		d := policy.NewDQN(s.cfg.Alpha, s.cfg.Seed)
-		d.Env = s.envBuilder()
+		d.Shards = s.cfg.Shards
 		d.Workers = s.cfg.Workers
 		d.SetTelemetry(s.tel)
 		d.Pretrain(s.city, teacher, s.cfg.PretrainEpisodes, s.cfg.TrainDays, s.cfg.Seed)
@@ -464,7 +450,7 @@ func (s *System) policyFor(m Method) (policy.Policy, error) {
 		p = d
 	case TBA:
 		b := policy.NewTBA(s.cfg.Seed)
-		b.Env = s.envBuilder()
+		b.Shards = s.cfg.Shards
 		b.Workers = s.cfg.Workers
 		b.SetTelemetry(s.tel)
 		b.Pretrain(s.city, teacher, s.cfg.PretrainEpisodes, s.cfg.TrainDays, s.cfg.Seed)
@@ -526,10 +512,12 @@ func (s *System) Evaluate(m Method) (EvalReport, error) {
 }
 
 // evalOptions returns the common evaluation protocol: the configured
-// horizon preceded by warmup days excluded from metrics.
+// horizon preceded by warmup days excluded from metrics, stepped with the
+// configured shard count.
 func (s *System) evalOptions() sim.Options {
 	opts := sim.DefaultOptions(s.cfg.Days)
 	opts.WarmupDays = s.cfg.EvalWarmupDays
+	opts.Shards = s.cfg.Shards
 	return opts
 }
 
@@ -627,13 +615,10 @@ func (s *System) AlphaSweep(alphas []float64) (sortedAlphas, rewards []float64, 
 	sort.Float64s(sortedAlphas)
 	rewards, err = parallel.Map(context.Background(), s.cfg.Workers, len(sortedAlphas),
 		func(_ context.Context, i int) (float64, error) {
-			cfg := core.DefaultConfig(sortedAlphas[i], s.cfg.Seed)
-			cfg.Workers = s.cfg.Workers
-			fm, err := core.New(cfg)
+			fm, err := core.New(coreConfig(s.cfg, sortedAlphas[i]))
 			if err != nil {
 				return 0, err
 			}
-			fm.SetEnvBuilder(s.envBuilder())
 			fm.Pretrain(s.city, policy.NewCoordinator(), s.cfg.PretrainEpisodes, s.cfg.TrainDays, s.cfg.Seed)
 			st := fm.Train(s.city, s.cfg.TrainEpisodes, s.cfg.TrainDays, s.cfg.Seed)
 			if len(st.MeanReward) == 0 {
@@ -652,11 +637,10 @@ func (s *System) SaveModel(w io.Writer) error { return s.fm.Save(w) }
 
 // LoadModel replaces the FairMove policy with networks written by SaveModel.
 func (s *System) LoadModel(r io.Reader) error {
-	fm, err := core.Load(r, core.DefaultConfig(s.cfg.Alpha, s.cfg.Seed))
+	fm, err := core.Load(r, coreConfig(s.cfg, s.cfg.Alpha))
 	if err != nil {
 		return err
 	}
-	fm.SetEnvBuilder(s.envBuilder())
 	fm.SetTelemetry(s.tel)
 	s.fm = fm
 	s.trained[FairMove] = fm

@@ -20,7 +20,8 @@ func (f *FairMove) CheckpointKind() string { return "cma2c" }
 
 // CheckpointFingerprint implements checkpoint.Checkpointer. It covers every
 // Config field that shapes the serialized state or the training trajectory;
-// Workers is excluded because any value produces byte-identical results.
+// Workers and Shards are excluded because any value produces byte-identical
+// results.
 func (f *FairMove) CheckpointFingerprint() uint64 {
 	c := f.cfg
 	return checkpoint.Fingerprint(fmt.Sprintf(

@@ -38,6 +38,9 @@ type Config struct {
 	// parallel demonstration rollouts; <= 0 means GOMAXPROCS. Any value
 	// produces byte-identical results — it only changes wall-clock.
 	Workers int
+	// Shards is the simulator's shard count for training environments
+	// (sim.Options.Shards). Like Workers it only changes wall-clock.
+	Shards int
 }
 
 // DefaultConfig returns the paper's hyperparameters at repro scale.
@@ -101,10 +104,6 @@ type FairMove struct {
 	epDone     int
 	fineTuning bool
 
-	// env builds the training environments; nil means the sequential
-	// engine. Set with SetEnvBuilder.
-	env sim.EnvBuilder
-
 	// Update-step scratch (DESIGN.md §9): batch matrices and per-row softmax
 	// buffers owned by the learner and reused across minibatch updates, so
 	// the steady-state critic/actor steps allocate nothing. upX/upXN hold the
@@ -123,11 +122,6 @@ type FairMove struct {
 
 	tel coreTel
 }
-
-// SetEnvBuilder installs the environment builder training uses (nil restores
-// the sequential engine). The facade sets shard.Builder(k) here when the
-// system is configured to run region-sharded.
-func (f *FairMove) SetEnvBuilder(b sim.EnvBuilder) { f.env = b }
 
 // New creates an untrained FairMove system.
 func New(cfg Config) (*FairMove, error) {
@@ -238,7 +232,7 @@ func (f *FairMove) Train(city *synth.City, episodes, days int, seed int64) Train
 // learner state is written crash-safely into opts.Dir.
 func (f *FairMove) TrainCheckpointed(city *synth.City, episodes, days int, seed int64, opts checkpoint.TrainOptions) (TrainStats, error) {
 	stats := TrainStats{Episodes: episodes}
-	env := sim.BuildEnv(f.env, city, sim.DefaultOptions(days), seed)
+	env := sim.New(city, policy.EpisodeOptions(days, f.cfg.Shards), seed)
 
 	// When a warm start is present, fine-tuning polishes rather than
 	// re-learns: the actor steps an order of magnitude smaller so the noisy
@@ -357,7 +351,7 @@ func (f *FairMove) Pretrain(city *synth.City, guide policy.Policy, episodes, day
 func (f *FairMove) PretrainCheckpointed(city *synth.City, guide policy.Policy, episodes, days int, seed int64, opts checkpoint.TrainOptions) error {
 	f.tel.phase.Set(0)
 	from := f.demoDone
-	bufs := policy.CollectDemosFrom(f.env, city, guide, from, episodes, days, seed, f.cfg.Workers, f.cfg.Alpha, f.cfg.Gamma)
+	bufs := policy.CollectDemosFrom(f.cfg.Shards, city, guide, from, episodes, days, seed, f.cfg.Workers, f.cfg.Alpha, f.cfg.Gamma)
 	for i, buf := range bufs {
 		ep := from + i
 		f.tel.demoEpisodes.Inc()

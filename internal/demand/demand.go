@@ -458,41 +458,14 @@ func (m *Model) randPointIn(src *rng.Source, region int) geo.Point {
 	return r.Centroid
 }
 
-// Sample generates the requests arriving in [tMin, tMin+slotMin) using src.
-// Request times are uniform within the slot.
-func (m *Model) Sample(src *rng.Source, tMin, slotMin int) []Request {
-	return m.SampleScaled(src, tMin, slotMin, nil)
-}
-
-// ScaleFunc returns a region's demand-rate multiplier for a slot: 1 leaves
-// the region unperturbed, >1 is a surge, <1 a drought, 0 silences it.
-// Scenario engines use it to perturb demand without touching the model.
-type ScaleFunc func(region int) float64
-
-// SampleScaled is Sample with a per-region rate multiplier applied to the
-// expected slot demand before the Poisson draw. A nil scale, or one that
-// returns 1 everywhere, consumes exactly the same random stream as Sample,
-// so unperturbed regions see an identical realization.
-func (m *Model) SampleScaled(src *rng.Source, tMin, slotMin int, scale ScaleFunc) []Request {
-	var out []Request
-	n := m.part.Len()
-	for region := 0; region < n; region++ {
-		factor := 1.0
-		if scale != nil {
-			factor = scale(region)
-		}
-		out = m.SampleRegionScaled(out, src, region, tMin, slotMin, factor)
-	}
-	return out
-}
-
 // SampleRegionScaled appends the slot's requests for a single region to dst,
 // drawing only from src: one Poisson count draw, then per request one
-// arrival-offset draw plus the trip draws. Looping it over all regions with
-// one source is exactly SampleScaled; a sharded engine instead calls it with
-// one source per region, which makes the realization independent of how
-// regions are grouped. factor scales the expected demand (1 = unperturbed,
-// <= 0 silences the region without skipping the count draw).
+// arrival-offset draw plus the trip draws. factor scales the expected demand
+// (1 = unperturbed, <= 0 silences the region without skipping the count
+// draw). This is the linear reference form — exact haversine distances,
+// rejection-sampled points, a linear destination scan — that the fast
+// sampler's distributions are tested against; the simulator samples with
+// SampleRegionScaledFast.
 func (m *Model) SampleRegionScaled(dst []Request, src *rng.Source, region, tMin, slotMin int, factor float64) []Request {
 	return m.sampleRegion(dst, src, region, tMin, slotMin, factor, false)
 }
@@ -500,12 +473,11 @@ func (m *Model) SampleRegionScaled(dst []Request, src *rng.Source, region, tMin,
 // SampleRegionScaledFast is SampleRegionScaled on O(1)-per-request cached
 // machinery: destinations come from a gravity alias table, points from the
 // region's triangle fan, and trip distances from the equirectangular
-// approximation. It draws from the same per-region stream but consumes a
-// different number of draws per request, so realizations are not
-// byte-identical to the linear form — same marginal distributions, different
-// sample path. The legacy engine keeps SampleRegionScaled (its golden traces
-// are pinned); the sharded engine uses this everywhere, at every shard
-// count, so shard invariance is unaffected.
+// approximation. It consumes a different number of draws per request than
+// the linear form, so realizations differ — same marginal distributions,
+// different sample path. The simulator calls it with one source per region,
+// which makes the realization independent of how regions are grouped into
+// shards.
 func (m *Model) SampleRegionScaledFast(dst []Request, src *rng.Source, region, tMin, slotMin int, factor float64) []Request {
 	return m.sampleRegion(dst, src, region, tMin, slotMin, factor, true)
 }
@@ -572,8 +544,8 @@ func (m *Model) sampleOne(src *rng.Source, origin, tMin int, fast bool) Request 
 	}
 }
 
-// SampleTripFrom generates a single request originating in region at tMin.
-// The simulator uses it when a matched passenger's trip needs materializing.
+// SampleTripFrom generates a single request originating in region at tMin
+// on the linear reference path.
 func (m *Model) SampleTripFrom(src *rng.Source, region, tMin int) Request {
 	return m.sampleOne(src, region, tMin, false)
 }

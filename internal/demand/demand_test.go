@@ -80,7 +80,7 @@ func TestExpectedSlotDemandAdditive(t *testing.T) {
 func TestSampleProducesValidRequests(t *testing.T) {
 	m := testModel(t)
 	src := rng.New(42)
-	reqs := m.Sample(src, 8*60, 10) // morning rush slot
+	reqs := sampleCity(m, src, 8*60, 10, nil) // morning rush slot
 	if len(reqs) == 0 {
 		t.Fatal("no requests in rush hour slot")
 	}
@@ -121,7 +121,7 @@ func TestSampleVolumeMatchesExpectation(t *testing.T) {
 	var got float64
 	trials := 40
 	for i := 0; i < trials; i++ {
-		got += float64(len(m.Sample(src, 8*60, 10)))
+		got += float64(len(sampleCity(m, src, 8*60, 10, nil)))
 	}
 	got /= float64(trials)
 	if math.Abs(got-want) > want*0.15+2 {
@@ -197,8 +197,8 @@ func TestSampleDeterministicGivenSource(t *testing.T) {
 	part, _ := partition.Generate(1, 50, partition.ShenzhenBBox)
 	m1 := NewShenzhenLike(9, part)
 	m2 := NewShenzhenLike(9, part)
-	r1 := m1.Sample(rng.New(4), 600, 10)
-	r2 := m2.Sample(rng.New(4), 600, 10)
+	r1 := sampleCity(m1, rng.New(4), 600, 10, nil)
+	r2 := sampleCity(m2, rng.New(4), 600, 10, nil)
 	if len(r1) != len(r2) {
 		t.Fatalf("lengths differ: %d vs %d", len(r1), len(r2))
 	}

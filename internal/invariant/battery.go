@@ -1,9 +1,8 @@
 package invariant
 
 // The property-based robustness battery: N seeded random scenario
-// compositions from the full fault zoo, each replayed on both engines —
-// the sequential reference and the sharded engine at every configured
-// shard count — with the invariant checker attached. Two kinds of failure
+// compositions from the full fault zoo, each replayed at every configured
+// shard count with the invariant checker attached. Two kinds of failure
 // exist: an invariant violation on any run, and a trace-digest mismatch
 // between shard counts. Either dumps the offending scenario spec as a
 // canonical JSON reproducer so the failure replays outside the battery.
@@ -15,7 +14,6 @@ import (
 
 	"repro/internal/rng"
 	"repro/internal/scenario"
-	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/synth"
 	"repro/internal/trace"
@@ -44,7 +42,7 @@ type BatteryConfig struct {
 // shard ladder whose digests diverged.
 type Failure struct {
 	Scenario   string      // generated spec name
-	Mode       string      // "env", "shards=K", or "digest"
+	Mode       string      // "shards=K" or "digest"
 	Detail     string      // one-line description
 	Violations []Violation // empty for digest mismatches
 	SpecJSON   []byte      // canonical reproducer spec
@@ -54,7 +52,7 @@ type Failure struct {
 // Report is the outcome of a battery run.
 type Report struct {
 	Compositions int
-	Runs         int // engine runs executed (compositions × (1 + len(Shards)))
+	Runs         int // runs executed (compositions × len(Shards))
 	Failures     []Failure
 }
 
@@ -120,19 +118,10 @@ func RunBattery(cfg BatteryConfig) (*Report, error) {
 			return nil
 		}
 
-		envDigest, vs, err := CheckedRun(sim.New(city, opts, cfg.Seed), spec, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		rep.Runs++
-		if len(vs) > 0 {
-			if err := fail("env", vs[0].String(), vs); err != nil {
-				return nil, err
-			}
-		}
 		ladder := make([]string, len(cfg.Shards))
 		for j, k := range cfg.Shards {
-			d, vs, err := CheckedRun(shard.New(city, opts, k, cfg.Seed), spec, cfg.Seed)
+			opts.Shards = k
+			d, vs, err := CheckedRun(sim.New(city, opts, cfg.Seed), spec, cfg.Seed)
 			if err != nil {
 				return nil, err
 			}
@@ -153,7 +142,6 @@ func RunBattery(cfg BatteryConfig) (*Report, error) {
 				}
 			}
 		}
-		_ = envDigest // the sequential digest is checked only for invariants; see doc above
 	}
 	return rep, nil
 }

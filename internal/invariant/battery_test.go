@@ -13,9 +13,8 @@ import (
 var batteryN = flag.Int("battery-n", 64, "random scenario compositions for the robustness battery")
 
 // TestRobustnessBattery is the acceptance gate: N random compositions from
-// the full fault zoo, each run on the sequential engine and on the sharded
-// engine at shards=1 and shards=4, must pass every invariant with
-// byte-identical digests across the shard ladder. Failures dump their
+// the full fault zoo, each run at shards=1 and shards=4, must pass every
+// invariant with byte-identical digests across the shard ladder. Failures dump their
 // scenario specs as reproducers under the test's temp dir and the paths
 // are echoed so the spec can be replayed with CheckedRun.
 func TestRobustnessBattery(t *testing.T) {
@@ -24,8 +23,8 @@ func TestRobustnessBattery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := rep.Compositions * 3; rep.Runs != want {
-		t.Errorf("executed %d runs, want %d (compositions × 3 engines)", rep.Runs, want)
+	if want := rep.Compositions * 2; rep.Runs != want {
+		t.Errorf("executed %d runs, want %d (compositions × 2 shard counts)", rep.Runs, want)
 	}
 	for _, f := range rep.Failures {
 		t.Errorf("%s [%s]: %s\nreproducer: %s\nspec:\n%s",

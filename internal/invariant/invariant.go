@@ -1,7 +1,6 @@
 // Package invariant is a reusable invariant-checking engine for simulator
-// runs. A Checker wraps any sim.Environment — the sequential reference
-// engine and the sharded engine alike — and verifies, during and after a
-// run, the physical laws the simulator must never break no matter which
+// runs. A Checker wraps any sim.Environment and verifies, during and after
+// a run, the physical laws the simulator must never break no matter which
 // scenario is attached:
 //
 //   - no taxi's state of charge leaves [0, 1], and no taxi strands
@@ -14,8 +13,9 @@
 //     occupancy state) hold after every step
 //
 // The station checks replay the structured event log through a shadow
-// model, so they work identically on the causally-ordered stream of the
-// sequential engine and the canonically-sorted stream of the sharded one.
+// model. Station events must arrive in the simulator's canonical (minute,
+// taxi, kind) order; a stream that steps back in time is itself a
+// violation.
 // The checker is read-only: attaching it never perturbs a run, so a
 // checked run digests byte-identically to an unchecked one.
 package invariant
@@ -23,7 +23,6 @@ package invariant
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -71,8 +70,8 @@ func (v Violation) String() string {
 	return fmt.Sprintf("%s @%d: %s", v.Name, v.Minute, v.Detail)
 }
 
-// The optional verification surfaces both engines expose (env_debug.go,
-// kernel_debug.go). The checker probes for them with type assertions so it
+// The optional verification surfaces the simulator exposes
+// (kernel_debug.go). The checker probes for them with type assertions so it
 // can still wrap a minimal Environment, silently skipping what is absent.
 type structuralChecker interface{ CheckInvariants() error }
 
@@ -129,9 +128,15 @@ func (c *Checker) Recorder(next sim.Recorder) sim.Recorder {
 	}
 }
 
-// Observe buffers one trace event for the Finish-time shadow replay.
+// Observe buffers one station event (queue, plug, unplug, balk, outage,
+// derate, replan) for the Finish-time shadow replay; other kinds are
+// ignored.
 func (c *Checker) Observe(ev trace.Event) {
-	c.events = append(c.events, ev)
+	switch ev.Kind {
+	case trace.EvQueue, trace.EvPlug, trace.EvUnplug, trace.EvBalk,
+		trace.EvOutage, trace.EvDerate, trace.EvReplan:
+		c.events = append(c.events, ev)
+	}
 }
 
 // Begin captures the initial energy state. Call it after env.Reset(seed)
@@ -275,30 +280,12 @@ type stationShadow struct {
 	queue    map[int]int // taxi -> join minute
 }
 
-// queueCandidate is a deferred queue-discipline finding. Event stamps have
-// minute resolution and the engines stamp an unplug one minute after the
-// causal freeing (a session charges through minute m and departs at m+1),
-// so a promotion decided at minute m may be stamped m+1 while the taxi it
-// overtook plugs at m+2's group. A candidate only becomes a violation if
-// none of the seemingly-overtaken taxis left the queue (promotion or
-// eviction) by minute+1.
-type queueCandidate struct {
-	name     string // "queue-fifo" or "queue-jump"
-	minute   int
-	station  int
-	plugTaxi int
-	blockers []blocked
-}
-
-type blocked struct{ taxi, joined int }
-
 // replayStations replays the buffered event log through per-station shadow
-// models. Events are grouped by causal minute — an unplug stamped m freed
-// its point during minute m−1 — and processed in phases, state changes and
-// removals before additions, so the replay accepts both the sequential
-// engine's causal order and the sharded engine's canonical (minute, taxi,
-// kind) order, which interleave a minute's events differently without
-// changing its net semantics.
+// models. Events are grouped by minute stamp and each minute is processed
+// in phases, state changes and removals before additions: canonical order
+// sorts a minute's events by taxi, not by cause, so a promotion can precede
+// the unplug that freed its point. A session releases its point at the
+// minute its unplug is stamped, before any arrival of that minute.
 func (c *Checker) replayStations() {
 	if len(c.events) == 0 {
 		return
@@ -323,32 +310,22 @@ func (c *Checker) replayStations() {
 		shadow:    shadow,
 		pluggedAt: make(map[int]int),
 		queuedAt:  make(map[int]int),
-		unqueued:  make(map[[2]int][]int),
 	}
 
-	// Sort by causal minute, stably: within a minute the two engines order
-	// events differently (causal vs canonical), and the phase replay is
-	// what makes that difference immaterial.
-	evs := make([]trace.Event, len(c.events))
-	copy(evs, c.events)
-	causal := func(ev trace.Event) int {
-		if ev.Kind == trace.EvUnplug {
-			return ev.TimeMin - 1
-		}
-		return ev.TimeMin
-	}
-	sort.SliceStable(evs, func(i, j int) bool { return causal(evs[i]) < causal(evs[j]) })
-
+	evs := c.events
 	for lo := 0; lo < len(evs); {
 		hi := lo
-		minute := causal(evs[lo])
-		for hi < len(evs) && causal(evs[hi]) == minute {
+		minute := evs[lo].TimeMin
+		for hi < len(evs) && evs[hi].TimeMin == minute {
 			hi++
+		}
+		if hi < len(evs) && evs[hi].TimeMin < minute {
+			c.violate("event-order", evs[hi].TimeMin, "event stamped @%d follows events stamped @%d", evs[hi].TimeMin, minute)
+			return
 		}
 		c.replayMinute(evs[lo:hi], minute, st)
 		lo = hi
 	}
-	c.resolveCandidates(st)
 }
 
 // replayState is the cross-minute state of one shadow replay.
@@ -357,26 +334,21 @@ type replayState struct {
 	// Where each taxi currently is, to catch cross-station double states.
 	pluggedAt map[int]int
 	queuedAt  map[int]int
-	// unqueued records every queue departure (promotion or eviction) as
-	// (station, taxi) -> minutes, for candidate resolution.
-	unqueued map[[2]int][]int
-	// candidates are the deferred queue-discipline findings.
-	candidates []queueCandidate
 }
 
-// unqueue removes a taxi from a station's queue and logs the departure.
-func (st *replayState) unqueue(s *stationShadow, station, taxi, minute int) {
+// unqueue removes a taxi from a station's queue.
+func (st *replayState) unqueue(s *stationShadow, taxi int) {
 	delete(s.queue, taxi)
 	delete(st.queuedAt, taxi)
-	st.unqueued[[2]int{station, taxi}] = append(st.unqueued[[2]int{station, taxi}], minute)
 }
 
-// replayMinute applies one causal minute of events in semantic phases.
+// replayMinute applies one minute of events in semantic phases.
 func (c *Checker) replayMinute(evs []trace.Event, minute int, st *replayState) {
 	// closedAtStart snapshots closure state before this minute's edges:
-	// a promotion stamped at the closure-edge minute was decided during
-	// the previous minute's charging sweep and is legal; any plug at a
-	// station that was already closed entering the minute is not.
+	// a promotion stamped at the closure-edge minute was made when the
+	// previous session released its point, ahead of the closure, and is
+	// legal; any plug at a station that was already closed entering the
+	// minute is not.
 	closedAtStart := make(map[int]bool)
 	snap := func(id int) {
 		if s := st.shadow(id, minute); s != nil {
@@ -430,7 +402,7 @@ func (c *Checker) replayMinute(evs []trace.Event, minute int, st *replayState) {
 				c.violate("replan-not-queued", minute, "taxi %d evicted from station %d it was not queued at", ev.Taxi, ev.A)
 				continue
 			}
-			st.unqueue(s, ev.A, ev.Taxi, minute)
+			st.unqueue(s, ev.Taxi)
 		}
 	}
 
@@ -468,14 +440,14 @@ func (c *Checker) replayMinute(evs []trace.Event, minute int, st *replayState) {
 		if at, queued := st.queuedAt[ev.Taxi]; queued && at != ev.A {
 			c.violate("plug-while-queued", minute, "taxi %d plugged at station %d while queued at %d", ev.Taxi, ev.A, at)
 			if other := st.shadow(at, minute); other != nil {
-				st.unqueue(other, at, ev.Taxi, minute)
+				st.unqueue(other, ev.Taxi)
 			}
 		} else if queued {
 			if closedAtStart[ev.A] && s.closed {
 				c.violate("plug-closed", minute, "taxi %d promoted at station %d closed since an earlier minute", ev.Taxi, ev.A)
 			}
 			proms[ev.A] = append(proms[ev.A], plugged{ev.Taxi, s.queue[ev.Taxi]})
-			st.unqueue(s, ev.A, ev.Taxi, minute)
+			st.unqueue(s, ev.Taxi)
 		} else {
 			// A walk-up at a closed station is illegal even at the closure
 			// edge: arrivals run after the perturbation sweep and must balk.
@@ -492,35 +464,15 @@ func (c *Checker) replayMinute(evs []trace.Event, minute int, st *replayState) {
 	// after all of the minute's departures. FIFO: no promoted taxi joined
 	// strictly later than a taxi still waiting. Walk-up: nobody from an
 	// earlier minute may still be waiting (same-minute joins are processed
-	// in phase 5 — causally they happen after the plug). Findings are
-	// deferred: the overtaken taxi's own promotion may be stamped one
-	// minute later (see queueCandidate).
+	// in phase 5 — causally they happen after the plug).
 	for stID, ps := range proms {
-		s := st.shadow(stID, minute)
 		for _, p := range ps {
-			var bs []blocked
-			for other, om := range s.queue {
-				if om < p.joined {
-					bs = append(bs, blocked{other, om})
-				}
-			}
-			if len(bs) > 0 {
-				st.candidates = append(st.candidates, queueCandidate{"queue-fifo", minute, stID, p.taxi, bs})
-			}
+			c.checkOvertake(st.shadow(stID, minute), "queue-fifo", minute, stID, p.taxi, p.joined)
 		}
 	}
 	for stID, ws := range walks {
-		s := st.shadow(stID, minute)
 		for _, w := range ws {
-			var bs []blocked
-			for other, om := range s.queue {
-				if om < minute {
-					bs = append(bs, blocked{other, om})
-				}
-			}
-			if len(bs) > 0 {
-				st.candidates = append(st.candidates, queueCandidate{"queue-jump", minute, stID, w, bs})
-			}
+			c.checkOvertake(st.shadow(stID, minute), "queue-jump", minute, stID, w, minute)
 		}
 	}
 
@@ -562,25 +514,19 @@ func (c *Checker) replayMinute(evs []trace.Event, minute int, st *replayState) {
 	}
 }
 
-// resolveCandidates turns deferred queue-discipline findings into
-// violations unless every seemingly-overtaken taxi in fact left the queue
-// by the candidate minute plus the one-minute stamping slack.
-func (c *Checker) resolveCandidates(st *replayState) {
-	for _, cand := range st.candidates {
-		for _, b := range cand.blockers {
-			cleared := false
-			for _, m := range st.unqueued[[2]int{cand.station, b.taxi}] {
-				if m >= cand.minute && m <= cand.minute+1 {
-					cleared = true
-					break
-				}
-			}
-			if !cleared {
-				c.violate(cand.name, cand.minute,
-					"taxi %d plugged at station %d ahead of taxi %d queued since @%d",
-					cand.plugTaxi, cand.station, b.taxi, b.joined)
-				break
-			}
+// checkOvertake reports a violation when taxi plugged at station ahead of
+// a taxi still waiting there that joined before minute joined. Of several
+// overtaken taxis it names the earliest joiner (lowest ID on ties), so the
+// report does not depend on map order.
+func (c *Checker) checkOvertake(s *stationShadow, name string, minute, station, taxi, joined int) {
+	first, firstJoin := -1, 0
+	for other, om := range s.queue {
+		if om < joined && (first < 0 || om < firstJoin || om == firstJoin && other < first) {
+			first, firstJoin = other, om
 		}
+	}
+	if first >= 0 {
+		c.violate(name, minute, "taxi %d plugged at station %d ahead of taxi %d queued since @%d",
+			taxi, station, first, firstJoin)
 	}
 }

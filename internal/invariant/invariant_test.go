@@ -100,6 +100,15 @@ func TestShadowDetectsOverCapacity(t *testing.T) {
 	wantViolation(t, forged(t, evs), "over-capacity")
 }
 
+// The replay accepts only the simulator's canonical order: a station event
+// stamped earlier than one already seen is itself a violation.
+func TestShadowDetectsOutOfOrderStream(t *testing.T) {
+	wantViolation(t, forged(t, []trace.Event{
+		ev(trace.EvPlug, 10, 1, 0),
+		ev(trace.EvPlug, 5, 2, 1),
+	}), "event-order")
+}
+
 func TestShadowAcceptsLegalSequence(t *testing.T) {
 	unplug := ev(trace.EvUnplug, 9, 1, 0)
 	unplug.V = 12.5

@@ -30,6 +30,15 @@ const demoSeedOffset = 7000
 // DemoEpisodeSeed returns the seed of pretraining episode ep under run seed.
 func DemoEpisodeSeed(seed int64, ep int) int64 { return seed + demoSeedOffset + int64(ep) }
 
+// EpisodeOptions returns the simulation options of a training or
+// demonstration episode: the default protocol over days, stepped with the
+// given shard count.
+func EpisodeOptions(days, shards int) sim.Options {
+	opts := sim.DefaultOptions(days)
+	opts.Shards = shards
+	return opts
+}
+
 // CollectDemos rolls out episodes of guide-driven demonstrations and returns
 // each episode's transitions, indexed by episode. Episodes are independent —
 // each gets a fresh environment and rng streams derived only from its own
@@ -41,15 +50,16 @@ func DemoEpisodeSeed(seed int64, ep int) int64 { return seed + demoSeedOffset + 
 // If guide does not implement Cloner the rollout runs serially on the shared
 // instance, whatever workers says: correctness beats speed.
 func CollectDemos(city *synth.City, guide Policy, episodes, days int, seed int64, workers int, alpha, gamma float64) [][]Transition {
-	return CollectDemosFrom(nil, city, guide, 0, episodes, days, seed, workers, alpha, gamma)
+	return CollectDemosFrom(1, city, guide, 0, episodes, days, seed, workers, alpha, gamma)
 }
 
 // CollectDemosFrom is CollectDemos restricted to episodes [from, episodes) —
 // the resume path: a learner restored from a pretraining checkpoint replays
 // only the demonstrations it has not consumed yet. Episode ep still rolls
 // out under DemoEpisodeSeed(seed, ep), so the collected transitions are
-// byte-identical to the corresponding tail of a full collection.
-func CollectDemosFrom(build sim.EnvBuilder, city *synth.City, guide Policy, from, episodes, days int, seed int64, workers int, alpha, gamma float64) [][]Transition {
+// byte-identical to the corresponding tail of a full collection. shards is
+// the rollout environments' sim.Options.Shards.
+func CollectDemosFrom(shards int, city *synth.City, guide Policy, from, episodes, days int, seed int64, workers int, alpha, gamma float64) [][]Transition {
 	if from < 0 {
 		from = 0
 	}
@@ -63,7 +73,7 @@ func CollectDemosFrom(build sim.EnvBuilder, city *synth.City, guide Policy, from
 	}
 	rollout := func(g Policy, ep int) []Transition {
 		epSeed := DemoEpisodeSeed(seed, ep)
-		env := sim.BuildEnv(build, city, sim.DefaultOptions(days), epSeed)
+		env := sim.New(city, EpisodeOptions(days, shards), epSeed)
 		g.BeginEpisode(epSeed)
 		var buf []Transition
 		chooser := PolicyChooser(env, g)

@@ -33,9 +33,10 @@ type DQN struct {
 	// their random initialization and the greedy policy exploits them —
 	// the standard offline-RL overestimation failure.
 	CQLAlpha float64
-	// Env builds the training environments; nil means the sequential
-	// engine. Install shard.Builder(k) to train on the sharded engine.
-	Env sim.EnvBuilder
+	// Shards is the simulator's shard count for training environments
+	// (sim.Options.Shards). Any value produces byte-identical results — it
+	// only changes wall-clock.
+	Shards int
 
 	// Workers bounds the goroutines used for batched Q-network inference
 	// and parallel demonstration rollouts; <= 0 means GOMAXPROCS. Any value
@@ -328,7 +329,7 @@ func (d *DQN) Pretrain(city *synth.City, guide Policy, episodes, days int, seed 
 // consumed; the completed run is byte-identical to an unbroken one.
 func (d *DQN) PretrainCheckpointed(city *synth.City, guide Policy, episodes, days int, seed int64, opts checkpoint.TrainOptions) error {
 	from := d.demoDone
-	bufs := CollectDemosFrom(d.Env, city, guide, from, episodes, days, seed, d.Workers, d.Alpha, d.Gamma)
+	bufs := CollectDemosFrom(d.Shards, city, guide, from, episodes, days, seed, d.Workers, d.Alpha, d.Gamma)
 	for i, buf := range bufs {
 		ep := from + i
 		// Restore d.src exactly where the serial loop left it: reset at the
@@ -364,7 +365,7 @@ func (d *DQN) Train(city *synth.City, episodes, days int, seed int64) TrainStats
 // TrainCheckpointed is Train with a checkpoint cadence.
 func (d *DQN) TrainCheckpointed(city *synth.City, episodes, days int, seed int64, opts checkpoint.TrainOptions) (TrainStats, error) {
 	stats := TrainStats{Episodes: episodes}
-	env := sim.BuildEnv(d.Env, city, sim.DefaultOptions(days), seed)
+	env := sim.New(city, EpisodeOptions(days, d.Shards), seed)
 	for ep := d.epDone; ep < episodes; ep++ {
 		epSeed := seed + int64(ep)
 		env.Reset(epSeed)

@@ -19,9 +19,10 @@ type TBA struct {
 	Gamma  float64
 	LR     float64
 	Hidden []int
-	// Env builds the training environments; nil means the sequential
-	// engine. Install shard.Builder(k) to train on the sharded engine.
-	Env sim.EnvBuilder
+	// Shards is the simulator's shard count for training environments
+	// (sim.Options.Shards). Any value produces byte-identical results — it
+	// only changes wall-clock.
+	Shards int
 	// Workers bounds the goroutines for batched actor inference and
 	// parallel demonstration rollouts; <= 0 means GOMAXPROCS. Results are
 	// byte-identical for any value.
@@ -173,7 +174,7 @@ func (t *TBA) Pretrain(city *synth.City, guide Policy, episodes, days int, seed 
 // the demonstration episodes a loaded checkpoint already consumed.
 func (t *TBA) PretrainCheckpointed(city *synth.City, guide Policy, episodes, days int, seed int64, opts checkpoint.TrainOptions) error {
 	from := t.demoDone
-	bufs := CollectDemosFrom(t.Env, city, guide, from, episodes, days, seed, t.Workers, 1.0, t.Gamma)
+	bufs := CollectDemosFrom(t.Shards, city, guide, from, episodes, days, seed, t.Workers, 1.0, t.Gamma)
 	for i, batch := range bufs {
 		ep := from + i
 		t.BeginEpisode(DemoEpisodeSeed(seed, ep))
@@ -203,7 +204,7 @@ func (t *TBA) Train(city *synth.City, episodes, days int, seed int64) TrainStats
 // TrainCheckpointed is Train with a checkpoint cadence.
 func (t *TBA) TrainCheckpointed(city *synth.City, episodes, days int, seed int64, opts checkpoint.TrainOptions) (TrainStats, error) {
 	stats := TrainStats{Episodes: episodes}
-	env := sim.BuildEnv(t.Env, city, sim.DefaultOptions(days), seed)
+	env := sim.New(city, EpisodeOptions(days, t.Shards), seed)
 
 	// Gentle fine-tuning after a warm start (see FairMove.Train): REINFORCE
 	// returns are noisy, so polish rather than overwrite the demonstrated

@@ -22,9 +22,10 @@ type TQL struct {
 	LR       float64 // Q-table learning rate
 	Epsilon  float64 // exploration rate during training
 	TimeBins int     // time-of-day buckets (default 24)
-	// Env builds the training environments; nil means the sequential
-	// engine. Install shard.Builder(k) to train on the sharded engine.
-	Env sim.EnvBuilder
+	// Shards is the simulator's shard count for training environments
+	// (sim.Options.Shards). Any value produces byte-identical results — it
+	// only changes wall-clock.
+	Shards int
 
 	q   map[tqlState][sim.NumActions]float64
 	src *rng.Source
@@ -170,7 +171,7 @@ func (t *TQL) Pretrain(city *synth.City, guide Policy, episodes, days int, seed 
 // PretrainCheckpointed is Pretrain with a checkpoint cadence, resuming past
 // the demonstration episodes a loaded checkpoint already consumed.
 func (t *TQL) PretrainCheckpointed(city *synth.City, guide Policy, episodes, days int, seed int64, opts checkpoint.TrainOptions) error {
-	env := sim.BuildEnv(t.Env, city, sim.DefaultOptions(days), seed)
+	env := sim.New(city, EpisodeOptions(days, t.Shards), seed)
 	for ep := t.demoDone; ep < episodes; ep++ {
 		epSeed := DemoEpisodeSeed(seed, ep)
 		env.Reset(epSeed)
@@ -226,7 +227,7 @@ func (t *TQL) Train(city *synth.City, episodes, days int, seed int64) TrainStats
 // TrainCheckpointed is Train with a checkpoint cadence.
 func (t *TQL) TrainCheckpointed(city *synth.City, episodes, days int, seed int64, opts checkpoint.TrainOptions) (TrainStats, error) {
 	stats := TrainStats{Episodes: episodes}
-	env := sim.BuildEnv(t.Env, city, sim.DefaultOptions(days), seed)
+	env := sim.New(city, EpisodeOptions(days, t.Shards), seed)
 	for ep := t.epDone; ep < episodes; ep++ {
 		epSeed := seed + int64(ep)
 		env.Reset(epSeed)

@@ -10,17 +10,29 @@ package rng
 import (
 	"hash/fnv"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 )
 
-// Source is a deterministic random stream.
+// Source is a deterministic random stream backed by a PCG generator: 16
+// bytes of state, so a simulation can hold one stream per region and per
+// station without the stream count showing up in its heap.
 type Source struct {
 	r *rand.Rand
 }
 
-// New returns a Source seeded with seed.
+// New returns a Source seeded with seed. The seed is spread over both PCG
+// state words by a SplitMix64 finalizer, so nearby seeds start far apart.
 func New(seed int64) *Source {
-	return &Source{r: rand.New(rand.NewSource(seed))}
+	hi := mix64(uint64(seed))
+	return &Source{r: rand.New(rand.NewPCG(hi, mix64(hi)))}
+}
+
+// mix64 is the SplitMix64 output function: a bijective 64-bit scrambler.
+func mix64(z uint64) uint64 {
+	z += 0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }
 
 // Split derives an independent child stream identified by name. Streams with
@@ -31,7 +43,7 @@ func (s *Source) Split(name string) *Source {
 	// the parent's seed-equivalent state via one draw on a cloned hash.
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(name))
-	child := int64(h.Sum64()) ^ s.r.Int63()
+	child := int64(h.Sum64()) ^ s.r.Int64()
 	return New(child)
 }
 
@@ -48,10 +60,10 @@ func SplitStable(seed int64, name string) *Source {
 func (s *Source) Float64() float64 { return s.r.Float64() }
 
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
-func (s *Source) Intn(n int) int { return s.r.Intn(n) }
+func (s *Source) Intn(n int) int { return s.r.IntN(n) }
 
 // Int63 returns a non-negative 63-bit value.
-func (s *Source) Int63() int64 { return s.r.Int63() }
+func (s *Source) Int63() int64 { return s.r.Int64() }
 
 // Norm returns a normally distributed value with the given mean and standard
 // deviation.
@@ -130,7 +142,7 @@ func (s *Source) WeightedChoice(weights []float64) int {
 		}
 	}
 	if !(total > 0) {
-		return s.r.Intn(len(weights))
+		return s.r.IntN(len(weights))
 	}
 	x := s.r.Float64() * total
 	last := 0
@@ -176,7 +188,7 @@ func (s *Source) WeightedChoiceCum(cum []float64, total float64) int {
 		panic("rng: WeightedChoiceCum with no weights")
 	}
 	if !(total > 0) { // covers total <= 0 and a NaN total alike
-		return s.r.Intn(len(cum))
+		return s.r.IntN(len(cum))
 	}
 	x := s.r.Float64() * total
 	if !(x < cum[len(cum)-1]) {

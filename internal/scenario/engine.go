@@ -254,9 +254,8 @@ func ValidateFor(spec *Spec, city *synth.City) error {
 	return nil
 }
 
-// AttachTarget is the environment surface Attach needs: any engine that
-// exposes its city and accepts hooks (both *sim.Env and the sharded
-// shard.Engine qualify).
+// AttachTarget is the environment surface Attach needs: any environment
+// that exposes its city and accepts hooks (every sim.Environment does).
 type AttachTarget interface {
 	City() *synth.City
 	SetHooks(sim.Hooks)

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/policy"
 	"repro/internal/scenario"
-	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/synth"
 	"repro/internal/trace"
@@ -18,9 +17,9 @@ import (
 // The serve-equivalence battery pins the PR's headline contract: a served
 // run — engine stepped by an ingested event feed over HTTP — produces the
 // byte-identical trace digest and decision digest as the batch engine on the
-// same (policy, city, seed, scenario). Sequential and sharded engines, clean
-// and scenario-conditioned runs, direct enqueue and full HTTP transport are
-// all covered.
+// same (policy, city, seed, scenario). One and two shards, clean and
+// scenario-conditioned runs, direct enqueue and full HTTP transport are all
+// covered.
 
 func microCity(t *testing.T, seed int64) *synth.City {
 	t.Helper()
@@ -33,9 +32,9 @@ func microCity(t *testing.T, seed int64) *synth.City {
 
 // batchRun drives the batch path (policy.Runner, exactly what
 // policy.Evaluate wraps) and returns the canonical digests.
-func batchRun(t *testing.T, build sim.EnvBuilder, city *synth.City, opts sim.Options, spec *scenario.Spec, seed int64) (traceDigest, decDigest string, slots int) {
+func batchRun(t *testing.T, city *synth.City, opts sim.Options, spec *scenario.Spec, seed int64) (traceDigest, decDigest string, slots int) {
 	t.Helper()
-	env := sim.BuildEnv(build, city, opts, seed)
+	env := sim.New(city, opts, seed)
 	if spec != nil {
 		if _, err := scenario.Attach(env, spec); err != nil {
 			t.Fatal(err)
@@ -53,9 +52,9 @@ func batchRun(t *testing.T, build sim.EnvBuilder, city *synth.City, opts sim.Opt
 
 // serveRun drives the same run through the service: feed events in, let the
 // watermark close slots, drain, and read the digests back.
-func serveRun(t *testing.T, build sim.EnvBuilder, city *synth.City, opts sim.Options, spec *scenario.Spec, seed int64, viaHTTP bool) (traceDigest, decDigest string, slots int) {
+func serveRun(t *testing.T, city *synth.City, opts sim.Options, spec *scenario.Spec, seed int64, viaHTTP bool) (traceDigest, decDigest string, slots int) {
 	t.Helper()
-	env := sim.BuildEnv(build, city, opts, seed)
+	env := sim.New(city, opts, seed)
 	if spec != nil {
 		if _, err := scenario.Attach(env, spec); err != nil {
 			t.Fatal(err)
@@ -102,13 +101,14 @@ func serveRun(t *testing.T, build sim.EnvBuilder, city *synth.City, opts sim.Opt
 	return trace.DigestEvents(evs), decDigest, slots
 }
 
-func assertEquivalent(t *testing.T, build sim.EnvBuilder, spec *scenario.Spec, viaHTTP bool) {
+func assertEquivalent(t *testing.T, shards int, spec *scenario.Spec, viaHTTP bool) {
 	t.Helper()
 	const seed = 77
 	city := microCity(t, seed)
 	opts := sim.DefaultOptions(1)
-	bt, bd, bslots := batchRun(t, build, city, opts, spec, seed)
-	st, sd, sslots := serveRun(t, build, city, opts, spec, seed, viaHTTP)
+	opts.Shards = shards
+	bt, bd, bslots := batchRun(t, city, opts, spec, seed)
+	st, sd, sslots := serveRun(t, city, opts, spec, seed, viaHTTP)
 	if sslots != bslots {
 		t.Fatalf("served %d slots, batch ran %d — the feed failed to drive the full horizon", sslots, bslots)
 	}
@@ -120,16 +120,16 @@ func assertEquivalent(t *testing.T, build sim.EnvBuilder, spec *scenario.Spec, v
 	}
 }
 
-func TestServeEquivalenceSequential(t *testing.T) {
-	assertEquivalent(t, nil, nil, false)
+func TestServeEquivalenceSingleShard(t *testing.T) {
+	assertEquivalent(t, 1, nil, false)
 }
 
 func TestServeEquivalenceHTTP(t *testing.T) {
-	assertEquivalent(t, nil, nil, true)
+	assertEquivalent(t, 1, nil, true)
 }
 
 func TestServeEquivalenceSharded(t *testing.T) {
-	assertEquivalent(t, shard.Builder(2), nil, false)
+	assertEquivalent(t, 2, nil, false)
 }
 
 func TestServeEquivalenceScenario(t *testing.T) {
@@ -140,7 +140,7 @@ func TestServeEquivalenceScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertEquivalent(t, nil, spec, false)
+	assertEquivalent(t, 1, spec, false)
 }
 
 // TestServeStepOnDemand pins the /step path: stepping without any feed

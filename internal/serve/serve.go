@@ -6,8 +6,7 @@
 //
 // Architecture (DESIGN.md §10). The service is a driver around the same
 // pure slot loop the batch path runs — policy.Runner — over the same
-// deterministic environment (sequential *sim.Env or the sharded
-// shard.Engine). The ingested feed is the service's clock and observability
+// deterministic simulator (sim.New, at any shard count). The ingested feed is the service's clock and observability
 // plane: the event high-watermark decides when a slot may close, exactly the
 // FleetAI shape of an engine stepped by an external feed rather than an
 // internal loop. Because the environment realizes the world deterministically

@@ -1,4 +1,4 @@
-package shard
+package shard_test
 
 // The shard-invariance battery: the tentpole's correctness proof. A sharded
 // run must be a pure function of (city, options, seed) — never of the shard
@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/scenario"
+	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/synth"
 	"repro/internal/telemetry"
@@ -51,13 +52,23 @@ func microCity(t *testing.T, seed int64) *synth.City {
 	return city
 }
 
+// newEnv builds a one-day simulator over city at the given shard count.
+func newEnv(t *testing.T, city *synth.City, shards int, seed int64) *sim.Core {
+	t.Helper()
+	opts := sim.DefaultOptions(1)
+	opts.Shards = shards
+	env := sim.New(city, opts, seed)
+	if env.Shards() != shards {
+		t.Fatalf("built %d shards, want %d", env.Shards(), shards)
+	}
+	return env
+}
+
 // shardRun replays one full day at the given shard count and returns the
 // event digest, the deterministic telemetry counters, and the results.
 func shardRun(t *testing.T, city *synth.City, spec *scenario.Spec, shards int) (string, map[string]int64, *sim.Results) {
 	t.Helper()
-	// Built through Builder — the seam the facade uses — so the test also
-	// covers the EnvBuilder path.
-	env := Builder(shards)(city, sim.DefaultOptions(1), invarianceSeed).(*Engine)
+	env := newEnv(t, city, shards, invarianceSeed)
 	var events []trace.Event
 	env.SetRecorder(func(ev trace.Event) { events = append(events, ev) })
 	reg := telemetry.NewRegistry()
@@ -145,7 +156,7 @@ func TestShardSmoke(t *testing.T) {
 func TestAssignCoversPartition(t *testing.T) {
 	city := microCity(t, invarianceSeed)
 	for _, k := range []int{1, 2, 3, 5, 8, 12, 100} {
-		owner := Assign(city.Partition, k)
+		owner := shard.Assign(city.Partition, k)
 		if len(owner) != city.Partition.Len() {
 			t.Fatalf("k=%d: %d assignments for %d regions", k, len(owner), city.Partition.Len())
 		}
@@ -163,7 +174,7 @@ func TestAssignCoversPartition(t *testing.T) {
 		if len(seen) != wantK {
 			t.Errorf("k=%d: only %d of %d shards own regions", k, len(seen), wantK)
 		}
-		again := Assign(city.Partition, k)
+		again := shard.Assign(city.Partition, k)
 		for r := range owner {
 			if owner[r] != again[r] {
 				t.Fatalf("k=%d: assignment not deterministic at region %d", k, r)
@@ -195,7 +206,7 @@ func TestShardHandoffProperties(t *testing.T) {
 		for i := range city.Fleet {
 			city.Fleet[i].InitialSoC = 0.3
 		}
-		env := New(city, sim.DefaultOptions(1), tc.shards, tc.seed)
+		env := newEnv(t, city, tc.shards, tc.seed)
 
 		initial := make([]float64, cfg.Fleet)
 		for i := 0; i < cfg.Fleet; i++ {
@@ -247,7 +258,7 @@ func TestShardResultsMatchAcrossSeeds(t *testing.T) {
 			city.Fleet[i].InitialSoC = 0.3
 		}
 		run := func(shards int) string {
-			env := New(city, sim.DefaultOptions(1), shards, seed)
+			env := newEnv(t, city, shards, seed)
 			var events []trace.Event
 			env.SetRecorder(func(ev trace.Event) { events = append(events, ev) })
 			env.Reset(seed)

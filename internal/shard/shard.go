@@ -1,10 +1,11 @@
-// Package shard runs the simulation region-sharded: the city's partition
-// graph is split into K contiguous shards, each advanced by its own kernel
-// (internal/sim.Core), concurrently within a slot and synchronized at
-// deterministic barriers. Because every random stream is split per region
-// or per station — never per shard — and all cross-shard exchange happens
-// in canonical order under the barriers, the trajectory is byte-identical
-// for every K: shards=1 equals shards=N on every golden scenario fixture.
+// Package shard splits the city's region graph into K contiguous shards.
+// The simulator (internal/sim) gives each shard its own kernel, advanced
+// concurrently within a slot and synchronized at deterministic barriers.
+// Because every random stream is split per region or per station — never
+// per shard — and all cross-shard exchange happens in canonical order under
+// the barriers, the trajectory is byte-identical for every K: shards=1
+// equals shards=N on every golden scenario fixture. The invariance battery
+// in this package's tests checks exactly that.
 package shard
 
 import (

@@ -8,11 +8,10 @@ import (
 )
 
 // Environment is the simulation surface policies and harnesses run against.
-// Two engines implement it: the original sequential *Env (the byte-compat
-// reference whose behavior the golden traces pin) and the region-sharded
-// shard.Engine (kernel.go provides its pure state-transition core). Every
+// The region-sharded simulator New builds (*Core) implements it; test fakes
+// and wrappers (recorders, invariant checkers, tracers) embed it. Every
 // method is single-goroutine: callers interleave reads and Step from one
-// goroutine, exactly as with *Env.
+// goroutine, whatever the shard count.
 type Environment interface {
 	// City returns the underlying synthetic city.
 	City() *synth.City
@@ -71,26 +70,4 @@ type Environment interface {
 	SetRecorder(r Recorder)
 	// SetTelemetry installs (or, with nil, removes) a metrics registry.
 	SetTelemetry(r *telemetry.Registry)
-}
-
-// Both engines must satisfy the full surface.
-var _ Environment = (*Env)(nil)
-
-// EnvBuilder constructs a fresh Environment over a city — the seam through
-// which trainers and the system facade choose an engine (sequential vs
-// sharded) without the call sites caring. NewEnvBuilder is the default.
-type EnvBuilder func(city *synth.City, opts Options, seed int64) Environment
-
-// NewEnvBuilder is the EnvBuilder for the original sequential engine.
-func NewEnvBuilder(city *synth.City, opts Options, seed int64) Environment {
-	return New(city, opts, seed)
-}
-
-// BuildEnv invokes b, defaulting a nil builder to the sequential engine —
-// the resolution rule every trainer applies to its optional Env field.
-func BuildEnv(b EnvBuilder, city *synth.City, opts Options, seed int64) Environment {
-	if b == nil {
-		return New(city, opts, seed)
-	}
-	return b(city, opts, seed)
 }

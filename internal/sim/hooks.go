@@ -10,8 +10,8 @@ import "repro/internal/trace"
 //
 // All methods must be pure functions of their arguments (and the scenario
 // they were built from): the environment may call them any number of times
-// per minute, from one goroutine per Env, and identical runs must see
-// identical answers. Install with SetHooks before Reset; battery factors
+// per minute, from several kernels concurrently, and identical runs must
+// see identical answers. Install with SetHooks before Reset; battery factors
 // are applied when the fleet is (re)built.
 type Hooks interface {
 	// StationClosed reports whether the station rejects new arrivals at the
@@ -47,7 +47,7 @@ type Hooks interface {
 // environment's behavior — including its trace bytes — is untouched.
 //
 // The same purity contract as Hooks applies: every method must be a pure
-// function of its arguments, because the sharded engine calls them from
+// function of its arguments, because the simulator calls them from
 // per-region kernels and byte-identical traces across shard counts depend
 // on it.
 type ExtendedHooks interface {
@@ -72,186 +72,13 @@ type ExtendedHooks interface {
 	ConsumptionFactor(taxi int) float64
 }
 
-// SetHooks installs (or, with nil, removes) a perturbation engine. Call it
-// before Reset: battery-degradation factors take effect when the fleet is
-// rebuilt, and policy.Evaluate resets the environment before every run.
-// Hooks persist across Reset so one engine conditions every episode.
-func (e *Env) SetHooks(h Hooks) {
-	e.hooks = h
-	e.xh, _ = h.(ExtendedHooks)
-	if e.nowMin == 0 {
-		// Fresh environment: re-derive the fleet so battery cohorts apply
-		// even if the caller steps without another Reset.
-		e.applyBatteryFactors()
-	}
-}
-
-// Hooks returns the installed perturbation engine, or nil.
-func (e *Env) Hooks() Hooks { return e.hooks }
-
-// applyBatteryFactors scales each taxi's pack by its cohort factor and,
-// under ExtendedHooks, its consumption rate by the cohort's vehicle model.
-func (e *Env) applyBatteryFactors() {
-	if e.hooks == nil {
-		return
-	}
-	for i := range e.taxis {
-		b := e.city.NewBattery(e.city.Fleet[i])
-		if f := e.hooks.BatteryFactor(i); f > 0 && f != 1 {
-			b.CapacityKWh *= f
-		}
-		if e.xh != nil {
-			if f := e.xh.ConsumptionFactor(i); f > 0 && f != 1 {
-				b.ConsumptionPerKm *= f
-			}
-		}
-		e.taxis[i].batt = b
-	}
-}
-
-// speedScale returns the ExtendedHooks travel-speed multiplier for a
-// region at a minute, or exactly 1 when no extended hooks are installed.
-func (e *Env) speedScale(region, minute int) float64 {
-	if e.xh == nil {
-		return 1
-	}
-	if f := e.xh.SpeedScale(region, minute); f > 0 {
-		return f
-	}
-	return 1
-}
-
-// tariffScale returns the ExtendedHooks charging-price multiplier at a
-// minute, or exactly 1 when no extended hooks are installed.
-func (e *Env) tariffScale(minute int) float64 {
-	if e.xh == nil {
-		return 1
-	}
-	if f := e.xh.TariffScale(minute); f > 0 {
-		return f
-	}
-	return 1
-}
-
-// offDuty reports whether the taxi sits out this minute on a shift change.
-func (e *Env) offDuty(taxi, minute int) bool {
-	return e.xh != nil && e.xh.OffDuty(taxi, minute)
-}
-
 // Recorder receives the structured event log of a run: one call per
 // behavioral event, in simulation order. Install with SetRecorder; the
 // golden-trace harness digests the stream to pin behavior at byte
 // granularity. A nil recorder (the default) costs nothing.
 type Recorder func(trace.Event)
 
-// SetRecorder installs (or, with nil, removes) the event recorder. It
-// persists across Reset.
-func (e *Env) SetRecorder(r Recorder) { e.rec = r }
-
-// record emits an event to the recorder, if any.
-func (e *Env) record(ev trace.Event) {
-	if e.rec != nil {
-		e.rec(ev)
-	}
-}
-
-// applyStationPerturbations advances closure and derate state for every
-// station to minute m, evicting queued taxis from closed stations and
-// promoting queued taxis into capacity a lifted derate frees. It runs once
-// per simulated minute, before taxi advancement, so arrivals in the same
-// minute see the already-updated state.
-func (e *Env) applyStationPerturbations(m int) {
-	if e.hooks == nil {
-		return
-	}
-	for sid, st := range e.stations {
-		closed := e.hooks.StationClosed(sid, m)
-		if closed != e.closedNow[sid] {
-			e.closedNow[sid] = closed
-			e.tel.outageEdges.Inc()
-			flag := 0
-			if closed {
-				flag = 1
-			}
-			e.record(trace.Event{
-				TimeMin: m, Taxi: -1, Region: st.Station().Region,
-				Kind: trace.EvOutage, A: sid, B: flag,
-			})
-		}
-		if d := clampInt(e.hooks.StationDerate(sid, m), 0, st.Station().Points); d != st.Derate() {
-			e.tel.derateChanges.Inc()
-			promoted := st.SetDerate(d)
-			e.record(trace.Event{
-				TimeMin: m, Taxi: -1, Region: st.Station().Region,
-				Kind: trace.EvDerate, A: sid, B: d,
-			})
-			for _, id := range promoted {
-				e.beginCharge(&e.taxis[id], m)
-			}
-		}
-		if closed {
-			// Waiting taxis re-plan rather than queue at a dead station.
-			for _, id := range st.DrainQueue() {
-				e.tel.queueEvictions.Inc()
-				t := &e.taxis[id]
-				t.state = ToStation
-				t.arriveMin = m
-				e.replanCharge(t, m, trace.EvReplan)
-			}
-		}
-	}
-}
-
-// replanCharge redirects taxi t — which still needs to charge but whose
-// target station is closed or hopeless — to the least-loaded open nearby
-// station. When every nearby station is closed it waits in place and retries
-// a minute later rather than queueing at a dead station (the strand bug the
-// hook refactor fixed: the old fallback plugged taxis into closed stations).
-// kind selects the recorded event (EvBalk for queue balking, EvReplan for
-// closure eviction).
-func (e *Env) replanCharge(t *taxi, m int, kind trace.EventKind) {
-	cur := e.city.Stations.Station(t.stationID)
-	ns := e.nearStations[cur.Region]
-	best, bestLoad := -1, 0.0
-	for _, nb := range ns {
-		if nb.Label == t.stationID || e.stationClosed(nb.Label, m) {
-			continue
-		}
-		st := e.stations[nb.Label]
-		load := float64(st.QueueLen()-st.Free()) + nb.DistKm*0.1
-		if best < 0 || load < bestLoad {
-			best, bestLoad = nb.Label, load
-		}
-	}
-	e.record(trace.Event{
-		TimeMin: m, Taxi: t.id, Region: t.region, Kind: kind,
-		A: t.stationID, B: best,
-	})
-	if best < 0 {
-		if !e.stationClosed(t.stationID, m) {
-			// Nowhere better and the current station is open: join its queue.
-			t.balkCount = maxBalks
-			if e.stations[t.stationID].Arrive(t.id) {
-				e.beginCharge(t, m)
-			} else {
-				t.state = Queued
-				e.tel.queueJoins.Inc()
-				e.record(trace.Event{TimeMin: m, Taxi: t.id, Region: t.region, Kind: trace.EvQueue, A: t.stationID, B: -1})
-			}
-			return
-		}
-		// Everything nearby is closed: wait parked and retry next minute.
-		t.arriveMin = m + 1
-		return
-	}
-	distKm := geoDistKm(cur.Loc, e.city.Stations.Station(best).Loc)
-	travelMin := e.travelMinutes(distKm, cur.Region, m)
-	e.driveTracked(t, distKm)
-	t.stationID = best
-	t.arriveMin = m + travelMin
-	t.region = e.city.Stations.Station(best).Region
-}
-
+// clampInt clamps v to [lo, hi].
 func clampInt(v, lo, hi int) int {
 	if v < lo {
 		return lo

@@ -50,7 +50,7 @@ func (h extStubHooks) ConsumptionFactor(taxi int) float64 {
 
 var _ ExtendedHooks = extStubHooks{}
 
-func extTestEnv(t *testing.T, seed int64) *Env {
+func extTestEnv(t *testing.T, seed int64) *Core {
 	t.Helper()
 	city, err := synth.Build(synth.TestConfig(seed))
 	if err != nil {

@@ -115,13 +115,13 @@ func TestStationClosedRespectsWindow(t *testing.T) {
 	e.SetHooks(stubHooks{closed: func(s, m int) bool {
 		return s == 0 && m >= 100 && m < 200
 	}})
-	if e.stationClosed(0, 99) || e.stationClosed(0, 200) {
+	if e.stationClosedHook(0, 99) || e.stationClosedHook(0, 200) {
 		t.Fatal("outage active outside its window")
 	}
-	if !e.stationClosed(0, 100) || !e.stationClosed(0, 199) {
+	if !e.stationClosedHook(0, 100) || !e.stationClosedHook(0, 199) {
 		t.Fatal("outage inactive inside its window")
 	}
-	if e.stationClosed(1, 150) {
+	if e.stationClosedHook(1, 150) {
 		t.Fatal("outage leaked to another station")
 	}
 }
@@ -134,11 +134,11 @@ func TestHooksPersistAcrossReset(t *testing.T) {
 	e := New(city, DefaultOptions(1), 23)
 	e.SetHooks(stubHooks{closed: func(s, m int) bool { return s == 0 }})
 	e.Reset(23)
-	if !e.stationClosed(0, 100) {
+	if !e.stationClosedHook(0, 100) {
 		t.Fatal("Reset dropped the installed hooks")
 	}
 	e.SetHooks(nil)
-	if e.stationClosed(0, 100) {
+	if e.stationClosedHook(0, 100) {
 		t.Fatal("SetHooks(nil) did not remove the hooks")
 	}
 }

@@ -1,9 +1,9 @@
 package sim
 
-// The region-sharded state-transition core. Core holds the shared world
-// state (fleet, stations, demand, accounting) and splits the city's regions
-// across K kernels; each kernel advances only the taxis it owns, so a driver
-// (internal/shard.Engine) can run kernels concurrently within a slot and
+// The simulator: a region-sharded state-transition core. Core holds the
+// world state (fleet, stations, demand, accounting) and splits the city's
+// regions across K kernels; each kernel advances only the taxis it owns, so
+// Step (engine.go) can run kernels concurrently within a slot and
 // synchronize at deterministic barriers. Every RNG stream is split per
 // region or per station, never per kernel, so the realization is identical
 // for any K — shards=1 and shards=N produce byte-identical traces.
@@ -19,34 +19,25 @@ package sim
 //	                      routed at the end-of-slot barrier (it cannot be
 //	                      matched or act before the next slot anyway).
 //
-// Time-driven transitions run off a per-kernel event calendar (a min-heap
-// of wake-ups) plus a sorted active-charging list, so a minute costs
-// O(events) instead of the sequential engine's O(fleet) sweep. Stale
-// wake-ups are tolerated: dispatch re-checks state and time.
+// Time-driven transitions run off a per-kernel event calendar plus a sorted
+// active-charging list, so a minute costs O(events) instead of an O(fleet)
+// sweep. Stale wake-ups are tolerated: dispatch re-checks state and time.
 //
-// Known, deliberate divergences from the sequential *Env (the golden-trace
-// reference is unaffected; the sharded engine pins its own goldens):
+// Rules that keep the trajectory independent of K:
 //
-//   - Every plug-in integrates its first charging minute at m+1. The
-//     sequential engine lets a queue promotion charge in the same minute
-//     when the promoted ID is larger than the finisher's — an ID-order
-//     artifact a parallel engine cannot reproduce independently of K.
+//   - Every plug-in integrates its first charging minute at m+1, and a
+//     session that reaches its target during minute m releases its point
+//     at m+1, after every arrival of minute m — so a point never serves two
+//     sessions in one minute, whatever the IDs of the taxis involved.
 //   - Charge replanning reads queue pressure from a once-per-slot snapshot
 //     of every station rather than live values, because live reads of
 //     another shard's stations would depend on scheduling. Balking still
 //     reads the (always-local) target station live.
 //   - Matching, demand, and charge-target jitter draw from per-region and
-//     per-station streams instead of two global ones.
-//   - Demand sampling picks destinations from a gravity alias table, places
-//     points by triangle-fan decomposition instead of rejection sampling,
-//     and measures trips equirectangularly. Same per-region stream; the draw
-//     sequence differs from the sequential engine's linear forms.
-//   - Matching breaks equal vacancy ages toward the lowest taxi ID (one
-//     up-front sort) instead of the sequential engine's scan-order tie under
-//     swap-removal. Both rules are pure functions of region state.
+//     per-station streams.
+//   - Matching breaks equal vacancy ages toward the lowest taxi ID.
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"slices"
@@ -138,7 +129,7 @@ func (s ownSet) forEach(f func(id int)) {
 // kernel is the per-shard slice of the world: the taxis, regions, and
 // stations one shard owns, plus its calendar and per-slot result buffers.
 // All mutation of owned state happens here; the buffers are drained by
-// Core.FinishSlot under the slot barrier.
+// Core.finishSlot under the slot barrier.
 type kernel struct {
 	c   *Core
 	idx int
@@ -150,8 +141,9 @@ type kernel struct {
 	cal         wakeCal
 	charging    []int // taxis integrating charge, ascending
 	pendingPlug []int // plugged this minute; first charge minute is m+1
+	finishing   []int // reached their target this minute; unplug at m+1
 	pending     map[int][]demand.Request
-	outbox      []int // emigrants awaiting RouteMigrants
+	outbox      []int // emigrants awaiting routeMigrants
 
 	// scratch, reused across slots
 	due          []int
@@ -162,7 +154,7 @@ type kernel struct {
 	reqScratch   []demand.Request
 	rateNow      float64 // tariff rate of the minute being swept
 
-	// per-slot result buffers, drained serially in FinishSlot
+	// per-slot result buffers, drained serially in finishSlot
 	events       []trace.Event
 	trips        []TripStat
 	charges      []trace.ChargingEvent
@@ -173,11 +165,10 @@ type kernel struct {
 	chargeStarts [24]int
 }
 
-// Core is the shared state of a sharded simulation. It implements every
-// sim.Environment method except Step; the driver in internal/shard supplies
-// Step by sequencing the phase methods (BeginSlotApply, GenerateAndMatch,
-// SnapshotLoads, RunMinute, EndSlot — parallel per kernel) around the serial
-// barriers (RouteMigrants, FinishSlot).
+// Core is the simulator and the one implementation of Environment. Step
+// (engine.go) sequences the phase methods (beginSlotApply, generateAndMatch,
+// runMinute, endSlot — parallel per kernel) around the serial barriers
+// (routeMigrants, snapshotLoads, finishSlot).
 type Core struct {
 	city *synth.City
 	opts Options
@@ -239,8 +230,8 @@ type Core struct {
 	keyBuf       []uint64
 
 	// Reusable hot-path scratch: per-taxi observation buffers (borrowed by
-	// Observation.Features, see Env.Observe for the ownership contract), the
-	// VacantTaxis result buffer, and RouteMigrants' gather slice.
+	// Observation.Features, see Observe for the ownership contract), the
+	// VacantTaxis result buffer, and routeMigrants' gather slice.
 	obsBufs    [][]float64
 	vacantBuf  []int
 	migrantBuf []int
@@ -254,58 +245,48 @@ type Core struct {
 
 	// Per-slot stat chunks. Appending every slot's trips onto one long
 	// slice costs an amortized-doubling memmove of the whole history; at
-	// full scale that realloc traffic dominates FinishSlot. Chunks bound
+	// full scale that realloc traffic dominates finishSlot. Chunks bound
 	// the copying to exactly twice per record: once into its chunk here,
 	// once into the flat snapshot Results builds on demand.
 	tripChunks   [][]TripStat
 	chargeChunks [][]trace.ChargingEvent
 	tripCount    int
 	chargeCount  int
+
+	// Phase closures, allocated once in New: Step hands each phase to each
+	// as a func value, and a closure literal built inside Step escapes — one
+	// allocation per phase per call. The closures read their per-call
+	// parameters (actions, the minute cursor) from stepActions and
+	// stepMinute, which Step writes between barriers; under multi-shard
+	// fan-out the writes happen-before the goroutine launches that read them.
+	beginFn, genFn, minuteFn, endFn func(k int)
+	stepActions                     map[int]Action
+	stepMinute                      int
+
+	ptel phaseTel
 }
 
-// NewCore builds a sharded core over city. regionOwner maps every region to
-// a kernel index in [0, K); taxis, stations, demand, and matching for a
-// region are advanced by its owning kernel. It panics on an invalid
-// assignment (a programming error in the driver).
-func NewCore(city *synth.City, opts Options, regionOwner []int, seed int64) *Core {
-	opts.fillDefaults()
-	n := city.Partition.Len()
-	if len(regionOwner) != n {
-		panic(fmt.Sprintf("sim: regionOwner covers %d regions, city has %d", len(regionOwner), n))
-	}
-	k := 0
-	for r, o := range regionOwner {
-		if o < 0 {
-			panic(fmt.Sprintf("sim: region %d has negative owner %d", r, o))
-		}
-		if o+1 > k {
-			k = o + 1
-		}
-	}
-	c := &Core{
-		city:        city,
-		opts:        opts,
-		slotLen:     city.Config.SlotMinutes,
-		regionOwner: append([]int(nil), regionOwner...),
-	}
+// buildKernels creates one kernel per shard of regionOwner and hands each
+// its regions and the stations inside them, in ascending ID order.
+func (c *Core) buildKernels() {
+	n := c.city.Partition.Len()
 	c.nearStations = make([][]geo.Neighbor, n)
 	for r := 0; r < n; r++ {
-		c.nearStations[r] = city.Stations.Nearest(city.Partition.Region(r).Centroid, KStations)
+		c.nearStations[r] = c.city.Stations.Nearest(c.city.Partition.Region(r).Centroid, KStations)
 	}
+	k := slices.Max(c.regionOwner) + 1
 	c.kernels = make([]*kernel, k)
 	for i := range c.kernels {
 		c.kernels[i] = &kernel{c: c, idx: i, cands: make(map[int][]int)}
 	}
 	for r := 0; r < n; r++ {
-		kn := c.kernels[regionOwner[r]]
+		kn := c.kernels[c.regionOwner[r]]
 		kn.regions = append(kn.regions, r)
 	}
-	for sid := 0; sid < city.Stations.Len(); sid++ {
-		kn := c.kernels[regionOwner[city.Stations.Station(sid).Region]]
+	for sid := 0; sid < c.city.Stations.Len(); sid++ {
+		kn := c.kernels[c.regionOwner[c.city.Stations.Station(sid).Region]]
 		kn.stationIDs = append(kn.stationIDs, sid)
 	}
-	c.Reset(seed)
-	return c
 }
 
 // Shards returns the number of kernels.
@@ -365,16 +346,7 @@ func (c *Core) Reset(seed int64) {
 		RegionDemand: make([]int, n),
 		RegionServed: make([]int, n),
 	}
-	// Truncate the chunk lists (keeping their backing arrays for the next
-	// episode's appends) and reuse the current arena blocks from the top.
-	// The stale headers past len pin last episode's arena blocks until they
-	// are overwritten — bounded by one episode of chunks, and cheaper than
-	// re-growing the lists every Reset.
-	c.tripChunks = c.tripChunks[:0]
-	c.chargeChunks = c.chargeChunks[:0]
-	c.tripCount, c.chargeCount = 0, 0
-	c.tripArena = c.tripArena[:0]
-	c.chargeArena = c.chargeArena[:0]
+	c.resetChunks()
 	if len(c.obsBufs) != len(c.taxis) {
 		c.obsBufs = make([][]float64, len(c.taxis))
 	}
@@ -388,6 +360,7 @@ func (c *Core) Reset(seed int64) {
 		kn.cal.reset(c.endMin)
 		kn.charging = kn.charging[:0]
 		kn.pendingPlug = kn.pendingPlug[:0]
+		kn.finishing = kn.finishing[:0]
 		// Keep the pending map and its per-region buckets across episodes:
 		// the buckets are the match loop's working storage, and dropping
 		// them re-pays their growth allocations every Reset.
@@ -468,8 +441,8 @@ func (c *Core) offDuty(taxi, minute int) bool {
 }
 
 // travelMinutes converts a road distance to whole driving minutes at the
-// traffic speed of minute m in the given region (see Env.travelMinutes —
-// the scaled rule is shared, so both engines slow down identically).
+// traffic speed of minute m in the given region, with a one-minute floor.
+// The region matters only under a weather perturbation.
 func (c *Core) travelMinutes(distKm float64, region, m int) int {
 	if s := c.speedScale(region, m); s != 1 {
 		return travelMinutesScaled(distKm, m, s)
@@ -506,8 +479,10 @@ func (c *Core) Done() bool { return c.nowMin >= c.endMin }
 func (c *Core) InvalidActions() int { return c.invalidActions }
 
 // VacantTaxis returns the IDs of taxis awaiting a displacement decision
-// this slot, ascending. The slice borrows a core-owned buffer rewritten by
-// the next call; see Env.VacantTaxis for the reuse contract.
+// this slot, ascending. The slice borrows a core-owned buffer that the next
+// VacantTaxis call rewrites — within one slot every call produces identical
+// contents, so holding it across a single Step is safe, but callers keeping
+// IDs longer must copy.
 func (c *Core) VacantTaxis() []int {
 	out := c.vacantBuf[:0]
 	for i := range c.taxis {
@@ -538,7 +513,7 @@ func (c *Core) StationState(id int) *station.State { return c.stations[id] }
 func (c *Core) SlotProfit(id int) float64 { return c.taxis[id].slotProfit }
 
 // PESoFar returns taxi id's cumulative profit efficiency (CNY/h), floored at
-// one on-duty hour, exactly as the sequential engine computes it.
+// one on-duty hour (see peFloorMin).
 func (c *Core) PESoFar(id int) float64 {
 	a := &c.taxis[id].acct
 	d := a.OnDutyMin()
@@ -635,10 +610,15 @@ func (c *Core) ValidMask(id int) [NumActions]bool {
 	return mask
 }
 
-// Observe builds the observation for a vacant taxi. The feature math is
-// identical to the sequential engine's; the fleet-wide aggregates come from
-// per-slot caches, which turns the sequential engine's O(fleet) work per
-// call into O(1) amortized.
+// Observe builds the observation for a vacant taxi. It is deterministic
+// given the environment state; the fleet-wide aggregates come from per-slot
+// caches, so a call costs O(1) amortized.
+//
+// Features borrows a per-taxi buffer owned by the environment: it stays
+// valid until the same taxi is observed again. Within one slot repeated
+// observations rewrite identical bytes, so holding the slice across calls
+// in the same slot is safe; callers keeping features across Step (replay
+// buffers, demonstration logs) must copy them out.
 func (c *Core) Observe(id int) Observation {
 	t := &c.taxis[id]
 	f := c.obsBufs[id][:0]
@@ -725,11 +705,16 @@ func (c *Core) appendRegionTriple(f []float64, region int, supply []int, now int
 	)
 }
 
-// SetHooks installs (or, with nil, removes) a perturbation engine.
+// SetHooks installs (or, with nil, removes) a perturbation engine. Call it
+// before Reset: battery-degradation factors take effect when the fleet is
+// rebuilt, and policy.Evaluate resets the environment before every run.
+// Hooks persist across Reset so one engine conditions every episode.
 func (c *Core) SetHooks(h Hooks) {
 	c.hooks = h
 	c.xh, _ = h.(ExtendedHooks)
 	if c.nowMin == 0 {
+		// Fresh environment: re-derive the fleet so battery cohorts apply
+		// even if the caller steps without another Reset.
 		c.applyBatteryFactors()
 	}
 }
@@ -737,16 +722,23 @@ func (c *Core) SetHooks(h Hooks) {
 // Hooks returns the installed perturbation engine, or nil.
 func (c *Core) Hooks() Hooks { return c.hooks }
 
-// SetRecorder installs (or, with nil, removes) the event recorder. Events
-// are buffered per kernel during a slot and emitted in canonical order at
-// the slot barrier, so the stream is identical at any shard count.
+// SetRecorder installs (or, with nil, removes) the event recorder. It
+// persists across Reset. Events are buffered per kernel during a slot and
+// emitted at the slot barrier in canonical (minute, taxi, kind) order, so
+// the stream is identical at any shard count.
 func (c *Core) SetRecorder(r Recorder) { c.rec = r }
 
-// SetTelemetry installs (or, with nil, removes) a metrics registry. All
+// SetTelemetry installs (or, with nil, removes) a metrics registry: the
+// deterministic simulation counters plus the wall-clock phase timers. All
 // counters and histograms are atomic, so kernels write them concurrently;
 // every count is a pure function of the trajectory and therefore identical
-// at any shard count.
-func (c *Core) SetTelemetry(r *telemetry.Registry) { c.tel = newSimTel(r) }
+// at any shard count. Like hooks and the recorder it persists across Reset.
+// Telemetry is write-only: nothing in the simulator reads a metric back, so
+// enabling it cannot perturb the trajectory.
+func (c *Core) SetTelemetry(r *telemetry.Registry) {
+	c.tel = newSimTel(r)
+	c.ptel = newPhaseTel(r)
+}
 
 // Results returns the accounting of the run as a stable snapshot.
 func (c *Core) Results() *Results {
@@ -774,11 +766,11 @@ func (c *Core) Results() *Results {
 
 // --- Phase methods (parallel per kernel between barriers) --------------------
 
-// BeginSlotApply clears kernel k's per-slot profit accumulators and applies
+// beginSlotApply clears kernel k's per-slot profit accumulators and applies
 // one displacement action per owned vacant taxi (missing entries default to
 // Stay). Safe to run concurrently across kernels: it touches only owned
 // taxis and the kernel's own buffers.
-func (c *Core) BeginSlotApply(k int, actions map[int]Action) {
+func (c *Core) beginSlotApply(k int, actions map[int]Action) {
 	kn := c.kernels[k]
 	kn.owned.forEach(func(id int) {
 		// One fused scan: applyAction touches only the acting taxi, so
@@ -803,11 +795,11 @@ func (c *Core) BeginSlotApply(k int, actions map[int]Action) {
 	})
 }
 
-// GenerateAndMatch samples kernel k's per-region demand for the slot,
+// generateAndMatch samples kernel k's per-region demand for the slot,
 // expires stale requests, and matches the rest oldest-first within each
 // region. Regions are processed in ascending ID order; each draws from its
 // own demand and match streams, so the outcome is independent of K.
-func (c *Core) GenerateAndMatch(k int) {
+func (c *Core) generateAndMatch(k int) {
 	kn := c.kernels[k]
 	slotStart := c.nowMin
 	slot := slotStart / c.slotLen
@@ -830,11 +822,9 @@ func (c *Core) GenerateAndMatch(k int) {
 		if c.hooks != nil {
 			factor = c.hooks.DemandScale(r, slotStart)
 		}
-		// The fast sampler draws destinations from a gravity alias table and
-		// places points by triangle fan — O(1) per request on the same
-		// per-region stream. Its divergence from the sequential engine's
-		// linear forms is one of the kernel's documented departures; shard
-		// invariance is untouched because every K uses it.
+		// The sampler draws destinations from a gravity alias table and
+		// places points by triangle fan — O(1) per request on the region's
+		// own stream.
 		kn.reqBuf = c.city.Demand.SampleRegionScaledFast(kn.reqBuf[:0], c.demandSrc[r], r, slotStart, c.slotLen, factor)
 		reqs := kn.reqBuf
 		// Region r is owned by exactly this kernel, so the per-region demand
@@ -878,29 +868,29 @@ func (c *Core) GenerateAndMatch(k int) {
 	}
 }
 
-// SnapshotLoads records every station's queue pressure for the slot's
+// snapshotLoads records every station's queue pressure for the slot's
 // replanning decisions. Serial: runs under the post-match barrier.
-func (c *Core) SnapshotLoads() {
+func (c *Core) snapshotLoads() {
 	for i, st := range c.stations {
 		c.loads[i] = float64(st.QueueLen() - st.Free())
 	}
 }
 
-// RunMinute advances kernel k's owned world by one minute: station
+// runMinute advances kernel k's owned world by one minute: station
 // perturbations first (so same-minute arrivals see updated state), then the
 // merged calendar/charging sweep in ascending taxi ID, then activation of
 // this minute's plug-ins.
-func (c *Core) RunMinute(k, m int) {
+func (c *Core) runMinute(k, m int) {
 	kn := c.kernels[k]
 	kn.beginMinute(m)
 	kn.sweep(m)
 	kn.activatePlugs()
 }
 
-// EndSlot drains crawl energy for kernel k's cruising taxis and queues any
+// endSlot drains crawl energy for kernel k's cruising taxis and queues any
 // whose region now belongs to another kernel (post-dropoff migrants) for
 // routing at the slot barrier.
-func (c *Core) EndSlot(k int) {
+func (c *Core) endSlot(k int) {
 	kn := c.kernels[k]
 	slotEnd := c.nowMin + c.slotLen
 	kn.owned.forEach(func(id int) {
@@ -914,9 +904,9 @@ func (c *Core) EndSlot(k int) {
 	})
 }
 
-// RouteMigrants moves every outboxed taxi to the kernel owning its current
+// routeMigrants moves every outboxed taxi to the kernel owning its current
 // region, in ascending taxi ID order. Serial: runs only under barriers.
-func (c *Core) RouteMigrants() {
+func (c *Core) routeMigrants() {
 	all := c.migrantBuf[:0]
 	for _, kn := range c.kernels {
 		all = append(all, kn.outbox...)
@@ -937,10 +927,10 @@ func (c *Core) RouteMigrants() {
 	}
 }
 
-// FinishSlot merges every kernel's slot buffers in canonical order, emits
+// finishSlot merges every kernel's slot buffers in canonical order, emits
 // buffered events, advances the clock, and finalizes at the horizon.
 // Serial: runs under the end-of-slot barrier.
-func (c *Core) FinishSlot() {
+func (c *Core) finishSlot() {
 	slotEnd := c.nowMin + c.slotLen
 	c.mergeTrips = c.mergeTrips[:0]
 	c.mergeCharges = c.mergeCharges[:0]
@@ -1051,7 +1041,7 @@ func (c *Core) FinishSlot() {
 }
 
 // clearAccounting wipes all ledgers at the warmup boundary while keeping the
-// physical fleet state, mirroring the sequential engine.
+// physical fleet state.
 func (c *Core) clearAccounting() {
 	now := c.nowMin
 	for i := range c.taxis {
@@ -1083,6 +1073,17 @@ func (c *Core) clearAccounting() {
 		RegionDemand: make([]int, c.city.Partition.Len()),
 		RegionServed: make([]int, c.city.Partition.Len()),
 	}
+	c.resetChunks()
+}
+
+// resetChunks empties the stat chunk lists, keeping their backing arrays for
+// the next appends, and reuses the current arena blocks from the top. The
+// headers past len are zeroed first: left in place they would pin every
+// arena block the discarded chunks were cut from (a whole warm-up day at
+// full scale) until later appends overwrote them.
+func (c *Core) resetChunks() {
+	clear(c.tripChunks[:cap(c.tripChunks)])
+	clear(c.chargeChunks[:cap(c.chargeChunks)])
 	c.tripChunks = c.tripChunks[:0]
 	c.chargeChunks = c.chargeChunks[:0]
 	c.tripCount, c.chargeCount = 0, 0

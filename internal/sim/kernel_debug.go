@@ -96,9 +96,3 @@ func (c *Core) PendingRequests() int {
 	}
 	return n
 }
-
-// RegionOwner returns the kernel index owning a region.
-func (c *Core) RegionOwner(region int) int { return c.regionOwner[region] }
-
-// TaxiOwner returns the kernel index currently owning a taxi.
-func (c *Core) TaxiOwner(id int) int { return c.taxiOwner[id] }

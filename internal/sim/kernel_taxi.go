@@ -1,9 +1,9 @@
 package sim
 
-// Per-taxi transition rules of the sharded kernel. Each method mirrors the
-// sequential engine's semantics (env.go / hooks.go) except where the header
-// comment in kernel.go documents a deliberate divergence; any drift beyond
-// those is a bug the shard-invariance battery should catch.
+// Per-taxi transition rules of the kernel. Each touches only taxis and
+// stations the kernel owns; the rules kernel.go lists keep the outcome
+// independent of the shard count, and any drift is a bug the
+// shard-invariance battery should catch.
 
 import (
 	"math"
@@ -53,9 +53,10 @@ func (kn *kernel) adopt(id int) {
 }
 
 // applyAction executes a displacement decision for owned taxi id, coercing
-// mask-invalid submissions exactly as the sequential engine does. The
-// validity test is ValidMask's rule evaluated directly for the submitted
-// action, skipping construction of the full mask on this per-taxi hot path.
+// a mask-invalid submission to the nearest station when the taxi must
+// charge and to Stay otherwise. The validity test is ValidMask's rule
+// evaluated directly for the submitted action, skipping construction of the
+// full mask on this per-taxi hot path.
 func (kn *kernel) applyAction(id int, a Action) {
 	c := kn.c
 	t := &c.taxis[id]
@@ -125,11 +126,9 @@ func (kn *kernel) applyAction(id int, a Action) {
 // pending buffer's emptied storage so no alias to reqs is created.
 // Serving a request mutates only the served taxi,
 // so every other candidate's state and vacancy age are frozen for the whole
-// call — one packed sort up front replaces the sequential engine's
-// O(reqs×cands) rescan, and each match pops the front of the sorted pool.
-// The lowest-ID tie-break is a pure function of region state (identical at
-// every shard count) but is one of the kernel's documented departures from
-// the sequential engine, whose tie falls to scan order under swap-removal.
+// call — one packed sort up front replaces an O(reqs×cands) rescan, and
+// each match pops the front of the sorted pool. The lowest-ID tie-break is
+// a pure function of region state, so it is identical at every shard count.
 func (kn *kernel) matchRegion(r int, reqs, unmatched []demand.Request) []demand.Request {
 	c := kn.c
 	kn.keyBuf = kn.keyBuf[:0]
@@ -303,6 +302,14 @@ func (kn *kernel) sweep(m int) {
 		}
 	}
 
+	// Sessions that reached their target unplug at m+1, in ascending ID
+	// order (the walk above visits them so), once this minute's arrivals
+	// have all seen their point occupied.
+	for _, id := range kn.finishing {
+		kn.finishCharge(&c.taxis[id], m+1)
+	}
+	kn.finishing = kn.finishing[:0]
+
 	kn.nextCharging = kn.nextCharging[:0]
 	for _, id := range kn.charging {
 		if c.taxis[id].state == ChargingState {
@@ -356,7 +363,7 @@ func (kn *kernel) dispatch(id, m int) {
 }
 
 // shouldBalk reports whether the queue at t's (always owned) target station
-// is hopeless — same rule as the sequential engine.
+// is hopeless: its queue is at least BalkFactor × its point count.
 func (kn *kernel) shouldBalk(t *taxi) bool {
 	c := kn.c
 	if c.opts.BalkFactor < 0 || t.balkCount >= maxBalks {
@@ -417,7 +424,7 @@ func (kn *kernel) replanCharge(t *taxi, m int, kind trace.EventKind) {
 }
 
 // beginCharge marks the plug-in of t at minute m. The session's first
-// charging minute is m+1 (see the divergence note in kernel.go); the jitter
+// charging minute is m+1 (see the K-invariance rules in kernel.go); the jitter
 // draw comes from the station's stream.
 func (kn *kernel) beginCharge(t *taxi, m int) {
 	c := kn.c
@@ -451,7 +458,7 @@ func (kn *kernel) chargeMinute(t *taxi, m int) {
 	t.chargeCost += cost
 	t.slotProfit -= cost
 	if t.batt.SoC >= t.chargeTarget {
-		kn.finishCharge(t, m+1)
+		kn.finishing = append(kn.finishing, t.id)
 	}
 }
 

@@ -1,7 +1,5 @@
 package sim
 
-import "math"
-
 // Observation is the per-agent state of Section III-C: a local view (time
 // and location context) plus a global view (supply, charging availability,
 // and forecast demand), compressed to the agent's neighborhood so the
@@ -26,131 +24,7 @@ const (
 	FeatureSize = featTime + featSelf + featOwnRegion + featNeighbors + featStations + featGlobal
 )
 
-// Observe builds the observation for a vacant taxi. It is deterministic
-// given the environment state.
-//
-// Features borrows a per-taxi buffer owned by the environment: it stays
-// valid until the same taxi is observed again. Within one slot repeated
-// observations rewrite identical bytes, so holding the slice across calls
-// in the same slot is safe; callers keeping features across Step (replay
-// buffers, demonstration logs) must copy them out.
-func (e *Env) Observe(id int) Observation {
-	t := &e.taxis[id]
-	f := e.obsBufs[id][:0]
-	now := e.nowMin
-	dayFrac := float64(now%(24*60)) / (24 * 60)
-
-	// Time.
-	f = append(f, math.Sin(2*math.Pi*dayFrac), math.Cos(2*math.Pi*dayFrac))
-
-	// Self.
-	meanPE, _ := e.FleetPEStats()
-	peGap := (e.PESoFar(id) - meanPE) / 50 // fairness signal
-	vacancyAge := float64(now-t.vacantSinceMin) / 60
-	f = append(f, t.batt.SoC, clampF(peGap, -2, 2), clampF(vacancyAge, 0, 4))
-
-	// Own region triple.
-	supply := e.regionSupply()
-	f = e.appendRegionTriple(f, t.region, supply, now)
-
-	// Neighbor triples, zero-padded to MaxNeighbors.
-	nbs := e.city.Partition.Region(t.region).Neighbors
-	for i := 0; i < MaxNeighbors; i++ {
-		if i < len(nbs) {
-			f = e.appendRegionTriple(f, nbs[i], supply, now)
-		} else {
-			f = append(f, 0, 0, 0)
-		}
-	}
-
-	// Nearest stations.
-	ns := e.nearStations[t.region]
-	for k := 0; k < KStations; k++ {
-		if k < len(ns) {
-			st := e.stations[ns[k].Label]
-			f = append(f,
-				float64(st.Free())/20,
-				float64(st.QueueLen())/10,
-				ns[k].DistKm/10,
-				e.city.Tariff.Rate(e.city.Tariff.BandAt(now))/2,
-			)
-		} else {
-			f = append(f, 0, 0, 0, 0)
-		}
-	}
-
-	// Global aggregates.
-	vacant, queued := e.fleetAggregates()
-	n := float64(len(e.taxis))
-	band := float64(e.city.Tariff.BandAt(now)) / 2
-	f = append(f, float64(vacant)/n, float64(queued)/n, band)
-
-	if len(f) != FeatureSize {
-		panic("sim: feature size mismatch")
-	}
-
-	// GPS dropout: while the taxi's region is in a dropout window its
-	// features freeze at the last fresh observation — the policy decides on
-	// stale state. The action mask stays current: it encodes physical
-	// validity (battery, topology), not telemetry.
-	if e.hooks != nil {
-		if e.staleFeats == nil {
-			e.staleFeats = make([][]float64, len(e.taxis))
-		}
-		if e.hooks.ObsStale(t.region, now) {
-			e.tel.staleObs.Inc()
-			if cached := e.staleFeats[id]; cached != nil {
-				f = append(f[:0], cached...)
-			}
-		} else {
-			e.staleFeats[id] = append(e.staleFeats[id][:0], f...)
-		}
-	}
-	e.obsBufs[id] = f
-	return Observation{Features: f, Mask: e.ValidMask(id)}
-}
-
-// fleetAggregates returns the fleet-wide vacant and charge-bound counts
-// behind the global observation features, cached per slot (the fleet is
-// static between Steps).
-func (e *Env) fleetAggregates() (vacant, queued int) {
-	if slot := e.Slot(); e.aggSlot == slot {
-		return e.aggVacant, e.aggQueued
-	}
-	for i := range e.taxis {
-		switch e.taxis[i].state {
-		case Cruising:
-			vacant++
-		case Queued, ToStation:
-			queued++
-		}
-	}
-	e.aggSlot, e.aggVacant, e.aggQueued = e.Slot(), vacant, queued
-	return vacant, queued
-}
-
-// appendRegionTriple appends the (supply, forecast, fare) features of a
-// region to f. The forecast is the oracle expectation by default, the
-// learned predictor under Options.LearnedForecast, or zero under the
-// ablation.
-func (e *Env) appendRegionTriple(f []float64, region int, supply []int, now int) []float64 {
-	var forecast float64
-	switch {
-	case e.opts.NoForecastFeature:
-		forecast = 0
-	case e.predictor != nil:
-		forecast = e.predictor.Predict(region, now/e.slotLen)
-	default:
-		forecast = e.city.Demand.ExpectedSlotDemand(region, now, e.slotLen)
-	}
-	fare := e.city.Demand.ExpectedFare(region, e.hourAt(now))
-	return append(f,
-		float64(supply[region])/10,
-		forecast/10,
-		fare/100,
-	)
-}
-
+// clampF clamps v to [lo, hi].
 func clampF(v, lo, hi float64) float64 {
 	if v < lo {
 		return lo

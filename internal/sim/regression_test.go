@@ -53,6 +53,47 @@ func TestWarmupExcludedFromAccounting(t *testing.T) {
 	}
 }
 
+// Regression: the stat chunk lists keep their backing arrays across the
+// warm-up boundary and Reset, but no header past len may still reference an
+// arena block — a stale header pins a whole discarded day of trip and
+// charge records (16 MiB of live heap at full scale).
+func TestChunkHeadersReleasedOnAccountingReset(t *testing.T) {
+	city, err := synth.Build(synth.TestConfig(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions(1)
+	opts.WarmupDays = 1
+	e := New(city, opts, 64)
+	for slot := 0; slot < 24*60/e.SlotLen(); slot++ {
+		e.Step(nil)
+	}
+	assertNoStaleChunks(t, e, "the warm-up boundary")
+	runStay(e)
+	e.Reset(64)
+	assertNoStaleChunks(t, e, "Reset")
+}
+
+func assertNoStaleChunks(t *testing.T, e *Core, when string) {
+	t.Helper()
+	if len(e.tripChunks) != 0 || len(e.chargeChunks) != 0 {
+		t.Fatalf("after %s: %d trip and %d charge chunks kept, want none", when, len(e.tripChunks), len(e.chargeChunks))
+	}
+	if cap(e.tripChunks) == 0 || cap(e.chargeChunks) == 0 {
+		t.Fatalf("after %s: no trip or charge chunk was ever cut; the check is vacuous", when)
+	}
+	for i, ch := range e.tripChunks[:cap(e.tripChunks)] {
+		if ch != nil {
+			t.Fatalf("after %s: trip chunk header %d still references an arena", when, i)
+		}
+	}
+	for i, ch := range e.chargeChunks[:cap(e.chargeChunks)] {
+		if ch != nil {
+			t.Fatalf("after %s: charge chunk header %d still references an arena", when, i)
+		}
+	}
+}
+
 // Relocating taxis must be unmatchable until arrival but matchable at the
 // destination afterwards; their seek time keeps accruing throughout.
 func TestRelocatingLifecycle(t *testing.T) {

@@ -7,7 +7,7 @@ import (
 	"repro/internal/synth"
 )
 
-func testEnv(t *testing.T, days int) *Env {
+func testEnv(t *testing.T, days int) *Core {
 	t.Helper()
 	city, err := synth.Build(synth.TestConfig(1))
 	if err != nil {
@@ -18,7 +18,7 @@ func testEnv(t *testing.T, days int) *Env {
 
 // runStay advances the whole horizon with everyone staying put (charging is
 // coerced automatically when forced).
-func runStay(e *Env) {
+func runStay(e *Core) {
 	for !e.Done() {
 		e.Step(nil)
 	}

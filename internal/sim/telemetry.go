@@ -25,17 +25,8 @@ type simTel struct {
 	chargeMin      *telemetry.Histogram
 }
 
-// SetTelemetry installs (or, with nil, removes) a metrics registry. Like
-// hooks and the recorder it persists across Reset, so one registry observes
-// every episode run on this environment. Telemetry is strictly write-only
-// from the simulation's perspective: nothing in the environment reads a
-// counter back, so enabling it cannot perturb the trajectory or RNG streams.
-func (e *Env) SetTelemetry(r *telemetry.Registry) { e.tel = newSimTel(r) }
-
 // newSimTel resolves the simulation's handles against a registry (nil
-// registry yields all-nil handles, which no-op). Both engines — the
-// sequential Env and the sharded Core — use the same handle set, so their
-// deterministic counters are directly comparable.
+// registry yields all-nil handles, which no-op).
 func newSimTel(r *telemetry.Registry) simTel {
 	if r == nil {
 		return simTel{}

@@ -120,11 +120,12 @@ func TestServeSmoke(t *testing.T) {
 	if err := srv.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
+	// Read the output to EOF before Wait: Wait closes the pipe, and output
+	// still unread at that moment is lost.
+	restWG.Wait()
 	if err := srv.Wait(); err != nil {
-		restWG.Wait()
 		t.Fatalf("service exited dirty on SIGTERM: %v\n%s", err, rest.String())
 	}
-	restWG.Wait()
 	out := rest.String()
 	if !strings.Contains(out, "draining") {
 		t.Fatalf("no drain banner in output:\n%s", out)

@@ -1,6 +1,6 @@
 package fairmove
 
-// Per-phase wall-clock profile of the sharded engine — the measurement
+// Per-phase wall-clock profile of the simulator — the measurement
 // behind the shard-scaling table in EXPERIMENTS.md. The sharded Step is a
 // sequence of parallel phases separated by serial barriers; when adding
 // shards stops helping (BENCH_sharding.json shows shards=4 slower than
@@ -9,7 +9,7 @@ package fairmove
 import (
 	"testing"
 
-	"repro/internal/shard"
+	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -30,7 +30,7 @@ func TestShardPhaseProfile(t *testing.T) {
 	}
 	city := benchCity(t)
 	for _, k := range []int{1, 2, 4} {
-		env := shard.New(city, sim.DefaultOptions(1), k, 42)
+		env := sim.New(city, policy.EpisodeOptions(1, k), 42)
 		reg := telemetry.NewRegistry()
 		env.SetTelemetry(reg)
 		env.Reset(42)
