@@ -3,8 +3,9 @@ package fairmove
 // Hot-path benchmark set: the pinned micro/meso benchmarks behind
 // BENCH_hotpath.json and `make alloc-gate`. Each entry measures one layer of
 // the per-slot critical path — single-shard stepping, a single observation
-// build, single-row and batched network inference, and
-// the nearest-station lookup the matcher leans on.
+// build, one served slot (decide plus step) under the GT heuristic and
+// under CMA2C, single-row and batched network inference, and the
+// nearest-station lookup the matcher leans on.
 //
 // The set is pinned: names are stable identifiers recorded in
 // testdata/alloc_floors.json (allocs/op ceilings, enforced by TestAllocGate)
@@ -17,8 +18,10 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/nn"
+	"repro/internal/policy"
 	"repro/internal/rng"
 	"repro/internal/sim"
 )
@@ -49,6 +52,16 @@ func hotpathSet(tb testing.TB) []hotBench {
 				env.Observe(id)
 			}
 		}},
+		{"runner_step_gt", func(b *testing.B) {
+			benchRunnerSteps(b, policy.NewGroundTruth())
+		}},
+		{"runner_step_cma2c", func(b *testing.B) {
+			fm, err := core.New(core.DefaultConfig(0.6, 42))
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchRunnerSteps(b, fm)
+		}},
 		{"nn_forward1", func(b *testing.B) {
 			m, x := hotBenchNet()
 			b.ResetTimer()
@@ -74,6 +87,29 @@ func hotpathSet(tb testing.TB) []hotBench {
 				benchNeighborSink = stationLookup(idx, queries[i%len(queries)], sim.KStations)
 			}
 		}},
+	}
+}
+
+// benchRunnerSteps reports one policy.Runner.StepSlot per op: the decide
+// path (VacantTaxis, Observe, Act, the decision record) plus the engine
+// step, with episode restarts excluded from the timer. One untimed episode
+// first grows every reused buffer, so allocs/op is the steady state at any
+// b.N. The policy's weights do not matter here: allocation counts are the
+// same for any weights.
+func benchRunnerSteps(b *testing.B, p policy.Policy) {
+	env := sim.New(benchCity(b), sim.DefaultOptions(1), 42)
+	for r := policy.NewRunner(p, env, 42); !r.Done(); {
+		r.StepSlot()
+	}
+	r := policy.NewRunner(p, env, 42)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if r.Done() {
+			b.StopTimer()
+			r = policy.NewRunner(p, env, 42)
+			b.StartTimer()
+		}
+		r.StepSlot()
 	}
 }
 

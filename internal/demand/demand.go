@@ -52,32 +52,20 @@ func (a Archetype) String() string {
 	}
 }
 
-// hourlyShape returns the demand multiplier curve of an archetype over 24
-// hours. Curves are normalized to mean 1 at construction time.
-func hourlyShape(a Archetype) [24]float64 {
-	switch a {
-	case Downtown:
-		// Strong morning and evening rush, busy evenings.
-		return [24]float64{0.3, 0.2, 0.15, 0.1, 0.15, 0.3, 0.8, 1.6, 2.0, 1.5, 1.2, 1.2, 1.3, 1.2, 1.1, 1.2, 1.5, 1.9, 2.1, 1.8, 1.5, 1.2, 0.8, 0.5}
-	case Residential:
-		// Morning outflow peak, evening return.
-		return [24]float64{0.3, 0.2, 0.1, 0.1, 0.2, 0.5, 1.4, 2.2, 1.8, 1.0, 0.8, 0.8, 0.9, 0.8, 0.8, 0.9, 1.1, 1.4, 1.7, 1.5, 1.2, 1.0, 0.7, 0.4}
-	case Suburb:
-		// Flat and thin.
-		return [24]float64{0.2, 0.15, 0.1, 0.1, 0.15, 0.3, 0.7, 1.1, 1.2, 1.0, 0.9, 0.9, 1.0, 0.9, 0.9, 0.9, 1.0, 1.2, 1.2, 1.0, 0.8, 0.6, 0.4, 0.3}
-	case Industrial:
-		// Shift-change spikes.
-		return [24]float64{0.2, 0.1, 0.1, 0.1, 0.2, 0.6, 1.5, 1.9, 1.3, 0.8, 0.7, 0.8, 1.1, 0.9, 0.7, 0.8, 1.2, 1.8, 1.5, 0.9, 0.6, 0.4, 0.3, 0.2}
-	case Airport:
-		// Busy through the day and late evening (arrivals).
-		return [24]float64{0.8, 0.5, 0.3, 0.3, 0.5, 0.9, 1.2, 1.4, 1.5, 1.4, 1.3, 1.3, 1.3, 1.3, 1.4, 1.4, 1.4, 1.5, 1.5, 1.5, 1.5, 1.4, 1.2, 1.0}
-	default:
-		var flat [24]float64
-		for i := range flat {
-			flat[i] = 1
-		}
-		return flat
-	}
+// hourlyShapes holds each archetype's demand multiplier over the 24 hours of
+// the day. Rate indexes it directly; archetypes outside the table get the
+// flat curve of 1s.
+var hourlyShapes = [numArchetypes][24]float64{
+	// Strong morning and evening rush, busy evenings.
+	Downtown: {0.3, 0.2, 0.15, 0.1, 0.15, 0.3, 0.8, 1.6, 2.0, 1.5, 1.2, 1.2, 1.3, 1.2, 1.1, 1.2, 1.5, 1.9, 2.1, 1.8, 1.5, 1.2, 0.8, 0.5},
+	// Morning outflow peak, evening return.
+	Residential: {0.3, 0.2, 0.1, 0.1, 0.2, 0.5, 1.4, 2.2, 1.8, 1.0, 0.8, 0.8, 0.9, 0.8, 0.8, 0.9, 1.1, 1.4, 1.7, 1.5, 1.2, 1.0, 0.7, 0.4},
+	// Flat and thin.
+	Suburb: {0.2, 0.15, 0.1, 0.1, 0.15, 0.3, 0.7, 1.1, 1.2, 1.0, 0.9, 0.9, 1.0, 0.9, 0.9, 0.9, 1.0, 1.2, 1.2, 1.0, 0.8, 0.6, 0.4, 0.3},
+	// Shift-change spikes.
+	Industrial: {0.2, 0.1, 0.1, 0.1, 0.2, 0.6, 1.5, 1.9, 1.3, 0.8, 0.7, 0.8, 1.1, 0.9, 0.7, 0.8, 1.2, 1.8, 1.5, 0.9, 0.6, 0.4, 0.3, 0.2},
+	// Busy through the day and late evening (arrivals).
+	Airport: {0.8, 0.5, 0.3, 0.3, 0.5, 0.9, 1.2, 1.4, 1.5, 1.4, 1.3, 1.3, 1.3, 1.3, 1.4, 1.4, 1.4, 1.5, 1.5, 1.5, 1.5, 1.4, 1.2, 1.0},
 }
 
 // baseIntensity returns the relative request volume of an archetype (mean
@@ -413,17 +401,30 @@ func (m *Model) Rate(region, tMin int) float64 {
 	if hour < 0 {
 		hour += 24
 	}
-	shape := hourlyShape(m.profiles[region].Archetype)
-	return m.Scale * m.profiles[region].BasePerHour * shape[hour] / 60
+	p := &m.profiles[region]
+	shape := 1.0
+	if p.Archetype >= 0 && p.Archetype < numArchetypes {
+		shape = hourlyShapes[p.Archetype][hour]
+	}
+	return m.Scale * p.BasePerHour * shape / 60
 }
 
 // ExpectedSlotDemand returns the expected number of requests in region over
 // a slot of slotMin minutes starting at tMin — the "predicted number of
 // passengers at the next time slot" feature of the paper's global state.
+//
+// Rate depends on the minute only through its clock hour, so it is looked
+// up once per hour the slot covers and added once per minute, in minute
+// order: the sum is bit-identical to adding Rate minute by minute.
 func (m *Model) ExpectedSlotDemand(region, tMin, slotMin int) float64 {
-	var sum float64
+	var sum, rate float64
+	hour := 0
 	for dm := 0; dm < slotMin; dm++ {
-		sum += m.Rate(region, tMin+dm)
+		t := tMin + dm
+		if h := t / 60; dm == 0 || h != hour {
+			rate, hour = m.Rate(region, t), h
+		}
+		sum += rate
 	}
 	return sum
 }

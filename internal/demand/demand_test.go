@@ -77,6 +77,42 @@ func TestExpectedSlotDemandAdditive(t *testing.T) {
 	}
 }
 
+// TestExpectedSlotDemandMatchesMinuteSum pins ExpectedSlotDemand's
+// once-per-hour Rate lookup bit-for-bit against the minute-by-minute sum it
+// replaces, across every archetype curve (plus out-of-range archetypes,
+// which get the flat curve), slots crossing an hour boundary and midnight,
+// and slot lengths from 1 to 90 minutes.
+func TestExpectedSlotDemandMatchesMinuteSum(t *testing.T) {
+	m := testModel(t)
+	const region = 0
+	orig := m.profiles[region].Archetype
+	defer func() { m.profiles[region].Archetype = orig }()
+	archetypes := []Archetype{Downtown, Residential, Suburb, Industrial, Airport, numArchetypes, -1}
+	for _, a := range archetypes {
+		m.profiles[region].Archetype = a
+		if a < 0 || a >= numArchetypes {
+			want := m.Scale * m.profiles[region].BasePerHour / 60
+			for h := 0; h < 24; h++ {
+				if got := m.Rate(region, h*60); got != want {
+					t.Fatalf("%v hour %d: rate %v, want flat %v", a, h, got, want)
+				}
+			}
+		}
+		for _, start := range []int{0, 55, 59, 480, 1375, 1435, 1439, 2*1440 + 50, -30, -61} {
+			for _, slot := range []int{1, 7, 10, 15, 60, 90} {
+				var want float64
+				for dm := 0; dm < slot; dm++ {
+					want += m.Rate(region, start+dm)
+				}
+				if got := m.ExpectedSlotDemand(region, start, slot); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%v start %d slot %d: got %v (%#x), minute sum %v (%#x)",
+						a, start, slot, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+		}
+	}
+}
+
 func TestSampleProducesValidRequests(t *testing.T) {
 	m := testModel(t)
 	src := rng.New(42)

@@ -222,6 +222,15 @@ type Core struct {
 	peValid    bool
 	peMean     float64
 	peVar      float64
+	// blocks holds each region's observation block (every feature of
+	// Observe but the taxi's own featSelf triple), blockLen values per
+	// region, built lazily the first time the region is observed in a
+	// slot. blockGen[r] is the cacheGen the block was built at;
+	// invalidateCaches bumps cacheGen (always >= 1 after New), so nothing
+	// is cleared per slot.
+	blocks   []float64
+	blockGen []int
+	cacheGen int
 
 	// merge scratch
 	mergeTrips   []TripStat
@@ -387,6 +396,7 @@ func (c *Core) Reset(seed int64) {
 
 func (c *Core) invalidateCaches() {
 	c.supplySlot = -1
+	c.cacheGen++
 	c.aggValid = false
 	c.peValid = false
 }
@@ -572,21 +582,25 @@ func (c *Core) fleetStateCounts() (vacant, queued int) {
 	return vacant, queued
 }
 
-// regionSupply returns per-region vacant-taxi counts, cached per slot.
+// regionSupply returns per-region vacant-taxi counts, cached per slot in a
+// core-owned slice.
 func (c *Core) regionSupply() []int {
 	slot := c.Slot()
 	if c.supplySlot == slot && c.supply != nil {
 		return c.supply
 	}
-	sup := make([]int, c.city.Partition.Len())
+	if n := c.city.Partition.Len(); len(c.supply) != n {
+		c.supply = make([]int, n)
+	} else {
+		clear(c.supply)
+	}
 	for i := range c.taxis {
 		if c.taxis[i].state == Cruising {
-			sup[c.taxis[i].region]++
+			c.supply[c.taxis[i].region]++
 		}
 	}
-	c.supply = sup
 	c.supplySlot = slot
-	return sup
+	return c.supply
 }
 
 // ValidMask returns the action-validity mask for a taxi.
@@ -611,8 +625,11 @@ func (c *Core) ValidMask(id int) [NumActions]bool {
 }
 
 // Observe builds the observation for a vacant taxi. It is deterministic
-// given the environment state; the fleet-wide aggregates come from per-slot
-// caches, so a call costs O(1) amortized.
+// given the environment state. Everything but the taxi's own SoC, PE gap
+// and vacancy age is a function of its region and the slot, so Observe
+// copies those features from the region's block (built once per slot, see
+// regionBlock) around the three per-taxi values: a call costs O(1)
+// amortized.
 //
 // Features borrows a per-taxi buffer owned by the environment: it stays
 // valid until the same taxi is observed again. Within one slot repeated
@@ -621,21 +638,68 @@ func (c *Core) ValidMask(id int) [NumActions]bool {
 // buffers, demonstration logs) must copy them out.
 func (c *Core) Observe(id int) Observation {
 	t := &c.taxis[id]
-	f := c.obsBufs[id][:0]
 	now := c.nowMin
-	dayFrac := float64(now%(24*60)) / (24 * 60)
-
-	f = append(f, math.Sin(2*math.Pi*dayFrac), math.Cos(2*math.Pi*dayFrac))
+	blk := c.regionBlock(t.region)
 
 	meanPE, _ := c.FleetPEStats()
 	peGap := (c.PESoFar(id) - meanPE) / 50
 	vacancyAge := float64(now-t.vacantSinceMin) / 60
+
+	f := c.obsBufs[id][:0]
+	if cap(f) < FeatureSize {
+		f = make([]float64, 0, FeatureSize)
+	}
+	f = append(f, blk[:featTime]...)
 	f = append(f, t.batt.SoC, clampF(peGap, -2, 2), clampF(vacancyAge, 0, 4))
+	f = append(f, blk[featTime:]...)
+
+	if c.hooks != nil {
+		if c.staleFeats == nil {
+			c.staleFeats = make([][]float64, len(c.taxis))
+		}
+		if c.hooks.ObsStale(t.region, now) {
+			c.tel.staleObs.Inc()
+			if cached := c.staleFeats[id]; cached != nil {
+				f = append(f[:0], cached...)
+			}
+		} else {
+			c.staleFeats[id] = append(c.staleFeats[id][:0], f...)
+		}
+	}
+	c.obsBufs[id] = f
+	return Observation{Features: f, Mask: c.ValidMask(id)}
+}
+
+// blockLen is the width of a region's observation block: the full
+// observation minus the taxi's own featSelf triple.
+const blockLen = FeatureSize - featSelf
+
+// regionBlock returns region's observation block for the current slot —
+// the time pair, the own-region triple, the neighbour triples, the station
+// quads and the global triple, in feature order — building it on the
+// slot's first request. The slice aliases c.blocks and is read-only.
+func (c *Core) regionBlock(region int) []float64 {
+	if c.blocks == nil {
+		// Allocated on first use: policies that never observe (GT) do not
+		// pay for the blocks.
+		n := c.city.Partition.Len()
+		c.blocks = make([]float64, n*blockLen)
+		c.blockGen = make([]int, n)
+	}
+	lo := region * blockLen
+	b := c.blocks[lo : lo+blockLen : lo+blockLen]
+	if c.blockGen[region] == c.cacheGen {
+		return b
+	}
+	now := c.nowMin
+	dayFrac := float64(now%(24*60)) / (24 * 60)
+
+	f := append(b[:0], math.Sin(2*math.Pi*dayFrac), math.Cos(2*math.Pi*dayFrac))
 
 	supply := c.regionSupply()
-	f = c.appendRegionTriple(f, t.region, supply, now)
+	f = c.appendRegionTriple(f, region, supply, now)
 
-	nbs := c.city.Partition.Region(t.region).Neighbors
+	nbs := c.city.Partition.Region(region).Neighbors
 	for i := 0; i < MaxNeighbors; i++ {
 		if i < len(nbs) {
 			f = c.appendRegionTriple(f, nbs[i], supply, now)
@@ -644,7 +708,7 @@ func (c *Core) Observe(id int) Observation {
 		}
 	}
 
-	ns := c.nearStations[t.region]
+	ns := c.nearStations[region]
 	for k := 0; k < KStations; k++ {
 		if k < len(ns) {
 			st := c.stations[ns[k].Label]
@@ -664,25 +728,11 @@ func (c *Core) Observe(id int) Observation {
 	band := float64(c.city.Tariff.BandAt(now)) / 2
 	f = append(f, float64(vacant)/n, float64(queued)/n, band)
 
-	if len(f) != FeatureSize {
+	if len(f) != blockLen {
 		panic("sim: feature size mismatch")
 	}
-
-	if c.hooks != nil {
-		if c.staleFeats == nil {
-			c.staleFeats = make([][]float64, len(c.taxis))
-		}
-		if c.hooks.ObsStale(t.region, now) {
-			c.tel.staleObs.Inc()
-			if cached := c.staleFeats[id]; cached != nil {
-				f = append(f[:0], cached...)
-			}
-		} else {
-			c.staleFeats[id] = append(c.staleFeats[id][:0], f...)
-		}
-	}
-	c.obsBufs[id] = f
-	return Observation{Features: f, Mask: c.ValidMask(id)}
+	c.blockGen[region] = c.cacheGen
+	return b
 }
 
 // appendRegionTriple appends the (supply, forecast, fare) features of a
