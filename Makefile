@@ -13,15 +13,20 @@ GO ?= go
 COVER_PKGS = ./internal/scenario/ ./internal/trace/ ./internal/checkpoint/ ./internal/sim/ ./internal/invariant/ ./internal/serve/
 COVER_FLOOR = 70
 
-.PHONY: ci vet build test race cover alloc-gate smoke resume-smoke shard-smoke serve-smoke soak battery fuzz-battery bench-record fuzz bench
+.PHONY: ci vet build cross test race cover alloc-gate smoke resume-smoke shard-smoke serve-smoke soak battery fuzz-battery bench-record fuzz bench
 
-ci: vet build test race cover alloc-gate smoke resume-smoke shard-smoke serve-smoke battery
+ci: vet build cross test race cover alloc-gate smoke resume-smoke shard-smoke serve-smoke battery
 
 vet:
 	$(GO) vet ./...
 
 build:
 	$(GO) build ./...
+
+# Cross-build for targets without the amd64 assembly kernels: internal/nn's
+# stubs (gemm_fallback.go) and its tests must keep compiling there.
+cross:
+	GOARCH=arm64 $(GO) vet ./internal/nn/ && GOARCH=arm64 $(GO) build ./... && GOARCH=386 $(GO) build ./...
 
 test:
 	$(GO) test ./...

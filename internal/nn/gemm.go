@@ -14,20 +14,21 @@ package nn
 // dot-product reference at any block size, and partitioning rows across
 // workers (ForwardBatch) cannot change a single bit.
 //
-// gemmColBlock is the only cache-tiling parameter: columns of C (= rows of
-// the B panel) are processed in blocks so the panel slice touched by the
+// gemmColBlock is the scalar kernel's only cache-tiling parameter: columns
+// of C (= rows of B) are processed in blocks so the B slice touched by the
 // micro-kernel stays L1-resident (128 rows × K floats; at the repo's layer
 // widths K ≤ 64, that is ≤ 32 KiB). The M and K dimensions are not tiled —
 // the A row pair of the micro-kernel is at most a few hundred bytes and
-// K never exceeds a few hundred in this codebase.
+// K never exceeds a few hundred in this codebase. The AVX path's B panel
+// is eight rows, so it needs no column blocking.
 const gemmColBlock = 128
 
-// gemmPanelK bounds the contraction length the vectorized panel path
-// handles: its k-major B panel lives in a fixed-size stack array (4·256
-// floats = 4 KiB). Every GEMM in this codebase has k ≤ max(layer width,
-// batch size) ≤ 256; anything larger falls back to the scalar kernel rather
-// than split k, because splitting k would break the single-ascending-chain
-// determinism contract.
+// gemmPanelK bounds the contraction length the AVX panel path handles: its
+// k-major B panel and its row-tail A tile live in fixed-size stack arrays
+// (8·256 floats = 8 KiB and 4·256 floats = 4 KiB). Every GEMM in this
+// codebase has k ≤ max(layer width, batch size) ≤ 256; anything larger falls
+// back to the scalar kernel rather than split k, because splitting k would
+// break the single-ascending-chain determinism contract.
 const gemmPanelK = 256
 
 // gemmNT writes C = A @ Bᵀ. A is m×k with row stride lda, B is n×k with row
@@ -39,53 +40,71 @@ const gemmPanelK = 256
 // other and to the naive reference, and the choice of path can never change
 // a result:
 //
-//   - gemmNTPanel (amd64): packs four B rows into a k-major panel and runs a
-//     4×4 SSE micro-kernel — one 4-lane multiply + add per A element, each
-//     lane one output element's chain. SSE1 MULPS/ADDPS round each lane
-//     exactly like the scalar ops (no FMA), so vectorizing across *columns*
-//     preserves bit-identity where vectorizing across k would not.
-//   - gemmNTScalar: the portable 2×4 register-tiled loop, also used for the
-//     panel path's edge tails and for k > gemmPanelK.
+//   - gemmNTPanel (amd64 with AVX, see haveAVX): packs eight B rows into a
+//     k-major panel and runs a 4×8 AVX micro-kernel — one 8-lane multiply +
+//     add per A element, each lane one output element's chain. VMULPS and
+//     VADDPS round each lane exactly like the scalar ops, and the kernel
+//     never uses FMA, so vectorizing across *columns* preserves
+//     bit-identity where vectorizing across k would not.
+//   - gemmNTScalar: the portable 2×4 register-tiled loop, for m < 4,
+//     k > gemmPanelK, and CPUs or targets without AVX.
 func gemmNT(m, n, k int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
-	if haveGemmKernel && k > 0 && k <= gemmPanelK && m >= 4 && n >= 4 {
+	if haveAVX && k > 0 && k <= gemmPanelK && m >= 4 {
 		gemmNTPanel(m, n, k, a, lda, b, ldb, c, ldc)
 		return
 	}
 	gemmNTScalar(m, n, k, a, lda, b, ldb, c, ldc)
 }
 
-// gemmNTPanel is the vectorized path: for each block of four C columns it
-// packs the four corresponding B rows k-major (panel[t*4+l] = b[j+l][t], so
-// the micro-kernel's 4-lane load at step t reads the four B values of
-// contraction index t) and sweeps all full 4-row A blocks with the SSE
-// kernel. Row and column remainders go through gemmNTScalar on offset
-// subviews.
+// gemmNTPanel is the AVX path: for each block of eight C columns it packs
+// the eight corresponding B rows k-major (panel[t*8+l] = b[j+l][t], so the
+// micro-kernel's 8-lane load at step t reads the eight B values of
+// contraction index t) and sweeps the A rows four at a time. The last
+// column block's missing B rows are zero lanes of the panel, and the last
+// row block's missing A rows are zero rows of a packed A tile. Full 4×8
+// blocks are stored straight into C; a partial block is computed into a 4×8
+// stack tile and only its valid cells are copied out.
 func gemmNTPanel(m, n, k int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
-	var panel [4 * gemmPanelK]float32
-	m4, n4 := m&^3, n&^3
-	for j := 0; j < n4; j += 4 {
-		b0 := b[j*ldb : j*ldb+k]
-		b1 := b[(j+1)*ldb : (j+1)*ldb+k]
-		b2 := b[(j+2)*ldb : (j+2)*ldb+k]
-		b3 := b[(j+3)*ldb : (j+3)*ldb+k]
-		b1 = b1[:len(b0)]
-		b2 = b2[:len(b0)]
-		b3 = b3[:len(b0)]
-		for t := range b0 {
-			panel[t*4+0] = b0[t]
-			panel[t*4+1] = b1[t]
-			panel[t*4+2] = b2[t]
-			panel[t*4+3] = b3[t]
+	var panel [8 * gemmPanelK]float32
+	var atile [4 * gemmPanelK]float32
+	var ctile [4 * 8]float32
+	m4 := m &^ 3
+	for r := m4; r < m; r++ {
+		copy(atile[(r-m4)*k:], a[r*lda:r*lda+k])
+	}
+	for j := 0; j < n; j += 8 {
+		nb := min(8, n-j)
+		for l := 0; l < 8; l++ {
+			if l < nb {
+				for t, v := range b[(j+l)*ldb : (j+l)*ldb+k] {
+					panel[t*8+l] = v
+				}
+			} else {
+				for t := 0; t < k; t++ {
+					panel[t*8+l] = 0
+				}
+			}
 		}
 		for i := 0; i < m4; i += 4 {
-			gemmKernel4x4(k, &a[i*lda], lda, &panel[0], &c[i*ldc+j], ldc)
+			if nb == 8 {
+				gemmKernel4x8(k, &a[i*lda], lda, &panel[0], &c[i*ldc+j], ldc)
+			} else {
+				gemmKernel4x8(k, &a[i*lda], lda, &panel[0], &ctile[0], 8)
+				storeTile(c[i*ldc+j:], ldc, &ctile, 4, nb)
+			}
+		}
+		if m4 < m {
+			gemmKernel4x8(k, &atile[0], k, &panel[0], &ctile[0], 8)
+			storeTile(c[m4*ldc+j:], ldc, &ctile, m-m4, nb)
 		}
 	}
-	if m4 < m && n4 > 0 {
-		gemmNTScalar(m-m4, n4, k, a[m4*lda:], lda, b, ldb, c[m4*ldc:], ldc)
-	}
-	if n4 < n {
-		gemmNTScalar(m, n-n4, k, a, lda, b[n4*ldb:], ldb, c[n4:], ldc)
+}
+
+// storeTile copies the top-left rows×cols cells of a 4×8 kernel tile into
+// C (row stride ldc).
+func storeTile(c []float32, ldc int, tile *[4 * 8]float32, rows, cols int) {
+	for r := 0; r < rows; r++ {
+		copy(c[r*ldc:r*ldc+cols], tile[r*8:r*8+cols])
 	}
 }
 

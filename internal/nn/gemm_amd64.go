@@ -2,23 +2,36 @@
 
 package nn
 
-// haveGemmKernel gates the vectorized panel path in gemmNT. The kernel uses
-// only SSE1/SSE2 instructions (MOVUPS/MOVSS/SHUFPS/MULPS/ADDPS), which are
-// part of the amd64 baseline — no CPUID dispatch is needed and the kernel
-// runs on every amd64 CPU at any GOAMD64 level.
-const haveGemmKernel = true
+// haveAVX gates the AVX kernels: gemmNT's panel path and applyBiasAct's
+// vectorized tanh. It is read from CPUID/XGETBV once at package init — the
+// CPU must implement AVX and the OS must save YMM state. Without AVX every
+// product takes the portable gemmNTScalar path and every tanh runs through
+// tanhF32, which are bit-identical to the kernels by the determinism
+// contract in gemm.go.
+var haveAVX = cpuHasAVX()
 
-// gemmKernel4x4 computes the 4×4 block C[0:4][0:4] = A[0:4][0:k] @ panelᵀ,
+// cpuHasAVX reports whether the CPU and OS support AVX (CPUID.1:ECX
+// OSXSAVE and AVX, XCR0 XMM and YMM state).
+func cpuHasAVX() bool
+
+// gemmKernel4x8 computes the 4×8 block C[0:4][0:8] = A[0:4][0:k] @ panelᵀ,
 // overwriting C. a points at the first of four consecutive A rows (row
 // stride lda floats), c at the top-left of the output block (row stride ldc
-// floats), and panel at a k-major packed block of four B rows: panel[t*4+l]
-// holds B[l][t], so one 16-byte load per contraction step t fetches the four
-// B values multiplied against each A element.
+// floats), and panel at a k-major packed block of eight B rows:
+// panel[t*8+l] holds B[l][t], so one 32-byte load per contraction step t
+// fetches the eight B values multiplied against each A element.
 //
 // Determinism: lane l of accumulator row r is the single chain
-// sum_t a[r][t]*B[l][t] in ascending t, with MULPS and ADDPS rounding each
-// term exactly like the scalar expression `s += av * bv` — bit-identical to
-// gemmNTScalar and the naive reference.
+// sum_t a[r][t]*B[l][t] in ascending t, with VMULPS and VADDPS rounding
+// each term exactly like the scalar expression `s += av * bv` —
+// bit-identical to gemmNTScalar and the naive reference.
 //
 //go:noescape
-func gemmKernel4x4(k int, a *float32, lda int, panel *float32, c *float32, ldc int)
+func gemmKernel4x8(k int, a *float32, lda int, panel *float32, c *float32, ldc int)
+
+// biasTanh8 sets row[c] = tanhF32(row[c] + b[c]) for c in [0, n), eight
+// lanes at a time, bit-identical to the scalar loop; n must be a positive
+// multiple of 8. tab is tanhTable.
+//
+//go:noescape
+func biasTanh8(row *float32, b *float32, n int, tab *[13][8]float32)

@@ -63,7 +63,9 @@ func (a Activation) derivFromOut(out float32) float32 {
 
 // applyBiasAct is the fused GEMM epilogue: row = σ(row + b). The activation
 // switch is hoisted out of the element loop and row is resliced to the bias
-// length so the loops are bounds-check free.
+// length so the loops are bounds-check free. With AVX the Tanh case runs
+// biasTanh8 over the 8-aligned prefix and tanhF32 over the rest — the
+// same bits either way.
 func applyBiasAct(row, b []float32, act Activation) {
 	row = row[:len(b)]
 	switch act {
@@ -76,8 +78,13 @@ func applyBiasAct(row, b []float32, act Activation) {
 			row[c] = v
 		}
 	case Tanh:
-		for c, bv := range b {
-			row[c] = tanhF32(row[c] + bv)
+		c := 0
+		if n8 := len(b) &^ 7; haveAVX && n8 > 0 {
+			biasTanh8(&row[0], &b[0], n8, &tanhTable)
+			c = n8
+		}
+		for ; c < len(b); c++ {
+			row[c] = tanhF32(row[c] + b[c])
 		}
 	default:
 		for c, bv := range b {

@@ -542,7 +542,7 @@ func (s *Server) DigestState() (slots, decisions int, digest string) {
 //
 //	slot|taxi|region|action\n
 //
-// using Action.String()'s stable rendering. DigestDecisions and the server's
+// using Action.Append's stable rendering. DigestDecisions and the server's
 // rolling digest share it, so batch- and serve-side digests are comparable.
 func appendDecision(dst []byte, d policy.Decision) []byte {
 	dst = strconv.AppendInt(dst, int64(d.Slot), 10)
@@ -551,7 +551,7 @@ func appendDecision(dst []byte, d policy.Decision) []byte {
 	dst = append(dst, '|')
 	dst = strconv.AppendInt(dst, int64(d.Region), 10)
 	dst = append(dst, '|')
-	dst = append(dst, d.Action.String()...)
+	dst = d.Action.Append(dst)
 	return append(dst, '\n')
 }
 

@@ -6,7 +6,10 @@
 // metric and figure in the evaluation.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // ActionKind is the paper's three displacement action types.
 type ActionKind int
@@ -28,17 +31,27 @@ type Action struct {
 }
 
 // String implements fmt.Stringer.
-func (a Action) String() string {
+func (a Action) String() string { return string(a.Append(nil)) }
+
+// Append appends the action's stable rendering — "stay", "move(2)",
+// "charge(0)", or "Action(kind,arg)" for an unknown kind — to dst and
+// returns the extended slice. The served decision log renders one action
+// per decision, so this avoids fmt and allocates only to grow dst.
+func (a Action) Append(dst []byte) []byte {
 	switch a.Kind {
 	case Stay:
-		return "stay"
+		return append(dst, "stay"...)
 	case Move:
-		return fmt.Sprintf("move(%d)", a.Arg)
+		dst = append(dst, "move("...)
 	case Charge:
-		return fmt.Sprintf("charge(%d)", a.Arg)
+		dst = append(dst, "charge("...)
 	default:
-		return fmt.Sprintf("Action(%d,%d)", int(a.Kind), a.Arg)
+		dst = append(dst, "Action("...)
+		dst = strconv.AppendInt(dst, int64(a.Kind), 10)
+		dst = append(dst, ',')
 	}
+	dst = strconv.AppendInt(dst, int64(a.Arg), 10)
+	return append(dst, ')')
 }
 
 // Fixed action-space geometry. Every region has at most MaxNeighbors
