@@ -70,6 +70,26 @@ func nnBenchSet(tb testing.TB) []hotBench {
 				m.ForwardBatch(batch, 1)
 			}
 		}},
+		{"nn_softmax_into", func(b *testing.B) {
+			// The decide loop's per-taxi softmax: 256 action-width logit
+			// rows, some actions masked, into one fixed probability buffer.
+			src := rng.New(5)
+			logits := make([]float32, 256*sim.NumActions)
+			for i := range logits {
+				logits[i] = float32(src.Uniform(-4, 4))
+			}
+			var mask [sim.NumActions]bool
+			for i := range mask {
+				mask[i] = i%5 != 3
+			}
+			probs := make([]float64, sim.NumActions)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for r := 0; r < 256; r++ {
+					nn.SoftmaxInto(logits[r*sim.NumActions:(r+1)*sim.NumActions], mask[:], probs)
+				}
+			}
+		}},
 		{"cma2c_critic_step", func(b *testing.B) {
 			f, buf, idxs := nnBenchFairMove(b)
 			b.ResetTimer()

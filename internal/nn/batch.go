@@ -39,28 +39,32 @@ func (m *MLP) ForwardBatch(x *Mat, workers int) *Mat {
 		chunks = parallel.Chunks(n, workers)
 		serial = len(chunks) <= 1
 	}
+	if blocks := max(1, len(chunks)); len(m.batchGemm) < blocks {
+		m.batchGemm = make([]gemmScratch, blocks)
+	}
 	if serial {
-		m.forwardBlock(x, 0, n)
+		m.forwardBlock(x, 0, n, &m.batchGemm[0])
 		return out
 	}
 	// Each chunk writes a disjoint row range of every arena; no worker
 	// returns an error, so ForEach cannot fail short of a panic (which it
 	// re-raises here).
 	_ = parallel.ForEach(context.Background(), len(chunks), len(chunks), func(_ context.Context, c int) error {
-		m.forwardBlock(x, chunks[c][0], chunks[c][1])
+		m.forwardBlock(x, chunks[c][0], chunks[c][1], &m.batchGemm[c])
 		return nil
 	})
 	return out
 }
 
 // forwardBlock runs every layer over rows [lo, hi) of the batch, reading x
-// and writing the corresponding rows of the layer arenas.
-func (m *MLP) forwardBlock(x *Mat, lo, hi int) {
+// and writing the corresponding rows of the layer arenas; gemm is the
+// block's own GEMM packing scratch.
+func (m *MLP) forwardBlock(x *Mat, lo, hi int, gemm *gemmScratch) {
 	in := x
 	rows := hi - lo
 	for li, l := range m.Layers {
 		z := m.batchActs[li]
-		gemmNT(rows, l.Out, l.In, in.Data[lo*in.Cols:], in.Cols, l.W.Data, l.In, z.Data[lo*z.Cols:], z.Cols)
+		gemmNT(gemm, rows, l.Out, l.In, in.Data[lo*in.Cols:], in.Cols, l.W.Data, l.In, z.Data[lo*z.Cols:], z.Cols)
 		for r := lo; r < hi; r++ {
 			applyBiasAct(z.Row(r), l.B, l.Act)
 		}

@@ -19,20 +19,22 @@ package nn
 // micro-kernel stays L1-resident (128 rows × K floats; at the repo's layer
 // widths K ≤ 64, that is ≤ 32 KiB). The M and K dimensions are not tiled —
 // the A row pair of the micro-kernel is at most a few hundred bytes and
-// K never exceeds a few hundred in this codebase. The AVX path's B panel
-// is eight rows, so it needs no column blocking.
+// K never exceeds a few hundred in this codebase. The vector path's B
+// panel is at most sixteen rows, so it needs no column blocking.
 const gemmColBlock = 128
 
-// gemmPanelK bounds the contraction length the AVX panel path handles: its
-// k-major B panel and its row-tail A tile live in fixed-size stack arrays
-// (8·256 floats = 8 KiB and 4·256 floats = 4 KiB). Every GEMM in this
-// codebase has k ≤ max(layer width, batch size) ≤ 256; anything larger falls
-// back to the scalar kernel rather than split k, because splitting k would
-// break the single-ascending-chain determinism contract.
+// gemmPanelK bounds the contraction length the panel path handles, and so
+// the size of its scratch (16·k panel floats and 4·k A-tile floats). Every
+// GEMM in this codebase has k ≤ max(layer width, batch size) ≤ 256;
+// anything larger falls back to the scalar kernel rather than split k,
+// because splitting k would break the single-ascending-chain determinism
+// contract.
 const gemmPanelK = 256
 
 // gemmNT writes C = A @ Bᵀ. A is m×k with row stride lda, B is n×k with row
-// stride ldb, C is m×n with row stride ldc; every C cell is overwritten.
+// stride ldb, C is m×n with row stride ldc; every C cell is overwritten. s
+// is the caller's packing scratch for the panel path (nil allocates one for
+// the call).
 //
 // Two implementations sit behind this dispatcher, both honoring the
 // per-element ascending-k contract above, and both performing the identical
@@ -40,71 +42,132 @@ const gemmPanelK = 256
 // other and to the naive reference, and the choice of path can never change
 // a result:
 //
-//   - gemmNTPanel (amd64 with AVX, see haveAVX): packs eight B rows into a
-//     k-major panel and runs a 4×8 AVX micro-kernel — one 8-lane multiply +
-//     add per A element, each lane one output element's chain. VMULPS and
-//     VADDPS round each lane exactly like the scalar ops, and the kernel
-//     never uses FMA, so vectorizing across *columns* preserves
-//     bit-identity where vectorizing across k would not.
+//   - gemmNTPanel (amd64 with AVX, see haveAVX and haveAVX512): packs B rows
+//     into a k-major panel 16 or 8 lanes wide and runs a 4×16 AVX-512 or
+//     4×8 AVX micro-kernel — one multiply + add per A element across the
+//     lanes, each lane one output element's chain. VMULPS and VADDPS round
+//     each lane exactly like the scalar ops, and the kernels never use FMA,
+//     so vectorizing across *columns* preserves bit-identity where
+//     vectorizing across k would not.
 //   - gemmNTScalar: the portable 2×4 register-tiled loop, for m < 4,
 //     k > gemmPanelK, and CPUs or targets without AVX.
-func gemmNT(m, n, k int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
+func gemmNT(s *gemmScratch, m, n, k int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
 	if haveAVX && k > 0 && k <= gemmPanelK && m >= 4 {
-		gemmNTPanel(m, n, k, a, lda, b, ldb, c, ldc)
+		if s == nil {
+			s = new(gemmScratch)
+		}
+		gemmNTPanel(s, m, n, k, a, lda, b, ldb, c, ldc)
 		return
 	}
 	gemmNTScalar(m, n, k, a, lda, b, ldb, c, ldc)
 }
 
-// gemmNTPanel is the AVX path: for each block of eight C columns it packs
-// the eight corresponding B rows k-major (panel[t*8+l] = b[j+l][t], so the
-// micro-kernel's 8-lane load at step t reads the eight B values of
-// contraction index t) and sweeps the A rows four at a time. The last
-// column block's missing B rows are zero lanes of the panel, and the last
-// row block's missing A rows are zero rows of a packed A tile. Full 4×8
-// blocks are stored straight into C; a partial block is computed into a 4×8
-// stack tile and only its valid cells are copied out.
-func gemmNTPanel(m, n, k int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
-	var panel [8 * gemmPanelK]float32
-	var atile [4 * gemmPanelK]float32
-	var ctile [4 * 8]float32
-	m4 := m &^ 3
-	for r := m4; r < m; r++ {
-		copy(atile[(r-m4)*k:], a[r*lda:r*lda+k])
+// gemmScratch is the panel path's packing space: the k-major B panel
+// (lanes·k floats), the zero-padded row-tail A tile (4·k) and a C tile for
+// partial blocks. Its owner — a layer, or one row block of a ForwardBatch —
+// reuses it call to call, so steady-state products allocate nothing. It is
+// deliberately not a stack array: Go zeroes those on every call, and a
+// 20 KiB clear per product cost more than many of training's small
+// products themselves. Every call writes each cell it reads.
+type gemmScratch struct {
+	panel, atile []float32
+	ctile        [4 * 16]float32
+}
+
+// grow returns buf resliced to n, reallocating only when it is too small.
+func grow(buf []float32, n int) []float32 {
+	if cap(buf) < n {
+		return make([]float32, n)
 	}
-	for j := 0; j < n; j += 8 {
-		nb := min(8, n-j)
-		for l := 0; l < 8; l++ {
-			if l < nb {
-				for t, v := range b[(j+l)*ldb : (j+l)*ldb+k] {
-					panel[t*8+l] = v
-				}
-			} else {
-				for t := 0; t < k; t++ {
-					panel[t*8+l] = 0
-				}
-			}
+	return buf[:n]
+}
+
+// gemmNTPanel is the vector path. It walks the C columns in blocks of
+// `lanes` — 16 on the AVX-512 tier while more than eight columns remain,
+// else 8 — packs the block's B rows k-major into the panel
+// (panel[t*lanes+l] = b[j+l][t], so the micro-kernel's load at step t
+// reads the block's B values of contraction index t) and sweeps the A rows
+// four at a time. A partial column block pads its missing B rows with zero
+// lanes, and the last row block's missing A rows are zero rows of a packed
+// A tile. Full 4×lanes blocks are stored straight into C; a partial block
+// is computed into a C tile and only its valid cells are copied out. A
+// column tail of at most eight (the critic's n = 1, say) therefore stays on
+// the 8-lane kernel.
+func gemmNTPanel(s *gemmScratch, m, n, k int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
+	maxLanes := 8
+	if haveAVX512 {
+		maxLanes = 16
+	}
+	s.panel = grow(s.panel, maxLanes*k)
+	m4 := m &^ 3
+	if m4 < m {
+		s.atile = grow(s.atile, 4*k)
+		for r := m4; r < m; r++ {
+			copy(s.atile[(r-m4)*k:], a[r*lda:r*lda+k])
 		}
+		clear(s.atile[(m-m4)*k:])
+	}
+	for j := 0; j < n; {
+		lanes := 8
+		kernel := gemmKernel4x8
+		if haveAVX512 && n-j > 8 {
+			lanes, kernel = 16, gemmKernel4x16
+		}
+		nb := min(lanes, n-j)
+		panel := s.panel[:k*lanes]
+		packPanel(panel, b[j*ldb:], ldb, k, nb, lanes)
 		for i := 0; i < m4; i += 4 {
-			if nb == 8 {
-				gemmKernel4x8(k, &a[i*lda], lda, &panel[0], &c[i*ldc+j], ldc)
+			if nb == lanes {
+				kernel(k, &a[i*lda], lda, &panel[0], &c[i*ldc+j], ldc)
 			} else {
-				gemmKernel4x8(k, &a[i*lda], lda, &panel[0], &ctile[0], 8)
-				storeTile(c[i*ldc+j:], ldc, &ctile, 4, nb)
+				kernel(k, &a[i*lda], lda, &panel[0], &s.ctile[0], lanes)
+				storeTile(c[i*ldc+j:], ldc, s.ctile[:], lanes, 4, nb)
 			}
 		}
 		if m4 < m {
-			gemmKernel4x8(k, &atile[0], k, &panel[0], &ctile[0], 8)
-			storeTile(c[m4*ldc+j:], ldc, &ctile, m-m4, nb)
+			kernel(k, &s.atile[0], k, &panel[0], &s.ctile[0], lanes)
+			storeTile(c[m4*ldc+j:], ldc, s.ctile[:], lanes, m-m4, nb)
+		}
+		j += nb
+	}
+}
+
+// packPanel writes rows [0, nb) of b (row stride ldb, k values each)
+// k-major into panel — panel[t*lanes+l] = b[l][t] — and zeroes lanes
+// [nb, lanes). It is the one packing routine of both lane widths. Rows
+// move four at a time, so each step fills four adjacent lanes under one
+// bounds check.
+func packPanel(panel, b []float32, ldb, k, nb, lanes int) {
+	l := 0
+	for ; l+3 < nb; l += 4 {
+		r0 := b[l*ldb : l*ldb+k]
+		r1 := b[(l+1)*ldb : (l+1)*ldb+k]
+		r2 := b[(l+2)*ldb : (l+2)*ldb+k]
+		r3 := b[(l+3)*ldb : (l+3)*ldb+k]
+		r1, r2, r3 = r1[:len(r0)], r2[:len(r0)], r3[:len(r0)]
+		for t, v := range r0 {
+			p := panel[t*lanes+l : t*lanes+l+4 : t*lanes+l+4]
+			p[0], p[1], p[2], p[3] = v, r1[t], r2[t], r3[t]
+		}
+	}
+	for ; l < lanes; l++ {
+		if l < nb {
+			for t, v := range b[l*ldb : l*ldb+k] {
+				panel[t*lanes+l] = v
+			}
+		} else {
+			for t := 0; t < k; t++ {
+				panel[t*lanes+l] = 0
+			}
 		}
 	}
 }
 
-// storeTile copies the top-left rows×cols cells of a 4×8 kernel tile into
-// C (row stride ldc).
-func storeTile(c []float32, ldc int, tile *[4 * 8]float32, rows, cols int) {
+// storeTile copies the top-left rows×cols cells of a kernel C tile (row
+// stride lanes) into C (row stride ldc).
+func storeTile(c []float32, ldc int, tile []float32, lanes, rows, cols int) {
 	for r := 0; r < rows; r++ {
-		copy(c[r*ldc:r*ldc+cols], tile[r*8:r*8+cols])
+		copy(c[r*ldc:r*ldc+cols], tile[r*lanes:r*lanes+cols])
 	}
 }
 
@@ -204,11 +267,7 @@ func gemmNTScalar(m, n, k int, a []float32, lda int, b []float32, ldb int, c []f
 // how a@b and aᵀ@b become gemmNT calls: the packed panel puts the
 // contraction dimension contiguous for the B side of the kernel.
 func packTranspose(src *Mat, dst []float32) []float32 {
-	n := src.Rows * src.Cols
-	if cap(dst) < n {
-		dst = make([]float32, n)
-	}
-	dst = dst[:n]
+	dst = grow(dst, src.Rows*src.Cols)
 	rows, cols := src.Rows, src.Cols
 	for r := 0; r < rows; r++ {
 		row := src.Data[r*cols : (r+1)*cols]

@@ -26,6 +26,44 @@ noavx:
 	MOVB $0, ret+0(FP)
 	RET
 
+// func cpuHasAVX512() bool
+//
+// The 16-lane GEMM panel and the 8-lane exp need AVX512F (CPUID.7.0:EBX
+// bit 16, which requires a maximum basic leaf of at least 7), the
+// CPUID.1:ECX bits FMA (12), OSXSAVE (27) and AVX (28), and an XCR0 that
+// shows the OS saving XMM, YMM, opmask, upper-ZMM and high-ZMM state (bits
+// 1, 2, 5, 6 and 7: 0xE6). FMA is part of the gate because math.Exp takes
+// its FMA sequence exactly when the CPU has AVX and FMA, and expKernel8
+// replays that sequence.
+TEXT ·cpuHasAVX512(SB), NOSPLIT, $0-1
+	XORL AX, AX
+	XORL CX, CX
+	CPUID
+	CMPL AX, $7
+	JB   noavx512
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x18001000, CX
+	CMPL CX, $0x18001000
+	JNE  noavx512
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	BTL  $16, BX
+	JCC  noavx512
+	XORL CX, CX
+	XGETBV
+	ANDL $0xE6, AX
+	CMPL AX, $0xE6
+	JNE  noavx512
+	MOVB $1, ret+0(FP)
+	RET
+
+noavx512:
+	MOVB $0, ret+0(FP)
+	RET
+
 // func gemmKernel4x8(k int, a *float32, lda int, panel *float32, c *float32, ldc int)
 //
 // 4×8 AVX micro-kernel for gemmNTPanel. Y0–Y3 hold the four C rows of the
@@ -88,6 +126,68 @@ loop:
 	VZEROUPPER
 	RET
 
+// func gemmKernel4x16(k int, a *float32, lda int, panel *float32, c *float32, ldc int)
+//
+// gemmKernel4x8 at sixteen lanes: Z0–Z3 hold the four C rows, each step
+// loads sixteen packed B values (the panel is k-major at 16 floats per
+// step) and broadcasts, multiplies (VMULPS) and accumulates (VADDPS) each
+// A element. Per lane this is the same multiply-then-add chain in
+// ascending t as the 8-lane and scalar kernels; no FMA.
+//
+// Every instruction is AVX512F (VPXORD zeroes the accumulators: VXORPS on
+// ZMM registers would need AVX512DQ). The dispatcher guarantees k ≥ 1 and
+// that haveAVX512 is set.
+TEXT ·gemmKernel4x16(SB), NOSPLIT, $0-48
+	MOVQ a+8(FP), SI
+	MOVQ lda+16(FP), R8
+	LEAQ (SI)(R8*4), R10  // a row 1
+	LEAQ (R10)(R8*4), R11 // a row 2
+	LEAQ (R11)(R8*4), R12 // a row 3
+	MOVQ panel+24(FP), DX
+	MOVQ k+0(FP), CX
+
+	VPXORD Z0, Z0, Z0 // C row 0 accumulators
+	VPXORD Z1, Z1, Z1 // C row 1
+	VPXORD Z2, Z2, Z2 // C row 2
+	VPXORD Z3, Z3, Z3 // C row 3
+	XORQ   BX, BX     // byte offset into the A rows
+
+loop16:
+	VMOVUPS (DX), Z4 // B[0..15][t]
+
+	VBROADCASTSS (SI)(BX*1), Z5 // a[0][t]
+	VMULPS       Z4, Z5, Z5
+	VADDPS       Z5, Z0, Z0
+
+	VBROADCASTSS (R10)(BX*1), Z6 // a[1][t]
+	VMULPS       Z4, Z6, Z6
+	VADDPS       Z6, Z1, Z1
+
+	VBROADCASTSS (R11)(BX*1), Z7 // a[2][t]
+	VMULPS       Z4, Z7, Z7
+	VADDPS       Z7, Z2, Z2
+
+	VBROADCASTSS (R12)(BX*1), Z8 // a[3][t]
+	VMULPS       Z4, Z8, Z8
+	VADDPS       Z8, Z3, Z3
+
+	ADDQ $64, DX
+	ADDQ $4, BX
+	DECQ CX
+	JNZ  loop16
+
+	MOVQ    c+32(FP), DI
+	MOVQ    ldc+40(FP), R9
+	VMOVUPS Z0, (DI)
+	LEAQ    (DI)(R9*4), DI
+	VMOVUPS Z1, (DI)
+	LEAQ    (DI)(R9*4), DI
+	VMOVUPS Z2, (DI)
+	LEAQ    (DI)(R9*4), DI
+	VMOVUPS Z3, (DI)
+	VZEROUPPER
+	RET
+
 // func biasTanh8(row *float32, b *float32, n int, tab *[13][8]float32)
 //
 // row[c] = tanhF32(row[c] + b[c]) for c in [0, n), eight lanes at a time;
@@ -147,6 +247,86 @@ tloop:
 	ADDQ $32, SI
 	DECQ CX
 	JNZ  tloop
+
+	VZEROUPPER
+	RET
+
+// func expKernel8(x *float64, n int, tab *[expTableLen]float64)
+//
+// x[i] = math.Exp(x[i]) for i in [0, n), eight lanes at a time; n ≥ 1 and
+// every x[i] lies in [expVecMin, 0] (expInto checks). A last group of
+// fewer than eight is loaded and stored under an opmask, so the kernel
+// never touches memory past x[n-1]. tab is expTable (exp.go): LOG2E, LN2U,
+// LN2L, 1/16, then exprodata's nine values in its order, each read with an
+// embedded broadcast.
+//
+// Each lane replays the FMA branch of math.archExp (exp_amd64.s)
+// instruction for instruction — the same operation on the same operands in
+// the same order, each rounded once exactly like its scalar SD form:
+//
+//	t = x·LOG2E; n = round-to-nearest(t) (VCVTPD2DQ, like CVTSD2SL); nf = n
+//	r = fnmadd(nf, LN2U, x); r = fnmadd(nf, LN2L, r); r = r·(1/16)
+//	p = 1/8!; p = fma(p, r, c) for c = 1/7!, 1/6!, …, 1/3!, 0.5, 1.0
+//	r = r·p; three times r = r·(r + 2); then r = fma(r + 2, r, 1.0)
+//	result = r·2^n, with 2^n built as (n + 0x3FF) << 52
+//
+// The range [expVecMin, 0] keeps n + 0x3FF in [13, 1023], so none of
+// archExp's special branches (non-finite, overflow, denormal) applies.
+TEXT ·expKernel8(SB), NOSPLIT, $0-24
+	MOVQ x+0(FP), DI
+	MOVQ n+8(FP), CX
+	MOVQ tab+16(FP), DX
+
+	MOVQ         $0x3FF, AX
+	VPBROADCASTQ AX, Z5 // exponent bias
+
+eloop:
+	MOVQ $0xFF, AX // lane mask: all eight lanes ...
+	CMPQ CX, $8
+	JGE  emask
+	MOVQ $1, AX    // ... or the low CX lanes of a short last group
+	SHLQ CX, AX
+	DECQ AX
+
+emask:
+	KMOVW     AX, K1
+	VMOVUPD.Z (DI), K1, Z0       // x (masked-off lanes 0)
+	VMULPD.BCST 0(DX), Z0, Z1    // t = x·LOG2E
+	VCVTPD2DQ Z1, Y2             // n = round(t)
+	VCVTDQ2PD Y2, Z1             // nf
+
+	VFNMADD231PD.BCST 8(DX), Z1, Z0  // r = x - nf·LN2U
+	VFNMADD231PD.BCST 16(DX), Z1, Z0 // r -= nf·LN2L
+	VMULPD.BCST       24(DX), Z0, Z0 // r *= 1/16
+
+	VBROADCASTSD     96(DX), Z3     // p = 1/8!
+	VFMADD213PD.BCST 88(DX), Z0, Z3 // p = p·r + 1/7!
+	VFMADD213PD.BCST 80(DX), Z0, Z3 //       + 1/6!
+	VFMADD213PD.BCST 72(DX), Z0, Z3 //       + 1/5!
+	VFMADD213PD.BCST 64(DX), Z0, Z3 //       + 1/4!
+	VFMADD213PD.BCST 56(DX), Z0, Z3 //       + 1/3!
+	VFMADD213PD.BCST 32(DX), Z0, Z3 //       + 0.5
+	VFMADD213PD.BCST 40(DX), Z0, Z3 //       + 1.0
+	VMULPD           Z3, Z0, Z0     // r *= p
+
+	VADDPD.BCST      48(DX), Z0, Z3 // q = r + 2
+	VMULPD           Z3, Z0, Z0     // r *= q
+	VADDPD.BCST      48(DX), Z0, Z3
+	VMULPD           Z3, Z0, Z0
+	VADDPD.BCST      48(DX), Z0, Z3
+	VMULPD           Z3, Z0, Z0
+	VADDPD.BCST      48(DX), Z0, Z3
+	VFMADD213PD.BCST 40(DX), Z3, Z0 // r = q·r + 1
+
+	VPMOVSXDQ Y2, Z4      // n as int64
+	VPADDQ    Z5, Z4, Z4  // + bias
+	VPSLLQ    $52, Z4, Z4 // 2^n
+	VMULPD    Z4, Z0, Z0
+	VMOVUPD   Z0, K1, (DI)
+
+	ADDQ $64, DI
+	SUBQ $8, CX
+	JG   eloop
 
 	VZEROUPPER
 	RET

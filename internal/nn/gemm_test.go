@@ -79,14 +79,25 @@ func newStridedGemmCase(src *rng.Source, m, n, k, padA, padB, padC int, special 
 	return g
 }
 
-// run calls kernel on a fresh sentinel-filled C and returns it.
-func (g stridedGemmCase) run(kernel func(m, n, k int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int)) []float32 {
+// sweepScratch is the packing scratch every case of a sweep reuses, so a
+// kernel that reads a cell an earlier, differently shaped call left behind
+// shows up as a wrong result.
+var sweepScratch gemmScratch
+
+// run calls kernel on a fresh sentinel-filled C, with sweepScratch as its
+// packing scratch, and returns C.
+func (g stridedGemmCase) run(kernel func(s *gemmScratch, m, n, k int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int)) []float32 {
 	c := make([]float32, g.m*g.ldc)
 	for i := range c {
 		c[i] = gemmCSentinel
 	}
-	kernel(g.m, g.n, g.k, g.a, g.lda, g.b, g.ldb, c, g.ldc)
+	kernel(&sweepScratch, g.m, g.n, g.k, g.a, g.lda, g.b, g.ldb, c, g.ldc)
 	return c
+}
+
+// scalarKernel is gemmNTScalar in run's kernel signature.
+func scalarKernel(_ *gemmScratch, m, n, k int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
+	gemmNTScalar(m, n, k, a, lda, b, ldb, c, ldc)
 }
 
 // naive is refGemmNT over the strided operands, laid out like run's C.
@@ -122,21 +133,35 @@ func (g stridedGemmCase) compare(t *testing.T, what string, got, want []float32)
 // both sides of gemmPanelK (257 only reaches the scalar fallback).
 var gemmSweepK = []int{1, 2, 7, 55, 64, 255, 256, 257}
 
+// gemmSweepN is the column counts of the kernel sweeps: every n up to 17
+// (each column tail of the 8-lane panel, the 16-lane panel's full and
+// padded blocks, and the ≤8 tails it hands to the 8-lane kernel), then
+// multi-block widths around 24 and 32, the 55-wide input layer and the
+// 64-wide hidden layers.
+var gemmSweepN = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 24, 25, 31, 32, 33, 55, 64}
+
 // TestGemmBlockedMatchesNaive drives the gemmNT dispatcher against the
-// naive ascending-k reference at every m in 1..9 and n in 1..17 — every row
-// tail of the 4-row AVX blocks and the scalar 2-row blocks, every column
-// tail of the 8-wide AVX panel and the scalar 4-column blocks — at each
-// gemmSweepK length, with padded strides (lda > k, ldc > n) and NaN/±Inf/±0
-// operands. Column-block straddles (n around gemmColBlock) and random
-// ragged shapes go through MatMulTransB. Exact equality everywhere.
+// naive ascending-k reference at every kernel tier the host runs, at every
+// m in 1..9 and each gemmSweepN width — every row tail of the 4-row panel
+// blocks and the scalar 2-row blocks, every column tail of the 16- and
+// 8-lane panels and the scalar 4-column blocks — at each gemmSweepK
+// length, with padded strides (lda > k, ldc > n) and NaN/±Inf/±0 operands.
+// Column-block straddles (n around gemmColBlock) and random ragged shapes
+// go through MatMulTransB. Exact equality everywhere.
 func TestGemmBlockedMatchesNaive(t *testing.T) {
+	for _, tier := range hostKernelTiers() {
+		withKernelTier(tier, func() { gemmBlockedMatchesNaive(t, tier.name) })
+	}
+}
+
+func gemmBlockedMatchesNaive(t *testing.T, tier string) {
 	src := rng.New(31)
 	for _, k := range gemmSweepK {
 		for m := 1; m <= 9; m++ {
-			for n := 1; n <= 17; n++ {
+			for _, n := range gemmSweepN {
 				pad := (m + n + k) % 3
 				g := newStridedGemmCase(src, m, n, k, pad, 2-pad, pad+1, (m+n)%2 == 0)
-				g.compare(t, "gemmNT", g.run(gemmNT), g.naive())
+				g.compare(t, tier+" gemmNT", g.run(gemmNT), g.naive())
 			}
 		}
 	}
@@ -155,42 +180,54 @@ func TestGemmBlockedMatchesNaive(t *testing.T) {
 		want := refGemmNT(s.m, s.n, s.k, a.Data, b.Data)
 		for i := range want {
 			if got.Data[i] != want[i] {
-				t.Fatalf("shape %dx%dx%d: blocked[%d]=%v naive[%d]=%v (must be bit-identical)",
-					s.m, s.n, s.k, i, got.Data[i], i, want[i])
+				t.Fatalf("%s shape %dx%dx%d: blocked[%d]=%v naive[%d]=%v (must be bit-identical)",
+					tier, s.m, s.n, s.k, i, got.Data[i], i, want[i])
 			}
 		}
 	}
 }
 
 // TestGemmPanelMatchesScalar pins the dispatcher's bit-identity promise
-// directly: the AVX panel path and the portable scalar path must agree on
-// every shape the panel can take — m in 1..9 and n in 1..17 (every m%4 row
-// tail through the zero-padded A tile, every n%8 column tail through the
-// zero-padded panel and the C tile), each k up to gemmPanelK, padded
-// strides, and NaN/±Inf/±0 operands. Without AVX the dispatcher is
-// scalar-only and the test is vacuous, so it skips.
+// directly: at each panel tier the host runs (16-lane and 8-lane), the
+// panel path and the portable scalar path must agree on every shape the
+// panel can take — m in 1..9 (every m%4 row tail through the zero-padded A
+// tile) and each gemmSweepN width (every column tail through the
+// zero-padded panel and the C tile, and the 16-lane tier's hand-off of
+// ≤8-column tails to the 8-lane kernel), each k up to gemmPanelK, padded
+// strides, and NaN/±Inf/±0 operands. The scalar tier has no panel to
+// compare; without AVX the test skips.
 func TestGemmPanelMatchesScalar(t *testing.T) {
-	if !haveAVX {
+	ran := false
+	for _, tier := range hostKernelTiers() {
+		if tier.avx {
+			ran = true
+			withKernelTier(tier, func() { gemmPanelMatchesScalar(t, tier.name) })
+		}
+	}
+	if !ran {
 		t.Skip("no AVX on this CPU or target")
 	}
+}
+
+func gemmPanelMatchesScalar(t *testing.T, tier string) {
 	src := rng.New(53)
 	for _, k := range gemmSweepK {
 		if k > gemmPanelK {
 			continue
 		}
 		for m := 1; m <= 9; m++ {
-			for n := 1; n <= 17; n++ {
+			for _, n := range gemmSweepN {
 				for _, special := range []bool{false, true} {
 					pad := (m * n) % 3
 					g := newStridedGemmCase(src, m, n, k, 2-pad, pad, pad, special)
-					g.compare(t, "panel vs scalar", g.run(gemmNTPanel), g.run(gemmNTScalar))
+					g.compare(t, tier+" panel vs scalar", g.run(gemmNTPanel), g.run(scalarKernel))
 				}
 			}
 		}
 	}
 	for trial := 0; trial < 30; trial++ {
 		g := newStridedGemmCase(src, 4+src.Intn(60), 1+src.Intn(70), 1+src.Intn(80), src.Intn(3), src.Intn(3), src.Intn(3), trial%3 == 0)
-		g.compare(t, "panel vs scalar", g.run(gemmNTPanel), g.run(gemmNTScalar))
+		g.compare(t, tier+" panel vs scalar", g.run(gemmNTPanel), g.run(scalarKernel))
 	}
 }
 

@@ -39,12 +39,16 @@ func Softmax(logits []float32, mask []bool) []float64 {
 // SoftmaxInto is Softmax writing into probs, which must have the logits'
 // length (it is the caller's scratch, typically a fixed action-width
 // buffer). Returns probs.
+//
+// On the 16-lane tier (haveAVX512) the exponentials run through
+// expKernel8 whenever every valid argument lies in [expVecMin, 0], which
+// returns math.Exp's bits; any other argument (NaN, -Inf, below
+// expVecMin) sends the row to math.Exp. The sum and divides are scalar in
+// index order either way, so the probabilities are identical on every
+// tier.
 func SoftmaxInto(logits []float32, mask []bool, probs []float64) []float64 {
 	if len(probs) != len(logits) {
 		panic("nn: SoftmaxInto scratch length mismatch")
-	}
-	for i := range probs {
-		probs[i] = 0
 	}
 	maxL := math.Inf(-1)
 	for i, l := range logits {
@@ -56,15 +60,33 @@ func SoftmaxInto(logits []float32, mask []bool, probs []float64) []float64 {
 		}
 	}
 	if math.IsInf(maxL, -1) {
-		return probs // fully masked: all zeros
+		clear(probs) // fully masked: all zeros
+		return probs
 	}
-	var sum float64
 	for i, l := range logits {
-		if mask != nil && !mask[i] {
-			continue
+		x := 0.0
+		if mask == nil || mask[i] {
+			x = float64(l) - maxL
 		}
-		e := math.Exp(float64(l) - maxL)
-		probs[i] = e
+		probs[i] = x
+	}
+	if !haveAVX512 || !expInto(probs) {
+		for i, x := range probs {
+			if mask == nil || mask[i] {
+				probs[i] = math.Exp(x)
+			}
+		}
+	}
+	if mask != nil {
+		for i, ok := range mask[:len(probs)] {
+			if !ok {
+				probs[i] = 0 // expInto left exp(0) = 1 here
+			}
+		}
+	}
+	// Masked cells add +0, which leaves the index-order sum's bits alone.
+	var sum float64
+	for _, e := range probs {
 		sum += e
 	}
 	if sum == 0 {

@@ -113,8 +113,9 @@ type Dense struct {
 	// layer-owned scratch, reused call to call so the steady-state training
 	// loop allocates nothing: trOut backs Forward(train=true) output,
 	// bwGz/bwGw/bwGx back Backward's intermediates, and bwPackGz/bwPackIn/
-	// bwPackW hold the transposed panels Backward's GEMMs consume. Each is
-	// valid only until the next corresponding call on this layer.
+	// bwPackW hold the transposed panels Backward's GEMMs consume, and gemm
+	// is the GEMM panel's packing space. Each is valid only until the next
+	// corresponding call on this layer.
 	trOut    *Mat
 	bwGz     *Mat
 	bwGw     *Mat
@@ -122,6 +123,7 @@ type Dense struct {
 	bwPackGz []float32
 	bwPackIn []float32
 	bwPackW  []float32
+	gemm     gemmScratch
 }
 
 // NewDense creates a layer with He/Xavier-style initialization drawn from
@@ -159,7 +161,11 @@ func (d *Dense) Forward(x *Mat, train bool) *Mat {
 	} else {
 		z = NewMat(x.Rows, d.Out)
 	}
-	gemmNT(x.Rows, d.Out, d.In, x.Data, d.In, d.W.Data, d.In, z.Data, d.Out)
+	gemm := &d.gemm
+	if !train {
+		gemm = nil // inference stays safe for concurrent calls
+	}
+	gemmNT(gemm, x.Rows, d.Out, d.In, x.Data, d.In, d.W.Data, d.In, z.Data, d.Out)
 	for r := 0; r < z.Rows; r++ {
 		applyBiasAct(z.Row(r), d.B, d.Act)
 	}
@@ -213,7 +219,7 @@ func (d *Dense) Backward(gradOut *Mat) *Mat {
 	d.bwPackGz = packTranspose(gz, d.bwPackGz)
 	d.bwPackIn = packTranspose(d.lastIn, d.bwPackIn)
 	d.bwGw = ensureMat(d.bwGw, d.Out, d.In)
-	gemmNT(d.Out, d.In, n, d.bwPackGz, n, d.bwPackIn, n, d.bwGw.Data, d.In)
+	gemmNT(&d.gemm, d.Out, d.In, n, d.bwPackGz, n, d.bwPackIn, n, d.bwGw.Data, d.In)
 	for i, v := range d.bwGw.Data {
 		d.GradW.Data[i] += v
 	}
@@ -227,7 +233,7 @@ func (d *Dense) Backward(gradOut *Mat) *Mat {
 	// dL/dx = gz @ W
 	d.bwPackW = packTranspose(d.W, d.bwPackW)
 	d.bwGx = ensureMat(d.bwGx, n, d.In)
-	gemmNT(n, d.In, d.Out, gz.Data, d.Out, d.bwPackW, d.Out, d.bwGx.Data, d.In)
+	gemmNT(&d.gemm, n, d.In, d.Out, gz.Data, d.Out, d.bwPackW, d.Out, d.bwGx.Data, d.In)
 	return d.bwGx
 }
 
@@ -250,9 +256,11 @@ type MLP struct {
 	// last entry and stay valid until the next inference call on this
 	// network); x1 backs Forward1's single-row input and rowsIn/rowsOut back
 	// ForwardRows' input narrowing and result views. Workers write disjoint
-	// row blocks of the shared arenas, so no per-worker copies exist. None
-	// of these are shared by Clone, and checkpoints never touch them.
+	// row blocks of the shared arenas, so no per-worker copies exist; only
+	// the GEMM packing scratch is per row block (batchGemm). None of these
+	// are shared by Clone, and checkpoints never touch them.
 	batchActs []*Mat
+	batchGemm []gemmScratch
 	x1        *Mat
 	rowsIn    *Mat
 	rowsOut   [][]float32

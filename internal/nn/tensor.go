@@ -77,11 +77,7 @@ func ensureMat(out *Mat, rows, cols int) *Mat {
 	if out == nil {
 		return &Mat{Rows: rows, Cols: cols, Data: make([]float32, n)}
 	}
-	if cap(out.Data) < n {
-		out.Data = make([]float32, n)
-	} else {
-		out.Data = out.Data[:n]
-	}
+	out.Data = grow(out.Data, n)
 	out.Rows, out.Cols = rows, cols
 	return out
 }
@@ -105,7 +101,7 @@ func MatMulInto(a, b, out *Mat) *Mat {
 	}
 	out = ensureMat(out, a.Rows, b.Cols)
 	bt := packTranspose(b, nil)
-	gemmNT(a.Rows, b.Cols, a.Cols, a.Data, a.Cols, bt, b.Rows, out.Data, out.Cols)
+	gemmNT(nil, a.Rows, b.Cols, a.Cols, a.Data, a.Cols, bt, b.Rows, out.Data, out.Cols)
 	return out
 }
 
@@ -120,7 +116,7 @@ func MatMulTransBInto(a, b, out *Mat) *Mat {
 		panic(fmt.Sprintf("nn: MatMulTransB shape mismatch %dx%d @ (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out = ensureMat(out, a.Rows, b.Rows)
-	gemmNT(a.Rows, b.Rows, a.Cols, a.Data, a.Cols, b.Data, b.Cols, out.Data, out.Cols)
+	gemmNT(nil, a.Rows, b.Rows, a.Cols, a.Data, a.Cols, b.Data, b.Cols, out.Data, out.Cols)
 	return out
 }
 
@@ -137,6 +133,6 @@ func MatMulTransAInto(a, b, out *Mat) *Mat {
 	out = ensureMat(out, a.Cols, b.Cols)
 	at := packTranspose(a, nil)
 	bt := packTranspose(b, nil)
-	gemmNT(a.Cols, b.Cols, a.Rows, at, a.Rows, bt, b.Rows, out.Data, out.Cols)
+	gemmNT(nil, a.Cols, b.Cols, a.Rows, at, a.Rows, bt, b.Rows, out.Data, out.Cols)
 	return out
 }

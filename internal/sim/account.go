@@ -26,16 +26,16 @@ type TaxiAccount struct {
 }
 
 // OnDutyMin returns total on-duty minutes (Σ T_cycle components).
-func (a TaxiAccount) OnDutyMin() float64 {
+func (a *TaxiAccount) OnDutyMin() float64 {
 	return a.CruiseMin + a.ServeMin + a.IdleMin + a.ChargeMin
 }
 
 // ProfitCNY returns revenue minus charging cost.
-func (a TaxiAccount) ProfitCNY() float64 { return a.RevenueCNY - a.ChargeCostCNY }
+func (a *TaxiAccount) ProfitCNY() float64 { return a.RevenueCNY - a.ChargeCostCNY }
 
 // ProfitEfficiency returns the paper's PE: profit per on-duty hour (Eq. 2).
 // Zero on-duty time yields zero.
-func (a TaxiAccount) ProfitEfficiency() float64 {
+func (a *TaxiAccount) ProfitEfficiency() float64 {
 	d := a.OnDutyMin()
 	if d <= 0 {
 		return 0

@@ -184,6 +184,10 @@ type Core struct {
 	stationInfo []station.Station
 
 	nearStations [][]geo.Neighbor
+	// nbDistKm[r][i] is the road distance of a Move from region r to its
+	// i-th neighbor (centroid distance × demand.RoadFactor), computed once
+	// per city so applyAction runs no haversine.
+	nbDistKm [][]float64
 
 	regionOwner []int // region ID -> kernel index (static)
 	taxiOwner   []int // taxi ID -> kernel index (updated at barriers)
@@ -280,8 +284,14 @@ type Core struct {
 func (c *Core) buildKernels() {
 	n := c.city.Partition.Len()
 	c.nearStations = make([][]geo.Neighbor, n)
+	c.nbDistKm = make([][]float64, n)
 	for r := 0; r < n; r++ {
-		c.nearStations[r] = c.city.Stations.Nearest(c.city.Partition.Region(r).Centroid, KStations)
+		reg := c.city.Partition.Region(r)
+		c.nearStations[r] = c.city.Stations.Nearest(reg.Centroid, KStations)
+		c.nbDistKm[r] = make([]float64, len(reg.Neighbors))
+		for i, nb := range reg.Neighbors {
+			c.nbDistKm[r][i] = c.city.Partition.Distance(r, nb) * demand.RoadFactor
+		}
 	}
 	k := slices.Max(c.regionOwner) + 1
 	c.kernels = make([]*kernel, k)

@@ -90,7 +90,7 @@ func (kn *kernel) applyAction(id int, a Action) {
 	case Move:
 		nbs := c.city.Partition.Region(t.region).Neighbors
 		dest := nbs[a.Arg]
-		distKm := c.city.Partition.Distance(t.region, dest) * demand.RoadFactor
+		distKm := c.nbDistKm[t.region][a.Arg]
 		travelMin := c.travelMinutes(distKm, t.region, c.nowMin)
 		accrueCrawl(t, c.nowMin, c.opts.CruiseSpeedKmh)
 		driveTracked(t, distKm)
