@@ -13,9 +13,9 @@ GO ?= go
 COVER_PKGS = ./internal/scenario/ ./internal/trace/ ./internal/checkpoint/ ./internal/sim/ ./internal/invariant/ ./internal/serve/
 COVER_FLOOR = 70
 
-.PHONY: ci vet build cross test race cover alloc-gate smoke resume-smoke shard-smoke serve-smoke soak battery fuzz-battery bench-record fuzz bench
+.PHONY: ci vet build cross perfbench test race cover alloc-gate smoke resume-smoke shard-smoke serve-smoke soak battery fuzz-battery bench-record fuzz bench
 
-ci: vet build cross test race cover alloc-gate smoke resume-smoke shard-smoke serve-smoke battery
+ci: vet build cross perfbench test race cover alloc-gate smoke resume-smoke shard-smoke serve-smoke battery
 
 vet:
 	$(GO) vet ./...
@@ -27,6 +27,12 @@ build:
 # stubs (gemm_fallback.go) and its tests must keep compiling there.
 cross:
 	GOARCH=arm64 $(GO) vet ./internal/nn/ && GOARCH=arm64 $(GO) build ./... && GOARCH=386 $(GO) build ./...
+
+# perfbench is its own module (it runs against the committed source of the
+# main module), so ./... above does not reach it: vet and test it here so a
+# change to the API it calls breaks ci, not only the benchmark run.
+perfbench:
+	cd perfbench && GOWORK=off GOFLAGS= $(GO) vet ./... && GOWORK=off GOFLAGS= $(GO) test ./...
 
 test:
 	$(GO) test ./...
@@ -128,7 +134,8 @@ fuzz:
 	$(GO) test ./internal/trace/ -fuzz FuzzEventRoundTrip -fuzztime 30s
 	$(GO) test ./internal/checkpoint/ -fuzz FuzzDecode -fuzztime 30s
 	$(GO) test ./internal/serve/ -fuzz FuzzHTTPIngest -fuzztime 30s
-	$(GO) test ./internal/serve/ -fuzz FuzzParseBatch -fuzztime 30s
+	$(GO) test ./internal/serve/ -fuzz 'FuzzParseBatch$$' -fuzztime 30s
+	$(GO) test ./internal/serve/ -fuzz FuzzParseBatchMatchesJSON -fuzztime 30s
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' ./...

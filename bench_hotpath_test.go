@@ -4,8 +4,9 @@ package fairmove
 // BENCH_hotpath.json and `make alloc-gate`. Each entry measures one layer of
 // the per-slot critical path — single-shard stepping, a single observation
 // build, one served slot (decide plus step) under the GT heuristic and
-// under CMA2C, single-row and batched network inference, and the
-// nearest-station lookup the matcher leans on.
+// under CMA2C, single-row and batched network inference, the
+// nearest-station lookup the matcher leans on, and the ingest decoder on one
+// recorded feed batch.
 //
 // The set is pinned: names are stable identifiers recorded in
 // testdata/alloc_floors.json (allocs/op ceilings, enforced by TestAllocGate)
@@ -23,6 +24,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/policy"
 	"repro/internal/rng"
+	"repro/internal/serve"
 	"repro/internal/sim"
 )
 
@@ -87,7 +89,35 @@ func hotpathSet(tb testing.TB) []hotBench {
 				benchNeighborSink = stationLookup(idx, queries[i%len(queries)], sim.KStations)
 			}
 		}},
+		{"serve_parse_batch", func(b *testing.B) {
+			body := hotBenchIngestBody(b)
+			b.SetBytes(int64(len(body)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := serve.ParseBatch(body, serve.DefaultMaxBatch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
 	}
+}
+
+// hotBenchIngestBody is the first 256-event ingest body of the ground-truth
+// feed recorded on the bench city: the NDJSON a feed client POSTs to
+// /ingest, GPS fixes and trip requests mixed as the service receives them.
+func hotBenchIngestBody(b *testing.B) []byte {
+	const batch = 256
+	city := benchCity(b)
+	slots := (batch + len(city.Fleet) - 1) / len(city.Fleet)
+	events := serve.RecordFeed(city, sim.DefaultOptions(1), 42, slots)
+	if len(events) < batch {
+		b.Fatalf("recorded %d events, want at least %d", len(events), batch)
+	}
+	body, err := serve.EncodeBatch(events[:batch])
+	if err != nil {
+		b.Fatal(err)
+	}
+	return body
 }
 
 // benchRunnerSteps reports one policy.Runner.StepSlot per op: the decide

@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -61,6 +63,9 @@ func FuzzHTTPIngest(f *testing.F) {
 	f.Add([]byte(`{"kind":"gps","time_min":-5}`))
 	f.Add([]byte(`{"kind":"request","time_min":2,"region":-1}`))
 	f.Add([]byte(`{"kind":"gps","time_min":1} trailing garbage`))
+	f.Add([]byte(`{"kind":"gps","time_min":1}}`))
+	f.Add([]byte(`{"kind":"gps","time_min":1}]`))
+	f.Add([]byte(`{"kind":"gps","time_min":1} }`))
 	f.Add([]byte(`{"kind":"gps","time_min":1,"bogus_field":9}`))
 	f.Add([]byte(`{"kind":"gps","time_min":99999999999999999999}`)) // number overflow
 	f.Add([]byte(`[{"kind":"gps","time_min":1}]`))                  // array, not NDJSON
@@ -122,6 +127,145 @@ func FuzzParseBatch(f *testing.F) {
 		for i := range events {
 			if events[i] != again[i] {
 				t.Fatalf("event %d changed in round trip: %+v -> %+v", i, events[i], again[i])
+			}
+		}
+	})
+}
+
+// referenceParseBatch is ParseBatch's grammar written with encoding/json,
+// the oracle FuzzParseBatchMatchesJSON compares against: one Decoder per
+// trimmed line with DisallowUnknownFields, then Validate, and nothing but
+// whitespace after the object.
+func referenceParseBatch(body []byte, maxEvents int) ([]Event, error) {
+	var events []Event
+	for lineNo := 1; len(body) > 0; lineNo++ {
+		line := body
+		if i := bytes.IndexByte(body, '\n'); i >= 0 {
+			line, body = body[:i], body[i+1:]
+		} else {
+			body = nil
+		}
+		line = bytes.TrimSpace(line)
+		if len(line) == 0 {
+			continue
+		}
+		if len(events) >= maxEvents {
+			return nil, fmt.Errorf("line %d: batch exceeds %d events", lineNo, maxEvents)
+		}
+		dec := json.NewDecoder(bytes.NewReader(line))
+		dec.DisallowUnknownFields()
+		var ev Event
+		if err := dec.Decode(&ev); err != nil {
+			return nil, fmt.Errorf("line %d: %w", lineNo, err)
+		}
+		if rest := bytes.TrimLeft(line[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+			return nil, fmt.Errorf("line %d: trailing data %q", lineNo, rest)
+		}
+		if err := ev.Validate(); err != nil {
+			return nil, fmt.Errorf("line %d: %w", lineNo, err)
+		}
+		events = append(events, ev)
+	}
+	return events, nil
+}
+
+// sameEvent compares two events field by field, floats by their bits so
+// that -0 and 0 differ.
+func sameEvent(a, b Event) bool {
+	return a.Kind == b.Kind && a.TimeMin == b.TimeMin && a.VehicleID == b.VehicleID &&
+		math.Float64bits(a.Lng) == math.Float64bits(b.Lng) &&
+		math.Float64bits(a.Lat) == math.Float64bits(b.Lat) &&
+		math.Float64bits(a.SpeedKmh) == math.Float64bits(b.SpeedKmh) &&
+		a.Occupied == b.Occupied && a.Region == b.Region
+}
+
+// parseBatchMatchesJSONSeeds are bodies at the edges of the grammar: key
+// folding, duplicates, null, number forms at the int and float limits,
+// string escapes, and the bytes bytes.TrimSpace strips around a line.
+var parseBatchMatchesJSONSeeds = []string{
+	`{"kind":"gps","time_min":10,"vehicle_id":3,"lng":114.1,"lat":22.6,"speed_kmh":30,"occupied":true}`,
+	`{"kind":"request","time_min":7,"region":4}`,
+	`{"KIND":"gps","Time_Min":1,"VEHICLE_ID":2}`,
+	"{\"\\u212aind\":\"gps\",\"time_min\":1}",
+	"{\"\u212aind\":\"gps\",\"time_min\":1}",
+	"{\"kind\":\"gps\",\"time_min\":1,\"\u017fpeed_kmh\":4}",
+	`{"kind":"warp","kind":"gps","time_min":1,"time_min":2}`,
+	`{"kind":"gps","kind":"warp","time_min":1}`,
+	`{"kind":"gps","time_min":3,"time_min":null,"lng":null,"occupied":null,"kind":null}`,
+	`null`,
+	`{}`,
+	`{"kind":"gps","time_min":-0,"lng":-0,"lat":-0.0,"speed_kmh":0e0}`,
+	`{"kind":"gps","time_min":1.0}`,
+	`{"kind":"gps","time_min":1e1}`,
+	`{"kind":"gps","time_min":9223372036854775807}`,
+	`{"kind":"gps","time_min":9223372036854775808}`,
+	`{"kind":"request","time_min":1,"region":-9223372036854775808}`,
+	`{"kind":"request","time_min":1,"region":-9223372036854775809}`,
+	`{"kind":"gps","time_min":1,"lng":1e400}`,
+	`{"kind":"gps","time_min":1,"lng":-1e400}`,
+	`{"kind":"gps","time_min":1,"lat":1e-400}`,
+	`{"kind":"gps","time_min":1,"lat":4.9e-324,"lng":1.7976931348623157e308}`,
+	`{"kind":"gps","time_min":01}`,
+	`{"kind":"gps","time_min":1,"lng":.5}`,
+	`{"kind":"gps","time_min":1,"lng":1.}`,
+	`{"kind":"gps","time_min":1,"lng":+1}`,
+	`{"kind":"gps","time_min":1,"lng":1E+2,"lat":1e-2}`,
+	`{"kind":"g\u0070s","time_min":1}`,
+	`{"kind":"\u0067\u0050s","time_min":1}`,
+	`{"kind":"gps\ud800","time_min":1}`,
+	`{"kind":"\ud83d\ude95","kind":"gps","time_min":1}`,
+	`{"kind":"\udc00\ud800","kind":"request","time_min":1}`,
+	`{"kind":"\ud800\u0041","time_min":1}`,
+	`{"kind":"\ud800\uZZZZ","time_min":1}`,
+	`{"kind":"\"\\\/\b\f\n\r\t","kind":"gps","time_min":1}`,
+	`{"kind":"\x","time_min":1}`,
+	`{"kind":"\'","time_min":1}`,
+	"{\"kind\":\"g\tps\",\"time_min\":1}",
+	"{\"kind\":\"gps\",\"time_min\":1,\x01}",
+	"{\"kind\":\"gps\xff\",\"kind\":\"gps\",\"time_min\":1}",
+	"{\"kind\":\"gps\",\"time_min\":1}\r\n{\"kind\":\"request\",\"time_min\":2}\r\n",
+	"\f{\"kind\":\"gps\",\"time_min\":1}\v",
+	"\u00a0{\"kind\":\"gps\",\"time_min\":1}\u00a0",
+	"\u0085{\"kind\":\"gps\",\"time_min\":1}\u2028",
+	"{\"kind\":\"gps\",\f\"time_min\":1}",
+	"{ \"kind\" :\t\"gps\" ,\r\"time_min\" : 1 }",
+	`{"kind":"gps","time_min":1}}`,
+	`{"kind":"gps","time_min":1}]`,
+	`{"kind":"gps","time_min":1} }`,
+	`{"kind":"gps","time_min":1}{}`,
+	`{"kind":"gps","time_min":1,}`,
+	`{"kind":"gps","time_min":1,"occupied":truex}`,
+	`{"kind":"gps","time_min":1,"occupied":"true"}`,
+	`{"kind":"gps","time_min":"1"}`,
+	`{"kind":"gps","time_min":1,"lng":{}}`,
+	`{"kind":"gps","time_min":1,"lng":[1]}`,
+	`{"kind":["gps"],"time_min":1}`,
+	`{"kind":"gps","time_min":1,"extra":null}`,
+	`{"kind":"gps" "time_min":1}`,
+	`["kind","gps"]`,
+	`"gps"`,
+}
+
+// FuzzParseBatchMatchesJSON checks ParseBatch against referenceParseBatch:
+// the same bodies are accepted, and accepted batches decode to the same
+// events bit for bit.
+func FuzzParseBatchMatchesJSON(f *testing.F) {
+	for _, s := range parseBatchMatchesJSONSeeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		const maxEvents = 8
+		got, gotErr := ParseBatch(body, maxEvents)
+		want, wantErr := referenceParseBatch(body, maxEvents)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("ParseBatch error %v, encoding/json error %v, body %q", gotErr, wantErr, body)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("ParseBatch decoded %d events, encoding/json %d, body %q", len(got), len(want), body)
+		}
+		for i := range got {
+			if !sameEvent(got[i], want[i]) {
+				t.Fatalf("event %d: ParseBatch %+v, encoding/json %+v, body %q", i, got[i], want[i], body)
 			}
 		}
 	})

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -58,8 +59,26 @@ type ingestResponse struct {
 	Slot      int `json:"slot"`
 }
 
+// maxPresizeBytes bounds the buffer a declared Content-Length reserves
+// before any body byte arrives. Real batches are far smaller (a full
+// 1,024-event batch is about 150 KB), and a client that declares a large
+// body but sends little cannot pin more than this per request.
+const maxPresizeBytes = 1 << 20
+
+// readBody reads at most maxBodyBytes+1 bytes of the request body, so an
+// oversized body shows as one byte too many. The buffer starts at the
+// declared Content-Length plus the bytes.MinRead of slack that ReadFrom
+// keeps free, so a body of known length up to maxPresizeBytes is read into
+// one allocation instead of io.ReadAll's doubling.
+func readBody(r *http.Request) ([]byte, error) {
+	size := min(max(r.ContentLength, 0), maxPresizeBytes)
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	_, err := buf.ReadFrom(io.LimitReader(r.Body, maxBodyBytes+1))
+	return buf.Bytes(), err
+}
+
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
+	body, err := readBody(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -273,5 +274,71 @@ func TestSlotEveryTicker(t *testing.T) {
 	}
 	if err := srv.Drain(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHTTPIngestTrailingData: a line with anything but whitespace after its
+// event object fails the batch with 400, a stray closing delimiter included,
+// and the watermark does not move.
+func TestHTTPIngestTrailingData(t *testing.T) {
+	srv, ts := apiServer(t, nil)
+	for _, body := range []string{
+		`{"kind":"gps","time_min":1}}`,
+		`{"kind":"gps","time_min":1}]`,
+		`{"kind":"gps","time_min":1} }`,
+		`{"kind":"gps","time_min":1} x`,
+	} {
+		if resp, msg := postJSON(t, ts.URL+"/ingest", body); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("ingest %q: %s: %s, want 400", body, resp.Status, msg)
+		}
+	}
+	if w := srv.Watermark(); w != -1 {
+		t.Fatalf("watermark %d after rejected batches, want -1", w)
+	}
+	if resp, msg := postJSON(t, ts.URL+"/ingest", "{\"kind\":\"gps\",\"time_min\":1} \t\r\n"); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("ingest with trailing whitespace: %s: %s, want 202", resp.Status, msg)
+	}
+}
+
+// TestHTTPIngestBodyLimit: a body one byte over maxBodyBytes answers 413
+// whether its length is declared or streamed, a body of exactly
+// maxBodyBytes is admitted, and a declared length that understates the body
+// does not truncate it.
+func TestHTTPIngestBodyLimit(t *testing.T) {
+	srv, _ := apiServer(t, nil)
+	mux := srv.Handler()
+	// body returns n bytes: blank padding, then one event on the last line.
+	body := func(n int) []byte {
+		line := `{"kind":"gps","time_min":1}`
+		b := bytes.Repeat([]byte{' '}, n)
+		copy(b[n-len(line):], line)
+		return b
+	}
+	for _, tc := range []struct {
+		name     string
+		n        int
+		streamed bool
+		declared int64 // overrides Content-Length when positive
+		want     int
+	}{
+		{"declared over", maxBodyBytes + 1, false, 0, http.StatusRequestEntityTooLarge},
+		{"streamed over", maxBodyBytes + 1, true, 0, http.StatusRequestEntityTooLarge},
+		{"declared at limit", maxBodyBytes, false, 0, http.StatusAccepted},
+		{"streamed at limit", maxBodyBytes, true, 0, http.StatusAccepted},
+		{"understated length", 4096, false, 10, http.StatusAccepted},
+	} {
+		var r io.Reader = bytes.NewReader(body(tc.n))
+		if tc.streamed {
+			r = io.MultiReader(r)
+		}
+		req := httptest.NewRequest(http.MethodPost, "/ingest", r)
+		if tc.declared > 0 {
+			req.ContentLength = tc.declared
+		}
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, req)
+		if rec.Code != tc.want {
+			t.Errorf("%s: status %d (%s), want %d", tc.name, rec.Code, rec.Body.Bytes(), tc.want)
+		}
 	}
 }
