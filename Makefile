@@ -6,11 +6,12 @@
 
 GO ?= go
 
-# Statement-coverage floor for the scenario engine, the trace codec, and
-# the simulator and its sharded driver — the packages whose tests ARE the
-# regression harness (golden digests, fuzz corpora, shard-invariance
-# battery): uncovered code there is unpinned behavior.
-COVER_PKGS = ./internal/scenario/ ./internal/trace/ ./internal/checkpoint/ ./internal/sim/ ./internal/invariant/ ./internal/serve/
+# Statement-coverage floor for the scenario engine, the trace codec, the
+# simulator and its sharded driver, and the learning stack (nn kernels,
+# CMA2C, the baselines) — the packages whose tests ARE the regression
+# harness (golden digests, fuzz corpora, shard-invariance battery, kernel
+# tier bit-identity): uncovered code there is unpinned behavior.
+COVER_PKGS = ./internal/scenario/ ./internal/trace/ ./internal/checkpoint/ ./internal/sim/ ./internal/invariant/ ./internal/serve/ ./internal/nn/ ./internal/core/ ./internal/policy/
 COVER_FLOOR = 70
 
 .PHONY: ci vet build cross perfbench test race cover alloc-gate smoke resume-smoke shard-smoke serve-smoke soak battery fuzz-battery bench-record fuzz bench

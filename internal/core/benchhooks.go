@@ -10,13 +10,17 @@ import "repro/internal/policy"
 // nothing else; they are not part of the training API.
 
 // BenchCriticStep runs one batched critic update over buf at the sampled
-// minibatch indices. Exported only for benchmarks.
+// minibatch indices, loading the batch and its TD targets first. Exported
+// only for benchmarks.
 func (f *FairMove) BenchCriticStep(buf []policy.Transition, idxs []int) {
-	f.updateCritic(buf, idxs)
+	f.loadBatch(buf, idxs)
+	f.updateCritic()
 }
 
 // BenchActorStep runs one batched actor update over buf at the sampled
-// minibatch indices. Exported only for benchmarks.
+// minibatch indices, loading the batch and computing its own TD targets
+// first. Exported only for benchmarks.
 func (f *FairMove) BenchActorStep(buf []policy.Transition, idxs []int) {
+	f.loadBatch(buf, idxs)
 	f.updateActor(buf, idxs)
 }

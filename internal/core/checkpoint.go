@@ -12,8 +12,8 @@ import (
 // everything that survives an episode boundary: both networks and their
 // target, both optimizers (including the fine-tune learning rate and Adam
 // moments), the demonstration buffer, the resume cursors, and the
-// fine-tuning flag. Transient state — rng source, exploration flag,
-// telemetry handles — is re-derived by the training loop.
+// fine-tuning flag. Transient state — rng source, telemetry
+// handles — is re-derived by the training loop.
 
 // CheckpointKind implements checkpoint.Checkpointer.
 func (f *FairMove) CheckpointKind() string { return "cma2c" }
@@ -106,6 +106,5 @@ func (f *FairMove) DecodeCheckpoint(dec *checkpoint.Decoder) error {
 	f.actor, f.critic, f.targetCritic = actor, critic, targetCritic
 	f.actorOpt, f.criticOpt = actorOpt, criticOpt
 	f.demo = demo
-	f.exploring = false
 	return nil
 }

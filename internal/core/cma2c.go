@@ -86,8 +86,7 @@ type FairMove struct {
 	actorOpt     *nn.Adam
 	criticOpt    *nn.Adam
 
-	src       *rng.Source
-	exploring bool
+	src *rng.Source
 
 	// demo holds demonstration transitions from Pretrain; Train replays
 	// behavior-cloning batches from it between policy-gradient updates to
@@ -157,23 +156,14 @@ func (f *FairMove) Config() Config { return f.cfg }
 // BeginEpisode implements policy.Policy.
 func (f *FairMove) BeginEpisode(seed int64) { f.src = rng.SplitStable(seed, "cma2c") }
 
-// probs evaluates the masked policy distribution for one observation.
-func (f *FairMove) probs(obs sim.Observation) []float64 {
-	logits := f.actor.Forward1(obs.Features)
-	return nn.Softmax(logits, obs.Mask[:])
-}
-
-// choose samples an action from the stochastic policy. Execution stays
-// stochastic at evaluation time too: agents in the same region share an
-// observation, so a deterministic argmax would send them all to the same
-// station or neighbor (herding), while sampling from π disperses them — the
-// intended behavior of executing a learned stochastic policy.
-func (f *FairMove) choose(obs sim.Observation) int {
-	return f.src.WeightedChoice(f.probs(obs))
-}
-
 // Act implements policy.Policy: centralized training, decentralized
 // execution — each agent queries the shared actor on its own observation.
+// Actions are sampled from the stochastic policy at evaluation time too:
+// agents in the same region share an observation, so a deterministic argmax
+// would send them all to the same station or neighbor (herding), while
+// sampling from π disperses them — the intended behavior of executing a
+// learned stochastic policy. Training rollouts run through Act as well (see
+// TrainCheckpointed).
 //
 // The slot is processed in three phases so the fleet-wide forward pass can
 // use every core without giving up determinism: observations are collected
@@ -250,14 +240,15 @@ func (f *FairMove) TrainCheckpointed(city *synth.City, episodes, days int, seed 
 		epSeed := seed + int64(ep)
 		env.Reset(epSeed)
 		f.BeginEpisode(epSeed)
-		f.exploring = true
 
 		// Lines 3-7 of Algorithm 1: roll out the joint policy, storing the
-		// transitions of all active e-taxis.
+		// transitions of all active e-taxis. Each slot runs one batched Act,
+		// which samples in vacant order from f.src — the same draws a
+		// per-taxi loop would make, because the transition callback only
+		// buffers and never touches the networks or f.src.
 		var buf []policy.Transition
 		stopEp := f.tel.EpisodeTime.Start()
-		mean := policy.RunEpisode(env,
-			func(id int, obs sim.Observation) int { return f.choose(obs) },
+		mean := policy.RunEpisode(env, policy.PolicyChooser(env, f),
 			f.cfg.Alpha, f.cfg.Gamma,
 			func(id int, tr policy.Transition) { buf = append(buf, tr.Detach()) },
 		)
@@ -273,7 +264,6 @@ func (f *FairMove) TrainCheckpointed(city *synth.City, episodes, days int, seed 
 			f.epDone = ep + 1
 			if opts.ShouldSave(f.epDone, episodes) {
 				if _, err := checkpoint.SaveDir(opts.Dir, f, opts.Keep); err != nil {
-					f.exploring = false
 					return stats, err
 				}
 			}
@@ -292,7 +282,11 @@ func (f *FairMove) TrainCheckpointed(city *synth.City, episodes, days int, seed 
 			for b := range idxs {
 				idxs[b] = f.src.Intn(len(buf))
 			}
-			lossSum += f.updateCritic(buf, idxs)
+			// Critic step, then actor step on the same minibatch: the actor's
+			// baseline comes from the just-updated critic, and the TD targets
+			// (from the per-episode target network) are shared.
+			f.loadBatch(buf, idxs)
+			lossSum += f.updateCritic()
 			advSum += f.updateActor(buf, idxs)
 			nUpd++
 			// Demonstration anchor: every few policy-gradient steps, one
@@ -303,6 +297,7 @@ func (f *FairMove) TrainCheckpointed(city *synth.City, episodes, days int, seed 
 				for b := range idxs {
 					idxs[b] = f.src.Intn(len(f.demo))
 				}
+				f.loadObs(f.demo, idxs)
 				f.cloneActor(f.demo, idxs)
 			}
 		}
@@ -318,12 +313,10 @@ func (f *FairMove) TrainCheckpointed(city *synth.City, episodes, days int, seed 
 		f.epDone = ep + 1
 		if opts.ShouldSave(f.epDone, episodes) {
 			if _, err := checkpoint.SaveDir(opts.Dir, f, opts.Keep); err != nil {
-				f.exploring = false
 				return stats, err
 			}
 		}
 	}
-	f.exploring = false
 	return stats, nil
 }
 
@@ -370,7 +363,8 @@ func (f *FairMove) PretrainCheckpointed(city *synth.City, guide policy.Policy, e
 				for b := range idxs {
 					idxs[b] = f.src.Intn(len(buf))
 				}
-				f.updateCritic(buf, idxs)
+				f.loadBatch(buf, idxs)
+				f.updateCritic()
 				f.cloneActor(buf, idxs)
 			}
 			f.targetCritic.CopyWeightsFrom(f.critic)
@@ -386,16 +380,30 @@ func (f *FairMove) PretrainCheckpointed(city *synth.City, guide policy.Policy, e
 	return nil
 }
 
-// cloneActor takes one behavior-cloning step toward the demonstrated
-// actions of a minibatch: one batched forward, fused per-row gradients, one
-// batched backward.
-func (f *FairMove) cloneActor(buf []policy.Transition, idxs []int) {
-	n := len(idxs)
-	f.actor.ZeroGrad()
-	f.upX = nn.EnsureMat(f.upX, n, sim.FeatureSize)
+// loadObs fills upX with the observations of the sampled transitions.
+func (f *FairMove) loadObs(buf []policy.Transition, idxs []int) {
+	f.upX = nn.EnsureMat(f.upX, len(idxs), sim.FeatureSize)
 	for b, i := range idxs {
 		f.upX.SetRow(b, buf[i].Obs)
 	}
+}
+
+// loadBatch loads one update minibatch: the observations into upX (loadObs)
+// and their TD targets into upY. The targets read only the target critic,
+// which changes once per episode, so one load serves a critic step and the
+// actor step after it.
+func (f *FairMove) loadBatch(buf []policy.Transition, idxs []int) {
+	f.loadObs(buf, idxs)
+	f.upY = nn.EnsureMat(f.upY, len(idxs), 1)
+	f.tdTargetsInto(buf, idxs, f.upY)
+}
+
+// cloneActor takes one behavior-cloning step toward the demonstrated
+// actions of the minibatch loadObs (or loadBatch) put in upX for the same
+// idxs: one batched forward, fused per-row gradients, one batched backward.
+func (f *FairMove) cloneActor(buf []policy.Transition, idxs []int) {
+	n := len(idxs)
+	f.actor.ZeroGrad()
 	logits := f.actor.Forward(f.upX, true)
 	f.upGrad = nn.EnsureMat(f.upGrad, n, sim.NumActions)
 	if f.upProbs == nil {
@@ -454,17 +462,11 @@ func (f *FairMove) tdTargetsInto(buf []policy.Transition, idxs []int, y *nn.Mat)
 	}
 }
 
-// updateCritic takes one minibatch step on L(θv) = (V(s) − y)² (Eq. 6) and
-// returns the batch loss. The target pass, prediction, and backprop each run
-// as one batched GEMM over learner-owned scratch.
-func (f *FairMove) updateCritic(buf []policy.Transition, idxs []int) float64 {
-	n := len(idxs)
-	f.upX = nn.EnsureMat(f.upX, n, sim.FeatureSize)
-	for b, i := range idxs {
-		f.upX.SetRow(b, buf[i].Obs)
-	}
-	f.upY = nn.EnsureMat(f.upY, n, 1)
-	f.tdTargetsInto(buf, idxs, f.upY)
+// updateCritic takes one minibatch step on L(θv) = (V(s) − y)² (Eq. 6)
+// over the batch loadBatch loaded, and returns the batch loss. The
+// prediction and backprop each run as one batched GEMM over learner-owned
+// scratch.
+func (f *FairMove) updateCritic() float64 {
 	f.critic.ZeroGrad()
 	pred := f.critic.Forward(f.upX, true)
 	loss, grad := nn.MSELossInto(pred, f.upY, f.upMSE)
@@ -482,20 +484,14 @@ func (f *FairMove) updateCritic(buf []policy.Transition, idxs []int) float64 {
 // Advantages are standardized within the batch and clipped — without this,
 // the noisy semi-MDP advantages random-walk the logits of rarely compared
 // actions (the five station ranks) until the softmax saturates on an
-// arbitrary one.
+// arbitrary one. It runs on the batch loadBatch loaded for the same idxs.
 func (f *FairMove) updateActor(buf []policy.Transition, idxs []int) float64 {
 	n := len(idxs)
 	f.actor.ZeroGrad()
-	f.upX = nn.EnsureMat(f.upX, n, sim.FeatureSize)
-	for b, i := range idxs {
-		f.upX.SetRow(b, buf[i].Obs)
-	}
 	logits := f.actor.Forward(f.upX, true)
 
-	// Advantage = batched TD target − batched critic value, both one GEMM
-	// pass over the same observation batch.
-	f.upY = nn.EnsureMat(f.upY, n, 1)
-	f.tdTargetsInto(buf, idxs, f.upY)
+	// Advantage = TD target − batched critic value over the same
+	// observation batch.
 	vals := f.critic.ForwardBatch(f.upX, 1)
 	if cap(f.upAdvs) < n {
 		f.upAdvs = make([]float64, n)
@@ -546,7 +542,9 @@ func (f *FairMove) updateActor(buf []policy.Transition, idxs []int) float64 {
 func (f *FairMove) Value(obs sim.Observation) float64 { return value(f.critic, obs.Features) }
 
 // Probs exposes the policy distribution (diagnostics, tests).
-func (f *FairMove) Probs(obs sim.Observation) []float64 { return f.probs(obs) }
+func (f *FairMove) Probs(obs sim.Observation) []float64 {
+	return nn.Softmax(f.actor.Forward1(obs.Features), obs.Mask[:])
+}
 
 // Save writes both networks.
 func (f *FairMove) Save(w io.Writer) error {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/policy"
@@ -57,6 +58,44 @@ func TestActProducesValidActions(t *testing.T) {
 	}
 	if env.InvalidActions() > 0 {
 		t.Fatalf("FairMove produced %d invalid actions", env.InvalidActions())
+	}
+}
+
+// TestBatchedRolloutMatchesPerTaxi guards the training rollout's batched
+// decide path: one episode driven by PolicyChooser over FairMove's Act (one
+// observe pass, one batched forward and vacant-order sampling per slot)
+// must close exactly the transitions of the same episode driven taxi by
+// taxi, each choice drawn from Probs with WeightedChoice on the learner's
+// stream — the per-taxi rollout the batched one replaced.
+func TestBatchedRolloutMatchesPerTaxi(t *testing.T) {
+	city := testCity(t, 3)
+	const seed = 17
+	f, err := New(DefaultConfig(0.6, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rollout := func(choose func(env sim.Environment) policy.Chooser) []policy.Transition {
+		env := sim.New(city, policy.EpisodeOptions(1, 1), seed)
+		f.BeginEpisode(seed)
+		var out []policy.Transition
+		policy.RunEpisode(env, choose(env), f.cfg.Alpha, f.cfg.Gamma,
+			func(id int, tr policy.Transition) { out = append(out, tr.Detach()) })
+		return out
+	}
+	batched := rollout(func(env sim.Environment) policy.Chooser { return policy.PolicyChooser(env, f) })
+	perTaxi := rollout(func(sim.Environment) policy.Chooser {
+		return func(id int, obs sim.Observation) int { return f.src.WeightedChoice(f.Probs(obs)) }
+	})
+	if len(batched) == 0 {
+		t.Fatal("the episode closed no transitions; the comparison would be vacuous")
+	}
+	if len(batched) != len(perTaxi) {
+		t.Fatalf("batched rollout closed %d transitions, per-taxi %d", len(batched), len(perTaxi))
+	}
+	for i := range batched {
+		if !reflect.DeepEqual(batched[i], perTaxi[i]) {
+			t.Fatalf("transition %d differs:\nbatched  %+v\nper-taxi %+v", i, batched[i], perTaxi[i])
+		}
 	}
 }
 

@@ -1,20 +1,28 @@
 package nn
 
-// Blocked float32 GEMM. The single real kernel is gemmNT, which computes
-// C = A @ Bᵀ with both operands row-major and the contraction dimension K
-// contiguous in memory — the pure dot-product layout, so the inner loop
-// streams both operands linearly. The other products (a@b, aᵀ@b) are
-// expressed by packing the relevant operand's transpose into a contiguous
-// panel and calling gemmNT (see tensor.go and the Dense backward pass).
+// Blocked float32 GEMM with two entries that differ only in B's layout:
+//
+//   - gemmNT computes C = A @ Bᵀ with B row-major n×k, the contraction
+//     dimension K contiguous in both operands — the forward pass's layout
+//     (a Dense layer stores W as Out×In).
+//   - gemmNN computes C = A @ B with B row-major k×n — the backward pass's
+//     layout: dL/dW = gzᵀ @ x reads the cached layer input in place and
+//     dL/dx = gz @ W reads W in place, so neither is transposed first.
+//
+// Both run on one panel driver and the same micro-kernels; only the packing
+// of B into the k-major panel differs (a transpose of B's rows for gemmNT, a
+// copy of B's row segments for gemmNN). aᵀ@b still packs its A operand's
+// transpose (see tensor.go and the Dense backward pass).
 //
 // Determinism contract: every output element is produced by ONE accumulator
-// chain summing a[i][p]·b[j][p] in strictly ascending p. Blocking and the
-// register-tiled micro-kernel change which elements are computed when, never
-// the per-element order — so results are bit-identical to the naive
-// dot-product reference at any block size, and partitioning rows across
-// workers (ForwardBatch) cannot change a single bit.
+// chain summing a[i][p]·b[j][p] (gemmNT) or a[i][p]·b[p][j] (gemmNN) in
+// strictly ascending p. Blocking and the register-tiled micro-kernel change
+// which elements are computed when, never the per-element order — so
+// results are bit-identical to the naive dot-product reference at any block
+// size and for either B layout, and partitioning rows across workers
+// (ForwardBatch) cannot change a single bit.
 //
-// gemmColBlock is the scalar kernel's only cache-tiling parameter: columns
+// gemmColBlock is gemmNTScalar's only cache-tiling parameter: columns
 // of C (= rows of B) are processed in blocks so the B slice touched by the
 // micro-kernel stays L1-resident (128 rows × K floats; at the repo's layer
 // widths K ≤ 64, that is ≤ 32 KiB). The M and K dimensions are not tiled —
@@ -42,7 +50,7 @@ const gemmPanelK = 256
 // other and to the naive reference, and the choice of path can never change
 // a result:
 //
-//   - gemmNTPanel (amd64 with AVX, see haveAVX and haveAVX512): packs B rows
+//   - gemmPanel (amd64 with AVX, see haveAVX and haveAVX512): packs B rows
 //     into a k-major panel 16 or 8 lanes wide and runs a 4×16 AVX-512 or
 //     4×8 AVX micro-kernel — one multiply + add per A element across the
 //     lanes, each lane one output element's chain. VMULPS and VADDPS round
@@ -52,15 +60,28 @@ const gemmPanelK = 256
 //   - gemmNTScalar: the portable 2×4 register-tiled loop, for m < 4,
 //     k > gemmPanelK, and CPUs or targets without AVX.
 func gemmNT(s *gemmScratch, m, n, k int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
-	if haveAVX && k > 0 && k <= gemmPanelK && m >= 4 {
-		if s == nil {
-			s = new(gemmScratch)
-		}
-		gemmNTPanel(s, m, n, k, a, lda, b, ldb, c, ldc)
+	if usePanel(m, k) {
+		gemmPanel(s, m, n, k, a, lda, b, ldb, c, ldc, true)
 		return
 	}
 	gemmNTScalar(m, n, k, a, lda, b, ldb, c, ldc)
 }
+
+// gemmNN writes C = A @ B. A is m×k with row stride lda, B is k×n with row
+// stride ldb, C is m×n with row stride ldc; every C cell is overwritten. It
+// takes the panel path under the same conditions as gemmNT, and otherwise
+// gemmNNScalar, which allocates nothing. Both are bit-identical to the
+// naive ascending-k reference, like gemmNT's two paths.
+func gemmNN(s *gemmScratch, m, n, k int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
+	if usePanel(m, k) {
+		gemmPanel(s, m, n, k, a, lda, b, ldb, c, ldc, false)
+		return
+	}
+	gemmNNScalar(m, n, k, a, lda, b, ldb, c, ldc)
+}
+
+// usePanel reports whether an m×k A operand takes the vector panel path.
+func usePanel(m, k int) bool { return haveAVX && k > 0 && k <= gemmPanelK && m >= 4 }
 
 // gemmScratch is the panel path's packing space: the k-major B panel
 // (lanes·k floats), the zero-padded row-tail A tile (4·k) and a C tile for
@@ -82,18 +103,24 @@ func grow(buf []float32, n int) []float32 {
 	return buf[:n]
 }
 
-// gemmNTPanel is the vector path. It walks the C columns in blocks of
+// gemmPanel is the vector path of both entries; transB selects gemmNT's B
+// layout (n×k), else gemmNN's (k×n). s is the caller's packing scratch
+// (nil allocates one for the call). It walks the C columns in blocks of
 // `lanes` — 16 on the AVX-512 tier while more than eight columns remain,
-// else 8 — packs the block's B rows k-major into the panel
-// (panel[t*lanes+l] = b[j+l][t], so the micro-kernel's load at step t
-// reads the block's B values of contraction index t) and sweeps the A rows
-// four at a time. A partial column block pads its missing B rows with zero
+// else 8 — packs the block's B values k-major into the panel
+// (panel[t*lanes+l] is B's value of contraction index t for column j+l —
+// b[j+l][t] for gemmNT, b[t][j+l] for gemmNN — so the micro-kernel's load
+// at step t reads the block's B values of contraction index t) and sweeps
+// the A rows four at a time. A partial column block pads its missing B rows with zero
 // lanes, and the last row block's missing A rows are zero rows of a packed
 // A tile. Full 4×lanes blocks are stored straight into C; a partial block
 // is computed into a C tile and only its valid cells are copied out. A
 // column tail of at most eight (the critic's n = 1, say) therefore stays on
 // the 8-lane kernel.
-func gemmNTPanel(s *gemmScratch, m, n, k int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
+func gemmPanel(s *gemmScratch, m, n, k int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int, transB bool) {
+	if s == nil {
+		s = new(gemmScratch)
+	}
 	maxLanes := 8
 	if haveAVX512 {
 		maxLanes = 16
@@ -115,7 +142,11 @@ func gemmNTPanel(s *gemmScratch, m, n, k int, a []float32, lda int, b []float32,
 		}
 		nb := min(lanes, n-j)
 		panel := s.panel[:k*lanes]
-		packPanel(panel, b[j*ldb:], ldb, k, nb, lanes)
+		if transB {
+			packPanel(panel, b[j*ldb:], ldb, k, nb, lanes)
+		} else {
+			packRows(panel, b[j:], ldb, k, nb, lanes)
+		}
 		for i := 0; i < m4; i += 4 {
 			if nb == lanes {
 				kernel(k, &a[i*lda], lda, &panel[0], &c[i*ldc+j], ldc)
@@ -160,6 +191,18 @@ func packPanel(panel, b []float32, ldb, k, nb, lanes int) {
 				panel[t*lanes+l] = 0
 			}
 		}
+	}
+}
+
+// packRows is packPanel for gemmNN's k×n B: it writes columns [0, nb) of
+// b's k rows (row stride ldb) into panel — panel[t*lanes+l] = b[t][l] — and
+// zeroes lanes [nb, lanes). B's row segments are already k-major, so each
+// contraction step is one copy.
+func packRows(panel, b []float32, ldb, k, nb, lanes int) {
+	for t := 0; t < k; t++ {
+		p := panel[t*lanes : (t+1)*lanes]
+		copy(p, b[t*ldb:t*ldb+nb])
+		clear(p[nb:])
 	}
 }
 
@@ -262,10 +305,29 @@ func gemmNTScalar(m, n, k int, a []float32, lda int, b []float32, ldb int, c []f
 	}
 }
 
+// gemmNNScalar is gemmNN's portable kernel. Each C row is cleared and then
+// accumulates one B row per contraction step, so every element's chain is
+// 0 + a[i][0]·b[0][j] + a[i][1]·b[1][j] + … in ascending p — the naive
+// reference's order — while the inner loop streams B rows. It allocates
+// nothing; the critic's 1-wide output layer takes it on every backward pass.
+func gemmNNScalar(m, n, k int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
+	for i := 0; i < m; i++ {
+		crow := c[i*ldc : i*ldc+n]
+		clear(crow)
+		for p, av := range a[i*lda : i*lda+k] {
+			brow := b[p*ldb : p*ldb+n]
+			brow = brow[:len(crow)] // bounds-check elimination for crow[j]
+			for j, bv := range brow {
+				crow[j] += av * bv
+			}
+		}
+	}
+}
+
 // packTranspose writes src's transpose into dst as a contiguous
 // Cols×Rows row-major panel, growing dst if needed, and returns it. This is
-// how a@b and aᵀ@b become gemmNT calls: the packed panel puts the
-// contraction dimension contiguous for the B side of the kernel.
+// how aᵀ@b becomes a gemmNN call: the packed panel puts the contraction
+// dimension contiguous for the A side of the kernel.
 func packTranspose(src *Mat, dst []float32) []float32 {
 	dst = grow(dst, src.Rows*src.Cols)
 	rows, cols := src.Rows, src.Cols

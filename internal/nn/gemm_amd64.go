@@ -14,7 +14,7 @@ var haveAVX = cpuHasAVX()
 // OSXSAVE and AVX, XCR0 XMM and YMM state).
 func cpuHasAVX() bool
 
-// haveAVX512 gates the 16-lane tier: gemmNTPanel's 4×16 micro-kernel and
+// haveAVX512 gates the 16-lane tier: gemmPanel's 4×16 micro-kernel and
 // SoftmaxInto's 8-lane exp. It needs AVX512F, FMA and OS-saved ZMM and
 // opmask state (see cpuHasAVX512), and implies haveAVX. Without it the
 // panel runs 8 lanes wide and every exp is math.Exp — the same bits.

@@ -66,7 +66,7 @@ noavx512:
 
 // func gemmKernel4x8(k int, a *float32, lda int, panel *float32, c *float32, ldc int)
 //
-// 4×8 AVX micro-kernel for gemmNTPanel. Y0–Y3 hold the four C rows of the
+// 4×8 AVX micro-kernel for gemmPanel. Y0–Y3 hold the four C rows of the
 // output block; per contraction step t one VMOVUPS fetches the eight packed
 // B values (panel is k-major) and each A element is broadcast
 // (VBROADCASTSS), multiplied (VMULPS), then accumulated (VADDPS) — the same

@@ -95,6 +95,11 @@ func (g stridedGemmCase) run(kernel func(s *gemmScratch, m, n, k int, a []float3
 	return c
 }
 
+// panelKernel is gemmNT's panel path in run's kernel signature.
+func panelKernel(s *gemmScratch, m, n, k int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
+	gemmPanel(s, m, n, k, a, lda, b, ldb, c, ldc, true)
+}
+
 // scalarKernel is gemmNTScalar in run's kernel signature.
 func scalarKernel(_ *gemmScratch, m, n, k int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
 	gemmNTScalar(m, n, k, a, lda, b, ldb, c, ldc)
@@ -220,14 +225,14 @@ func gemmPanelMatchesScalar(t *testing.T, tier string) {
 				for _, special := range []bool{false, true} {
 					pad := (m * n) % 3
 					g := newStridedGemmCase(src, m, n, k, 2-pad, pad, pad, special)
-					g.compare(t, tier+" panel vs scalar", g.run(gemmNTPanel), g.run(scalarKernel))
+					g.compare(t, tier+" panel vs scalar", g.run(panelKernel), g.run(scalarKernel))
 				}
 			}
 		}
 	}
 	for trial := 0; trial < 30; trial++ {
 		g := newStridedGemmCase(src, 4+src.Intn(60), 1+src.Intn(70), 1+src.Intn(80), src.Intn(3), src.Intn(3), src.Intn(3), trial%3 == 0)
-		g.compare(t, tier+" panel vs scalar", g.run(gemmNTPanel), g.run(scalarKernel))
+		g.compare(t, tier+" panel vs scalar", g.run(panelKernel), g.run(scalarKernel))
 	}
 }
 
@@ -306,5 +311,90 @@ func TestPackTranspose(t *testing.T) {
 	out := packTranspose(m, buf)
 	if &out[0] != &buf[0] {
 		t.Fatal("packTranspose reallocated a sufficient buffer")
+	}
+}
+
+// TestGemmNNMatchesNaive drives the gemmNN dispatcher (C = A @ B, B
+// row-major k×n) against the naive ascending-k reference at every kernel
+// tier the host runs: every m in 1..9 (the panel's row tails and the scalar
+// fallback below four rows), column counts around both panel widths and
+// the layer widths, contraction lengths up to and past gemmPanelK, with
+// padded strides (ldb > n among them) and NaN/±Inf/±0 operands. Operand
+// padding holds NaN and C padding a sentinel, as in the gemmNT sweeps.
+// Exact equality everywhere.
+func TestGemmNNMatchesNaive(t *testing.T) {
+	for _, tier := range hostKernelTiers() {
+		withKernelTier(tier, func() { gemmNNMatchesNaive(t, tier.name) })
+	}
+}
+
+func gemmNNMatchesNaive(t *testing.T, tier string) {
+	src := rng.New(59)
+	nan := float32(math.NaN())
+	specials := []float32{nan, float32(math.Inf(1)), float32(math.Inf(-1)), 0, float32(math.Copysign(0, -1))}
+	fill := func(rows, cols, ld int, special bool) []float32 {
+		x := make([]float32, (rows-1)*ld+cols)
+		for i := range x {
+			x[i] = nan
+		}
+		for r := 0; r < rows; r++ {
+			for c := 0; c < cols; c++ {
+				v := float32(src.Uniform(-2, 2))
+				if special && src.Intn(4) == 0 {
+					v = specials[src.Intn(len(specials))]
+				}
+				x[r*ld+c] = v
+			}
+		}
+		return x
+	}
+	for _, k := range []int{1, 9, 64, 256, 257} {
+		for m := 1; m <= 9; m++ {
+			for _, n := range []int{1, 7, 8, 9, 15, 16, 17, 55, 64} {
+				pad := (m + n + k) % 3
+				lda, ldb, ldc := k+pad, n+1+pad, n+2-pad
+				special := (m+n)%2 == 0
+				a, b := fill(m, k, lda, special), fill(k, n, ldb, special)
+				want := make([]float32, m*ldc)
+				got := make([]float32, m*ldc)
+				for i := range want {
+					want[i], got[i] = gemmCSentinel, gemmCSentinel
+				}
+				for i := 0; i < m; i++ {
+					for j := 0; j < n; j++ {
+						var s float32
+						for p := 0; p < k; p++ {
+							s += a[i*lda+p] * b[p*ldb+j]
+						}
+						want[i*ldc+j] = s
+					}
+				}
+				gemmNN(&sweepScratch, m, n, k, a, lda, b, ldb, got, ldc)
+				for i := range want {
+					if !sameFloat32(got[i], want[i]) {
+						t.Fatalf("%s gemmNN m=%d n=%d k=%d lda=%d ldb=%d ldc=%d: C[%d][%d]=%v, want %v (must be bit-identical; padding must stay %v)",
+							tier, m, n, k, lda, ldb, ldc, i/ldc, i%ldc, got[i], want[i], gemmCSentinel)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGemmNNAllocFree pins the zero-allocation promise of gemmNN's scalar
+// fallback (m < 4, the critic output layer's weight gradient) and of the
+// panel path on caller-owned scratch.
+func TestGemmNNAllocFree(t *testing.T) {
+	src := rng.New(61)
+	for _, m := range []int{1, 3, 4, 64} {
+		a, b := randMat(src, m, 64), randMat(src, 64, 55)
+		c := NewMat(m, 55)
+		var s gemmScratch
+		gemmNN(&s, m, 55, 64, a.Data, 64, b.Data, 55, c.Data, 55)
+		if allocs := testing.AllocsPerRun(20, func() {
+			gemmNN(&s, m, 55, 64, a.Data, 64, b.Data, 55, c.Data, 55)
+		}); allocs != 0 {
+			t.Fatalf("gemmNN m=%d allocates %v/op, want 0", m, allocs)
+		}
 	}
 }

@@ -112,17 +112,14 @@ type Dense struct {
 
 	// layer-owned scratch, reused call to call so the steady-state training
 	// loop allocates nothing: trOut backs Forward(train=true) output,
-	// bwGz/bwGw/bwGx back Backward's intermediates, and bwPackGz/bwPackIn/
-	// bwPackW hold the transposed panels Backward's GEMMs consume, and gemm
-	// is the GEMM panel's packing space. Each is valid only until the next
-	// corresponding call on this layer.
+	// bwGz/bwGw/bwGx back Backward's intermediates, bwPackGz holds gzᵀ for
+	// the weight-gradient GEMM, and gemm is the GEMM panel's packing space.
+	// Each is valid only until the next corresponding call on this layer.
 	trOut    *Mat
 	bwGz     *Mat
 	bwGw     *Mat
 	bwGx     *Mat
 	bwPackGz []float32
-	bwPackIn []float32
-	bwPackW  []float32
 	gemm     gemmScratch
 }
 
@@ -180,11 +177,16 @@ func (d *Dense) Forward(x *Mat, train bool) *Mat {
 // Forward must have been called with train=true. The returned matrix is
 // layer-owned scratch, valid until this layer's next Backward — the chained
 // MLP.Backward copies it into the next layer's own scratch immediately.
-// Both gradient products are gemmNT calls over layer-owned transposed
-// panels: dL/dW = gzᵀ @ x contracts over the batch index, so gz and x are
-// packed batch-contiguous; dL/dx = gz @ W contracts over Out, so W is packed
-// as Wᵀ.
-func (d *Dense) Backward(gradOut *Mat) *Mat {
+// Both gradient products are gemmNN calls: dL/dW = gzᵀ @ x contracts over
+// the batch index, so gz is packed batch-contiguous (a layer-owned panel)
+// and the cached input x is read in place; dL/dx = gz @ W contracts over
+// Out and reads W in place.
+func (d *Dense) Backward(gradOut *Mat) *Mat { return d.backward(gradOut, true) }
+
+// backward is Backward; with wantDx false it skips the dL/dx product and
+// returns nil (the first layer of an MLP, whose input gradient nothing
+// reads).
+func (d *Dense) backward(gradOut *Mat, wantDx bool) *Mat {
 	if d.lastIn == nil {
 		panic("nn: Backward before Forward(train=true)")
 	}
@@ -217,9 +219,8 @@ func (d *Dense) Backward(gradOut *Mat) *Mat {
 	}
 	// dL/dW += gzᵀ @ x ; dL/db += Σ gz rows
 	d.bwPackGz = packTranspose(gz, d.bwPackGz)
-	d.bwPackIn = packTranspose(d.lastIn, d.bwPackIn)
 	d.bwGw = ensureMat(d.bwGw, d.Out, d.In)
-	gemmNT(&d.gemm, d.Out, d.In, n, d.bwPackGz, n, d.bwPackIn, n, d.bwGw.Data, d.In)
+	gemmNN(&d.gemm, d.Out, d.In, n, d.bwPackGz, n, d.lastIn.Data, d.In, d.bwGw.Data, d.In)
 	for i, v := range d.bwGw.Data {
 		d.GradW.Data[i] += v
 	}
@@ -230,10 +231,12 @@ func (d *Dense) Backward(gradOut *Mat) *Mat {
 			gb[c] += v
 		}
 	}
+	if !wantDx {
+		return nil
+	}
 	// dL/dx = gz @ W
-	d.bwPackW = packTranspose(d.W, d.bwPackW)
 	d.bwGx = ensureMat(d.bwGx, n, d.In)
-	gemmNT(&d.gemm, n, d.In, d.Out, gz.Data, d.Out, d.bwPackW, d.Out, d.bwGx.Data, d.In)
+	gemmNN(&d.gemm, n, d.In, d.Out, gz.Data, d.Out, d.W.Data, d.In, d.bwGx.Data, d.In)
 	return d.bwGx
 }
 
@@ -318,10 +321,11 @@ func (m *MLP) Forward1(x []float64) []float32 {
 }
 
 // Backward propagates dL/dout through all layers, accumulating gradients.
+// The first layer's input gradient is never read, so it is not computed.
 func (m *MLP) Backward(gradOut *Mat) {
 	g := gradOut
 	for i := len(m.Layers) - 1; i >= 0; i-- {
-		g = m.Layers[i].Backward(g)
+		g = m.Layers[i].backward(g, i > 0)
 	}
 }
 

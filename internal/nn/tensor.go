@@ -92,16 +92,14 @@ func EnsureMat(out *Mat, rows, cols int) *Mat { return ensureMat(out, rows, cols
 func MatMul(a, b *Mat) *Mat { return MatMulInto(a, b, nil) }
 
 // MatMulInto computes a @ b into out's storage (reused when it fits, nil
-// allocates) and returns out. The b operand is packed transposed into a
-// temporary panel (allocated per call — the zero-alloc training path keeps
-// its packs layer-owned, see Dense.Backward).
+// allocates) and returns out. This is gemmNN's native layout: both operands
+// are read in place.
 func MatMulInto(a, b, out *Mat) *Mat {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("nn: MatMul shape mismatch %dx%d @ %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out = ensureMat(out, a.Rows, b.Cols)
-	bt := packTranspose(b, nil)
-	gemmNT(nil, a.Rows, b.Cols, a.Cols, a.Data, a.Cols, bt, b.Rows, out.Data, out.Cols)
+	gemmNN(nil, a.Rows, b.Cols, a.Cols, a.Data, a.Cols, b.Data, b.Cols, out.Data, out.Cols)
 	return out
 }
 
@@ -124,15 +122,15 @@ func MatMulTransBInto(a, b, out *Mat) *Mat {
 func MatMulTransA(a, b *Mat) *Mat { return MatMulTransAInto(a, b, nil) }
 
 // MatMulTransAInto computes aᵀ @ b into out's storage (reused when it fits,
-// nil allocates) and returns out. Both operands are packed transposed
-// (allocated per call; the training path uses layer-owned packs instead).
+// nil allocates) and returns out. a is packed transposed (allocated per
+// call; the training path uses a layer-owned pack instead) and b is read in
+// place by gemmNN.
 func MatMulTransAInto(a, b, out *Mat) *Mat {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("nn: MatMulTransA shape mismatch (%dx%d)ᵀ @ %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out = ensureMat(out, a.Cols, b.Cols)
 	at := packTranspose(a, nil)
-	bt := packTranspose(b, nil)
-	gemmNT(nil, a.Cols, b.Cols, a.Rows, at, a.Rows, bt, b.Rows, out.Data, out.Cols)
+	gemmNN(nil, a.Cols, b.Cols, a.Rows, at, a.Rows, b.Data, b.Cols, out.Data, out.Cols)
 	return out
 }

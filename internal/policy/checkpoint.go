@@ -320,6 +320,5 @@ func (t *TBA) DecodeCheckpoint(dec *checkpoint.Decoder) error {
 	t.demoDone, t.epDone, t.fineTuning = demoDone, epDone, fineTuning
 	t.baseline, t.baseN = baseline, baseN
 	t.net, t.opt, t.demo = net, opt, demo
-	t.exploring = false
 	return nil
 }

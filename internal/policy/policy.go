@@ -180,7 +180,8 @@ func RunEpisode(env sim.Environment, choose Chooser, alpha, gamma float64, onTra
 // policy's Act is invoked once per slot; mask-invalid or missing actions
 // fall back to the first valid index. It is how demonstration episodes
 // (e.g. ground-truth driver behavior) are fed to off-policy learners as a
-// warm start before on-policy fine-tuning.
+// warm start before on-policy fine-tuning, and how CMA2C and TBA run their
+// exploring rollouts with one batched forward pass per slot.
 func PolicyChooser(env sim.Environment, pol Policy) Chooser {
 	slot := -1
 	var acts map[int]sim.Action

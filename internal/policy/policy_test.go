@@ -173,18 +173,38 @@ func TestDQNRespectsMaskInGreedy(t *testing.T) {
 	}
 }
 
+// TestTBASamplesValidActions drives TBA's Act over the first slots of a
+// small city and requires every sampled action to be valid under the
+// taxi's mask. Some masks must exclude actions, or the check is vacuous.
 func TestTBASamplesValidActions(t *testing.T) {
+	env := sim.New(testCity(t, 9), sim.DefaultOptions(1), 9)
 	tba := NewTBA(9)
-	tba.exploring = true
 	tba.BeginEpisode(9)
-	obs := sim.Observation{Features: make([]float64, sim.FeatureSize)}
-	obs.Mask[0] = true
-	obs.Mask[5] = true
-	for i := 0; i < 100; i++ {
-		a := tba.sample(obs)
-		if a != 0 && a != 5 {
-			t.Fatalf("sampled masked action %d", a)
+	var sampled, restricted int
+	for slot := 0; slot < 12 && !env.Done(); slot++ {
+		vacant := env.VacantTaxis()
+		acts := tba.Act(env, vacant)
+		for _, id := range vacant {
+			a, ok := acts[id]
+			if !ok {
+				t.Fatalf("slot %d: no action for vacant taxi %d", slot, id)
+			}
+			mask := env.ValidMask(id)
+			if !mask[sim.ActionIndex(a)] {
+				t.Fatalf("slot %d: taxi %d sampled masked action %+v", slot, id, a)
+			}
+			sampled++
+			for _, valid := range mask {
+				if !valid {
+					restricted++
+					break
+				}
+			}
 		}
+		env.Step(acts)
+	}
+	if sampled == 0 || restricted == 0 {
+		t.Fatalf("%d samples, %d under a restricting mask: the check is vacuous", sampled, restricted)
 	}
 }
 

@@ -42,6 +42,11 @@ type TBA struct {
 	bcAdvs  []float64
 	bcIdx   []int
 
+	// Act scratch, reused call to call (as FairMove's): the slot's
+	// observations and their feature rows.
+	actObs  []sim.Observation
+	actRows [][]float64
+
 	// running return baseline
 	baseline float64
 	baseN    int
@@ -49,8 +54,6 @@ type TBA struct {
 	// demo holds Pretrain transitions; Train replays behavior-cloning
 	// batches from it to anchor the actor while REINFORCE returns are noisy.
 	demo []Transition
-
-	exploring bool
 
 	// resume cursors (see the DQN fields of the same name). fineTuning
 	// records that Train already swapped in the gentler optimizer, so a
@@ -88,23 +91,22 @@ func (t *TBA) Name() string { return "TBA" }
 // BeginEpisode implements Policy.
 func (t *TBA) BeginEpisode(seed int64) { t.src = rng.SplitStable(seed, "tba") }
 
-// sample draws an action from the masked softmax policy. Sampling is used
-// at evaluation time too: identical agents sharing an observation disperse
-// naturally under a stochastic policy, where an argmax would herd them.
-func (t *TBA) sample(obs sim.Observation) int {
-	logits := t.net.Forward1(obs.Features)
-	return t.src.WeightedChoice(nn.Softmax(logits, obs.Mask[:]))
-}
-
-// Act implements Policy. Observations are collected serially (Observe
+// Act implements Policy: it draws each vacant taxi's action from the masked
+// softmax policy. Sampling is used at evaluation time too: identical agents
+// sharing an observation disperse naturally under a stochastic policy, where
+// an argmax would herd them. Observations are collected serially (Observe
 // refreshes env caches), the shared actor evaluates all rows sharded across
 // Workers, and sampling then consumes t.src serially in vacant order — the
 // same draw sequence as a per-taxi loop, so output is byte-identical for
-// any worker count.
+// any worker count. Training rollouts run through Act as well.
 func (t *TBA) Act(env sim.Environment, vacant []int) map[int]sim.Action {
 	actions := make(map[int]sim.Action, len(vacant))
-	obs := make([]sim.Observation, len(vacant))
-	rows := make([][]float64, len(vacant))
+	if cap(t.actObs) < len(vacant) {
+		t.actObs = make([]sim.Observation, len(vacant))
+		t.actRows = make([][]float64, len(vacant))
+	}
+	obs := t.actObs[:len(vacant)]
+	rows := t.actRows[:len(vacant)]
 	for i, id := range vacant {
 		obs[i] = env.Observe(id)
 		rows[i] = obs[i].Features
@@ -219,12 +221,12 @@ func (t *TBA) TrainCheckpointed(city *synth.City, episodes, days int, seed int64
 		epSeed := seed + int64(ep)
 		env.Reset(epSeed)
 		t.BeginEpisode(epSeed)
-		t.exploring = true
 
+		// One batched Act per slot draws the same actions as a per-taxi
+		// loop: the transition callback only buffers.
 		var batch []Transition
 		stopEp := t.tel.EpisodeTime.Start()
-		mean := RunEpisode(env,
-			func(id int, obs sim.Observation) int { return t.sample(obs) },
+		mean := RunEpisode(env, PolicyChooser(env, t),
 			1.0, // selfish: no fairness term
 			t.Gamma,
 			func(id int, tr Transition) { batch = append(batch, tr.Detach()) },
@@ -273,12 +275,10 @@ func (t *TBA) TrainCheckpointed(city *synth.City, episodes, days int, seed int64
 		t.epDone = ep + 1
 		if opts.ShouldSave(t.epDone, episodes) {
 			if _, err := checkpoint.SaveDir(opts.Dir, t, opts.Keep); err != nil {
-				t.exploring = false
 				return stats, err
 			}
 		}
 	}
-	t.exploring = false
 	return stats, nil
 }
 

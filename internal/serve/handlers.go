@@ -128,13 +128,45 @@ type stepResponse struct {
 	Done    bool `json:"done"`
 }
 
+// maxControlBytes bounds a /step or /policy/reload request body.
+const maxControlBytes = 1 << 16
+
+// decodeControl reads a /step or /policy/reload body into v as one JSON
+// object, strictly: an unknown key (a mistyped "slot" for "slots") and
+// anything but JSON whitespace after the object are errors, so a request
+// the service would misread is refused rather than half-applied. An empty
+// body is allowed when emptyOK and leaves v unchanged.
+func decodeControl(r *http.Request, v any, emptyOK bool) error {
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxControlBytes+1))
+	if err != nil {
+		return err
+	}
+	if len(body) > maxControlBytes {
+		return fmt.Errorf("serve: request body exceeds %d bytes", maxControlBytes)
+	}
+	if len(body) == 0 && emptyOK {
+		return nil
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	for _, c := range body[dec.InputOffset():] {
+		switch c {
+		case ' ', '\t', '\r', '\n':
+		default:
+			return fmt.Errorf("serve: data after the request object")
+		}
+	}
+	return nil
+}
+
 func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 	var req stepRequest
-	if r.ContentLength != 0 {
-		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
+	if err := decodeControl(r, &req, true); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
 	}
 	if s.Draining() {
 		writeError(w, http.StatusServiceUnavailable, ErrDraining)
@@ -164,7 +196,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req reloadRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
+	if err := decodeControl(r, &req, false); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}

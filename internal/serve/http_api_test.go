@@ -300,6 +300,41 @@ func TestHTTPIngestTrailingData(t *testing.T) {
 	}
 }
 
+// TestHTTPControlBodiesStrict: /step and /policy/reload refuse an unknown
+// key and anything after the request object with a 400, and neither steps
+// the service nor reaches the reload hook; an empty /step body and
+// trailing whitespace stay valid.
+func TestHTTPControlBodiesStrict(t *testing.T) {
+	srv, ts := apiServer(t, func(path string) (policy.Policy, error) {
+		t.Errorf("reload hook reached with path %q", path)
+		return nil, fmt.Errorf("unexpected reload")
+	})
+	for _, body := range []string{`{"slot":3}`, `{"slots":2} x`, `{"slots":2}}`, `{"slots":2}{}`} {
+		if resp, msg := postJSON(t, ts.URL+"/step", body); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("/step %q: %s: %s, want 400", body, resp.Status, msg)
+		}
+	}
+	if got := srv.Slot(); got != 0 {
+		t.Fatalf("rejected /step bodies advanced the service to slot %d", got)
+	}
+	for _, body := range []string{`{"path":"p","extra":1}`, `{"path":"p"} x`} {
+		if resp, msg := postJSON(t, ts.URL+"/policy/reload", body); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("/policy/reload %q: %s: %s, want 400", body, resp.Status, msg)
+		}
+	}
+	for _, body := range []string{"", "{\"slots\":2} \t\r\n"} {
+		if resp, msg := postJSON(t, ts.URL+"/step", body); resp.StatusCode != http.StatusOK {
+			t.Errorf("/step %q: %s: %s, want 200", body, resp.Status, msg)
+		}
+	}
+	if got := srv.Slot(); got != 3 {
+		t.Fatalf("slot %d after an empty and a two-slot /step, want 3", got)
+	}
+	if resp, msg := postJSON(t, ts.URL+"/step", `{"slots":1}`+strings.Repeat(" ", maxControlBytes)); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("/step over %d bytes: %s: %s, want 400", maxControlBytes, resp.Status, msg)
+	}
+}
+
 // TestHTTPIngestBodyLimit: a body one byte over maxBodyBytes answers 413
 // whether its length is declared or streamed, a body of exactly
 // maxBodyBytes is admitted, and a declared length that understates the body
