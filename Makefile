@@ -5,6 +5,7 @@
 # coverage floor on the fault-injection surface.
 
 GO ?= go
+GOFMT ?= gofmt
 
 # Statement-coverage floor for the scenario engine, the trace codec, the
 # simulator and its sharded driver, and the learning stack (nn kernels,
@@ -14,9 +15,16 @@ GO ?= go
 COVER_PKGS = ./internal/scenario/ ./internal/trace/ ./internal/checkpoint/ ./internal/sim/ ./internal/invariant/ ./internal/serve/ ./internal/nn/ ./internal/core/ ./internal/policy/
 COVER_FLOOR = 70
 
-.PHONY: ci vet build cross perfbench test race cover alloc-gate smoke resume-smoke shard-smoke serve-smoke soak battery fuzz-battery bench-record fuzz bench
+.PHONY: ci fmt vet build cross perfbench test race cover alloc-gate smoke resume-smoke shard-smoke serve-smoke soak battery fuzz-battery bench-record fuzz bench
 
-ci: vet build cross perfbench test race cover alloc-gate smoke resume-smoke shard-smoke serve-smoke battery
+ci: fmt vet build cross perfbench test race cover alloc-gate smoke resume-smoke shard-smoke serve-smoke battery
+
+# Formatting gate: fail when gofmt would rewrite any Go file of the main
+# module or of the perfbench module (.bench_build/ holds the benchmark's
+# build caches, not source).
+fmt:
+	@files=$$(find . -name '*.go' -not -path './.git/*' -not -path './.bench_build/*' -exec $(GOFMT) -l {} +); \
+		if [ -n "$$files" ]; then echo "gofmt -l lists:"; echo "$$files"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

@@ -77,18 +77,15 @@ func run(out string, seed int64, days, fleet, regions, stations int) error {
 	}
 
 	env := sim.New(city, sim.DefaultOptions(days), seed)
-	gt := policy.NewGroundTruth()
-	gt.BeginEpisode(seed)
+	r := policy.NewRunner(policy.NewGroundTruth(), env, seed)
 	jitter := rng.SplitStable(seed, "gps-jitter")
 
 	var gpsRows int
-	for !env.Done() {
-		vacant := env.VacantTaxis()
-		env.Step(gt.Act(env, vacant))
+	for !r.Done() {
+		r.StepSlot()
 		// One GPS fix per taxi per slot: region centroid with jitter, the
 		// occupied flag from the state machine, speed from the time of day.
 		now := env.Now()
-		hour := (now / 60) % 24
 		for id := 0; id < fleet; id++ {
 			c := city.Partition.Region(env.TaxiRegion(id)).Centroid
 			state := env.TaxiState(id)
@@ -114,7 +111,6 @@ func run(out string, seed int64, days, fleet, regions, stations int) error {
 			}
 			gpsRows++
 		}
-		_ = hour
 	}
 	if err := gps.Flush(); err != nil {
 		return err

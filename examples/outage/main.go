@@ -59,12 +59,7 @@ func main() {
 	}
 
 	run := func(name string, p policy.Policy) {
-		env.Reset(6)
-		p.BeginEpisode(6)
-		for !env.Done() {
-			env.Step(p.Act(env, env.VacantTaxis()))
-		}
-		res := env.Results()
+		res := policy.Evaluate(p, env, 6)
 		med, _ := stats.Median(res.IdleTimes())
 		fmt.Printf("%-28s meanPE=%6.2f  median idle=%5.1f min  served=%d\n",
 			name, metrics.FleetPE(res), med, res.ServedRequests)

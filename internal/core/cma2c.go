@@ -248,9 +248,12 @@ func (f *FairMove) TrainCheckpointed(city *synth.City, episodes, days int, seed 
 		// buffers and never touches the networks or f.src.
 		var buf []policy.Transition
 		stopEp := f.tel.EpisodeTime.Start()
-		mean := policy.RunEpisode(env, policy.PolicyChooser(env, f),
-			f.cfg.Alpha, f.cfg.Gamma,
-			func(id int, tr policy.Transition) { buf = append(buf, tr.Detach()) },
+		mean := policy.RunEpisode(env, f, false, f.cfg.Alpha, f.cfg.Gamma,
+			func(id int, tr *policy.Transition) {
+				if tr != nil {
+					buf = append(buf, tr.Detach())
+				}
+			},
 		)
 		stats.MeanReward = append(stats.MeanReward, mean)
 		stats.Transitions += len(buf)

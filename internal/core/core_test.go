@@ -61,12 +61,24 @@ func TestActProducesValidActions(t *testing.T) {
 	}
 }
 
+// perTaxiActor is the per-taxi rollout the batched one replaced: each
+// vacant taxi is observed and sampled on its own, from Probs with
+// WeightedChoice on the learner's stream.
+type perTaxiActor struct{ *FairMove }
+
+func (p perTaxiActor) Act(env sim.Environment, vacant []int) map[int]sim.Action {
+	acts := make(map[int]sim.Action, len(vacant))
+	for _, id := range vacant {
+		acts[id] = sim.ActionFromIndex(p.src.WeightedChoice(p.Probs(env.Observe(id))))
+	}
+	return acts
+}
+
 // TestBatchedRolloutMatchesPerTaxi guards the training rollout's batched
-// decide path: one episode driven by PolicyChooser over FairMove's Act (one
-// observe pass, one batched forward and vacant-order sampling per slot)
-// must close exactly the transitions of the same episode driven taxi by
-// taxi, each choice drawn from Probs with WeightedChoice on the learner's
-// stream — the per-taxi rollout the batched one replaced.
+// decide path: one episode driven by FairMove's Act (one observe pass, one
+// batched forward and vacant-order sampling per slot) must close exactly
+// the transitions of the same episode driven taxi by taxi through
+// perTaxiActor with RunEpisode's perTaxi set.
 func TestBatchedRolloutMatchesPerTaxi(t *testing.T) {
 	city := testCity(t, 3)
 	const seed = 17
@@ -74,18 +86,20 @@ func TestBatchedRolloutMatchesPerTaxi(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rollout := func(choose func(env sim.Environment) policy.Chooser) []policy.Transition {
+	rollout := func(pol policy.Policy, perTaxi bool) []policy.Transition {
 		env := sim.New(city, policy.EpisodeOptions(1, 1), seed)
 		f.BeginEpisode(seed)
 		var out []policy.Transition
-		policy.RunEpisode(env, choose(env), f.cfg.Alpha, f.cfg.Gamma,
-			func(id int, tr policy.Transition) { out = append(out, tr.Detach()) })
+		policy.RunEpisode(env, pol, perTaxi, f.cfg.Alpha, f.cfg.Gamma,
+			func(id int, tr *policy.Transition) {
+				if tr != nil {
+					out = append(out, tr.Detach())
+				}
+			})
 		return out
 	}
-	batched := rollout(func(env sim.Environment) policy.Chooser { return policy.PolicyChooser(env, f) })
-	perTaxi := rollout(func(sim.Environment) policy.Chooser {
-		return func(id int, obs sim.Observation) int { return f.src.WeightedChoice(f.Probs(obs)) }
-	})
+	batched := rollout(f, false)
+	perTaxi := rollout(perTaxiActor{f}, true)
 	if len(batched) == 0 {
 		t.Fatal("the episode closed no transitions; the comparison would be vacuous")
 	}

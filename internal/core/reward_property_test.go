@@ -17,6 +17,30 @@ import (
 // manually (the chooser is deterministic, so both passes see the same
 // demand realization and actions) and reconciles RunEpisode's accumulated
 // transition rewards against the objective computed from raw env state.
+// firstValid is deterministic and rng-free, so the two passes of the test
+// below drive byte-identical trajectories from the same seed.
+func firstValid(mask [sim.NumActions]bool) int {
+	for i, ok := range mask {
+		if ok {
+			return i
+		}
+	}
+	return 0
+}
+
+// firstValidPolicy gives every vacant taxi its firstValid action.
+type firstValidPolicy struct{}
+
+func (firstValidPolicy) Name() string       { return "first-valid" }
+func (firstValidPolicy) BeginEpisode(int64) {}
+func (firstValidPolicy) Act(env sim.Environment, vacant []int) map[int]sim.Action {
+	acts := make(map[int]sim.Action, len(vacant))
+	for _, id := range vacant {
+		acts[id] = sim.ActionFromIndex(firstValid(env.ValidMask(id)))
+	}
+	return acts
+}
+
 func TestRewardTelescopesToEpisodeObjective(t *testing.T) {
 	city, err := synth.Build(synth.TestConfig(5))
 	if err != nil {
@@ -26,24 +50,15 @@ func TestRewardTelescopesToEpisodeObjective(t *testing.T) {
 		const seed = 31
 		opts := sim.DefaultOptions(1)
 
-		// firstValid is deterministic and rng-free, so the two passes below
-		// drive byte-identical trajectories from the same seed.
-		firstValid := func(mask [sim.NumActions]bool) int {
-			for i, ok := range mask {
-				if ok {
-					return i
-				}
-			}
-			return 0
-		}
-
 		// Pass 1: RunEpisode accumulates each taxi's transition rewards.
 		env := sim.New(city, opts, seed)
 		got := make(map[int]float64)
-		policy.RunEpisode(env,
-			func(id int, obs sim.Observation) int { return firstValid(obs.Mask) },
-			alpha, 1.0,
-			func(id int, tr policy.Transition) { got[id] += tr.Reward },
+		policy.RunEpisode(env, firstValidPolicy{}, false, alpha, 1.0,
+			func(id int, tr *policy.Transition) {
+				if tr != nil {
+					got[id] += tr.Reward
+				}
+			},
 		)
 
 		// Pass 2: manual replay, tracking PF before each taxi's first

@@ -76,12 +76,11 @@ func CollectDemosFrom(shards int, city *synth.City, guide Policy, from, episodes
 		env := sim.New(city, EpisodeOptions(days, shards), epSeed)
 		g.BeginEpisode(epSeed)
 		var buf []Transition
-		chooser := PolicyChooser(env, g)
-		RunEpisode(env,
-			func(id int, obs sim.Observation) int { return chooser(id, obs) },
-			alpha, gamma,
-			func(id int, tr Transition) { buf = append(buf, tr.Detach()) },
-		)
+		RunEpisode(env, g, false, alpha, gamma, func(id int, tr *Transition) {
+			if tr != nil {
+				buf = append(buf, tr.Detach())
+			}
+		})
 		return buf
 	}
 	if parallel.Resolve(workers) == 1 || n == 1 {

@@ -117,14 +117,8 @@ func (d *DQN) Name() string { return "DQN" }
 // BeginEpisode implements Policy.
 func (d *DQN) BeginEpisode(seed int64) { d.src = rng.SplitStable(seed, "dqn") }
 
-// greedy returns the valid action with the highest Q.
-func (d *DQN) greedy(net *nn.MLP, obs []float64, mask [sim.NumActions]bool) (int, float64) {
-	return maskedArgmax(net.Forward1(obs), mask)
-}
-
 // maskedArgmax returns the valid action with the highest Q in a float32
-// Q-row, or (0, 0) when no action is valid — the convention greedy always
-// used.
+// Q-row, or (0, 0) when no action is valid.
 func maskedArgmax(qs []float32, mask [sim.NumActions]bool) (int, float64) {
 	best, bestQ := -1, math.Inf(-1)
 	for i := 0; i < sim.NumActions; i++ {
@@ -138,29 +132,9 @@ func maskedArgmax(qs []float32, mask [sim.NumActions]bool) (int, float64) {
 	return best, bestQ
 }
 
-func (d *DQN) choose(obs sim.Observation) int {
-	eps := d.EvalEpsilon
-	if d.exploring {
-		eps = d.eps
-	}
-	if d.src.Bool(eps) {
-		var valid []int
-		for i, ok := range obs.Mask {
-			if ok {
-				valid = append(valid, i)
-			}
-		}
-		if len(valid) == 0 {
-			return 0
-		}
-		return valid[d.src.Intn(len(valid))]
-	}
-	a, _ := d.greedy(d.net, obs.Features, obs.Mask)
-	return a
-}
-
-// chooseFromQ is choose with the Q-row already evaluated. The ε draw comes
-// first, exactly as in choose, so the d.src draw sequence is unchanged.
+// chooseFromQ is the ε-greedy choice over an evaluated Q-row: with
+// probability eps a uniformly random valid action, otherwise the masked
+// argmax. The ε draw always comes first.
 func (d *DQN) chooseFromQ(obs sim.Observation, qs []float32, eps float64) int {
 	if d.src.Bool(eps) {
 		var valid []int
@@ -209,7 +183,7 @@ func (d *DQN) Act(env sim.Environment, vacant []int) map[int]sim.Action {
 
 // remember stores a transition in the fixed-capacity ring-buffer replay
 // memory, copying Obs/NextObs into the slot's own storage — the incoming
-// slices borrow RunEpisode/env buffers, and an overwritten slot donates its
+// slices borrow RunEpisode buffers, and an overwritten slot donates its
 // old backing arrays, so a full ring recycles storage instead of allocating.
 func (d *DQN) remember(tr Transition) {
 	d.tel.Transitions.Inc()
@@ -376,14 +350,17 @@ func (d *DQN) TrainCheckpointed(city *synth.City, episodes, days int, seed int64
 			frac := float64(ep) / float64(episodes-1)
 			d.eps = d.Epsilon + (d.MinEps-d.Epsilon)*frac
 		}
+		// Per-taxi Acts: a learn step inside the callback moves the weights
+		// that every later taxi of the same slot decides with.
 		learnEvery := 4
 		nSeen := 0
 		stopEp := d.tel.EpisodeTime.Start()
-		mean := RunEpisode(env,
-			func(id int, obs sim.Observation) int { return d.choose(obs) },
-			d.Alpha, d.Gamma,
-			func(id int, tr Transition) {
-				d.remember(tr)
+		mean := RunEpisode(env, d, true, d.Alpha, d.Gamma,
+			func(id int, tr *Transition) {
+				if tr == nil {
+					return
+				}
+				d.remember(*tr)
 				nSeen++
 				if nSeen%learnEvery == 0 {
 					d.learn()

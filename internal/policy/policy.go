@@ -7,6 +7,8 @@
 package policy
 
 import (
+	"slices"
+
 	"repro/internal/sim"
 )
 
@@ -16,7 +18,10 @@ type Policy interface {
 	Name() string
 	// Act returns actions for the given vacant taxis. Missing entries
 	// default to Stay. Implementations must respect the environment's
-	// action mask; violations are coerced and counted.
+	// action mask; violations are coerced and counted. Runner.StepSlot is
+	// its only caller: once per slot with the whole vacant set, or, in a
+	// per-taxi training rollout (RunEpisode), once per taxi with a
+	// one-element vacant slice.
 	Act(env sim.Environment, vacant []int) map[int]sim.Action
 	// BeginEpisode resets any per-episode state (e.g. exploration).
 	BeginEpisode(seed int64)
@@ -45,10 +50,11 @@ func SlotReward(env sim.Environment, id int, alpha, pfDelta float64) float64 {
 // decision, and the observation there. Elapsed counts slots between the two
 // decisions (≥1), used to discount the bootstrap term by gamma^Elapsed.
 //
-// Inside RunEpisode's onTransition callback, Obs and NextObs borrow reused
-// buffers that the same taxi's next decision overwrites: a callback that
-// stores the transition beyond its own return must Detach it (or copy the
-// slices into storage it owns, as the DQN replay ring does).
+// RunEpisode's onDecision callback gets a borrowed *Transition: the
+// transition itself and its Obs and NextObs buffers are reused by the same
+// taxi's next decision, so a callback that stores the transition beyond its
+// own return must Detach a copy (or copy the slices into storage it owns, as
+// the DQN replay ring does).
 type Transition struct {
 	Obs      []float64
 	Mask     [sim.NumActions]bool
@@ -61,7 +67,7 @@ type Transition struct {
 }
 
 // Detach returns the transition with Obs and NextObs copied into fresh
-// storage, safe to keep after the onTransition callback returns. A nil
+// storage, safe to keep after the onDecision callback returns. A nil
 // NextObs (terminal transitions) stays nil.
 func (tr Transition) Detach() Transition {
 	tr.Obs = append([]float64(nil), tr.Obs...)
@@ -71,102 +77,96 @@ func (tr Transition) Detach() Transition {
 	return tr
 }
 
-// Chooser selects a flattened action index given a taxi's observation.
-type Chooser func(id int, obs sim.Observation) int
-
-// RunEpisode drives env to completion, choosing actions with choose,
-// accumulating Eq. 5 rewards with the given alpha and gamma, and invoking
-// onTransition for every closed semi-MDP transition. It returns the mean
-// per-decision reward (the "average reward r" of Table IV).
+// RunEpisode drives env from its current state to the horizon under pol,
+// accumulating Eq. 5 rewards with the given alpha and gamma. It returns the
+// mean per-decision reward (the "average reward r" of Table IV). The caller
+// resets env and begins pol's episode; the slots run through a Runner.
 //
-// A transition opens when a vacant taxi acts and closes at that taxi's next
-// decision (or at the horizon, marked Terminal). Rewards earned in the
+// A transition opens when a vacant taxi decides and closes at that taxi's
+// next decision (or at the horizon, marked Terminal). Rewards earned in the
 // intervening slots — fares collected, charging costs paid, and the fleet
-// fairness term — are discounted by gamma per slot.
-func RunEpisode(env sim.Environment, choose Chooser, alpha, gamma float64, onTransition func(id int, tr Transition)) (meanReward float64) {
+// fairness term — are discounted by gamma per slot. onDecision, when set,
+// runs at each decision before pol decides the taxi, with the transition it
+// closes (nil at the taxi's first decision), and once more per open
+// transition at the horizon. The transition is borrowed (see Transition).
+//
+// With perTaxi false one Act decides the whole vacant set after every
+// onDecision call of the slot. With perTaxi true each taxi gets its own Act
+// right after its onDecision call, so a learner that learns inside
+// onDecision decides each later taxi of the slot with what the earlier
+// ones taught it.
+//
+// A transition records the action Step executes: a mask-invalid choice is
+// recorded as the first valid index, which is what Step coerces it to.
+func RunEpisode(env sim.Environment, pol Policy, perTaxi bool, alpha, gamma float64, onDecision func(id int, tr *Transition)) (meanReward float64) {
 	type pending struct {
-		// feats is a pend-owned copy of the opening observation's features:
+		// tr.Obs is a pend-owned copy of the opening observation's features:
 		// Observation.Features borrows an env buffer the same taxi's next
 		// Observe rewrites, and a transition stays open across many slots.
-		feats   []float64
-		mask    [sim.NumActions]bool
-		action  int
-		reward  float64
+		tr      Transition
 		gammaPw float64
-		elapsed int
 		open    bool
 	}
 	pend := make([]pending, len(env.City().Fleet))
 
+	r := &Runner{env: env, pol: pol, perTaxi: perTaxi, beforeAct: func(id int) {
+		obs := env.Observe(id)
+		p := &pend[id]
+		if onDecision != nil {
+			var closed *Transition
+			if p.open {
+				closed = &p.tr
+				closed.NextObs, closed.NextMask = obs.Features, obs.Mask
+			}
+			onDecision(id, closed)
+		}
+		p.tr = Transition{Obs: append(p.tr.Obs[:0], obs.Features...), Mask: obs.Mask}
+		p.gammaPw = 1
+		p.open = true
+	}}
+
 	var rewardSum float64
 	var rewardN int
 	_, pfPrev := env.FleetPEStats()
-
-	actions := make(map[int]sim.Action)
 	for !env.Done() {
-		vacant := env.VacantTaxis()
-		clear(actions)
-		for _, id := range vacant {
-			obs := env.Observe(id)
-			// Close the previous transition at this new decision point.
-			if pend[id].open && onTransition != nil {
-				onTransition(id, Transition{
-					Obs:      pend[id].feats,
-					Mask:     pend[id].mask,
-					Action:   pend[id].action,
-					Reward:   pend[id].reward,
-					NextObs:  obs.Features,
-					NextMask: obs.Mask,
-					Elapsed:  pend[id].elapsed,
-				})
+		for _, d := range r.StepSlot() {
+			p := &pend[d.Taxi]
+			p.tr.Action = sim.ActionIndex(d.Action)
+			if !p.tr.Mask[p.tr.Action] {
+				if i := slices.Index(p.tr.Mask[:], true); i >= 0 {
+					p.tr.Action = i
+				}
 			}
-			idx := choose(id, obs)
-			actions[id] = sim.ActionFromIndex(idx)
-			p := &pend[id]
-			p.feats = append(p.feats[:0], obs.Features...)
-			p.mask = obs.Mask
-			p.action = idx
-			p.reward = 0
-			p.gammaPw = 1
-			p.elapsed = 0
-			p.open = true
 		}
 
-		env.Step(actions)
-
-		// Accrue this slot's reward into every open transition.
+		// Accrue this slot's reward into every open transition; one opened
+		// this slot (Elapsed still 0) counts toward the decision mean.
 		_, pfNow := env.FleetPEStats()
 		pfDelta := pfNow - pfPrev
 		pfPrev = pfNow
 		for id := range pend {
-			if !pend[id].open {
+			p := &pend[id]
+			if !p.open {
 				continue
 			}
-			r := SlotReward(env, id, alpha, pfDelta)
-			pend[id].reward += pend[id].gammaPw * r
-			pend[id].gammaPw *= gamma
-			pend[id].elapsed++
-			if _, acted := actions[id]; acted {
-				rewardSum += r
+			rw := SlotReward(env, id, alpha, pfDelta)
+			if p.tr.Elapsed == 0 {
+				rewardSum += rw
 				rewardN++
 			}
+			p.tr.Reward += p.gammaPw * rw
+			p.gammaPw *= gamma
+			p.tr.Elapsed++
 		}
 	}
 
 	// Close transitions still open at the horizon.
-	if onTransition != nil {
+	if onDecision != nil {
 		for id := range pend {
-			if !pend[id].open {
-				continue
+			if p := &pend[id]; p.open {
+				p.tr.Terminal = true
+				onDecision(id, &p.tr)
 			}
-			onTransition(id, Transition{
-				Obs:      pend[id].feats,
-				Mask:     pend[id].mask,
-				Action:   pend[id].action,
-				Reward:   pend[id].reward,
-				Elapsed:  pend[id].elapsed,
-				Terminal: true,
-			})
 		}
 	}
 
@@ -174,36 +174,6 @@ func RunEpisode(env sim.Environment, choose Chooser, alpha, gamma float64, onTra
 		return 0
 	}
 	return rewardSum / float64(rewardN)
-}
-
-// PolicyChooser adapts a joint Policy to RunEpisode's per-taxi Chooser. The
-// policy's Act is invoked once per slot; mask-invalid or missing actions
-// fall back to the first valid index. It is how demonstration episodes
-// (e.g. ground-truth driver behavior) are fed to off-policy learners as a
-// warm start before on-policy fine-tuning, and how CMA2C and TBA run their
-// exploring rollouts with one batched forward pass per slot.
-func PolicyChooser(env sim.Environment, pol Policy) Chooser {
-	slot := -1
-	var acts map[int]sim.Action
-	return func(id int, obs sim.Observation) int {
-		if env.Slot() != slot {
-			slot = env.Slot()
-			acts = pol.Act(env, env.VacantTaxis())
-		}
-		a, ok := acts[id]
-		if !ok {
-			a = sim.Action{Kind: sim.Stay}
-		}
-		idx := sim.ActionIndex(a)
-		if !obs.Mask[idx] {
-			for i, valid := range obs.Mask {
-				if valid {
-					return i
-				}
-			}
-		}
-		return idx
-	}
 }
 
 // Evaluate runs policy p over a fresh environment seeded with seed and

@@ -168,7 +168,7 @@ func TestDQNRespectsMaskInGreedy(t *testing.T) {
 	obs := sim.Observation{Features: make([]float64, sim.FeatureSize)}
 	// Only action 3 valid.
 	obs.Mask[3] = true
-	if got := dqn.choose(obs); got != 3 {
+	if got := dqn.chooseFromQ(obs, dqn.net.Forward1(obs.Features), dqn.EvalEpsilon); got != 3 {
 		t.Fatalf("masked greedy chose %d, want 3", got)
 	}
 }
@@ -227,18 +227,11 @@ func TestRunEpisodeTransitionsWellFormed(t *testing.T) {
 	env := sim.New(city, sim.DefaultOptions(1), 11)
 	env.Reset(11)
 	var n, terminals int
-	mean := RunEpisode(env,
-		func(id int, obs sim.Observation) int {
-			// Always choose the first valid action.
-			for i, ok := range obs.Mask {
-				if ok {
-					return i
-				}
+	mean := RunEpisode(env, firstValid{}, false, 0.6, 0.9,
+		func(id int, tr *Transition) {
+			if tr == nil {
+				return
 			}
-			return 0
-		},
-		0.6, 0.9,
-		func(id int, tr Transition) {
 			n++
 			if len(tr.Obs) != sim.FeatureSize {
 				t.Fatalf("obs width %d", len(tr.Obs))

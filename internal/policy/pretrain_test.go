@@ -1,40 +1,59 @@
 package policy
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/nn"
 	"repro/internal/sim"
 )
 
-func TestPolicyChooserFollowsGuide(t *testing.T) {
+// TestCollectDemosFollowsGuide: the demonstrations record, taxi by taxi,
+// exactly the decisions the guide makes when it drives the same episode
+// through NewRunner at that episode's DemoEpisodeSeed. A taxi's transition
+// closes at its next decision (in the slot's vacant order) or at the
+// horizon (in taxi order), which fixes where each decision lands in the
+// demonstration buffer.
+func TestCollectDemosFollowsGuide(t *testing.T) {
 	city := testCity(t, 40)
-	env := sim.New(city, sim.DefaultOptions(1), 40)
-	env.Reset(40)
-	guide := NewCoordinator()
-	guide.BeginEpisode(40)
-	chooser := PolicyChooser(env, guide)
-	vacant := env.VacantTaxis()
-	if len(vacant) == 0 {
-		t.Fatal("no vacant taxis")
-	}
-	for _, id := range vacant[:minInt(10, len(vacant))] {
-		obs := env.Observe(id)
-		idx := chooser(id, obs)
-		if idx < 0 || idx >= sim.NumActions {
-			t.Fatalf("chooser returned invalid index %d", idx)
+	const seed, episodes = 40, 2
+	demos := CollectDemos(city, NewCoordinator(), episodes, 1, seed, 2, 0.6, 0.9)
+	for ep, buf := range demos {
+		got := make([]int, len(buf))
+		for i, tr := range buf {
+			got[i] = tr.Action
 		}
-		if !obs.Mask[idx] {
-			t.Fatalf("chooser returned masked action %d", idx)
+		epSeed := DemoEpisodeSeed(seed, ep)
+		env := sim.New(city, EpisodeOptions(1, 1), epSeed)
+		r := NewRunner(NewCoordinator(), env, epSeed)
+		var want []int
+		last := make([]int, len(city.Fleet))
+		for i := range last {
+			last[i] = -1
+		}
+		for !r.Done() {
+			for _, d := range r.StepSlot() {
+				if last[d.Taxi] >= 0 {
+					want = append(want, last[d.Taxi])
+				}
+				last[d.Taxi] = sim.ActionIndex(d.Action)
+			}
+		}
+		for _, a := range last {
+			if a >= 0 {
+				want = append(want, a)
+			}
+		}
+		if env.InvalidActions() != 0 {
+			t.Fatalf("episode %d: the guide made %d invalid decisions; recorded actions would be coerced", ep, env.InvalidActions())
+		}
+		if len(want) == 0 {
+			t.Fatalf("episode %d: no decisions", ep)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("episode %d: %d demonstration actions differ from the guide's %d decisions", ep, len(got), len(want))
 		}
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func TestTQLPretrainSeedsTable(t *testing.T) {

@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"maps"
+
 	"repro/internal/sim"
 )
 
@@ -23,10 +25,21 @@ type Decision struct {
 // run of the same (policy, env, seed) by construction, and the
 // serve-equivalence golden test pins it.
 //
+// Training rollouts (RunEpisode) drive the same loop with two unexported
+// settings: beforeAct sees each vacant taxi just before the Act call that
+// decides it, and perTaxi makes that one Act per taxi, so a learner whose
+// transition hook learns can decide every later taxi of the slot with what
+// the earlier ones taught it.
+//
 // A Runner is single-goroutine, like the Environment it wraps.
 type Runner struct {
 	env sim.Environment
 	pol Policy
+
+	beforeAct func(id int)
+	perTaxi   bool
+	// taxiActs merges the per-taxi Act maps of a perTaxi slot.
+	taxiActs map[int]sim.Action
 
 	// decisions is the reused per-slot output buffer: StepSlot overwrites it
 	// on every call, so callers that retain decisions must copy them.
@@ -67,11 +80,12 @@ func (r *Runner) Slots() int { return r.slots }
 // StepSlot asks the policy for this slot's actions, records one Decision per
 // vacant taxi (missing policy entries default to Stay, exactly as Step
 // treats them), applies the actions, and advances the environment one slot.
-// The returned slice is reused by the next call.
+// The returned slice is reused by the next call. It is the only code that
+// calls Policy.Act and Environment.Step.
 func (r *Runner) StepSlot() []Decision {
 	slot := r.env.Slot()
 	vacant := r.env.VacantTaxis()
-	acts := r.pol.Act(r.env, vacant)
+	acts := r.act(vacant)
 	r.decisions = r.decisions[:0]
 	for _, id := range vacant {
 		a, ok := acts[id]
@@ -88,6 +102,32 @@ func (r *Runner) StepSlot() []Decision {
 	r.env.Step(acts)
 	r.slots++
 	return r.decisions
+}
+
+// act returns the slot's action map. Without a beforeAct hook (evaluation
+// and serving) it is one Act over the whole vacant set. With one, the hook
+// runs for each taxi before the Act call that decides it: every hook call
+// then one Act, or with perTaxi one hook call and one single-taxi Act per
+// taxi in vacant order, the maps merged.
+func (r *Runner) act(vacant []int) map[int]sim.Action {
+	if r.beforeAct == nil {
+		return r.pol.Act(r.env, vacant)
+	}
+	if !r.perTaxi {
+		for _, id := range vacant {
+			r.beforeAct(id)
+		}
+		return r.pol.Act(r.env, vacant)
+	}
+	if r.taxiActs == nil {
+		r.taxiActs = make(map[int]sim.Action)
+	}
+	clear(r.taxiActs)
+	for i, id := range vacant {
+		r.beforeAct(id)
+		maps.Copy(r.taxiActs, r.pol.Act(r.env, vacant[i:i+1]))
+	}
+	return r.taxiActs
 }
 
 // Results returns the environment's accounting.

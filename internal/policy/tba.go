@@ -226,10 +226,14 @@ func (t *TBA) TrainCheckpointed(city *synth.City, episodes, days int, seed int64
 		// loop: the transition callback only buffers.
 		var batch []Transition
 		stopEp := t.tel.EpisodeTime.Start()
-		mean := RunEpisode(env, PolicyChooser(env, t),
+		mean := RunEpisode(env, t, false,
 			1.0, // selfish: no fairness term
 			t.Gamma,
-			func(id int, tr Transition) { batch = append(batch, tr.Detach()) },
+			func(id int, tr *Transition) {
+				if tr != nil {
+					batch = append(batch, tr.Detach())
+				}
+			},
 		)
 		stopEp()
 		t.tel.Episodes.Inc()

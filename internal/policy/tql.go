@@ -153,6 +153,32 @@ func (t *TQL) Act(env sim.Environment, vacant []int) map[int]sim.Action {
 	return actions
 }
 
+// learnHook returns RunEpisode's decision callback for an episode on env:
+// it applies the standard Q-update for the transition a decision closes and
+// records the state the taxi's next transition opens in.
+func (t *TQL) learnHook(env sim.Environment) func(id int, tr *Transition) {
+	opened := make([]tqlState, len(env.City().Fleet))
+	return func(id int, tr *Transition) {
+		if tr != nil {
+			target := tr.Reward
+			if !tr.Terminal {
+				// The transition closes exactly when the environment sits at
+				// the taxi's next decision, so the next state can be read off
+				// the environment directly.
+				ns := t.stateOf(env, id)
+				target += math.Pow(t.Gamma, float64(tr.Elapsed)) * t.maxQ(ns, tr.NextMask)
+			}
+			st := opened[id]
+			qs := t.entry(st)
+			qs[tr.Action] += t.LR * (target - qs[tr.Action])
+			t.q[st] = qs
+			t.tel.Transitions.Inc()
+			t.tel.Steps.Inc()
+		}
+		opened[id] = t.stateOf(env, id)
+	}
+}
+
 // TrainStats summarizes a training run.
 type TrainStats struct {
 	Episodes      int
@@ -177,34 +203,7 @@ func (t *TQL) PretrainCheckpointed(city *synth.City, guide Policy, episodes, day
 		env.Reset(epSeed)
 		guide.BeginEpisode(epSeed)
 		t.BeginEpisode(epSeed)
-		type open struct {
-			st  tqlState
-			act int
-		}
-		pend := make(map[int]open)
-		chooser := PolicyChooser(env, guide)
-		RunEpisode(env,
-			func(id int, obs sim.Observation) int {
-				idx := chooser(id, obs)
-				pend[id] = open{st: t.stateOf(env, id), act: idx}
-				return idx
-			},
-			t.Alpha, t.Gamma,
-			func(id int, tr Transition) {
-				o, ok := pend[id]
-				if !ok {
-					return
-				}
-				target := tr.Reward
-				if !tr.Terminal {
-					ns := t.stateOf(env, id)
-					target += math.Pow(t.Gamma, float64(tr.Elapsed)) * t.maxQ(ns, tr.NextMask)
-				}
-				qs := t.entry(o.st)
-				qs[o.act] += t.LR * (target - qs[o.act])
-				t.q[o.st] = qs
-			},
-		)
+		RunEpisode(env, guide, false, t.Alpha, t.Gamma, t.learnHook(env))
 		t.demoDone = ep + 1
 		if opts.ShouldSave(t.demoDone, episodes) {
 			if _, err := checkpoint.SaveDir(opts.Dir, t, opts.Keep); err != nil {
@@ -234,42 +233,10 @@ func (t *TQL) TrainCheckpointed(city *synth.City, episodes, days int, seed int64
 		t.BeginEpisode(epSeed)
 		t.exploring = true
 
-		// Track per-decision states so transitions can be updated on close.
-		type open struct {
-			st  tqlState
-			act int
-		}
-		pend := make(map[int]open)
-
+		// Per-taxi Acts: each taxi decides with the table the slot's earlier
+		// updates left.
 		stopEp := t.tel.EpisodeTime.Start()
-		mean := RunEpisode(env,
-			func(id int, obs sim.Observation) int {
-				st := t.stateOf(env, id)
-				idx := t.choose(st, obs.Mask)
-				pend[id] = open{st: st, act: idx}
-				return idx
-			},
-			t.Alpha, t.Gamma,
-			func(id int, tr Transition) {
-				o, ok := pend[id]
-				if !ok {
-					return
-				}
-				target := tr.Reward
-				if !tr.Terminal {
-					// The transition closes exactly when the environment sits
-					// at the taxi's next decision, so the next state can be
-					// read off the environment directly.
-					ns := t.stateOf(env, id)
-					target += math.Pow(t.Gamma, float64(tr.Elapsed)) * t.maxQ(ns, tr.NextMask)
-				}
-				qs := t.entry(o.st)
-				qs[o.act] += t.LR * (target - qs[o.act])
-				t.q[o.st] = qs
-				t.tel.Transitions.Inc()
-				t.tel.Steps.Inc()
-			},
-		)
+		mean := RunEpisode(env, t, true, t.Alpha, t.Gamma, t.learnHook(env))
 		stopEp()
 		t.tel.Episodes.Inc()
 		t.tel.MeanReward.Set(mean)
