@@ -15,7 +15,7 @@ GOFMT ?= gofmt
 COVER_PKGS = ./internal/scenario/ ./internal/trace/ ./internal/checkpoint/ ./internal/sim/ ./internal/invariant/ ./internal/serve/ ./internal/nn/ ./internal/core/ ./internal/policy/
 COVER_FLOOR = 70
 
-.PHONY: ci fmt vet build cross perfbench test race cover alloc-gate smoke resume-smoke shard-smoke serve-smoke soak battery fuzz-battery bench-record fuzz bench
+.PHONY: ci fmt vet build cross perfbench test race cover alloc-gate smoke resume-smoke shard-smoke serve-smoke soak battery fuzz-battery fuzz bench
 
 ci: fmt vet build cross perfbench test race cover alloc-gate smoke resume-smoke shard-smoke serve-smoke battery
 
@@ -90,7 +90,8 @@ smoke:
 # Crash-resume smoke: train with checkpoints, "crash" at the episode-1
 # cadence cutoff, resume toward the full total with the identical command,
 # and diff the saved policy against an unbroken run's byte for byte. Then
-# prove the artifact actually loads: eval -load-policy must run clean.
+# prove both artifacts load and act alike: eval -load-policy runs each and
+# the two reports must match byte for byte.
 resume-smoke:
 	@rm -rf /tmp/fairmove-resume-smoke && mkdir -p /tmp/fairmove-resume-smoke
 	$(GO) run ./cmd/fairmove train -fleet 24 -pretrain 1 -episodes 1 \
@@ -102,9 +103,12 @@ resume-smoke:
 		-save-policy /tmp/fairmove-resume-smoke/unbroken.fmck > /dev/null
 	cmp /tmp/fairmove-resume-smoke/resumed.fmck /tmp/fairmove-resume-smoke/unbroken.fmck
 	$(GO) run ./cmd/fairmove eval -fleet 24 \
-		-load-policy /tmp/fairmove-resume-smoke/resumed.fmck > /dev/null
+		-load-policy /tmp/fairmove-resume-smoke/resumed.fmck > /tmp/fairmove-resume-smoke/resumed.txt
+	$(GO) run ./cmd/fairmove eval -fleet 24 \
+		-load-policy /tmp/fairmove-resume-smoke/unbroken.fmck > /tmp/fairmove-resume-smoke/unbroken.txt
+	cmp /tmp/fairmove-resume-smoke/resumed.txt /tmp/fairmove-resume-smoke/unbroken.txt
 	@rm -rf /tmp/fairmove-resume-smoke
-	@echo "resume-smoke: resumed run byte-identical to unbroken run"
+	@echo "resume-smoke: resumed run byte-identical to unbroken run, and evaluates identically"
 
 # Online-dispatch service smoke: build the real binaries, start
 # `fairmove serve`, replay two slots of recorded events through
@@ -154,13 +158,3 @@ bench:
 # (all golden fixtures, every shard count) runs in `make test`.
 shard-smoke:
 	$(GO) test -short -run 'TestShardSmoke|TestShardCountInvariance' ./internal/shard/ .
-
-# Re-measure slot-stepping throughput (the shard ladder, three
-# scales, best of three reps each) and rewrite BENCH_sharding.json. Not in
-# ci: the full tier steps the paper's 20,130-taxi fleet for ~2 minutes.
-bench-record:
-	$(GO) test -run TestRecordShardingBench -recordbench -timeout 1800s .
-	$(GO) test -run TestRecordBatteryBench -recordbench -timeout 1800s .
-	$(GO) test -run TestRecordHotpathBench -recordbench -benchscale=full -timeout 1800s .
-	$(GO) test -run TestRecordNNBench -recordbench -benchscale=full -timeout 1800s .
-	$(GO) test -run TestRecordServeBench -recordbench -benchscale=full -timeout 1800s .

@@ -13,32 +13,21 @@ import (
 // them (a Reset that dropped working storage would re-pay growth in the
 // measured episode).
 func TestSimStepZeroAllocSteadyState(t *testing.T) {
-	city := benchCity(t)
-	engines := []struct {
-		name string
-		env  sim.Environment
-	}{
-		{"sharded1", sim.New(city, sim.DefaultOptions(1), 42)},
+	env := sim.New(benchCity(t), sim.DefaultOptions(1), 42)
+	for ep := 0; ep < 2; ep++ {
+		for !env.Done() {
+			env.Step(nil)
+		}
+		env.Reset(42)
 	}
-	for _, tc := range engines {
-		t.Run(tc.name, func(t *testing.T) {
-			env := tc.env
-			for ep := 0; ep < 2; ep++ {
-				for !env.Done() {
-					env.Step(nil)
-				}
-				env.Reset(42)
-			}
-			const runs = 50
-			allocs := testing.AllocsPerRun(runs, func() {
-				if env.Done() {
-					t.Fatal("episode shorter than the measured run; shrink runs")
-				}
-				env.Step(nil)
-			})
-			if allocs != 0 {
-				t.Errorf("steady-state %s Step allocates %v/op, want 0", tc.name, allocs)
-			}
-		})
+	const runs = 50
+	allocs := testing.AllocsPerRun(runs, func() {
+		if env.Done() {
+			t.Fatal("episode shorter than the measured run; shrink runs")
+		}
+		env.Step(nil)
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state Step allocates %v/op, want 0", allocs)
 	}
 }

@@ -1,17 +1,16 @@
 package fairmove
 
 // Hot-path benchmark set: the pinned micro/meso benchmarks behind
-// BENCH_hotpath.json and `make alloc-gate`. Each entry measures one layer of
-// the per-slot critical path — single-shard stepping, a single observation
-// build, one served slot (decide plus step) under the GT heuristic and
-// under CMA2C, single-row and batched network inference, the
-// nearest-station lookup the matcher leans on, and the ingest decoder on one
-// recorded feed batch.
+// `make alloc-gate`. Each entry measures one layer of the per-slot critical
+// path — single-shard stepping, a single observation build, one served slot
+// (decide plus step) under the GT heuristic and under CMA2C, single-row and
+// batched network inference, the nearest-station lookup the matcher leans
+// on, and the ingest decoder on one recorded feed batch.
 //
 // The set is pinned: names are stable identifiers recorded in
-// testdata/alloc_floors.json (allocs/op ceilings, enforced by TestAllocGate)
-// and in BENCH_hotpath.json (ns/op + allocs/op, rewritten by
-// `make bench-record`). Renaming an entry is an interface change.
+// testdata/alloc_floors.json (allocs/op ceilings, enforced by TestAllocGate).
+// Renaming an entry is an interface change. End-to-end timings live in
+// perfbench (BENCHMARK.json), not here.
 
 import (
 	"encoding/json"
@@ -254,79 +253,4 @@ func TestAllocGate(t *testing.T) {
 			t.Errorf("alloc-gate: %s allocates %d/op, floor is %d/op", hb.name, got, floor)
 		}
 	}
-}
-
-// --- BENCH_hotpath.json recorder (make bench-record) ---
-
-type hotpathBenchFile struct {
-	Command        string              `json:"command"`
-	BenchScale     string              `json:"benchscale"`
-	BaselineCommit string              `json:"baseline_commit"`
-	Entries        []hotpathBenchEntry `json:"entries"`
-}
-
-type hotpathBenchEntry struct {
-	Name    string           `json:"name"`
-	Before  hotpathBenchCell `json:"before"`
-	After   hotpathBenchCell `json:"after"`
-	Speedup float64          `json:"speedup,omitempty"`
-}
-
-type hotpathBenchCell struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-}
-
-const hotpathBenchPath = "BENCH_hotpath.json"
-
-// TestRecordHotpathBench re-measures the pinned hot-path set (best ns/op of
-// three repetitions, exact allocs/op) and rewrites the "after" column of
-// BENCH_hotpath.json. The "before" column — the same benchmarks run against
-// the pre-optimization tree at the recorded baseline commit — is preserved
-// from the existing file, so the before/after pairing survives re-records.
-// Guarded by -recordbench; run at -benchscale=full for the committed file.
-func TestRecordHotpathBench(t *testing.T) {
-	if !*recordBench {
-		t.Skip("pass -recordbench (make bench-record) to rewrite BENCH_hotpath.json")
-	}
-	prior := map[string]hotpathBenchEntry{}
-	out := hotpathBenchFile{Command: "make bench-record", BenchScale: resolveBenchScale(t)}
-	if data, err := os.ReadFile(hotpathBenchPath); err == nil {
-		var old hotpathBenchFile
-		if err := json.Unmarshal(data, &old); err != nil {
-			t.Fatalf("bad %s: %v", hotpathBenchPath, err)
-		}
-		out.BaselineCommit = old.BaselineCommit
-		for _, e := range old.Entries {
-			prior[e.Name] = e
-		}
-	}
-	for _, hb := range hotpathSet(t) {
-		entry := hotpathBenchEntry{Name: hb.name, Before: prior[hb.name].Before}
-		var allocs int64
-		best := 0.0
-		for rep := 0; rep < 3; rep++ {
-			r := testing.Benchmark(hb.run)
-			if ns := float64(r.NsPerOp()); best == 0 || ns < best {
-				best = ns
-			}
-			allocs = r.AllocsPerOp()
-		}
-		entry.After = hotpathBenchCell{NsPerOp: best, AllocsPerOp: allocs}
-		if entry.Before.NsPerOp > 0 {
-			entry.Speedup = entry.Before.NsPerOp / entry.After.NsPerOp
-		}
-		t.Logf("%-22s %12.0f ns/op %4d allocs/op (before: %.0f ns/op, %d allocs/op)",
-			hb.name, entry.After.NsPerOp, entry.After.AllocsPerOp,
-			entry.Before.NsPerOp, entry.Before.AllocsPerOp)
-		out.Entries = append(out.Entries, entry)
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(hotpathBenchPath, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Log("wrote " + hotpathBenchPath)
 }

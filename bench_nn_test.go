@@ -1,21 +1,15 @@
 package fairmove
 
-// NN-layer benchmark set: the pinned benchmarks behind BENCH_nn.json,
-// recording the float32 blocked-GEMM rewrite of internal/nn against the
-// float64 per-row engine it replaced. Where BENCH_hotpath.json tracks the
-// per-slot simulation path, this file tracks the learning path: batched
-// inference and the three batched update steps (CMA2C critic, CMA2C actor,
-// DQN minibatch learn) that dominate training time.
+// NN-layer benchmark set. Where the hot-path set tracks the per-slot
+// simulation path, this file tracks the learning path: batched inference,
+// the decide loop's softmax, and the three batched update steps (CMA2C
+// critic, CMA2C actor, DQN minibatch learn) that dominate training time.
 //
 // The set is pinned like the hot-path set: names are stable identifiers in
-// testdata/alloc_floors.json (enforced by TestAllocGate, which gates both
-// sets) and in BENCH_nn.json (rewritten by `make bench-record`). The
-// "before" column holds the float64-engine numbers measured at the recorded
-// baseline commit and is preserved across re-records.
+// testdata/alloc_floors.json, enforced by TestAllocGate, which gates both
+// sets.
 
 import (
-	"encoding/json"
-	"os"
 	"testing"
 
 	"repro/internal/core"
@@ -129,58 +123,4 @@ func nnBenchFairMove(b *testing.B) (*core.FairMove, []policy.Transition, []int) 
 		idxs[i] = (i * 37) % len(buf)
 	}
 	return f, buf, idxs
-}
-
-const nnBenchPath = "BENCH_nn.json"
-
-// TestRecordNNBench re-measures the pinned NN-layer set (best ns/op of three
-// repetitions, exact allocs/op) and rewrites the "after" column of
-// BENCH_nn.json, preserving the recorded float64 baseline in "before".
-// Guarded by -recordbench; run at -benchscale=full for the committed file
-// (the set itself is scale-independent — shapes are fixed by the deployed
-// networks — so the flag only labels the file).
-func TestRecordNNBench(t *testing.T) {
-	if !*recordBench {
-		t.Skip("pass -recordbench (make bench-record) to rewrite BENCH_nn.json")
-	}
-	prior := map[string]hotpathBenchEntry{}
-	out := hotpathBenchFile{Command: "make bench-record", BenchScale: resolveBenchScale(t)}
-	if data, err := os.ReadFile(nnBenchPath); err == nil {
-		var old hotpathBenchFile
-		if err := json.Unmarshal(data, &old); err != nil {
-			t.Fatalf("bad %s: %v", nnBenchPath, err)
-		}
-		out.BaselineCommit = old.BaselineCommit
-		for _, e := range old.Entries {
-			prior[e.Name] = e
-		}
-	}
-	for _, hb := range nnBenchSet(t) {
-		entry := hotpathBenchEntry{Name: hb.name, Before: prior[hb.name].Before}
-		var allocs int64
-		best := 0.0
-		for rep := 0; rep < 3; rep++ {
-			r := testing.Benchmark(hb.run)
-			if ns := float64(r.NsPerOp()); best == 0 || ns < best {
-				best = ns
-			}
-			allocs = r.AllocsPerOp()
-		}
-		entry.After = hotpathBenchCell{NsPerOp: best, AllocsPerOp: allocs}
-		if entry.Before.NsPerOp > 0 {
-			entry.Speedup = entry.Before.NsPerOp / entry.After.NsPerOp
-		}
-		t.Logf("%-22s %12.0f ns/op %4d allocs/op (before: %.0f ns/op, %d allocs/op)",
-			hb.name, entry.After.NsPerOp, entry.After.AllocsPerOp,
-			entry.Before.NsPerOp, entry.Before.AllocsPerOp)
-		out.Entries = append(out.Entries, entry)
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(nnBenchPath, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Log("wrote " + nnBenchPath)
 }

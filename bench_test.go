@@ -15,14 +15,11 @@ package fairmove
 //	go test -bench=. -benchscale=default   # EXPERIMENTS.md scale (minutes)
 //	go test -bench=. -benchscale=full      # the paper's 20,130-taxi fleet
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
 	"sync"
 	"testing"
 
-	"repro/internal/invariant"
 	"repro/internal/policy"
 	"repro/internal/report"
 	"repro/internal/sim"
@@ -240,145 +237,4 @@ func benchCompareAll(b *testing.B, tel bool) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// --- BENCH_sharding.json recorder ---
-
-var recordBench = flag.Bool("recordbench", false,
-	"re-measure the sharding benchmarks and rewrite BENCH_sharding.json (make bench-record)")
-
-type shardBenchEntry struct {
-	Shards    int     `json:"shards"`
-	NsPerSlot float64 `json:"ns_per_slot"`
-	Slots     int     `json:"slots_timed"`
-}
-
-type shardBenchScale struct {
-	Scale          string            `json:"scale"`
-	Fleet          int               `json:"fleet"`
-	Regions        int               `json:"regions"`
-	Engines        []shardBenchEntry `json:"engines"`
-	SpeedupShards4 float64           `json:"speedup_shards4_vs_shards1"`
-}
-
-type shardBenchFile struct {
-	Command string            `json:"command"`
-	Scales  []shardBenchScale `json:"scales"`
-}
-
-// TestRecordShardingBench re-measures slot-stepping throughput at shards
-// 1, 2, 4, 8 across the small/default/full scales, and rewrites BENCH_sharding.json. Guarded by
-// -recordbench because the full tier steps the paper's 20,130-taxi fleet.
-func TestRecordShardingBench(t *testing.T) {
-	if !*recordBench {
-		t.Skip("pass -recordbench (make bench-record) to rewrite BENCH_sharding.json")
-	}
-	configs := []struct {
-		name string
-		cfg  synth.Config
-	}{
-		{"small", synth.TestConfig(42)},
-		{"default", synth.DefaultConfig(42)},
-		{"full", synth.FullScaleConfig(42)},
-	}
-	out := shardBenchFile{Command: "make bench-record"}
-	for _, sc := range configs {
-		city, err := synth.Build(sc.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Best of three repetitions per shard count: the recorder wants the
-		// algorithmic cost, and on a shared host the minimum is a
-		// far more stable estimator of that than any single run's mean.
-		measure := func(build func() sim.Environment) (float64, int) {
-			best, bestN := 0.0, 0
-			for rep := 0; rep < 3; rep++ {
-				r := testing.Benchmark(func(b *testing.B) {
-					benchStepSlots(b, build())
-				})
-				if ns := float64(r.NsPerOp()); best == 0 || ns < best {
-					best, bestN = ns, r.N
-				}
-			}
-			return best, bestN
-		}
-		row := shardBenchScale{Scale: sc.name, Fleet: sc.cfg.Fleet, Regions: sc.cfg.Regions}
-		var ns1 float64
-		for _, k := range []int{1, 2, 4, 8} {
-			k := k
-			ns, n := measure(func() sim.Environment { return sim.New(city, policy.EpisodeOptions(1, k), 42) })
-			row.Engines = append(row.Engines, shardBenchEntry{Shards: k, NsPerSlot: ns, Slots: n})
-			if k == 1 {
-				ns1 = ns
-			}
-			t.Logf("%s: shards=%d %.0f ns/slot (%d slots, %.2fx vs shards=1)", sc.name, k, ns, n, ns1/ns)
-			if k == 4 && ns > 0 {
-				row.SpeedupShards4 = ns1 / ns
-			}
-		}
-		out.Scales = append(out.Scales, row)
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_sharding.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Log("wrote BENCH_sharding.json")
-}
-
-// --- BENCH_battery.json recorder ---
-
-type batteryBenchFile struct {
-	Command      string  `json:"command"`
-	Compositions int     `json:"compositions"`
-	Runs         int     `json:"runs"` // compositions × engines
-	WallSeconds  float64 `json:"wall_seconds_best_of_3"`
-	PerRunMs     float64 `json:"ms_per_run"`
-}
-
-// TestRecordBatteryBench re-measures the robustness battery's wall clock at
-// its CI size (N=64 compositions × 3 engine runs each), best of three, and
-// rewrites BENCH_battery.json. The battery must also pass while timed — a
-// fast but failing battery is not a benchmark.
-func TestRecordBatteryBench(t *testing.T) {
-	if !*recordBench {
-		t.Skip("pass -recordbench (make bench-record) to rewrite BENCH_battery.json")
-	}
-	cfg := invariant.BatteryConfig{N: 64}
-	var rep *invariant.Report
-	best := 0.0
-	for i := 0; i < 3; i++ {
-		r := testing.Benchmark(func(b *testing.B) {
-			for j := 0; j < b.N; j++ {
-				got, err := invariant.RunBattery(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rep = got
-			}
-		})
-		if ns := float64(r.NsPerOp()); best == 0 || ns < best {
-			best = ns
-		}
-	}
-	if !rep.OK() {
-		t.Fatalf("battery failed while being timed: %d failures", len(rep.Failures))
-	}
-	out := batteryBenchFile{
-		Command:      "make bench-record",
-		Compositions: rep.Compositions,
-		Runs:         rep.Runs,
-		WallSeconds:  best / 1e9,
-		PerRunMs:     best / 1e6 / float64(rep.Runs),
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_battery.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote BENCH_battery.json: %d runs in %.2fs", out.Runs, out.WallSeconds)
 }

@@ -4,13 +4,13 @@
 //
 //	fairmove train   [-seed N] [-fleet N] [-alpha A] [-episodes N] [-pretrain N]
 //	                 [-checkpoint-dir DIR] [-checkpoint-every N] [-resume]
-//	                 [-save-policy FILE] [-model FILE]
+//	                 [-save-policy FILE]
 //	fairmove eval    [-seed N] [-fleet N] [-method M] [-load-policy FILE] [-scenario SPEC.json] [-json]
 //	fairmove compare [-seed N] [-fleet N] [-alpha A] [-load-policy FILE] [-scenario SPEC.json] [-json]
 //	fairmove serve   [-seed N] [-fleet N] [-method M] [-load-policy FILE] [-scenario SPEC.json]
 //	                 [-addr HOST:PORT] [-queue-cap N] [-slot-every D] [-drain-timeout D]
 //
-// `train` trains CMA2C and optionally saves the networks; `eval` evaluates
+// `train` trains CMA2C and optionally saves the policy; `eval` evaluates
 // one strategy (loading a saved policy for FairMove if given); `compare`
 // runs all six strategies on identical demand and prints the paper's
 // headline metrics; `serve` runs the online dispatch service (HTTP ingest of
@@ -152,7 +152,6 @@ func cmdTrain(args []string) error {
 	seed, fleet, alpha := commonFlags(fs)
 	episodes := fs.Int("episodes", 6, "total fine-tuning episodes (a resumed run continues toward the same total)")
 	pretrain := fs.Int("pretrain", 0, "demonstration (warm-start) episodes; 0 = default")
-	model := fs.String("model", "", "path to save the trained networks (legacy gob format)")
 	ckptDir := fs.String("checkpoint-dir", "", "directory for crash-safe training checkpoints")
 	ckptEvery := fs.Int("checkpoint-every", 0, "checkpoint cadence in episodes; 0 = only at phase ends")
 	ckptKeep := fs.Int("checkpoint-keep", 0, "checkpoints to retain in -checkpoint-dir (0 = default 3)")
@@ -191,17 +190,6 @@ func cmdTrain(args []string) error {
 		}
 		fmt.Printf("policy saved to %s\n", *savePolicy)
 	}
-	if *model != "" {
-		f, err := os.Create(*model)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := s.SaveModel(f); err != nil {
-			return err
-		}
-		fmt.Printf("model saved to %s\n", *model)
-	}
 	return nil
 }
 
@@ -209,7 +197,6 @@ func cmdEval(args []string) error {
 	fs := flag.NewFlagSet("eval", flag.ExitOnError)
 	seed, fleet, alpha := commonFlags(fs)
 	method := fs.String("method", "FairMove", "strategy: GT, SD2, TQL, DQN, TBA, or FairMove")
-	model := fs.String("model", "", "saved FairMove model to load instead of training (legacy gob format)")
 	loadPolicy := fs.String("load-policy", "", "FairMove checkpoint file to load instead of training")
 	scenarioPath := fs.String("scenario", "", "JSON scenario spec to condition evaluation on")
 	asJSON := fs.Bool("json", false, "emit the report as JSON (NaN metrics encode as null)")
@@ -229,16 +216,6 @@ func cmdEval(args []string) error {
 	}
 	if *loadPolicy != "" {
 		if err := s.LoadPolicy(*loadPolicy); err != nil {
-			return err
-		}
-	}
-	if *model != "" {
-		f, err := os.Open(*model)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := s.LoadModel(f); err != nil {
 			return err
 		}
 	}

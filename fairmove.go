@@ -19,7 +19,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 
@@ -630,19 +629,4 @@ func (s *System) AlphaSweep(alphas []float64) (sortedAlphas, rewards []float64, 
 		return nil, nil, err
 	}
 	return sortedAlphas, rewards, nil
-}
-
-// SaveModel writes the trained FairMove networks.
-func (s *System) SaveModel(w io.Writer) error { return s.fm.Save(w) }
-
-// LoadModel replaces the FairMove policy with networks written by SaveModel.
-func (s *System) LoadModel(r io.Reader) error {
-	fm, err := core.Load(r, coreConfig(s.cfg, s.cfg.Alpha))
-	if err != nil {
-		return err
-	}
-	fm.SetTelemetry(s.tel)
-	s.fm = fm
-	s.trained[FairMove] = fm
-	return nil
 }

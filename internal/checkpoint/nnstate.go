@@ -6,10 +6,10 @@ import (
 	"repro/internal/nn"
 )
 
-// Shared encoders for the neural-network state every learner carries. The
-// layer encoding mirrors nn's gob snapshot (shape, activation, weights,
-// biases) but through the deterministic codec, and decoding re-runs the same
-// shape validation as nn.Load: a checkpoint is untrusted input.
+// Shared encoders for the neural-network state every learner carries. A
+// layer is its shape, activation, weights and biases, written through the
+// deterministic codec; decoding validates every shape, activation code and
+// inter-layer width: a checkpoint is untrusted input.
 //
 // Container version 2 switched the weight and moment payloads from float64
 // to float32, matching the nn backend's storage: the file holds the exact

@@ -10,7 +10,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/checkpoint"
@@ -547,41 +546,4 @@ func (f *FairMove) Value(obs sim.Observation) float64 { return value(f.critic, o
 // Probs exposes the policy distribution (diagnostics, tests).
 func (f *FairMove) Probs(obs sim.Observation) []float64 {
 	return nn.Softmax(f.actor.Forward1(obs.Features), obs.Mask[:])
-}
-
-// Save writes both networks.
-func (f *FairMove) Save(w io.Writer) error {
-	if err := f.actor.Save(w); err != nil {
-		return fmt.Errorf("core: save actor: %w", err)
-	}
-	if err := f.critic.Save(w); err != nil {
-		return fmt.Errorf("core: save critic: %w", err)
-	}
-	return nil
-}
-
-// Load reads networks written by Save into a system configured with cfg.
-func Load(r io.Reader, cfg Config) (*FairMove, error) {
-	f, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	actor, err := nn.Load(r)
-	if err != nil {
-		return nil, fmt.Errorf("core: load actor: %w", err)
-	}
-	critic, err := nn.Load(r)
-	if err != nil {
-		return nil, fmt.Errorf("core: load critic: %w", err)
-	}
-	if actor.InputSize() != sim.FeatureSize || actor.OutputSize() != sim.NumActions {
-		return nil, fmt.Errorf("core: loaded actor has wrong shape %dx%d", actor.InputSize(), actor.OutputSize())
-	}
-	if critic.InputSize() != sim.FeatureSize || critic.OutputSize() != 1 {
-		return nil, fmt.Errorf("core: loaded critic has wrong shape %dx%d", critic.InputSize(), critic.OutputSize())
-	}
-	f.actor = actor
-	f.critic = critic
-	f.targetCritic = critic.Clone()
-	return f, nil
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"math"
 	"reflect"
 	"testing"
@@ -182,45 +181,6 @@ func TestTrainDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("training not deterministic: %v vs %v", a, b)
 		}
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-episode training; skipped in short mode")
-	}
-	city := testCity(t, 5)
-	f, err := New(DefaultConfig(0.6, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Train(city, 1, 1, 5)
-	var buf bytes.Buffer
-	if err := f.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf, DefaultConfig(0.6, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	obs := sim.Observation{Features: make([]float64, sim.FeatureSize)}
-	for i := range obs.Mask {
-		obs.Mask[i] = true
-	}
-	pa, pb := f.Probs(obs), loaded.Probs(obs)
-	for i := range pa {
-		if math.Abs(pa[i]-pb[i]) > 1e-12 {
-			t.Fatalf("loaded policy differs at %d: %v vs %v", i, pa[i], pb[i])
-		}
-	}
-	if math.Abs(f.Value(obs)-loaded.Value(obs)) > 1e-12 {
-		t.Fatal("loaded critic differs")
-	}
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("junk")), DefaultConfig(0.6, 1)); err == nil {
-		t.Fatal("garbage accepted")
 	}
 }
 

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -381,33 +380,6 @@ func TestClipGrads(t *testing.T) {
 	ClipGrads(g2, 0) // maxNorm<=0 is no-op
 	if g2[0][0] != 0.1 {
 		t.Fatal("clip applied with maxNorm=0")
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	src := rng.New(9)
-	net := NewMLP(src, []int{4, 6, 3}, ReLU, Identity)
-	var buf bytes.Buffer
-	if err := net.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := []float64{0.5, -0.2, 1.1, 0.0}
-	a := net.Forward1(x)
-	b := loaded.Forward1(x)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("loaded network output differs: %v vs %v", a, b)
-		}
-	}
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not a gob"))); err == nil {
-		t.Fatal("garbage accepted")
 	}
 }
 

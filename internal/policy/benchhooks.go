@@ -1,10 +1,9 @@
 package policy
 
 // Benchmark hooks (see internal/core/benchhooks.go for the pattern): the
-// module-root recorder pins the DQN minibatch learn step in BENCH_nn.json and
-// the allocation gate. BenchRemember fills the replay buffer and
-// BenchLearnStep runs one minibatch update; neither is part of the policy
-// API.
+// module-root allocation gate pins the DQN minibatch learn step.
+// BenchRemember fills the replay buffer and BenchLearnStep runs one
+// minibatch update; neither is part of the policy API.
 
 // BenchRemember appends one transition to the replay buffer. Exported only
 // for benchmarks.

@@ -112,22 +112,35 @@ func TestRunEpisodeDecisionOrder(t *testing.T) {
 	}
 }
 
-// invalidPolicy submits mask-invalid actions on purpose: Stay for a taxi
-// that must charge, Charge for a taxi too full to be allowed to.
-type invalidPolicy struct{ submitted *int }
+// invalidPolicy submits invalid actions on purpose, rotating through four
+// kinds: mask-invalid (Stay for a taxi that must charge, Charge for a taxi
+// too full to be allowed to; Stay otherwise) and three outside the action
+// space — Move(MaxNeighbors), Move(-1) and Charge(KStations).
+type invalidPolicy struct{ submitted, calls int }
 
-func (invalidPolicy) Name() string       { return "invalid" }
-func (invalidPolicy) BeginEpisode(int64) {}
-func (p invalidPolicy) Act(env sim.Environment, vacant []int) map[int]sim.Action {
+func (*invalidPolicy) Name() string       { return "invalid" }
+func (*invalidPolicy) BeginEpisode(int64) {}
+func (p *invalidPolicy) Act(env sim.Environment, vacant []int) map[int]sim.Action {
 	acts := make(map[int]sim.Action, len(vacant))
 	for _, id := range vacant {
 		mask := env.ValidMask(id)
-		a := sim.Action{Kind: sim.Stay}
-		if mask[0] && !mask[sim.ActionIndex(sim.Action{Kind: sim.Charge})] {
-			a = sim.Action{Kind: sim.Charge}
+		var a sim.Action
+		switch p.calls % 4 {
+		case 0:
+			a = sim.Action{Kind: sim.Stay}
+			if mask[0] && !mask[sim.ActionIndex(sim.Action{Kind: sim.Charge})] {
+				a = sim.Action{Kind: sim.Charge}
+			}
+		case 1:
+			a = sim.Action{Kind: sim.Move, Arg: sim.MaxNeighbors}
+		case 2:
+			a = sim.Action{Kind: sim.Move, Arg: -1}
+		case 3:
+			a = sim.Action{Kind: sim.Charge, Arg: sim.KStations}
 		}
-		if !mask[sim.ActionIndex(a)] {
-			*p.submitted++
+		p.calls++
+		if i := sim.ActionIndex(a); i < 0 || !mask[i] {
+			p.submitted++
 		}
 		acts[id] = a
 	}
@@ -135,18 +148,20 @@ func (p invalidPolicy) Act(env sim.Environment, vacant []int) map[int]sim.Action
 }
 
 // TestRunEpisodeRecordsExecutedAction pins the mask fallback RunEpisode's
-// bookkeeping relies on: a mask-invalid action is recorded as the first
-// valid index, which must be exactly the action Step executes after
-// coercing it (Charge(0) for a taxi that must charge, Stay otherwise).
+// bookkeeping relies on: a mask-invalid action, or one outside the action
+// space, is recorded as the first valid index, which must be exactly the
+// action Step executes after coercing it (Charge(0) for a taxi that must
+// charge, Stay otherwise).
 // Every recorded action is the first valid index, the episode equals one
 // in which each taxi submitted that index itself, and env.InvalidActions
 // counts every invalid submission.
 func TestRunEpisodeRecordsExecutedAction(t *testing.T) {
 	city := testCity(t, 14)
 	env := sim.New(city, sim.DefaultOptions(1), 14)
-	var submitted, checked int
+	pol := &invalidPolicy{}
+	var checked int
 	kinds := map[sim.ActionKind]int{}
-	RunEpisode(env, invalidPolicy{&submitted}, false, 0.6, 0.9, func(id int, tr *Transition) {
+	RunEpisode(env, pol, false, 0.6, 0.9, func(id int, tr *Transition) {
 		if tr == nil {
 			return
 		}
@@ -159,14 +174,14 @@ func TestRunEpisodeRecordsExecutedAction(t *testing.T) {
 		kinds[sim.ActionFromIndex(tr.Action).Kind]++
 		checked++
 	})
-	if submitted == 0 || checked == 0 {
-		t.Fatalf("vacuous: %d invalid submissions, %d transitions", submitted, checked)
+	if pol.submitted == 0 || checked == 0 {
+		t.Fatalf("vacuous: %d invalid submissions, %d transitions", pol.submitted, checked)
 	}
 	if kinds[sim.Stay] == 0 || kinds[sim.Charge] == 0 {
 		t.Fatalf("both fallbacks must occur, got %v", kinds)
 	}
-	if got := env.InvalidActions(); got != submitted {
-		t.Fatalf("env counted %d invalid actions, policy submitted %d", got, submitted)
+	if got := env.InvalidActions(); got != pol.submitted {
+		t.Fatalf("env counted %d invalid actions, policy submitted %d", got, pol.submitted)
 	}
 	// Step executed the recorded actions: submitting them directly replays
 	// the same episode.

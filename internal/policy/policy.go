@@ -96,8 +96,9 @@ func (tr Transition) Detach() Transition {
 // onDecision decides each later taxi of the slot with what the earlier
 // ones taught it.
 //
-// A transition records the action Step executes: a mask-invalid choice is
-// recorded as the first valid index, which is what Step coerces it to.
+// A transition records the action Step executes: a mask-invalid choice, or
+// one outside the action space (ActionIndex -1), is recorded as the first
+// valid index, which is what Step coerces it to.
 func RunEpisode(env sim.Environment, pol Policy, perTaxi bool, alpha, gamma float64, onDecision func(id int, tr *Transition)) (meanReward float64) {
 	type pending struct {
 		// tr.Obs is a pend-owned copy of the opening observation's features:
@@ -132,7 +133,7 @@ func RunEpisode(env sim.Environment, pol Policy, perTaxi bool, alpha, gamma floa
 		for _, d := range r.StepSlot() {
 			p := &pend[d.Taxi]
 			p.tr.Action = sim.ActionIndex(d.Action)
-			if !p.tr.Mask[p.tr.Action] {
+			if p.tr.Action < 0 || !p.tr.Mask[p.tr.Action] {
 				if i := slices.Index(p.tr.Mask[:], true); i >= 0 {
 					p.tr.Action = i
 				}

@@ -221,7 +221,7 @@ type decisionJSON struct {
 	Taxi   int    `json:"taxi"`
 	Region int    `json:"region"`
 	Action string `json:"action"`
-	Index  int    `json:"action_index"`
+	Index  int    `json:"action_index"` // -1 for an action outside the action space
 }
 
 type decisionsResponse struct {

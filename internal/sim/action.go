@@ -67,14 +67,23 @@ const (
 // MaxNeighbors moves, and KStations charge targets.
 const NumActions = 1 + MaxNeighbors + KStations
 
-// ActionIndex flattens an Action into [0, NumActions).
+// ActionIndex flattens an Action into [0, NumActions). A Move or Charge
+// whose Arg lies outside [0, MaxNeighbors) or [0, KStations) has no index
+// and returns -1: flattening it anyway would alias a neighbouring action
+// (Move(MaxNeighbors) would read as Charge(0)).
 func ActionIndex(a Action) int {
 	switch a.Kind {
 	case Stay:
 		return 0
 	case Move:
+		if a.Arg < 0 || a.Arg >= MaxNeighbors {
+			return -1
+		}
 		return 1 + a.Arg
 	case Charge:
+		if a.Arg < 0 || a.Arg >= KStations {
+			return -1
+		}
 		return 1 + MaxNeighbors + a.Arg
 	default:
 		panic(fmt.Sprintf("sim: invalid action %v", a))

@@ -21,6 +21,34 @@ func fmtAction(a Action) string {
 	}
 }
 
+// TestActionIndexRejectsOutOfRangeArg: a Move or Charge whose Arg is outside
+// its range has no index. Flattening it anyway would alias another action —
+// Move(MaxNeighbors) is Charge(0)'s index, Move(-1) is Stay's — or run past
+// NumActions.
+func TestActionIndexRejectsOutOfRangeArg(t *testing.T) {
+	for _, a := range []Action{
+		{Kind: Move, Arg: -1},
+		{Kind: Move, Arg: MaxNeighbors},
+		{Kind: Charge, Arg: -1},
+		{Kind: Charge, Arg: KStations},
+		{Kind: Charge, Arg: math.MaxInt},
+	} {
+		if got := ActionIndex(a); got != -1 {
+			t.Errorf("ActionIndex(%v) = %d, want -1", a, got)
+		}
+	}
+	for _, a := range []Action{
+		{Kind: Move, Arg: 0},
+		{Kind: Move, Arg: MaxNeighbors - 1},
+		{Kind: Charge, Arg: 0},
+		{Kind: Charge, Arg: KStations - 1},
+	} {
+		if got := ActionIndex(a); got < 0 || got >= NumActions || ActionFromIndex(got) != a {
+			t.Errorf("ActionIndex(%v) = %d does not round-trip", a, got)
+		}
+	}
+}
+
 func TestActionAppendMatchesFmt(t *testing.T) {
 	kinds := []ActionKind{Stay, Move, Charge, 3, 99, -1}
 	args := []int{0, 1, 4, 7, 13, -1, -42, math.MaxInt, math.MinInt}

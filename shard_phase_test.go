@@ -3,8 +3,9 @@ package fairmove
 // Per-phase wall-clock profile of the simulator — the measurement
 // behind the shard-scaling table in EXPERIMENTS.md. The sharded Step is a
 // sequence of parallel phases separated by serial barriers; when adding
-// shards stops helping (BENCH_sharding.json shows shards=4 slower than
-// shards=2 on this host), this profile says which phase absorbed the time.
+// shards stops helping (BenchmarkEngineStepSharded slower at shards=4 than
+// at shards=2), this profile says which phase absorbed the time. The same
+// shard.phase.* timers feed `fairmove serve`'s /metrics.
 
 import (
 	"testing"
@@ -15,15 +16,12 @@ import (
 )
 
 // TestShardPhaseProfile steps one full episode per shard count with the
-// engine's phase timers enabled and logs the per-phase totals. Guarded by
-// -recordbench like the other recorders; run at -benchscale=full to profile
-// the paper-scale fleet:
+// engine's phase timers enabled, checks that every once-per-slot phase timed
+// every slot, and logs the per-phase totals. Run at -benchscale=full to
+// profile the paper-scale fleet:
 //
-//	go test -run TestShardPhaseProfile -recordbench -benchscale=full -v .
+//	go test -run TestShardPhaseProfile -benchscale=full -v .
 func TestShardPhaseProfile(t *testing.T) {
-	if !*recordBench {
-		t.Skip("pass -recordbench to profile shard phases")
-	}
 	phases := []string{
 		"begin_slot_apply", "route_migrants", "generate_and_match",
 		"run_minute", "end_slot",
@@ -43,6 +41,9 @@ func TestShardPhaseProfile(t *testing.T) {
 		for _, name := range phases {
 			st := reg.Timer("shard.phase." + name).Stat()
 			step += float64(st.TotalNs)
+			if st.Count < int64(slots) {
+				t.Errorf("shards=%d: %s timed %d times in %d slots", env.Shards(), name, st.Count, slots)
+			}
 		}
 		t.Logf("shards=%d: %d slots, %.1f ms timed total", env.Shards(), slots, step/1e6)
 		for _, name := range phases {
