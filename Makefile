@@ -136,7 +136,7 @@ battery:
 # beyond its corpus, then quadruple the random-composition count.
 fuzz-battery:
 	$(GO) test ./internal/scenario/ -fuzz FuzzGenerate -fuzztime 30s
-	$(GO) test -run TestRobustnessBattery -battery-n 256 -timeout 1800s ./internal/invariant/
+	$(GO) test -run TestRobustnessBattery -timeout 1800s ./internal/invariant/ -battery-n 256
 
 # Explore the fuzz targets beyond the committed corpora (not part of ci;
 # run locally when touching the parser or codec).

@@ -379,23 +379,22 @@ func TestShardCountInvariance(t *testing.T) {
 // AlphaSweep must likewise be invariant to the worker count.
 func TestAlphaSweepWorkerInvariance(t *testing.T) {
 	alphas := []float64{0.8, 0.2} // unsorted on purpose: output order is sorted
-	run := func(workers int) ([]float64, []float64) {
+	run := func(workers int) []AlphaPoint {
 		s, err := NewSystem(microConfig(5, workers))
 		if err != nil {
 			t.Fatal(err)
 		}
-		as, rs, err := s.AlphaSweep(alphas)
+		pts, err := s.AlphaSweep(alphas)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return as, rs
+		return pts
 	}
-	a1, r1 := run(1)
-	a4, r4 := run(4)
-	if !reflect.DeepEqual(a1, []float64{0.2, 0.8}) {
-		t.Fatalf("alphas not sorted: %v", a1)
+	p1, p4 := run(1), run(4)
+	if len(p1) != 2 || p1[0].Alpha != 0.2 || p1[1].Alpha != 0.8 {
+		t.Fatalf("alphas not sorted: %+v", p1)
 	}
-	if !reflect.DeepEqual(a1, a4) || !reflect.DeepEqual(r1, r4) {
-		t.Fatalf("sweep diverged across worker counts:\nworkers=1: %v %v\nworkers=4: %v %v", a1, r1, a4, r4)
+	if !reflect.DeepEqual(p1, p4) {
+		t.Fatalf("sweep diverged across worker counts:\nworkers=1: %+v\nworkers=4: %+v", p1, p4)
 	}
 }

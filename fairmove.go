@@ -506,7 +506,7 @@ func (s *System) Evaluate(m Method) (EvalReport, error) {
 	if err != nil {
 		return EvalReport{}, err
 	}
-	res := policy.Evaluate(p, s.newEvalEnv(), s.cfg.Seed+1000)
+	res := policy.Evaluate(p, s.newEvalEnv(), s.EvalSeed())
 	return evalReport(m, res), nil
 }
 
@@ -567,6 +567,27 @@ func (c Comparison) MarshalJSON() ([]byte, error) {
 	return append(merged, extra[1:]...), nil
 }
 
+// Compare reports strategy results d, produced by method m, against ground
+// truth g. CompareAll builds its rows with it; the paper report formats
+// ablation rows through it too, so m may name any evaluated policy.
+func Compare(m Method, g, d *sim.Results) Comparison {
+	return Comparison{
+		EvalReport: evalReport(m, d),
+		PRCT:       metrics.PRCT(g, d),
+		PRIT:       metrics.PRIT(g, d),
+		PIPE:       metrics.PIPE(g, d),
+		PIPF:       metrics.PIPF(g, d),
+	}
+}
+
+// String renders the comparison as one report row. FloorDSR is the one
+// field with a legitimate no-signal value (NaN under a total demand
+// blackout) and renders as "n/a" there.
+func (c Comparison) String() string {
+	return fmt.Sprintf("%-10s PRCT=%6.1f%% PRIT=%6.1f%% PIPE=%6.1f%% PIPF=%6.1f%% meanPE=%6.2f PF=%7.2f Fsp=%5.3f floor=%s",
+		c.Method, c.PRCT, c.PRIT, c.PIPE, c.PIPF, c.MeanPE, c.PF, c.FSpatial, metrics.FormatRatio(c.FloorDSR))
+}
+
 // CompareAll evaluates every strategy on the same demand realization and
 // reports each against ground truth, in Methods() order.
 //
@@ -582,51 +603,52 @@ func (s *System) CompareAll() ([]Comparison, error) {
 			if err != nil {
 				return nil, err
 			}
-			return policy.Evaluate(p, s.newEvalEnv(), s.cfg.Seed+1000), nil
+			return policy.Evaluate(p, s.newEvalEnv(), s.EvalSeed()), nil
 		})
 	if err != nil {
 		return nil, err
 	}
 	g := results[0] // Methods() leads with GT, the comparison base
-	out := make([]Comparison, 0, len(ms))
+	out := make([]Comparison, len(ms))
 	for i, m := range ms {
-		d := results[i]
-		out = append(out, Comparison{
-			EvalReport: evalReport(m, d),
-			PRCT:       metrics.PRCT(g, d),
-			PRIT:       metrics.PRIT(g, d),
-			PIPE:       metrics.PIPE(g, d),
-			PIPF:       metrics.PIPF(g, d),
-		})
+		out[i] = Compare(m, g, results[i])
 	}
 	return out, nil
 }
 
-// AlphaSweep trains a fresh FairMove at each α and returns the mean
-// decision reward of the final training episode — the paper's Table IV.
-// Keys are sorted ascending in the returned slices.
+// AlphaPoint is one row of the paper's Table IV: a FairMove trained at
+// weight Alpha, with the mean decision reward of its final training episode
+// and the fleet metrics it buys on the evaluation horizon.
+type AlphaPoint struct {
+	Alpha  float64
+	Reward float64 // final-episode mean decision reward (the table's r)
+	MeanPE float64 // evaluated mean profit efficiency (CNY/h)
+	PF     float64 // evaluated profit fairness (variance)
+}
+
+// AlphaSweep trains a fresh FairMove at each α and evaluates it — the
+// paper's Table IV. Points are returned in ascending α order.
 //
 // Each α trains on its own worker with a private FairMove, teacher, and
 // environments; results reduce in sorted-α order, so the sweep is
 // byte-identical for any worker count.
-func (s *System) AlphaSweep(alphas []float64) (sortedAlphas, rewards []float64, err error) {
-	sortedAlphas = append([]float64(nil), alphas...)
-	sort.Float64s(sortedAlphas)
-	rewards, err = parallel.Map(context.Background(), s.cfg.Workers, len(sortedAlphas),
-		func(_ context.Context, i int) (float64, error) {
-			fm, err := core.New(coreConfig(s.cfg, sortedAlphas[i]))
+func (s *System) AlphaSweep(alphas []float64) ([]AlphaPoint, error) {
+	sorted := append([]float64(nil), alphas...)
+	sort.Float64s(sorted)
+	return parallel.Map(context.Background(), s.cfg.Workers, len(sorted),
+		func(_ context.Context, i int) (AlphaPoint, error) {
+			pt := AlphaPoint{Alpha: sorted[i]}
+			fm, err := core.New(coreConfig(s.cfg, pt.Alpha))
 			if err != nil {
-				return 0, err
+				return pt, err
 			}
 			fm.Pretrain(s.city, policy.NewCoordinator(), s.cfg.PretrainEpisodes, s.cfg.TrainDays, s.cfg.Seed)
 			st := fm.Train(s.city, s.cfg.TrainEpisodes, s.cfg.TrainDays, s.cfg.Seed)
-			if len(st.MeanReward) == 0 {
-				return 0, nil
+			if len(st.MeanReward) > 0 {
+				pt.Reward = st.MeanReward[len(st.MeanReward)-1]
 			}
-			return st.MeanReward[len(st.MeanReward)-1], nil
+			res := policy.Evaluate(fm, s.newEvalEnv(), s.EvalSeed())
+			pt.MeanPE, pt.PF = metrics.FleetPE(res), metrics.ProfitFairness(res)
+			return pt, nil
 		})
-	if err != nil {
-		return nil, nil, err
-	}
-	return sortedAlphas, rewards, nil
 }

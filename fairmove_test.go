@@ -139,19 +139,22 @@ func TestAlphaSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alphas, rewards, err := s.AlphaSweep([]float64{1.0, 0.0})
+	pts, err := s.AlphaSweep([]float64{1.0, 0.0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(alphas) != 2 || len(rewards) != 2 {
-		t.Fatalf("sweep shape wrong: %v %v", alphas, rewards)
+	if len(pts) != 2 {
+		t.Fatalf("sweep shape wrong: %+v", pts)
 	}
-	if alphas[0] != 0 || alphas[1] != 1 {
-		t.Fatalf("alphas not sorted: %v", alphas)
+	if pts[0].Alpha != 0 || pts[1].Alpha != 1 {
+		t.Fatalf("alphas not sorted: %+v", pts)
 	}
-	for _, r := range rewards {
-		if math.IsNaN(r) {
-			t.Fatal("NaN sweep reward")
+	for _, p := range pts {
+		if math.IsNaN(p.Reward) || math.IsNaN(p.MeanPE) || math.IsNaN(p.PF) {
+			t.Fatalf("NaN sweep point: %+v", p)
+		}
+		if p.MeanPE == 0 {
+			t.Fatalf("α=%v point was not evaluated: %+v", p.Alpha, p)
 		}
 	}
 }

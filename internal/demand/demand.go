@@ -391,9 +391,6 @@ func (m *Model) Partition() *partition.Partition { return m.part }
 // Profile returns the demand profile of a region.
 func (m *Model) Profile(region int) RegionProfile { return m.profiles[region] }
 
-// Fares returns the fare schedule.
-func (m *Model) Fares() pricing.FareSchedule { return m.fares }
-
 // Rate returns the expected number of requests per minute in region at
 // absolute minute t.
 func (m *Model) Rate(region, tMin int) float64 {
@@ -513,7 +510,7 @@ func (m *Model) sampleOne(src *rng.Source, origin, tMin int, fast bool) Request 
 		op = m.randPointInFast(src, origin)
 		dp = m.randPointInFast(src, dest)
 		// Equirectangular distance with the city-wide cached cosine: at
-		// intra-city extents it matches the haversine to well under 0.1%,
+		// intra-city extents it matches the haversine to within 0.2%,
 		// far inside RoadFactor's fudge.
 		const degToRad = math.Pi / 180
 		dLat := (dp.Lat - op.Lat) * degToRad
@@ -543,12 +540,6 @@ func (m *Model) sampleOne(src *rng.Source, origin, tMin int, fast bool) Request 
 		DurationMin:  durMin,
 		Fare:         fare,
 	}
-}
-
-// SampleTripFrom generates a single request originating in region at tMin
-// on the linear reference path.
-func (m *Model) SampleTripFrom(src *rng.Source, region, tMin int) Request {
-	return m.sampleOne(src, region, tMin, false)
 }
 
 // MeanFare estimates the mean per-trip fare from region at the given hour by

@@ -274,7 +274,7 @@ func TestSampleTripFromOrigin(t *testing.T) {
 	m := testModel(t)
 	src := rng.New(8)
 	for i := 0; i < 50; i++ {
-		req := m.SampleTripFrom(src, 7, 100)
+		req := m.sampleOne(src, 7, 100, false)
 		if req.OriginRegion != 7 {
 			t.Fatalf("origin region = %d, want 7", req.OriginRegion)
 		}
@@ -321,7 +321,7 @@ func TestGravityPrefersNearAttractive(t *testing.T) {
 	var sum float64
 	n := 200
 	for i := 0; i < n; i++ {
-		sum += m.SampleTripFrom(src, dt, 600).DistanceKm
+		sum += m.sampleOne(src, dt, 600, false).DistanceKm
 	}
 	mean := sum / float64(n)
 	if mean > 30 {

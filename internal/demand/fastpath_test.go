@@ -60,13 +60,14 @@ func TestEquirectangularTracksHaversine(t *testing.T) {
 	m := testModel(t)
 	src := rng.New(17)
 	for i := 0; i < 500; i++ {
-		p := m.randPointInFast(src, src.Intn(m.part.Len()))
-		q := m.randPointInFast(src, src.Intn(m.part.Len()))
-		want := geo.Distance(p, q)
-		got := geo.DistanceApprox(p, q)
-		if want > 0.1 && math.Abs(got-want)/want > 0.001 {
-			t.Fatalf("approx %v vs haversine %v at %v-%v: relative error %.5f",
-				got, want, p, q, math.Abs(got-want)/want)
+		req := m.sampleOne(src, src.Intn(m.part.Len()), 600, true)
+		want := geo.Distance(req.Origin, req.Dest) * RoadFactor
+		got := req.DistanceKm
+		// One cached cosine for the whole city: over Shenzhen's 0.4° of
+		// latitude it is off by at most tan(22.65°)·0.2° ≈ 0.15%.
+		if want > 1 && math.Abs(got-want)/want > 0.002 {
+			t.Fatalf("equirectangular %v vs haversine %v at %v-%v: relative error %.5f",
+				got, want, req.Origin, req.Dest, math.Abs(got-want)/want)
 		}
 	}
 }

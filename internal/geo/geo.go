@@ -38,33 +38,6 @@ func Distance(p, q Point) float64 {
 	return 2 * EarthRadiusKm * math.Asin(math.Min(1, math.Sqrt(a)))
 }
 
-// DistanceApprox returns the equirectangular approximation of Distance —
-// one cosine instead of haversine's full trig chain. At intra-city extents
-// (tens of kilometres) it agrees with Distance to well under 0.1%, far
-// inside the road-network fudge factors layered on top, so the hot sampling
-// paths use it; anything comparing points across the whole map should keep
-// Distance.
-func DistanceApprox(p, q Point) float64 {
-	const degToRad = math.Pi / 180
-	dLat := (q.Lat - p.Lat) * degToRad
-	dLng := (q.Lng - p.Lng) * degToRad * math.Cos((p.Lat+q.Lat)*(degToRad/2))
-	return EarthRadiusKm * math.Sqrt(dLat*dLat+dLng*dLng)
-}
-
-// Midpoint returns the arithmetic midpoint of p and q. It is adequate for the
-// city-scale distances FairMove deals with.
-func Midpoint(p, q Point) Point {
-	return Point{Lng: (p.Lng + q.Lng) / 2, Lat: (p.Lat + q.Lat) / 2}
-}
-
-// Lerp linearly interpolates between p (t=0) and q (t=1).
-func Lerp(p, q Point, t float64) Point {
-	return Point{
-		Lng: p.Lng + (q.Lng-p.Lng)*t,
-		Lat: p.Lat + (q.Lat-p.Lat)*t,
-	}
-}
-
 // BBox is an axis-aligned bounding box in degree space.
 type BBox struct {
 	MinLng, MinLat, MaxLng, MaxLat float64

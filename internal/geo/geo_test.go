@@ -49,24 +49,6 @@ func TestDistanceTriangleInequality(t *testing.T) {
 	}
 }
 
-func TestLerpEndpoints(t *testing.T) {
-	a := Point{Lng: 1, Lat: 2}
-	b := Point{Lng: 3, Lat: 6}
-	if got := Lerp(a, b, 0); got != a {
-		t.Fatalf("Lerp t=0 = %v, want %v", got, a)
-	}
-	if got := Lerp(a, b, 1); got != b {
-		t.Fatalf("Lerp t=1 = %v, want %v", got, b)
-	}
-	mid := Lerp(a, b, 0.5)
-	if mid != (Point{Lng: 2, Lat: 4}) {
-		t.Fatalf("Lerp t=0.5 = %v", mid)
-	}
-	if mid != Midpoint(a, b) {
-		t.Fatalf("Lerp t=0.5 != Midpoint: %v vs %v", mid, Midpoint(a, b))
-	}
-}
-
 func TestBBoxContains(t *testing.T) {
 	b := BBox{MinLng: 0, MinLat: 0, MaxLng: 10, MaxLat: 5}
 	cases := []struct {

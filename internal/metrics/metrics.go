@@ -1,13 +1,11 @@
 // Package metrics computes the paper's evaluation metrics (Section IV-A):
 // profit efficiency PE (Eq. 2), profit fairness PF (Eq. 3), and the four
 // comparison percentages PRCT, PRIT, PIPE, and PIPF (Eq. 12-15) that every
-// table and figure reports.
+// table and figure reports. The per-strategy row combining them is
+// fairmove.Comparison.
 package metrics
 
 import (
-	"encoding/json"
-	"fmt"
-
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -108,65 +106,4 @@ func reductionByHour(g, d [24]float64) [24]float64 {
 		}
 	}
 	return out
-}
-
-// Comparison bundles every headline metric of one strategy against ground
-// truth — one column of Tables II/III and Figs. 15/16.
-type Comparison struct {
-	Name string
-	// Against ground truth (percent).
-	PRCT, PRIT, PIPE, PIPF float64
-	// Absolute values.
-	MeanPE, PF       float64
-	MedianCruise     float64
-	MedianIdle       float64
-	ServedRequests   int
-	UnservedRequests int
-	GiniPE           float64
-	// Spatial fairness of service across regions (see spatial.go).
-	FSpatial float64
-	GiniDSR  float64
-	FloorDSR float64
-}
-
-// Compare computes a full Comparison of strategy results d (named name)
-// against ground truth g.
-func Compare(name string, g, d *sim.Results) Comparison {
-	c := Comparison{
-		Name:             name,
-		PRCT:             PRCT(g, d),
-		PRIT:             PRIT(g, d),
-		PIPE:             PIPE(g, d),
-		PIPF:             PIPF(g, d),
-		MeanPE:           FleetPE(d),
-		PF:               ProfitFairness(d),
-		ServedRequests:   d.ServedRequests,
-		UnservedRequests: d.UnservedRequests,
-		GiniPE:           stats.Gini(d.PEs()),
-		FSpatial:         SpatialFairness(d),
-		GiniDSR:          GiniDSR(d),
-		FloorDSR:         AccessibilityFloor(d),
-	}
-	c.MedianCruise, _ = stats.Median(d.CruiseTimes())
-	c.MedianIdle, _ = stats.Median(d.IdleTimes())
-	return c
-}
-
-// String renders the comparison as one report row. FloorDSR is the one
-// field with a legitimate no-signal value (NaN under a total demand
-// blackout) and renders as "n/a" there.
-func (c Comparison) String() string {
-	return fmt.Sprintf("%-10s PRCT=%6.1f%% PRIT=%6.1f%% PIPE=%6.1f%% PIPF=%6.1f%% meanPE=%6.2f PF=%7.2f Fsp=%5.3f floor=%s",
-		c.Name, c.PRCT, c.PRIT, c.PIPE, c.PIPF, c.MeanPE, c.PF, c.FSpatial, FormatRatio(c.FloorDSR))
-}
-
-// MarshalJSON emits the comparison with FloorDSR as null when it is NaN
-// (no region saw demand): encoding/json refuses non-finite floats, so
-// without this a blackout scenario makes the whole report unserializable.
-func (c Comparison) MarshalJSON() ([]byte, error) {
-	type alias Comparison // drops the method set, avoiding recursion
-	return json.Marshal(struct {
-		alias
-		FloorDSR json.RawMessage
-	}{alias(c), JSONFloat(c.FloorDSR)})
 }

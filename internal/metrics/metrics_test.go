@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -160,11 +159,6 @@ func TestZeroBaselineGuards(t *testing.T) {
 			t.Errorf("%s empty-vs-empty = %v, want 0", name, got)
 		}
 	}
-	// The full comparison bundle must format cleanly on empty results too.
-	c := Compare("blackout", empty, empty)
-	if s := c.String(); strings.Contains(s, "NaN") || strings.Contains(s, "%!") {
-		t.Errorf("empty comparison formats badly: %q", s)
-	}
 }
 
 // TestHourlyMeansEmptyHours pins that hours without any trips or charges
@@ -197,29 +191,5 @@ func TestHourlyMeansEmptyHours(t *testing.T) {
 		if idle[h] != wantIdle {
 			t.Fatalf("HourlyMeanIdle[%d] = %v, want %v", h, idle[h], wantIdle)
 		}
-	}
-}
-
-func TestCompareBundle(t *testing.T) {
-	g := fakeResults([]float64{10, 20}, []int{30}, pes(30, 50))
-	d := fakeResults([]float64{5, 10}, []int{15}, pes(45, 45))
-	c := Compare("test", g, d)
-	if c.Name != "test" {
-		t.Fatal("name lost")
-	}
-	if math.Abs(c.PRCT-50) > 1e-9 || math.Abs(c.PRIT-50) > 1e-9 {
-		t.Fatalf("comparison percentages wrong: %+v", c)
-	}
-	if math.Abs(c.PIPE-12.5) > 1e-9 {
-		t.Fatalf("PIPE = %v, want 12.5", c.PIPE)
-	}
-	if c.PIPF != 100 {
-		t.Fatalf("PIPF = %v, want 100 (perfectly fair)", c.PIPF)
-	}
-	if c.MedianCruise != 7.5 || c.MedianIdle != 15 {
-		t.Fatalf("medians wrong: %+v", c)
-	}
-	if !strings.Contains(c.String(), "PRCT") {
-		t.Fatal("String() missing fields")
 	}
 }

@@ -1,9 +1,7 @@
 package metrics
 
 import (
-	"encoding/json"
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -70,44 +68,20 @@ func TestAccessibilityFloorIsWorstRegion(t *testing.T) {
 	}
 }
 
-func TestCompareCarriesSpatialFields(t *testing.T) {
-	g := spatialResults([]int{10, 10}, []int{10, 10})
-	d := spatialResults([]int{10, 10}, []int{10, 2})
-	c := Compare("test", g, d)
-	if c.FSpatial >= 1 || c.FSpatial <= 0 {
-		t.Fatalf("FSpatial = %v, want in (0,1)", c.FSpatial)
-	}
-	if math.Abs(c.FloorDSR-0.2) > 1e-12 {
-		t.Fatalf("FloorDSR = %v, want 0.2", c.FloorDSR)
-	}
-	if math.Abs(c.GiniDSR-(1-c.FSpatial)) > 1e-12 {
-		t.Fatalf("GiniDSR %v inconsistent with FSpatial %v", c.GiniDSR, c.FSpatial)
-	}
-}
-
 func TestBlackoutRendersWithoutNaN(t *testing.T) {
 	// Total demand blackout: every region demanded nothing, so the
 	// accessibility floor is NaN ("no signal"). The formatters must not leak
 	// that NaN — text renders "n/a" and JSON encodes null (raw NaN makes
 	// encoding/json fail outright, taking the whole report with it).
-	g := spatialResults([]int{10, 10}, []int{10, 10})
-	d := spatialResults([]int{0, 0}, []int{0, 0})
-	c := Compare("blackout", g, d)
-	if !math.IsNaN(c.FloorDSR) {
-		t.Fatalf("blackout FloorDSR = %v, want NaN", c.FloorDSR)
+	fl := AccessibilityFloor(spatialResults([]int{0, 0}, []int{0, 0}))
+	if !math.IsNaN(fl) {
+		t.Fatalf("blackout FloorDSR = %v, want NaN", fl)
 	}
-	if got := FormatRatio(c.FloorDSR); got != "n/a" {
+	if got := FormatRatio(fl); got != "n/a" {
 		t.Fatalf("FormatRatio(NaN) = %q, want \"n/a\"", got)
 	}
-	if s := c.String(); strings.Contains(s, "NaN") || !strings.Contains(s, "floor=n/a") {
-		t.Fatalf("blackout row renders %q", s)
-	}
-	data, err := json.Marshal(c)
-	if err != nil {
-		t.Fatalf("blackout comparison does not marshal: %v", err)
-	}
-	if !strings.Contains(string(data), `"FloorDSR":null`) {
-		t.Fatalf("blackout JSON = %s, want FloorDSR null", data)
+	if got := string(JSONFloat(fl)); got != "null" {
+		t.Fatalf("JSONFloat(NaN) = %s, want null", got)
 	}
 }
 

@@ -350,15 +350,6 @@ func (m *MLP) Params() (params, grads [][]float32) {
 	return m.paramsCache, m.gradsCache
 }
 
-// NumParams returns the total parameter count.
-func (m *MLP) NumParams() int {
-	var n int
-	for _, l := range m.Layers {
-		n += len(l.W.Data) + len(l.B)
-	}
-	return n
-}
-
 // CopyWeightsFrom copies all parameters from src (shapes must match). Target
 // networks in DQN and CMA2C use it for the periodic hard update.
 func (m *MLP) CopyWeightsFrom(src *MLP) {
@@ -372,23 +363,6 @@ func (m *MLP) CopyWeightsFrom(src *MLP) {
 		}
 		copy(l.W.Data, s.W.Data)
 		copy(l.B, s.B)
-	}
-}
-
-// SoftUpdateFrom blends parameters θ ← (1-τ)θ + τ·θ_src, the Polyak update.
-func (m *MLP) SoftUpdateFrom(src *MLP, tau float64) {
-	if len(m.Layers) != len(src.Layers) {
-		panic("nn: SoftUpdateFrom layer count mismatch")
-	}
-	t := float32(tau)
-	for i, l := range m.Layers {
-		s := src.Layers[i]
-		for j := range l.W.Data {
-			l.W.Data[j] = (1-t)*l.W.Data[j] + t*s.W.Data[j]
-		}
-		for j := range l.B {
-			l.B[j] = (1-t)*l.B[j] + t*s.B[j]
-		}
 	}
 }
 

@@ -2,44 +2,6 @@ package nn
 
 import "math"
 
-// Optimizer updates parameters from accumulated gradients.
-type Optimizer interface {
-	// Step applies one update using the gradients currently accumulated in
-	// the network, then zeroes them.
-	Step(net *MLP)
-}
-
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	velocity [][]float32
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD { return &SGD{LR: lr, Momentum: momentum} }
-
-// Step implements Optimizer.
-func (o *SGD) Step(net *MLP) {
-	params, grads := net.Params()
-	if o.velocity == nil {
-		o.velocity = make([][]float32, len(params))
-		for i, p := range params {
-			o.velocity[i] = make([]float32, len(p))
-		}
-	}
-	mom, lr := float32(o.Momentum), float32(o.LR)
-	for i, p := range params {
-		g := grads[i]
-		v := o.velocity[i]
-		for j := range p {
-			v[j] = mom*v[j] - lr*g[j]
-			p[j] += v[j]
-		}
-	}
-	net.ZeroGrad()
-}
-
 // Adam is the Adam optimizer (Kingma & Ba), the paper's choice
 // ("AdamOptimizer with a learning rate of 0.001").
 type Adam struct {
@@ -62,7 +24,8 @@ func (o *Adam) State() (t int, m, v [][]float32) { return o.t, o.m, o.v }
 // moments reproduce a freshly constructed optimizer (Step allocates lazily).
 func (o *Adam) Restore(t int, m, v [][]float32) { o.t, o.m, o.v = t, m, v }
 
-// Step implements Optimizer. The bias corrections are folded into two
+// Step applies one update from the gradients accumulated in net, then
+// zeroes them. The bias corrections are folded into two
 // float64-precomputed scalars so the per-parameter loop is pure float32:
 // with bc1 = 1-β1ᵗ and bc2 = 1-β2ᵗ,
 //

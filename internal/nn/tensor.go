@@ -88,9 +88,6 @@ func ensureMat(out *Mat, rows, cols int) *Mat {
 // allocating otherwise (out may be nil). Contents are unspecified.
 func EnsureMat(out *Mat, rows, cols int) *Mat { return ensureMat(out, rows, cols) }
 
-// MatMul computes a @ b into a new matrix.
-func MatMul(a, b *Mat) *Mat { return MatMulInto(a, b, nil) }
-
 // MatMulInto computes a @ b into out's storage (reused when it fits, nil
 // allocates) and returns out. This is gemmNN's native layout: both operands
 // are read in place.
@@ -103,9 +100,6 @@ func MatMulInto(a, b, out *Mat) *Mat {
 	return out
 }
 
-// MatMulTransB computes a @ bᵀ into a new matrix.
-func MatMulTransB(a, b *Mat) *Mat { return MatMulTransBInto(a, b, nil) }
-
 // MatMulTransBInto computes a @ bᵀ into out's storage (reused when it fits,
 // nil allocates) and returns out. This is gemmNT's native layout: no packing,
 // no zeroing pass, every cell written exactly once.
@@ -117,9 +111,6 @@ func MatMulTransBInto(a, b, out *Mat) *Mat {
 	gemmNT(nil, a.Rows, b.Rows, a.Cols, a.Data, a.Cols, b.Data, b.Cols, out.Data, out.Cols)
 	return out
 }
-
-// MatMulTransA computes aᵀ @ b into a new matrix.
-func MatMulTransA(a, b *Mat) *Mat { return MatMulTransAInto(a, b, nil) }
 
 // MatMulTransAInto computes aᵀ @ b into out's storage (reused when it fits,
 // nil allocates) and returns out. a is packed transposed (allocated per

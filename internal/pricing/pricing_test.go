@@ -18,10 +18,6 @@ func TestShenzhenTariffRates(t *testing.T) {
 	if got := tr.Rate(Peak); got != 1.6 {
 		t.Errorf("peak rate = %v, want 1.6", got)
 	}
-	r := tr.Rates()
-	if r != [3]float64{0.9, 1.2, 1.6} {
-		t.Errorf("Rates() = %v", r)
-	}
 }
 
 func TestShenzhenBandLayout(t *testing.T) {
@@ -133,17 +129,6 @@ func TestEnergyCostMonotonicInDuration(t *testing.T) {
 			t.Fatalf("cost decreased with duration at %d min", d)
 		}
 		prev = c
-	}
-}
-
-func TestCheapestStartPrefersOffPeak(t *testing.T) {
-	tr := Shenzhen()
-	start, cost := tr.CheapestStart(60, 60)
-	if tr.BandAt(start) != OffPeak {
-		t.Fatalf("cheapest start %d:%02d in band %v, want off-peak", start/60, start%60, tr.BandAt(start))
-	}
-	if math.Abs(cost-54.0) > 1e-9 {
-		t.Fatalf("cheapest cost = %v, want 54", cost)
 	}
 }
 

@@ -116,11 +116,6 @@ func Shenzhen() *Tariff {
 // Rate returns the CNY/kWh price of a band.
 func (t *Tariff) Rate(b Band) float64 { return t.rates[b] }
 
-// Rates returns the price vector λ = [λ_o, λ_f, λ_p] indexed by Band.
-func (t *Tariff) Rates() [3]float64 {
-	return [3]float64{t.rates[OffPeak], t.rates[Flat], t.rates[Peak]}
-}
-
 // BandAt returns the band in effect at minute-of-day m (wrapped mod 1440).
 func (t *Tariff) BandAt(m int) Band {
 	m %= 24 * 60
@@ -160,18 +155,4 @@ func (t *Tariff) EnergyCost(startMin, durationMin int, powerKW float64) float64 
 		cost += t.rates[b] * powerKW * hours
 	}
 	return cost
-}
-
-// CheapestStart returns the start minute in [0,1440) minimizing the cost of a
-// charging session of the given duration and power, along with that cost.
-// Useful as an oracle in tests and for the ground-truth driver heuristic,
-// which seeks cheap bands (producing the charging peaks of Fig. 4).
-func (t *Tariff) CheapestStart(durationMin int, powerKW float64) (startMin int, cost float64) {
-	best, bestCost := 0, t.EnergyCost(0, durationMin, powerKW)
-	for m := 1; m < 24*60; m++ {
-		if c := t.EnergyCost(m, durationMin, powerKW); c < bestCost {
-			best, bestCost = m, c
-		}
-	}
-	return best, bestCost
 }

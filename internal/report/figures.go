@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	fairmove "repro"
 	"repro/internal/demand"
 	"repro/internal/metrics"
 	"repro/internal/rng"
@@ -128,7 +129,8 @@ func (b *Bundle) Fig6() string {
 func (b *Bundle) Fig7() string {
 	var sb strings.Builder
 	sb.WriteString("Fig. 7 — Mean per-trip revenue by region and time of day\n")
-	m := b.City.Demand
+	city := b.sys.City()
+	m := city.Demand
 	src := rng.SplitStable(b.Config.Seed, "fig7")
 	windows := []struct {
 		name string
@@ -142,7 +144,7 @@ func (b *Bundle) Fig7() string {
 	for _, w := range windows {
 		var fares []float64
 		var airport float64
-		for r := 0; r < b.City.Partition.Len(); r++ {
+		for r := 0; r < city.Partition.Len(); r++ {
 			f := m.ExpectedFare(r, w.hour)
 			fares = append(fares, f)
 			if archeOf[r] == demand.Airport {
@@ -207,7 +209,7 @@ func (b *Bundle) Fig11() string {
 	sb.WriteString("Fig. 11 — PRCT by hour of day (percent reduction vs GT)\n")
 	g := b.gt()
 	for _, m := range b.methodsPresent() {
-		if m == "GT" {
+		if m == fairmove.GT {
 			continue
 		}
 		series := metrics.PRCTByHour(g, b.Results[m])
@@ -239,7 +241,7 @@ func (b *Bundle) Fig13() string {
 	sb.WriteString("Fig. 13 — PRIT by hour of day (percent reduction vs GT)\n")
 	g := b.gt()
 	for _, m := range b.methodsPresent() {
-		if m == "GT" {
+		if m == fairmove.GT {
 			continue
 		}
 		series := metrics.PRITByHour(g, b.Results[m])
@@ -271,7 +273,7 @@ func (b *Bundle) Fig15() string {
 	sb.WriteString("Fig. 15 — Percentage increase of profit efficiency (PIPE vs GT)\n")
 	g := b.gt()
 	for _, m := range b.methodsPresent() {
-		if m == "GT" {
+		if m == fairmove.GT {
 			continue
 		}
 		sb.WriteString(row(m, fmt.Sprintf("PIPE=%+6.1f%%", metrics.PIPE(g, b.Results[m]))))
@@ -286,7 +288,7 @@ func (b *Bundle) Fig16() string {
 	sb.WriteString("Fig. 16 — Percentage increase of profit fairness (PIPF vs GT)\n")
 	g := b.gt()
 	for _, m := range b.methodsPresent() {
-		if m == "GT" {
+		if m == fairmove.GT {
 			continue
 		}
 		sb.WriteString(row(m, fmt.Sprintf("PIPF=%+6.1f%%", metrics.PIPF(g, b.Results[m]))))
@@ -311,7 +313,7 @@ func (b *Bundle) percentTable(title string, f func(g, d *sim.Results) float64) s
 	sb.WriteString(title + "\n  ")
 	g := b.gt()
 	for _, m := range b.methodsPresent() {
-		if m == "GT" {
+		if m == fairmove.GT {
 			continue
 		}
 		sb.WriteString(fmt.Sprintf("%s=%+.1f%%  ", m, f(g, b.Results[m])))
@@ -326,22 +328,18 @@ func (b *Bundle) percentTable(title string, f func(g, d *sim.Results) float64) s
 func (b *Bundle) Table4() string {
 	var sb strings.Builder
 	sb.WriteString("Table IV — Average reward r under different α\n")
-	if len(b.Alphas) == 0 {
+	if len(b.Alpha) == 0 {
 		sb.WriteString("  (run the alpha sweep to populate)\n")
 		return sb.String()
 	}
-	bestI := 0
-	for i := range b.Alphas {
-		if b.AlphaRewards[i] > b.AlphaRewards[bestI] {
-			bestI = i
+	best := b.Alpha[0]
+	for _, pt := range b.Alpha {
+		if pt.Reward > best.Reward {
+			best = pt
 		}
-		line := fmt.Sprintf("  α=%.1f  r=%.3f", b.Alphas[i], b.AlphaRewards[i])
-		if i < len(b.AlphaPE) {
-			line += fmt.Sprintf("  evaluated meanPE=%.2f PF=%.2f", b.AlphaPE[i], b.AlphaPF[i])
-		}
-		sb.WriteString(line + "\n")
+		fmt.Fprintf(&sb, "  α=%.1f  r=%.3f  evaluated meanPE=%.2f PF=%.2f\n", pt.Alpha, pt.Reward, pt.MeanPE, pt.PF)
 	}
-	sb.WriteString(fmt.Sprintf("  best α by training reward=%.1f (paper: 0.6-0.8); the evaluated PE/PF\n", b.Alphas[bestI]))
+	fmt.Fprintf(&sb, "  best α by training reward=%.1f (paper: 0.6-0.8); the evaluated PE/PF\n", best.Alpha)
 	sb.WriteString("  columns show the efficiency/fairness trade the weight actually buys\n")
 	return sb.String()
 }
@@ -360,7 +358,7 @@ func (b *Bundle) FormatAblations() string {
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		sb.WriteString("  " + metrics.Compare(n, g, b.Ablations[n]).String() + "\n")
+		sb.WriteString("  " + fairmove.Compare(fairmove.Method(n), g, b.Ablations[n]).String() + "\n")
 	}
 	return sb.String()
 }

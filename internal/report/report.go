@@ -1,7 +1,11 @@
-// Package report regenerates every table and figure of the paper's
-// evaluation (Section IV) as formatted text plus raw series. Both the
-// benchtab command and the root bench_test.go drive it, so the same code
-// path produces the human-readable report and the benchmark measurements.
+// Package report formats the paper's evaluation (Section IV) as text:
+// every table and figure, the design-choice ablations, scenario-conditioned
+// grids, and per-method telemetry. The experiment protocol itself — the six
+// strategies trained teacher-first, the evaluation environment, the α sweep
+// and the versus-ground-truth row — belongs to the fairmove facade: a Bundle
+// drives one fairmove.System and keeps what it measured. Both the benchtab
+// command and the root report benchmarks run it, so the same code path
+// produces the human-readable report and the benchmark measurements.
 //
 // Experiment index (see DESIGN.md §4): Figs. 3-8 are the data-driven
 // findings computed from a ground-truth run; Figs. 10-16 and Tables II-III
@@ -15,8 +19,7 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/checkpoint"
-	"repro/internal/core"
+	fairmove "repro"
 	"repro/internal/metrics"
 	"repro/internal/parallel"
 	"repro/internal/policy"
@@ -40,18 +43,10 @@ const (
 	ScaleFull
 )
 
-// Config sizes one report run.
+// Config sizes one report run: the facade configuration (city, protocol,
+// workers) plus what only the report adds.
 type Config struct {
-	Seed             int64
-	Scale            Scale
-	Days             int // evaluation horizon after warmup
-	WarmupDays       int
-	PretrainEpisodes int
-	TrainEpisodes    int
-	Alpha            float64
-	// Workers bounds the goroutines used to train and evaluate strategies;
-	// <= 0 means GOMAXPROCS. Results are byte-identical for any value.
-	Workers int
+	fairmove.Config
 	// Telemetry, when non-nil, aggregates metrics from every training and
 	// evaluation run into the registry (the CLIs pass theirs for periodic
 	// dumps) and captures a per-method snapshot in Bundle.Telemetry /
@@ -61,15 +56,15 @@ type Config struct {
 	// so enabling it never changes results.
 	Telemetry *telemetry.Registry
 	// Scenario, when non-nil, conditions every evaluation with the fault
-	// schedule (the -scenario flag of benchtab's gt-only mode). Validate
-	// against the city before running; Run/RunGTOnly do so.
+	// schedule (the -scenario flag of benchtab's gt-only mode). Run and
+	// RunGTOnly validate it against the city.
 	Scenario *scenario.Spec
 	// PolicyPath, when non-empty, warm-starts FairMove from a checkpoint
 	// file (benchtab's -policy flag) instead of training it, so comparison
 	// grids and scenario sweeps reload a trained artifact rather than pay
 	// the training cost per run. The checkpoint must have been written under
-	// the same core configuration (seed, α, hyperparameters); mismatches
-	// fail closed.
+	// the same core configuration (seed, α, hyperparameters); a missing,
+	// corrupt or mismatched file fails Run before any training starts.
 	PolicyPath string
 }
 
@@ -79,201 +74,70 @@ func (c Config) WithTelemetry(r *telemetry.Registry) Config {
 	return c
 }
 
-// DefaultConfig returns the configuration for a scale.
+// DefaultConfig returns the configuration for a scale: the facade default
+// (300 taxis, 75 regions) at ScaleDefault, a 120-taxi one-day city trained
+// one episode per phase at ScaleSmall, and the paper's city at ScaleFull.
 func DefaultConfig(seed int64, scale Scale) Config {
-	c := Config{
-		Seed:             seed,
-		Scale:            scale,
-		Days:             2,
-		WarmupDays:       1,
-		PretrainEpisodes: 4,
-		TrainEpisodes:    6,
-		Alpha:            0.6,
-	}
-	if scale == ScaleSmall {
-		c.Days = 1
-		c.PretrainEpisodes = 1
-		c.TrainEpisodes = 1
-	}
-	return c
-}
-
-// cityConfig maps a scale to a synthetic-city configuration.
-func (c Config) cityConfig() synth.Config {
-	switch c.Scale {
-	case ScaleFull:
-		return synth.FullScaleConfig(c.Seed)
+	c := fairmove.DefaultConfig(seed)
+	switch scale {
 	case ScaleSmall:
-		return synth.Config{
-			Seed: c.Seed, Regions: 40, Stations: 10, Fleet: 120,
-			TripsPerDay: 15 * 120, SlotMinutes: 10,
-		}
-	default:
-		return synth.Config{
-			Seed: c.Seed, Regions: 75, Stations: 18, Fleet: 300,
-			TripsPerDay: 15 * 300, SlotMinutes: 10,
-		}
+		c.Regions, c.Stations, c.Fleet = 40, 10, 120
+		c.Days, c.PretrainEpisodes, c.TrainEpisodes = 1, 1, 1
+	case ScaleFull:
+		full := synth.FullScaleConfig(seed)
+		c.Regions, c.Stations, c.Fleet = full.Regions, full.Stations, full.Fleet
+		c.TripsPerDay, c.SlotMinutes = full.TripsPerDay, full.SlotMinutes
 	}
+	return Config{Config: c}
 }
-
-// MethodNames is the report order of the compared strategies.
-var MethodNames = []string{"GT", "SD2", "TQL", "DQN", "TBA", "FairMove"}
 
 // Bundle holds everything needed to print the full report.
 type Bundle struct {
+	// Config is the run's configuration, its facade part default-filled.
 	Config  Config
-	City    *synth.City
-	Results map[string]*sim.Results // by method name
-	// AlphaRewards maps swept α values to the final-episode mean reward
-	// (Table IV); AlphaPE and AlphaPF are the evaluated fleet metrics of
-	// each α-trained policy. Populated by RunAlphaSweep.
-	Alphas       []float64
-	AlphaRewards []float64
-	AlphaPE      []float64
-	AlphaPF      []float64
+	Results map[fairmove.Method]*sim.Results
+	// Alpha holds the swept points of Table IV, in ascending α. Populated
+	// by RunAlphaSweep.
+	Alpha []fairmove.AlphaPoint
 	// Ablations maps ablation names to results (populated by RunAblations).
 	Ablations map[string]*sim.Results
 
 	// Scenarios maps scenario name → method → results under that fault
 	// schedule, and ScenarioOrder preserves run order for formatting.
 	// Populated by RunScenarios.
-	Scenarios     map[string]map[string]*sim.Results
+	Scenarios     map[string]map[fairmove.Method]*sim.Results
 	ScenarioOrder []string
 
 	// Telemetry maps method → the simulation-counter snapshot of its clean
 	// evaluation; ScenarioTelemetry adds the same per scenario. Populated
 	// only when Config.Telemetry is set; FormatTelemetry prints both and
 	// diffs each scenario cell against the method's clean run.
-	Telemetry         map[string]telemetry.Snapshot
-	ScenarioTelemetry map[string]map[string]telemetry.Snapshot
+	Telemetry         map[fairmove.Method]telemetry.Snapshot
+	ScenarioTelemetry map[string]map[fairmove.Method]telemetry.Snapshot
 
-	// policyCache retains the trained policies so ablations and scenario
-	// runs can re-evaluate them under modified environments.
-	policyCache map[string]policy.Policy
+	// sys owns the city and the trained policies, so ablations and
+	// scenario runs re-evaluate the same policies under modified
+	// environments.
+	sys *fairmove.System
 }
 
-// simOptions returns the shared evaluation protocol.
-func (c Config) simOptions() sim.Options {
-	opts := sim.DefaultOptions(c.Days)
-	opts.WarmupDays = c.WarmupDays
-	return opts
-}
-
-// evaluate runs p on a fresh environment over the bundle's city.
-func (c Config) evaluate(city *synth.City, p policy.Policy) *sim.Results {
-	res, _ := c.evaluateTel(city, p)
-	return res
-}
-
-// evaluateTel is evaluate plus conditioning and observability: the fault
-// schedule in c.Scenario (if any) is attached to the fresh environment, and
-// when c.Telemetry is set the run writes to a private registry whose final
-// snapshot is returned and merged into c.Telemetry. The private registry
-// keeps concurrent evaluations separable per method; its counters are pure
-// functions of the trajectory, so the snapshot is deterministic.
-func (c Config) evaluateTel(city *synth.City, p policy.Policy) (*sim.Results, telemetry.Snapshot) {
-	env := sim.New(city, c.simOptions(), c.Seed)
-	if c.Scenario != nil {
-		if _, err := scenario.Attach(env, c.Scenario); err != nil {
-			// Run/RunGTOnly validate the spec against the city up front, so
-			// this is a programmer error, not an input error.
-			panic("report: " + err.Error())
-		}
-	}
-	var reg *telemetry.Registry
-	if c.Telemetry != nil {
-		reg = telemetry.NewRegistry()
-		env.SetTelemetry(reg)
-	}
-	res := policy.Evaluate(p, env, c.Seed+1000)
-	snap := reg.Snapshot()
-	c.Telemetry.Merge(snap)
-	return res, snap
-}
-
-// BuildPolicies constructs and trains the six strategies with the shared
-// teacher-guided protocol. Each learner trains on its own worker with its
-// own teacher instance — the teacher re-derives all per-episode state from
-// the episode seed, so separate instances demonstrate identical behavior
-// and the result is byte-identical to the old shared-teacher serial loop
-// for any worker count.
-func (c Config) BuildPolicies(city *synth.City) map[string]policy.Policy {
-	builders := []func() policy.Policy{
-		func() policy.Policy { return policy.NewGroundTruth() },
-		func() policy.Policy { return policy.NewSD2() },
-		func() policy.Policy {
-			tql := policy.NewTQL(c.Alpha)
-			tql.SetTelemetry(c.Telemetry)
-			tql.Pretrain(city, policy.NewCoordinator(), c.PretrainEpisodes, 1, c.Seed)
-			tql.Train(city, c.TrainEpisodes, 1, c.Seed)
-			return tql
-		},
-		func() policy.Policy {
-			dqn := policy.NewDQN(c.Alpha, c.Seed)
-			dqn.Workers = c.Workers
-			dqn.SetTelemetry(c.Telemetry)
-			dqn.Pretrain(city, policy.NewCoordinator(), c.PretrainEpisodes, 1, c.Seed)
-			dqn.Train(city, (c.TrainEpisodes+1)/2, 1, c.Seed)
-			return dqn
-		},
-		func() policy.Policy {
-			tba := policy.NewTBA(c.Seed)
-			tba.Workers = c.Workers
-			tba.SetTelemetry(c.Telemetry)
-			tba.Pretrain(city, policy.NewCoordinator(), c.PretrainEpisodes, 1, c.Seed)
-			tba.Train(city, (c.TrainEpisodes+1)/2, 1, c.Seed)
-			return tba
-		},
-		func() policy.Policy {
-			ccfg := core.DefaultConfig(c.Alpha, c.Seed)
-			ccfg.Workers = c.Workers
-			fm, err := core.New(ccfg)
-			if err != nil {
-				panic("report: " + err.Error())
-			}
-			fm.SetTelemetry(c.Telemetry)
-			if c.PolicyPath != "" {
-				if _, err := checkpoint.ReadFile(c.PolicyPath, fm); err != nil {
-					panic("report: load policy: " + err.Error())
-				}
-				return fm
-			}
-			fm.Pretrain(city, policy.NewCoordinator(), c.PretrainEpisodes, 1, c.Seed)
-			fm.Train(city, c.TrainEpisodes, 1, c.Seed)
-			return fm
-		},
-	}
-	pols, _ := parallel.Map(context.Background(), c.Workers, len(builders),
-		func(_ context.Context, i int) (policy.Policy, error) { return builders[i](), nil })
-	out := make(map[string]policy.Policy, len(pols))
-	for i, name := range MethodNames {
-		out[name] = pols[i]
-	}
-	return out
-}
-
-// Run executes the whole comparison and returns the bundle.
-func Run(cfg Config) (*Bundle, error) {
-	city, err := synth.Build(cfg.cityConfig())
+// newBundle builds the facade system a report run evaluates on.
+func newBundle(cfg Config) (*Bundle, error) {
+	sys, err := fairmove.NewSystem(cfg.Config)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Scenario != nil {
-		if err := scenario.ValidateFor(cfg.Scenario, city); err != nil {
-			return nil, err
-		}
+	if err := sys.SetScenario(cfg.Scenario); err != nil {
+		return nil, err
 	}
-	pols := cfg.BuildPolicies(city)
-	results, snaps := cfg.evaluateAll(city, pols)
-	b := &Bundle{
-		Config:      cfg,
-		City:        city,
-		Results:     results,
-		Telemetry:   snaps,
-		Ablations:   make(map[string]*sim.Results),
-		policyCache: pols,
-	}
-	return b, nil
+	sys.SetTelemetry(cfg.Telemetry)
+	cfg.Config = sys.Config()
+	return &Bundle{
+		Config:    cfg,
+		Results:   make(map[fairmove.Method]*sim.Results),
+		Ablations: make(map[string]*sim.Results),
+		sys:       sys,
+	}, nil
 }
 
 // evalCell pairs one evaluation's results with its telemetry snapshot so
@@ -283,136 +147,140 @@ type evalCell struct {
 	snap telemetry.Snapshot
 }
 
-// evaluateAll evaluates every policy on its own worker and private
-// environment, reducing into the results map in MethodNames order. The
-// snapshot map is nil when telemetry is off.
-func (c Config) evaluateAll(city *synth.City, pols map[string]policy.Policy) (map[string]*sim.Results, map[string]telemetry.Snapshot) {
-	cells, _ := parallel.Map(context.Background(), c.Workers, len(MethodNames),
-		func(_ context.Context, i int) (evalCell, error) {
-			res, snap := c.evaluateTel(city, pols[MethodNames[i]])
-			return evalCell{res: res, snap: snap}, nil
-		})
-	out := make(map[string]*sim.Results, len(cells))
-	var snaps map[string]telemetry.Snapshot
-	if c.Telemetry != nil {
-		snaps = make(map[string]telemetry.Snapshot, len(cells))
-	}
-	for i, name := range MethodNames {
-		out[name] = cells[i].res
-		if snaps != nil {
-			snaps[name] = cells[i].snap
+// evaluate runs p on a fresh facade evaluation environment. A non-nil spec
+// replaces the installed scenario for this run. When telemetry is on, the
+// run writes to a private registry whose final snapshot is returned and
+// merged into Config.Telemetry; the private registry keeps concurrent
+// evaluations separable per method, and its counters are pure functions of
+// the trajectory, so the snapshot is deterministic.
+func (b *Bundle) evaluate(p policy.Policy, spec *scenario.Spec) evalCell {
+	env := b.sys.EvalEnv()
+	if spec != nil {
+		// Callers validate specs against the city up front, so this is a
+		// programmer error, not an input error.
+		if _, err := scenario.Attach(env, spec); err != nil {
+			panic("report: " + err.Error())
 		}
 	}
-	return out, snaps
+	var reg *telemetry.Registry
+	if b.Config.Telemetry != nil {
+		reg = telemetry.NewRegistry()
+		env.SetTelemetry(reg)
+	}
+	res := policy.Evaluate(p, env, b.sys.EvalSeed())
+	snap := reg.Snapshot()
+	b.Config.Telemetry.Merge(snap)
+	return evalCell{res: res, snap: snap}
 }
 
-// RunGTOnly executes just the ground-truth run (enough for Figs. 3-8).
-func RunGTOnly(cfg Config) (*Bundle, error) {
-	city, err := synth.Build(cfg.cityConfig())
+// record stores one method's clean evaluation.
+func (b *Bundle) record(m fairmove.Method, c evalCell) {
+	b.Results[m] = c.res
+	if b.Config.Telemetry != nil {
+		if b.Telemetry == nil {
+			b.Telemetry = make(map[fairmove.Method]telemetry.Snapshot)
+		}
+		b.Telemetry[m] = c.snap
+	}
+}
+
+// Run trains the six strategies through the facade and evaluates each on
+// identical demand. Each method trains and evaluates on its own worker; the
+// results reduce in fairmove.Methods() order, so the bundle is
+// byte-identical for any worker count.
+func Run(cfg Config) (*Bundle, error) {
+	b, err := newBundle(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Scenario != nil {
-		if err := scenario.ValidateFor(cfg.Scenario, city); err != nil {
-			return nil, err
+	if cfg.PolicyPath != "" {
+		if err := b.sys.LoadPolicy(cfg.PolicyPath); err != nil {
+			return nil, fmt.Errorf("report: load policy: %w", err)
 		}
 	}
-	res, snap := cfg.evaluateTel(city, policy.NewGroundTruth())
-	b := &Bundle{
-		Config:    cfg,
-		City:      city,
-		Results:   map[string]*sim.Results{"GT": res},
-		Ablations: make(map[string]*sim.Results),
+	methods := fairmove.Methods()
+	cells, err := parallel.Map(context.Background(), cfg.Workers, len(methods),
+		func(_ context.Context, i int) (evalCell, error) {
+			p, err := b.sys.PolicyFor(methods[i])
+			if err != nil {
+				return evalCell{}, err
+			}
+			return b.evaluate(p, nil), nil
+		})
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Telemetry != nil {
-		b.Telemetry = map[string]telemetry.Snapshot{"GT": snap}
+	for i, m := range methods {
+		b.record(m, cells[i])
 	}
 	return b, nil
 }
 
-// RunAlphaSweep trains a fresh FairMove per α and records the final-episode
-// mean decision reward (Table IV).
-func (b *Bundle) RunAlphaSweep(alphas []float64) error {
-	sorted := append([]float64(nil), alphas...)
-	sort.Float64s(sorted)
-	b.Alphas = sorted
-	b.AlphaRewards = make([]float64, len(sorted))
-	b.AlphaPE = make([]float64, len(sorted))
-	b.AlphaPF = make([]float64, len(sorted))
-	// Each α trains and evaluates on its own worker with a private FairMove
-	// and teacher; the slices index by sorted-α position, so the sweep is
-	// byte-identical for any worker count.
-	return parallel.ForEach(context.Background(), b.Config.Workers, len(sorted),
-		func(_ context.Context, i int) error {
-			cfg := core.DefaultConfig(sorted[i], b.Config.Seed)
-			cfg.Workers = b.Config.Workers
-			fm, err := core.New(cfg)
-			if err != nil {
-				return err
-			}
-			fm.Pretrain(b.City, policy.NewCoordinator(), b.Config.PretrainEpisodes, 1, b.Config.Seed)
-			st := fm.Train(b.City, b.Config.TrainEpisodes, 1, b.Config.Seed)
-			if len(st.MeanReward) > 0 {
-				b.AlphaRewards[i] = st.MeanReward[len(st.MeanReward)-1]
-			}
-			res := b.Config.evaluate(b.City, fm)
-			b.AlphaPE[i] = metrics.FleetPE(res)
-			b.AlphaPF[i] = metrics.ProfitFairness(res)
-			return nil
-		})
+// RunGTOnly executes just the ground-truth run (enough for Figs. 3-8).
+func RunGTOnly(cfg Config) (*Bundle, error) {
+	b, err := newBundle(cfg)
+	if err != nil {
+		return nil, err
+	}
+	p, err := b.sys.PolicyFor(fairmove.GT)
+	if err != nil {
+		return nil, err
+	}
+	b.record(fairmove.GT, b.evaluate(p, nil))
+	return b, nil
+}
+
+// RunAlphaSweep trains and evaluates a fresh FairMove per α (Table IV).
+func (b *Bundle) RunAlphaSweep(alphas []float64) (err error) {
+	b.Alpha, err = b.sys.AlphaSweep(alphas)
+	return err
 }
 
 // RunScenarios re-evaluates every already-trained policy under each
 // perturbation scenario, on identical fault schedules: specs are data, so
 // method M and method N see byte-identical outages, surges, and dropouts.
 // Results land in b.Scenarios[spec.Name][method]; FormatScenarioDeltas
-// prints the per-scenario PE/PF deltas against the clean run. Requires a
-// bundle built by Run or RunFull (the trained policies are reused, not
-// retrained — scenario scores measure robustness, not adaptation).
+// prints the per-scenario PE/PF deltas against the clean run. The trained
+// policies are reused, not retrained — scenario scores measure robustness,
+// not adaptation.
 func (b *Bundle) RunScenarios(specs []*scenario.Spec) error {
-	if b.policyCache == nil {
-		return fmt.Errorf("report: RunScenarios needs a bundle built by Run or RunFull")
+	if b.sys == nil {
+		return fmt.Errorf("report: RunScenarios needs a bundle built by Run, RunFull or RunGTOnly")
 	}
 	for _, spec := range specs {
-		if err := scenario.ValidateFor(spec, b.City); err != nil {
+		if err := scenario.ValidateFor(spec, b.sys.City()); err != nil {
 			return err
 		}
-	}
-	if b.Scenarios == nil {
-		b.Scenarios = make(map[string]map[string]*sim.Results)
 	}
 	methods := b.methodsPresent()
 	// Fan out over (scenario, method) pairs; each cell owns a private env,
 	// so the grid reduces identically for any worker count.
-	n := len(specs) * len(methods)
-	cells, err := parallel.Map(context.Background(), b.Config.Workers, n,
+	cells, err := parallel.Map(context.Background(), b.Config.Workers, len(specs)*len(methods),
 		func(_ context.Context, i int) (evalCell, error) {
-			spec, method := specs[i/len(methods)], methods[i%len(methods)]
-			cfg := b.Config
-			cfg.Scenario = spec
-			res, snap := cfg.evaluateTel(b.City, b.policyCache[method])
-			return evalCell{res: res, snap: snap}, nil
+			p, err := b.sys.PolicyFor(methods[i%len(methods)])
+			if err != nil {
+				return evalCell{}, err
+			}
+			return b.evaluate(p, specs[i/len(methods)]), nil
 		})
 	if err != nil {
 		return err
 	}
+	if b.Scenarios == nil {
+		b.Scenarios = make(map[string]map[fairmove.Method]*sim.Results)
+	}
 	if b.Config.Telemetry != nil && b.ScenarioTelemetry == nil {
-		b.ScenarioTelemetry = make(map[string]map[string]telemetry.Snapshot)
+		b.ScenarioTelemetry = make(map[string]map[fairmove.Method]telemetry.Snapshot)
 	}
 	for si, spec := range specs {
-		row := make(map[string]*sim.Results, len(methods))
-		var snaps map[string]telemetry.Snapshot
-		if b.Config.Telemetry != nil {
-			snaps = make(map[string]telemetry.Snapshot, len(methods))
-		}
+		row := make(map[fairmove.Method]*sim.Results, len(methods))
+		snaps := make(map[fairmove.Method]telemetry.Snapshot, len(methods))
 		for mi, m := range methods {
-			row[m] = cells[si*len(methods)+mi].res
-			if snaps != nil {
-				snaps[m] = cells[si*len(methods)+mi].snap
-			}
+			c := cells[si*len(methods)+mi]
+			row[m], snaps[m] = c.res, c.snap
 		}
 		b.Scenarios[spec.Name] = row
-		if snaps != nil {
+		if b.ScenarioTelemetry != nil {
 			b.ScenarioTelemetry[spec.Name] = snaps
 		}
 		b.ScenarioOrder = append(b.ScenarioOrder, spec.Name)
@@ -552,26 +420,24 @@ func (n nearestOnly) Act(env sim.Environment, v []int) map[int]sim.Action {
 // fairness-aware assignment, queue-aware station choice, and the demand
 // forecast feature.
 func (b *Bundle) RunAblations() {
-	cfg := b.Config
-
-	coord := policy.NewCoordinator()
-	b.Ablations["Coordinator"] = cfg.evaluate(b.City, coord)
+	b.Ablations["Coordinator"] = b.evaluate(policy.NewCoordinator(), nil).res
 
 	noFair := policy.NewCoordinator()
 	noFair.FairShare = false
-	b.Ablations["Coordinator-NoFair"] = cfg.evaluate(b.City, noFair)
+	b.Ablations["Coordinator-NoFair"] = b.evaluate(noFair, nil).res
 
-	b.Ablations["Coordinator-NearestOnly"] = cfg.evaluate(b.City, nearestOnly{policy.NewCoordinator()})
+	b.Ablations["Coordinator-NearestOnly"] = b.evaluate(nearestOnly{policy.NewCoordinator()}, nil).res
 
 	// Forecast ablation: the trained FairMove policy evaluated with the
 	// forecast feature zeroed out of every observation. Re-training is not
 	// needed — evaluating blind shows how much weight the policy put on
 	// that feature.
-	if p, ok := b.policyCache["FairMove"]; ok {
-		opts := cfg.simOptions()
+	if _, ok := b.Results[fairmove.FairMove]; ok {
+		p, _ := b.sys.PolicyFor(fairmove.FairMove) // trained by Run: a cache hit
+		opts := b.sys.EvalOptions()
 		opts.NoForecastFeature = true
-		env := sim.New(b.City, opts, cfg.Seed)
-		b.Ablations["FairMove-NoForecast"] = policy.Evaluate(p, env, cfg.Seed+1000)
+		env := sim.New(b.sys.City(), opts, b.Config.Seed)
+		b.Ablations["FairMove-NoForecast"] = policy.Evaluate(p, env, b.sys.EvalSeed())
 	}
 }
 
@@ -591,14 +457,14 @@ func RunFull(cfg Config, alphas []float64) (*Bundle, error) {
 }
 
 // gt returns the ground-truth results, which every comparison references.
-func (b *Bundle) gt() *sim.Results { return b.Results["GT"] }
+func (b *Bundle) gt() *sim.Results { return b.Results[fairmove.GT] }
 
 // row formats one per-method line prefixed with the method name.
-func row(name, body string) string { return fmt.Sprintf("  %-10s %s\n", name, body) }
+func row(m fairmove.Method, body string) string { return fmt.Sprintf("  %-10s %s\n", m, body) }
 
-func (b *Bundle) methodsPresent() []string {
-	var out []string
-	for _, m := range MethodNames {
+func (b *Bundle) methodsPresent() []fairmove.Method {
+	var out []fairmove.Method
+	for _, m := range fairmove.Methods() {
 		if _, ok := b.Results[m]; ok {
 			out = append(out, m)
 		}
@@ -612,7 +478,7 @@ func (b *Bundle) FormatComparisonSummary() string {
 	sb.WriteString("Headline comparison vs ground truth\n")
 	g := b.gt()
 	for _, m := range b.methodsPresent() {
-		sb.WriteString("  " + metrics.Compare(m, g, b.Results[m]).String() + "\n")
+		sb.WriteString("  " + fairmove.Compare(m, g, b.Results[m]).String() + "\n")
 	}
 	return sb.String()
 }

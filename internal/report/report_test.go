@@ -1,9 +1,14 @@
 package report
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	fairmove "repro"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
 )
@@ -33,7 +38,7 @@ func bundle(t *testing.T) *Bundle {
 
 func TestRunProducesAllMethods(t *testing.T) {
 	b := bundle(t)
-	for _, m := range MethodNames {
+	for _, m := range fairmove.Methods() {
 		res, ok := b.Results[m]
 		if !ok {
 			t.Fatalf("method %s missing", m)
@@ -86,11 +91,11 @@ func TestComparisonFiguresFormat(t *testing.T) {
 
 func TestAlphaSweepPopulatesTable4(t *testing.T) {
 	b := bundle(t)
-	if len(b.Alphas) != 3 || len(b.AlphaRewards) != 3 {
-		t.Fatalf("sweep shape: %v %v", b.Alphas, b.AlphaRewards)
+	if len(b.Alpha) != 3 {
+		t.Fatalf("sweep shape: %+v", b.Alpha)
 	}
-	if b.Alphas[0] != 0 || b.Alphas[2] != 1 {
-		t.Fatalf("alphas not sorted: %v", b.Alphas)
+	if b.Alpha[0].Alpha != 0 || b.Alpha[2].Alpha != 1 {
+		t.Fatalf("alphas not sorted: %+v", b.Alpha)
 	}
 	out := b.Table4()
 	if !strings.Contains(out, "α=0.6") {
@@ -113,9 +118,19 @@ func TestAblationsPresent(t *testing.T) {
 	}
 }
 
+// The SHA-256 pins of the report's bytes. A change that moves any number of
+// the report re-pins these by hand and says so in its description.
+const (
+	goldenFormatAllSHA256      = "06dea52b332daecfc7be1612554cb71bde0fc0e1c6718138002f1818108228a1"
+	goldenBlackoutDeltasSHA256 = "d0143b7a6d97fc46bf0bbbb1d5f3411bcc687174e57688eb03399493268baeba"
+)
+
 func TestFormatAllComplete(t *testing.T) {
 	b := bundle(t)
 	out := b.FormatAll()
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != goldenFormatAllSHA256 {
+		t.Errorf("report bytes changed: sha256 %s, pinned %s", got, goldenFormatAllSHA256)
+	}
 	for _, want := range []string{
 		"Fig. 3", "Fig. 4", "Fig. 5", "Fig. 6", "Fig. 7", "Fig. 8",
 		"Fig. 10", "Fig. 11", "Fig. 12", "Fig. 13", "Fig. 14", "Fig. 15", "Fig. 16",
@@ -149,7 +164,7 @@ func TestRunScenariosProducesGrid(t *testing.T) {
 		if !ok {
 			t.Fatalf("scenario %s missing from grid", name)
 		}
-		for _, m := range MethodNames {
+		for _, m := range fairmove.Methods() {
 			if _, ok := row[m]; !ok {
 				t.Fatalf("scenario %s missing method %s", name, m)
 			}
@@ -217,8 +232,8 @@ func blackoutSpec(t *testing.T, stations, horizonMin int) *scenario.Spec {
 // format escapes — and the telemetry snapshot must explain the silence.
 func TestGTOnlyBlackoutScenarioNoPanic(t *testing.T) {
 	cfg := DefaultConfig(4, ScaleSmall).WithTelemetry(telemetry.NewRegistry())
-	horizon := (cfg.Days + cfg.WarmupDays) * 24 * 60
-	cfg.Scenario = blackoutSpec(t, cfg.cityConfig().Stations, horizon)
+	horizon := (cfg.Days + cfg.EvalWarmupDays) * 24 * 60
+	cfg.Scenario = blackoutSpec(t, cfg.Stations, horizon)
 	b, err := RunGTOnly(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -256,13 +271,16 @@ func TestGTOnlyBlackoutScenarioNoPanic(t *testing.T) {
 // re-evaluated under zero charges and zero trips, with per-cell telemetry
 // explaining the deltas.
 func TestRunScenariosBlackoutNoPanic(t *testing.T) {
-	b := bundle(t)
-	horizon := (b.Config.Days + b.Config.WarmupDays) * 24 * 60
-	spec := blackoutSpec(t, b.Config.cityConfig().Stations, horizon)
+	// A private copy of the shared bundle's scenario grid keeps the pinned
+	// delta table independent of which scenario tests ran before.
+	b := *bundle(t)
+	b.Scenarios, b.ScenarioOrder, b.ScenarioTelemetry = nil, nil, nil
+	horizon := (b.Config.Days + b.Config.EvalWarmupDays) * 24 * 60
+	spec := blackoutSpec(t, b.Config.Stations, horizon)
 	if err := b.RunScenarios([]*scenario.Spec{spec}); err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range MethodNames {
+	for _, m := range fairmove.Methods() {
 		res, ok := b.Scenarios["total-blackout"][m]
 		if !ok {
 			t.Fatalf("method %s missing from blackout grid", m)
@@ -278,17 +296,38 @@ func TestRunScenariosBlackoutNoPanic(t *testing.T) {
 	if strings.Contains(out, "%!") || strings.Contains(out, "NaN") {
 		t.Fatalf("blackout deltas format badly:\n%s", out)
 	}
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != goldenBlackoutDeltasSHA256 {
+		t.Fatalf("blackout delta table changed: sha256 %s, pinned %s\n%s", got, goldenBlackoutDeltasSHA256, out)
+	}
 	row, ok := b.ScenarioTelemetry["total-blackout"]
 	if !ok {
 		t.Fatal("scenario telemetry missing")
 	}
-	for _, m := range MethodNames {
+	for _, m := range fairmove.Methods() {
 		if row[m].Counters["sim.matches"] != 0 {
 			t.Fatalf("method %s telemetry shows matches under blackout", m)
 		}
 	}
 	if tl := b.FormatTelemetry(); !strings.Contains(tl, "scenario total-blackout") {
 		t.Fatalf("FormatTelemetry missing scenario section:\n%s", tl)
+	}
+}
+
+// A missing or corrupt checkpoint behind -policy fails the run with the
+// wrapped load error before any training starts.
+func TestRunRejectsBadPolicyPath(t *testing.T) {
+	corrupt := filepath.Join(t.TempDir(), "corrupt.fmck")
+	if err := os.WriteFile(corrupt, []byte("not a checkpoint"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{filepath.Join(t.TempDir(), "missing.fmck"), corrupt} {
+		cfg := DefaultConfig(1, ScaleSmall)
+		cfg.PolicyPath = path
+		if b, err := Run(cfg); err == nil || b != nil {
+			t.Fatalf("Run with policy %s = %v, %v; want an error", path, b, err)
+		} else if !strings.Contains(err.Error(), "load policy") {
+			t.Fatalf("Run with policy %s: error %q does not name the load", path, err)
+		}
 	}
 }
 
@@ -304,14 +343,17 @@ func TestRunScenariosRejectsUntrainedBundle(t *testing.T) {
 }
 
 func TestScaleConfigs(t *testing.T) {
-	small := DefaultConfig(1, ScaleSmall).cityConfig()
-	def := DefaultConfig(1, ScaleDefault).cityConfig()
-	full := DefaultConfig(1, ScaleFull).cityConfig()
+	small := DefaultConfig(1, ScaleSmall)
+	def := DefaultConfig(1, ScaleDefault)
+	full := DefaultConfig(1, ScaleFull)
 	if small.Fleet >= def.Fleet || def.Fleet >= full.Fleet {
 		t.Fatalf("scales not increasing: %d %d %d", small.Fleet, def.Fleet, full.Fleet)
 	}
 	if full.Fleet != 20130 {
 		t.Fatalf("full scale fleet = %d, want paper's 20130", full.Fleet)
+	}
+	if def.Config != fairmove.DefaultConfig(1) {
+		t.Fatalf("default scale %+v is not the facade default", def.Config)
 	}
 }
 

@@ -322,6 +322,3 @@ func (s *Source) AliasChoice(a Alias) int {
 
 // Perm returns a random permutation of [0, n).
 func (s *Source) Perm(n int) []int { return s.r.Perm(n) }
-
-// Shuffle randomizes the order of n elements using swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }

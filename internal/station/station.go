@@ -134,18 +134,6 @@ func (s *State) Finish(taxi int) (promoted int) {
 	return next
 }
 
-// Abandon removes a waiting taxi from the queue (e.g. the policy redirects
-// it). It returns false if the taxi was not waiting.
-func (s *State) Abandon(taxi int) bool {
-	for i, t := range s.waiting {
-		if t == taxi {
-			s.waiting = append(s.waiting[:i], s.waiting[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
 // Occupied returns the number of points in use.
 func (s *State) Occupied() int { return len(s.charging) }
 

@@ -78,25 +78,6 @@ func TestArriveTwicePanics(t *testing.T) {
 	s.Arrive(1)
 }
 
-func TestAbandon(t *testing.T) {
-	s := NewState(testStation(1))
-	s.Arrive(1)
-	s.Arrive(2)
-	s.Arrive(3)
-	if !s.Abandon(2) {
-		t.Fatal("Abandon of queued taxi failed")
-	}
-	if s.Abandon(2) {
-		t.Fatal("Abandon of absent taxi succeeded")
-	}
-	if s.Abandon(1) {
-		t.Fatal("Abandon of charging taxi succeeded")
-	}
-	if got := s.Finish(1); got != 3 {
-		t.Fatalf("promoted %d after abandon, want 3", got)
-	}
-}
-
 func TestIsChargingAndReset(t *testing.T) {
 	s := NewState(testStation(1))
 	s.Arrive(5)
