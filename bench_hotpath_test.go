@@ -2,7 +2,8 @@ package fairmove
 
 // Hot-path benchmark set: the pinned micro/meso benchmarks behind
 // `make alloc-gate`. Each entry measures one layer of the per-slot critical
-// path — single-shard stepping, a single observation build, one served slot
+// path — single-shard stepping, a single observation build, the batched
+// observation rows of a slot's vacant set, one served slot
 // (decide plus step) under the GT heuristic and under CMA2C, single-row and
 // batched network inference, the nearest-station lookup the matcher leans
 // on, and the ingest decoder on one recorded feed batch.
@@ -51,6 +52,20 @@ func hotpathSet(tb testing.TB) []hotBench {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				env.Observe(id)
+			}
+		}},
+		{"env_observe_rows", func(b *testing.B) {
+			env := sim.New(benchCity(b), sim.DefaultOptions(1), 42)
+			ids := env.VacantTaxis()
+			if len(ids) == 0 {
+				b.Fatal("no vacant taxis at reset")
+			}
+			feats := make([]float32, len(ids)*sim.FeatureSize)
+			masks := make([][sim.NumActions]bool, len(ids))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				env.PrepareObserve(ids)
+				env.ObserveRows(ids, feats, masks)
 			}
 		}},
 		{"runner_step_gt", func(b *testing.B) {

@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/policy"
+import (
+	"repro/internal/nn"
+	"repro/internal/policy"
+	"repro/internal/rng"
+)
 
 // Benchmark hooks. The module-root allocation gate (bench_nn_test.go) pins
 // the allocations of one batched CMA2C update step, but the update steps are
@@ -24,3 +28,8 @@ func (f *FairMove) BenchActorStep(buf []policy.Transition, idxs []int) {
 	f.loadBatch(buf, idxs)
 	f.updateActor(buf, idxs)
 }
+
+// BenchDecideState returns the actor network and the current episode's
+// sampling stream, the inputs of Act's decide. Exported only for the test
+// that checks Act against a reference per-taxi decide loop.
+func (f *FairMove) BenchDecideState() (*nn.MLP, *rng.Source) { return f.actor, f.src }

@@ -113,10 +113,8 @@ type FairMove struct {
 	upAdvs         []float64
 	upProbs        []float64
 
-	// Act scratch, reused call to call (same pattern as DQN).
-	actObs   []sim.Observation
-	actRows  [][]float64
-	actProbs []float64
+	// dec runs Act's sampled decide and owns its scratch.
+	dec policy.Decider
 
 	tel coreTel
 }
@@ -164,33 +162,12 @@ func (f *FairMove) BeginEpisode(seed int64) { f.src = rng.SplitStable(seed, "cma
 // learned stochastic policy. Training rollouts run through Act as well (see
 // TrainCheckpointed).
 //
-// The slot is processed in three phases so the fleet-wide forward pass can
-// use every core without giving up determinism: observations are collected
-// serially (Observe refreshes per-slot environment caches, so Env stays
-// single-writer), the shared actor evaluates all rows sharded across
-// workers (inference only reads the weights), and sampling consumes f.src
-// serially in vacant order — the same rng draw sequence as a per-taxi loop.
+// The slot runs as one fan-out across Workers — observe, forward and
+// softmax per contiguous block of vacant taxis — and one serial pass that
+// draws from f.src in vacant order, the same draw sequence as a per-taxi
+// loop (policy.Decider).
 func (f *FairMove) Act(env sim.Environment, vacant []int) map[int]sim.Action {
-	actions := make(map[int]sim.Action, len(vacant))
-	if cap(f.actObs) < len(vacant) {
-		f.actObs = make([]sim.Observation, len(vacant))
-		f.actRows = make([][]float64, len(vacant))
-	}
-	obs := f.actObs[:len(vacant)]
-	rows := f.actRows[:len(vacant)]
-	for i, id := range vacant {
-		obs[i] = env.Observe(id)
-		rows[i] = obs[i].Features
-	}
-	logits := f.actor.ForwardRows(rows, f.cfg.Workers)
-	if f.actProbs == nil {
-		f.actProbs = make([]float64, sim.NumActions)
-	}
-	for i, id := range vacant {
-		probs := nn.SoftmaxInto(logits[i], obs[i].Mask[:], f.actProbs)
-		actions[id] = sim.ActionFromIndex(f.src.WeightedChoice(probs))
-	}
-	return actions
+	return f.dec.Act(env, f.actor, f.src, vacant, f.cfg.Workers)
 }
 
 // value evaluates a critic network on one observation.

@@ -25,9 +25,11 @@ type coreTel struct {
 }
 
 // SetTelemetry installs (or, with nil, removes) training telemetry under the
-// "core." prefix. Telemetry is write-only — the trainer never reads a value
-// back — so enabling it cannot change the training trajectory or RNG use.
+// "core." prefix, and Act's policy.decide.* timers. Telemetry is write-only
+// — the trainer never reads a value back — so enabling it cannot change the
+// training trajectory or RNG use.
 func (f *FairMove) SetTelemetry(r *telemetry.Registry) {
+	f.dec.SetTelemetry(r)
 	if r == nil {
 		f.tel = coreTel{}
 		return

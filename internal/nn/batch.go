@@ -22,6 +22,18 @@ import (
 // the shared arenas; steady-state calls with a stable batch shape allocate
 // nothing.
 func (m *MLP) ForwardBatch(x *Mat, workers int) *Mat {
+	return m.ForwardBlocks(x, workers, nil, nil)
+}
+
+// ForwardBlocks is ForwardBatch with per-block hooks run inside the same
+// fan-out: each block of rows [lo, hi) (block is its index, below the
+// resolved worker count) first runs pre, which may fill those rows of x,
+// then the layer stack, then post, which may read those rows of out, the
+// returned output arena. Either hook may be nil. The hooks of different
+// blocks run concurrently, so each must touch only its own rows and its
+// own block's state; callers that build them once and keep them (rather
+// than a closure per call) keep the steady state allocation-free.
+func (m *MLP) ForwardBlocks(x *Mat, workers int, pre func(block, lo, hi int), post func(block, lo, hi int, out *Mat)) *Mat {
 	if x.Cols != m.InputSize() {
 		panic(fmt.Sprintf("nn: ForwardBatch expected %d features, got %d", m.InputSize(), x.Cols))
 	}
@@ -43,17 +55,29 @@ func (m *MLP) ForwardBatch(x *Mat, workers int) *Mat {
 		m.batchGemm = make([]gemmScratch, blocks)
 	}
 	if serial {
-		m.forwardBlock(x, 0, n, &m.batchGemm[0])
+		m.hookedBlock(x, 0, 0, n, pre, post)
 		return out
 	}
 	// Each chunk writes a disjoint row range of every arena; no worker
 	// returns an error, so ForEach cannot fail short of a panic (which it
 	// re-raises here).
 	_ = parallel.ForEach(context.Background(), len(chunks), len(chunks), func(_ context.Context, c int) error {
-		m.forwardBlock(x, chunks[c][0], chunks[c][1], &m.batchGemm[c])
+		m.hookedBlock(x, c, chunks[c][0], chunks[c][1], pre, post)
 		return nil
 	})
 	return out
+}
+
+// hookedBlock runs one block of ForwardBlocks: pre, forwardBlock with the
+// block's own GEMM scratch, post.
+func (m *MLP) hookedBlock(x *Mat, block, lo, hi int, pre func(block, lo, hi int), post func(block, lo, hi int, out *Mat)) {
+	if pre != nil {
+		pre(block, lo, hi)
+	}
+	m.forwardBlock(x, lo, hi, &m.batchGemm[block])
+	if post != nil {
+		post(block, lo, hi, m.batchActs[len(m.batchActs)-1])
+	}
 }
 
 // forwardBlock runs every layer over rows [lo, hi) of the batch, reading x

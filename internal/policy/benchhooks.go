@@ -3,7 +3,13 @@ package policy
 // Benchmark hooks (see internal/core/benchhooks.go for the pattern): the
 // module-root allocation gate pins the DQN minibatch learn step.
 // BenchRemember fills the replay buffer and BenchLearnStep runs one
-// minibatch update; neither is part of the policy API.
+// minibatch update; BenchDecideState exposes TBA's decide inputs to the
+// decide-identity test. None is part of the policy API.
+
+import (
+	"repro/internal/nn"
+	"repro/internal/rng"
+)
 
 // BenchRemember appends one transition to the replay buffer. Exported only
 // for benchmarks.
@@ -12,3 +18,8 @@ func (d *DQN) BenchRemember(tr Transition) { d.remember(tr) }
 // BenchLearnStep runs one minibatch target/online update. Exported only for
 // benchmarks.
 func (d *DQN) BenchLearnStep() { d.learn() }
+
+// BenchDecideState returns the actor network and the current episode's
+// sampling stream, the inputs of Act's decide. Exported only for the test
+// that checks Act against a reference per-taxi decide loop.
+func (t *TBA) BenchDecideState() (*nn.MLP, *rng.Source) { return t.net, t.src }

@@ -42,10 +42,8 @@ type TBA struct {
 	bcAdvs  []float64
 	bcIdx   []int
 
-	// Act scratch, reused call to call (as FairMove's): the slot's
-	// observations and their feature rows.
-	actObs  []sim.Observation
-	actRows [][]float64
+	// dec runs Act's sampled decide and owns its scratch.
+	dec Decider
 
 	// running return baseline
 	baseline float64
@@ -67,8 +65,11 @@ type TBA struct {
 }
 
 // SetTelemetry installs (or, with nil, removes) training telemetry under the
-// "tba." prefix.
-func (t *TBA) SetTelemetry(r *telemetry.Registry) { t.tel = NewTrainTel(r, "tba") }
+// "tba." prefix, and Act's policy.decide.* timers.
+func (t *TBA) SetTelemetry(r *telemetry.Registry) {
+	t.tel = NewTrainTel(r, "tba")
+	t.dec.SetTelemetry(r)
+}
 
 // NewTBA returns an untrained TBA baseline.
 func NewTBA(seed int64) *TBA {
@@ -94,32 +95,12 @@ func (t *TBA) BeginEpisode(seed int64) { t.src = rng.SplitStable(seed, "tba") }
 // Act implements Policy: it draws each vacant taxi's action from the masked
 // softmax policy. Sampling is used at evaluation time too: identical agents
 // sharing an observation disperse naturally under a stochastic policy, where
-// an argmax would herd them. Observations are collected serially (Observe
-// refreshes env caches), the shared actor evaluates all rows sharded across
-// Workers, and sampling then consumes t.src serially in vacant order — the
-// same draw sequence as a per-taxi loop, so output is byte-identical for
-// any worker count. Training rollouts run through Act as well.
+// an argmax would herd them. The decide is FairMove's (Decider): one
+// fan-out across Workers observes, evaluates and normalizes, then one
+// serial pass draws from t.src in vacant order, so output is byte-identical
+// for any worker count. Training rollouts run through Act as well.
 func (t *TBA) Act(env sim.Environment, vacant []int) map[int]sim.Action {
-	actions := make(map[int]sim.Action, len(vacant))
-	if cap(t.actObs) < len(vacant) {
-		t.actObs = make([]sim.Observation, len(vacant))
-		t.actRows = make([][]float64, len(vacant))
-	}
-	obs := t.actObs[:len(vacant)]
-	rows := t.actRows[:len(vacant)]
-	for i, id := range vacant {
-		obs[i] = env.Observe(id)
-		rows[i] = obs[i].Features
-	}
-	logits := t.net.ForwardRows(rows, t.Workers)
-	if t.bcProbs == nil {
-		t.bcProbs = make([]float64, sim.NumActions)
-	}
-	for i, id := range vacant {
-		probs := nn.SoftmaxInto(logits[i], obs[i].Mask[:], t.bcProbs)
-		actions[id] = sim.ActionFromIndex(t.src.WeightedChoice(probs))
-	}
-	return actions
+	return t.dec.Act(env, t.net, t.src, vacant, t.Workers)
 }
 
 // gradStep takes one batched policy-gradient step on transitions

@@ -127,25 +127,64 @@ func (s *Source) Bool(p float64) bool { return s.r.Float64() < p }
 // first such index is returned deterministically, still consuming the one
 // uniform draw so interleaved callers stay stream-aligned. It panics on an
 // empty slice.
+//
+// It is WeightedTotal followed by WeightedDraw. Callers that want the scan
+// off the stream's goroutine (the batched policy decide computes totals on
+// worker goroutines) run the two halves apart and get the same index and
+// the same stream position.
 func (s *Source) WeightedChoice(weights []float64) int {
 	if len(weights) == 0 {
 		panic("rng: WeightedChoice with no weights")
 	}
-	var total float64
-	for i, w := range weights {
+	total, _ := WeightedTotal(weights)
+	return s.WeightedDraw(weights, total)
+}
+
+// WeightedTotal is WeightedChoice's first pass: the sum of the positive
+// weights, or +Inf as soon as a +Inf weight is seen. ok reports whether the
+// total is positive, that is whether WeightedDraw draws proportionally
+// (one Float64) rather than uniformly (one Intn). It reads no stream, so it
+// is safe to call from any goroutine.
+func WeightedTotal(weights []float64) (total float64, ok bool) {
+	for _, w := range weights {
 		if math.IsInf(w, 1) {
-			s.r.Float64()
-			return i
+			return w, true
 		}
 		if w > 0 {
 			total += w
 		}
+	}
+	return total, total > 0
+}
+
+// WeightedDraw is WeightedChoice's second pass: it draws an index of
+// weights given their WeightedTotal, consuming exactly one value from the
+// stream. A total that is not positive draws a uniform index. It panics on
+// an empty slice.
+func (s *Source) WeightedDraw(weights []float64, total float64) int {
+	if len(weights) == 0 {
+		panic("rng: WeightedDraw with no weights")
 	}
 	if !(total > 0) {
 		return s.r.IntN(len(weights))
 	}
 	x := s.r.Float64() * total
 	last := 0
+	if math.IsInf(total, 1) {
+		// An +Inf weight, or finite weights overflowing: the draw is spent
+		// but decides nothing. The first +Inf weight wins; without one, the
+		// last positive weight does (where the scan below lands, since x is
+		// +Inf or NaN and never drops below zero).
+		for i, w := range weights {
+			if math.IsInf(w, 1) {
+				return i
+			}
+			if w > 0 {
+				last = i
+			}
+		}
+		return last
+	}
 	for i, w := range weights {
 		if w <= 0 || math.IsNaN(w) {
 			continue

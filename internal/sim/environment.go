@@ -10,8 +10,10 @@ import (
 // Environment is the simulation surface policies and harnesses run against.
 // The region-sharded simulator New builds (*Core) implements it; test fakes
 // and wrappers (recorders, invariant checkers, tracers) embed it. Every
-// method is single-goroutine: callers interleave reads and Step from one
-// goroutine, whatever the shard count.
+// method is single-goroutine — callers interleave reads and Step from one
+// goroutine, whatever the shard count — with one exception: after
+// PrepareObserve, ObserveRows may run on several goroutines at once over
+// disjoint taxis, until the next Step or other method call.
 type Environment interface {
 	// City returns the underlying synthetic city.
 	City() *synth.City
@@ -38,6 +40,13 @@ type Environment interface {
 	VacantTaxis() []int
 	// Observe builds the observation for a vacant taxi.
 	Observe(id int) Observation
+	// PrepareObserve builds the slot's shared observation state for the
+	// given vacant taxis, so ObserveRows can then run concurrently.
+	PrepareObserve(vacant []int)
+	// ObserveRows writes the float32 observation rows (FeatureSize values
+	// per taxi) and action masks of taxis PrepareObserve saw this slot. Calls
+	// on disjoint ids may run concurrently.
+	ObserveRows(ids []int, feats []float32, masks [][NumActions]bool)
 	// ValidMask returns the action-validity mask for a taxi.
 	ValidMask(id int) [NumActions]bool
 	// TaxiRegion returns the current region of a taxi.

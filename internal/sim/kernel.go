@@ -231,9 +231,11 @@ type Core struct {
 	// region, built lazily the first time the region is observed in a
 	// slot. blockGen[r] is the cacheGen the block was built at;
 	// invalidateCaches bumps cacheGen (always >= 1 after New), so nothing
-	// is cleared per slot.
+	// is cleared per slot. staleNow[r] is Hooks.ObsStale for region r as of
+	// the last PrepareObserve, allocated with the blocks.
 	blocks   []float64
 	blockGen []int
+	staleNow []bool
 	cacheGen int
 
 	// merge scratch
@@ -647,37 +649,108 @@ func (c *Core) ValidMask(id int) [NumActions]bool {
 // in the same slot is safe; callers keeping features across Step (replay
 // buffers, demonstration logs) must copy them out.
 func (c *Core) Observe(id int) Observation {
-	t := &c.taxis[id]
-	now := c.nowMin
-	blk := c.regionBlock(t.region)
-
+	region := c.taxis[id].region
+	c.regionBlock(region)
 	meanPE, _ := c.FleetPEStats()
-	peGap := (c.PESoFar(id) - meanPE) / 50
-	vacancyAge := float64(now-t.vacantSinceMin) / 60
-
-	f := c.obsBufs[id][:0]
+	c.ensureStaleMemory()
+	f := c.obsBufs[id]
 	if cap(f) < FeatureSize {
-		f = make([]float64, 0, FeatureSize)
+		f = make([]float64, FeatureSize)
 	}
-	f = append(f, blk[:featTime]...)
-	f = append(f, t.batt.SoC, clampF(peGap, -2, 2), clampF(vacancyAge, 0, 4))
-	f = append(f, blk[featTime:]...)
-
-	if c.hooks != nil {
-		if c.staleFeats == nil {
-			c.staleFeats = make([][]float64, len(c.taxis))
-		}
-		if c.hooks.ObsStale(t.region, now) {
-			c.tel.staleObs.Inc()
-			if cached := c.staleFeats[id]; cached != nil {
-				f = append(f[:0], cached...)
-			}
-		} else {
-			c.staleFeats[id] = append(c.staleFeats[id][:0], f...)
-		}
-	}
+	f = f[:FeatureSize]
+	c.observeInto(f, id, meanPE, c.hooks != nil && c.hooks.ObsStale(region, c.nowMin))
 	c.obsBufs[id] = f
 	return Observation{Features: f, Mask: c.ValidMask(id)}
+}
+
+// PrepareObserve readies the slot's shared observation state for the given
+// vacant taxis: the block of every region holding one (regionBlock), the
+// fleet PE statistics and, under hooks, every region's GPS-dropout flag.
+// After it, ObserveRows may run concurrently on disjoint subsets of vacant
+// until the next Step.
+func (c *Core) PrepareObserve(vacant []int) {
+	for _, id := range vacant {
+		c.regionBlock(c.taxis[id].region)
+	}
+	c.FleetPEStats()
+	if c.hooks == nil || c.blocks == nil {
+		return
+	}
+	c.ensureStaleMemory()
+	for r := range c.staleNow {
+		c.staleNow[r] = c.hooks.ObsStale(r, c.nowMin)
+	}
+}
+
+// ensureStaleMemory allocates the per-taxi GPS-dropout memory on the first
+// observation under hooks.
+func (c *Core) ensureStaleMemory() {
+	if c.hooks != nil && c.staleFeats == nil {
+		c.staleFeats = make([][]float64, len(c.taxis))
+	}
+}
+
+// ObserveRows writes the observations of ids into feats, FeatureSize
+// float32 values per taxi in ids order, and their action masks into masks.
+// Each row holds float32(x) of the float64 feature x Observe returns for
+// the same taxi, and masks[i] is ValidMask(ids[i]). It reads only state
+// PrepareObserve built for a vacant set containing ids, and writes only
+// the taxis' own GPS-dropout memory, so calls on disjoint ids may run
+// concurrently. It panics on a taxi whose region PrepareObserve did not
+// prepare this slot.
+func (c *Core) ObserveRows(ids []int, feats []float32, masks [][NumActions]bool) {
+	if len(feats) != len(ids)*FeatureSize || len(masks) != len(ids) {
+		panic("sim: ObserveRows buffer size mismatch")
+	}
+	if len(ids) == 0 {
+		return
+	}
+	if !c.peValid || c.peSlot != c.Slot() || c.blocks == nil {
+		panic("sim: ObserveRows before PrepareObserve")
+	}
+	var f [FeatureSize]float64
+	for i, id := range ids {
+		if c.blockGen[c.taxis[id].region] != c.cacheGen {
+			panic("sim: ObserveRows on a region PrepareObserve did not prepare")
+		}
+		c.observeInto(f[:], id, c.peMean, c.hooks != nil && c.staleNow[c.taxis[id].region])
+		row := feats[i*FeatureSize : (i+1)*FeatureSize]
+		for j, x := range f {
+			row[j] = float32(x)
+		}
+		masks[i] = c.ValidMask(id)
+	}
+}
+
+// observeInto is the feature assembly behind Observe and ObserveRows: it
+// writes taxi id's FeatureSize features into f from its region's block,
+// which must be built this slot, and meanPE, the fleet's mean PE. Under
+// hooks, when stale (a GPS dropout covers the taxi's region) it substitutes
+// the taxi's last features seen outside one; otherwise it records them for
+// that use.
+func (c *Core) observeInto(f []float64, id int, meanPE float64, stale bool) {
+	t := &c.taxis[id]
+	lo := t.region * blockLen
+	blk := c.blocks[lo : lo+blockLen]
+	peGap := (c.PESoFar(id) - meanPE) / 50
+	vacancyAge := float64(c.nowMin-t.vacantSinceMin) / 60
+	copy(f, blk[:featTime])
+	f[featTime] = t.batt.SoC
+	f[featTime+1] = clampF(peGap, -2, 2)
+	f[featTime+2] = clampF(vacancyAge, 0, 4)
+	copy(f[featTime+featSelf:], blk[featTime:])
+
+	if c.hooks == nil {
+		return
+	}
+	if stale {
+		c.tel.staleObs.Inc()
+		if cached := c.staleFeats[id]; cached != nil {
+			copy(f, cached)
+		}
+	} else {
+		c.staleFeats[id] = append(c.staleFeats[id][:0], f...)
+	}
 }
 
 // blockLen is the width of a region's observation block: the full
@@ -695,6 +768,7 @@ func (c *Core) regionBlock(region int) []float64 {
 		n := c.city.Partition.Len()
 		c.blocks = make([]float64, n*blockLen)
 		c.blockGen = make([]int, n)
+		c.staleNow = make([]bool, n)
 	}
 	lo := region * blockLen
 	b := c.blocks[lo : lo+blockLen : lo+blockLen]

@@ -93,10 +93,11 @@ func (r *referenceObserver) observe(c *Core, id int) Observation {
 	return Observation{Features: f, Mask: c.ValidMask(id)}
 }
 
-// TestObserveMatchesUncachedReference pins Observe's region-block cache bit
-// for bit against the uncached reference builder: every feature and the
-// mask of every vacant taxi, over many slots, under a GPS-dropout hook (the
-// stale path), the learned forecast predictor, and the forecast ablation.
+// TestObserveMatchesUncachedReference pins Observe's region-block cache, and
+// the float32 rows of ObserveRows, bit for bit against the uncached
+// reference builder: every feature and the mask of every vacant taxi, over
+// many slots, under a GPS-dropout hook (the stale path), the learned
+// forecast predictor, and the forecast ablation.
 // Each setup then resets with a different seed and compares again, which
 // fails if invalidateCaches leaves the previous episode's blocks live.
 func TestObserveMatchesUncachedReference(t *testing.T) {
@@ -152,13 +153,28 @@ func TestObserveMatchesUncachedReference(t *testing.T) {
 }
 
 // compareObservations checks every vacant taxi's observation against the
-// reference. It returns how many it compared and how many of those carry a
-// nonzero own-region forecast.
+// reference, first as the float32 row and mask ObserveRows writes (the
+// slot's first observation, so its stale-feature memory is the one in use),
+// then through Observe. It returns how many it compared and how many of
+// those carry a nonzero own-region forecast.
 func compareObservations(t *testing.T, e *Core, ref *referenceObserver, seed int64) (compared, forecasts int) {
 	t.Helper()
 	ids := e.VacantTaxis()
-	for _, id := range ids {
+	rows := make([]float32, len(ids)*FeatureSize)
+	masks := make([][NumActions]bool, len(ids))
+	e.PrepareObserve(ids)
+	e.ObserveRows(ids, rows, masks)
+	for i, id := range ids {
 		want := ref.observe(e, id)
+		for k, x := range want.Features {
+			if got := rows[i*FeatureSize+k]; math.Float32bits(got) != math.Float32bits(float32(x)) {
+				t.Fatalf("seed %d slot %d taxi %d feature %d: ObserveRows %v, reference %v",
+					seed, e.Slot(), id, k, got, float32(x))
+			}
+		}
+		if masks[i] != want.Mask {
+			t.Fatalf("seed %d slot %d taxi %d: ObserveRows mask %v, reference %v", seed, e.Slot(), id, masks[i], want.Mask)
+		}
 		got := e.Observe(id)
 		if len(got.Features) != len(want.Features) {
 			t.Fatalf("seed %d slot %d taxi %d: %d features, want %d", seed, e.Slot(), id, len(got.Features), len(want.Features))
