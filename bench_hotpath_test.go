@@ -4,7 +4,9 @@ package fairmove
 // `make alloc-gate`. Each entry measures one layer of the per-slot critical
 // path — single-shard stepping, a single observation build, the batched
 // observation rows of a slot's vacant set, one served slot
-// (decide plus step) under the GT heuristic and under CMA2C, single-row and
+// (decide plus step) under the GT heuristic and under CMA2C, one slot of
+// the dispatch service under GT (driver round trip, step and publication),
+// single-row and
 // batched network inference, the nearest-station lookup the matcher leans
 // on, and the ingest decoder on one recorded feed batch.
 //
@@ -14,6 +16,7 @@ package fairmove
 // perfbench (BENCHMARK.json), not here.
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -78,6 +81,7 @@ func hotpathSet(tb testing.TB) []hotBench {
 			}
 			benchRunnerSteps(b, fm)
 		}},
+		{"serve_step_slot", benchServeSteps},
 		{"nn_forward1", func(b *testing.B) {
 			m, x := hotBenchNet()
 			b.ResetTimer()
@@ -154,6 +158,52 @@ func benchRunnerSteps(b *testing.B, p policy.Policy) {
 			b.StartTimer()
 		}
 		r.StepSlot()
+	}
+}
+
+// benchServeSteps reports one served slot per op: StepSlots(ctx, 1) on a
+// started server under the GT heuristic — the driver round trip, decide,
+// the engine step beside the publisher, and the commit. One untimed episode
+// first grows the engine's buffers, and every server (each resets the same
+// engine) serves History+1 slots untimed, so the history window recycles
+// its storage and allocs/op is the steady state; a server whose horizon
+// ends is drained and replaced outside the timer.
+func benchServeSteps(b *testing.B) {
+	ctx := context.Background()
+	gt := policy.NewGroundTruth()
+	env := sim.New(benchCity(b), sim.DefaultOptions(1), 42)
+	for r := policy.NewRunner(gt, env, 42); !r.Done(); {
+		r.StepSlot()
+	}
+	start := func() *serve.Server {
+		srv, err := serve.New(serve.Config{Env: env, Policy: gt, Seed: 42})
+		if err != nil {
+			b.Fatal(err)
+		}
+		srv.Start()
+		if _, err := srv.StepSlots(ctx, serve.DefaultHistory+1); err != nil {
+			b.Fatal(err)
+		}
+		return srv
+	}
+	srv := start()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if srv.Done() {
+			b.StopTimer()
+			if err := srv.Drain(ctx); err != nil {
+				b.Fatal(err)
+			}
+			srv = start()
+			b.StartTimer()
+		}
+		if _, err := srv.StepSlots(ctx, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if err := srv.Drain(ctx); err != nil {
+		b.Fatal(err)
 	}
 }
 

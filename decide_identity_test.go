@@ -154,7 +154,7 @@ func TestDecideMatchesReferenceLoop(t *testing.T) {
 					if stale := reg.Counter("sim.hook.stale_obs").Value(); hooked != (stale > 0) {
 						t.Fatalf("%d stale observations with hooks=%v", stale, hooked)
 					}
-					for _, name := range []string{"observe", "forward", "sample"} {
+					for _, name := range []string{"prepare", "observe", "forward", "sample"} {
 						st := reg.Timer("policy.decide." + name).Stat()
 						if st.Count != int64(busySlots) || st.TotalNs <= 0 {
 							t.Errorf("policy.decide.%s: %d observations, %d ns over %d decided slots", name, st.Count, st.TotalNs, busySlots)

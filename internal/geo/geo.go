@@ -68,16 +68,6 @@ func (b BBox) Expand(margin float64) BBox {
 	}
 }
 
-// Union returns the smallest box containing both b and o.
-func (b BBox) Union(o BBox) BBox {
-	return BBox{
-		MinLng: math.Min(b.MinLng, o.MinLng),
-		MinLat: math.Min(b.MinLat, o.MinLat),
-		MaxLng: math.Max(b.MaxLng, o.MaxLng),
-		MaxLat: math.Max(b.MaxLat, o.MaxLat),
-	}
-}
-
 // BBoxOf returns the bounding box of the given points. It panics if pts is
 // empty.
 func BBoxOf(pts []Point) BBox {

@@ -68,16 +68,12 @@ func TestBBoxContains(t *testing.T) {
 	}
 }
 
-func TestBBoxOfAndUnion(t *testing.T) {
+func TestBBoxOf(t *testing.T) {
 	pts := []Point{{1, 2}, {-3, 4}, {5, -1}}
 	b := BBoxOf(pts)
 	want := BBox{MinLng: -3, MinLat: -1, MaxLng: 5, MaxLat: 4}
 	if b != want {
 		t.Fatalf("BBoxOf = %+v, want %+v", b, want)
-	}
-	u := b.Union(BBox{MinLng: -10, MinLat: 0, MaxLng: 0, MaxLat: 10})
-	if u.MinLng != -10 || u.MaxLat != 10 || u.MaxLng != 5 || u.MinLat != -1 {
-		t.Fatalf("Union = %+v", u)
 	}
 	for _, p := range pts {
 		if !b.Contains(p) {

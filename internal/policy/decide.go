@@ -54,22 +54,24 @@ type blockTimes struct {
 	observed                  time.Time
 }
 
-// decideTel holds the decide timers: observe and forward are summed worker
-// busy time, sample the softmax busy time plus the serial draw. Nil
-// handles no-op and the clock is not read.
+// decideTel holds the decide timers: prepare is the serial PrepareObserve,
+// observe and forward are summed worker busy time, sample the softmax busy
+// time plus the serial draw. Nil handles no-op and the clock is not read.
 type decideTel struct {
-	observe, forward, sample *telemetry.Timer
+	prepare, observe, forward, sample *telemetry.Timer
 }
 
-// SetTelemetry installs (or, with nil, removes) the policy.decide.observe,
-// policy.decide.forward and policy.decide.sample timers. Like every Timer
-// they are wall-clock and excluded from determinism comparisons.
+// SetTelemetry installs (or, with nil, removes) the policy.decide.prepare,
+// policy.decide.observe, policy.decide.forward and policy.decide.sample
+// timers. Like every Timer they are wall-clock and excluded from
+// determinism comparisons.
 func (d *Decider) SetTelemetry(r *telemetry.Registry) {
 	if r == nil {
 		d.tel = decideTel{}
 		return
 	}
 	d.tel = decideTel{
+		prepare: r.Timer("policy.decide.prepare"),
 		observe: r.Timer("policy.decide.observe"),
 		forward: r.Timer("policy.decide.forward"),
 		sample:  r.Timer("policy.decide.sample"),
@@ -87,7 +89,15 @@ func (d *Decider) Act(env sim.Environment, net *nn.MLP, src *rng.Source, vacant 
 	if d.pre == nil {
 		d.pre, d.post = d.observeBlock, d.softmaxBlock
 	}
+	d.timed = d.tel.observe != nil
+	var prepStart time.Time
+	if d.timed {
+		prepStart = time.Now()
+	}
 	env.PrepareObserve(vacant)
+	if d.timed {
+		d.tel.prepare.Observe(time.Since(prepStart))
+	}
 	d.env, d.vacant = env, vacant
 	d.x = nn.EnsureMat(d.x, n, sim.FeatureSize)
 	if cap(d.masks) < n {
@@ -96,7 +106,6 @@ func (d *Decider) Act(env sim.Environment, net *nn.MLP, src *rng.Source, vacant 
 		d.totals = make([]float64, n)
 	}
 	d.masks, d.probs, d.totals = d.masks[:n], d.probs[:n*sim.NumActions], d.totals[:n]
-	d.timed = d.tel.observe != nil
 	if d.timed {
 		if blocks := parallel.Resolve(workers); len(d.blockTimes) < blocks {
 			d.blockTimes = make([]blockTimes, blocks)

@@ -18,7 +18,7 @@ type Policy interface {
 	Name() string
 	// Act returns actions for the given vacant taxis. Missing entries
 	// default to Stay. Implementations must respect the environment's
-	// action mask; violations are coerced and counted. Runner.StepSlot is
+	// action mask; violations are coerced and counted. Runner.Decide is
 	// its only caller: once per slot with the whole vacant set, or, in a
 	// per-taxi training rollout (RunEpisode), once per taxi with a
 	// one-element vacant slice.

@@ -18,12 +18,13 @@ type Decision struct {
 }
 
 // Runner owns the slot-by-slot decision loop: ask the policy for one action
-// per vacant taxi, apply them, advance the environment one slot. It is the
-// seam the serve refactor split out of Evaluate — the batch path
-// (policy.Evaluate) and the online dispatch service (internal/serve) drive
-// the identical loop, so a served trajectory is byte-identical to a batch
-// run of the same (policy, env, seed) by construction, and the
-// serve-equivalence golden test pins it.
+// per vacant taxi (Decide), apply them and advance the environment one slot
+// (Advance); StepSlot is the two phases with the slot's decision records
+// between them. It is the seam the serve refactor split out of Evaluate —
+// the batch path (policy.Evaluate) and the online dispatch service
+// (internal/serve) drive the identical loop, so a served trajectory is
+// byte-identical to a batch run of the same (policy, env, seed) by
+// construction, and the serve-equivalence golden test pins it.
 //
 // Training rollouts (RunEpisode) drive the same loop with two unexported
 // settings: beforeAct sees each vacant taxi just before the Act call that
@@ -41,8 +42,10 @@ type Runner struct {
 	// taxiActs merges the per-taxi Act maps of a perTaxi slot.
 	taxiActs map[int]sim.Action
 
-	// decisions is the reused per-slot output buffer: StepSlot overwrites it
-	// on every call, so callers that retain decisions must copy them.
+	// regions backs Decide's result and decisions is StepSlot's output.
+	// Each call overwrites them, so callers that retain decisions must copy
+	// them.
+	regions   []int
 	decisions []Decision
 	slots     int
 }
@@ -77,30 +80,63 @@ func (r *Runner) Done() bool { return r.env.Done() }
 // Slots returns how many slots StepSlot has completed.
 func (r *Runner) Slots() int { return r.slots }
 
-// StepSlot asks the policy for this slot's actions, records one Decision per
-// vacant taxi (missing policy entries default to Stay, exactly as Step
-// treats them), applies the actions, and advances the environment one slot.
-// The returned slice is reused by the next call. It is the only code that
-// calls Policy.Act and Environment.Step.
-func (r *Runner) StepSlot() []Decision {
-	slot := r.env.Slot()
-	vacant := r.env.VacantTaxis()
-	acts := r.act(vacant)
-	r.decisions = r.decisions[:0]
-	for _, id := range vacant {
-		a, ok := acts[id]
+// Decided is one decided slot before the environment applies it: the slot
+// index, the taxis vacant when it was decided (the environment's
+// VacantTaxis buffer), each one's region before the step (a Runner-owned
+// buffer), and the policy's action map. Nothing writes any of them until
+// the next Decide, so other goroutines may read a Decided while Advance
+// steps the environment.
+type Decided struct {
+	Slot    int
+	Vacant  []int
+	Regions []int
+	Actions map[int]sim.Action
+}
+
+// AppendDecisions appends one Decision per vacant taxi of d to dst, in
+// vacant order: its slot, its pre-step region and its action, Stay for a
+// taxi the action map leaves out (exactly as Step treats it). It is the one
+// record builder of the batch loop and the dispatch service.
+func (d *Decided) AppendDecisions(dst []Decision) []Decision {
+	for i, id := range d.Vacant {
+		a, ok := d.Actions[id]
 		if !ok {
 			a = sim.Action{Kind: sim.Stay}
 		}
-		r.decisions = append(r.decisions, Decision{
-			Slot:   slot,
-			Taxi:   id,
-			Region: r.env.TaxiRegion(id),
-			Action: a,
-		})
+		dst = append(dst, Decision{Slot: d.Slot, Taxi: id, Region: d.Regions[i], Action: a})
 	}
-	r.env.Step(acts)
+	return dst
+}
+
+// Decide is the first phase of a slot: it asks the policy for the slot's
+// actions and reads each vacant taxi's region. The region read must precede
+// Advance, because Step rewrites a moving taxi's region while it applies the
+// actions. Advance(d) must follow before the next Decide.
+func (r *Runner) Decide() Decided {
+	vacant := r.env.VacantTaxis()
+	acts := r.act(vacant)
+	r.regions = r.regions[:0]
+	for _, id := range vacant {
+		r.regions = append(r.regions, r.env.TaxiRegion(id))
+	}
+	return Decided{Slot: r.env.Slot(), Vacant: vacant, Regions: r.regions, Actions: acts}
+}
+
+// Advance is the second phase of a slot: it applies d's actions and advances
+// the environment one slot.
+func (r *Runner) Advance(d Decided) {
+	r.env.Step(d.Actions)
 	r.slots++
+}
+
+// StepSlot decides the slot, records one Decision per vacant taxi
+// (AppendDecisions), and advances the environment. The returned slice is
+// reused by the next call. Decide is the only code that calls Policy.Act,
+// and Advance the only code that calls Environment.Step.
+func (r *Runner) StepSlot() []Decision {
+	d := r.Decide()
+	r.decisions = d.AppendDecisions(r.decisions[:0])
+	r.Advance(d)
 	return r.decisions
 }
 

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestShenzhenTariffRates(t *testing.T) {
@@ -50,14 +49,6 @@ func TestBandAtWrapsAndNegatives(t *testing.T) {
 	}
 	if tr.BandAt(-60) != tr.BandAt(23*60) {
 		t.Error("BandAt does not handle negative minutes")
-	}
-}
-
-func TestBandAtTime(t *testing.T) {
-	tr := Shenzhen()
-	ts := time.Date(2019, 12, 3, 3, 30, 0, 0, time.UTC)
-	if got := tr.BandAtTime(ts); got != OffPeak {
-		t.Errorf("BandAtTime 3:30 = %v, want off-peak", got)
 	}
 }
 

@@ -10,10 +10,7 @@
 // span band boundaries or midnight.
 package pricing
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Band identifies one TOU price band.
 type Band int
@@ -123,11 +120,6 @@ func (t *Tariff) BandAt(m int) Band {
 		m += 24 * 60
 	}
 	return t.byMinute[m]
-}
-
-// BandAtTime returns the band in effect at the wall-clock time of ts.
-func (t *Tariff) BandAtTime(ts time.Time) Band {
-	return t.BandAt(ts.Hour()*60 + ts.Minute())
 }
 
 // Decompose splits a charging interval that starts at minute-of-day startMin

@@ -33,7 +33,9 @@
 // All environment and policy access happens on the single driver goroutine;
 // HTTP handlers communicate with it through channels and read cheap
 // snapshots through atomics, so the determinism contract of sim.Environment
-// is never stretched.
+// is never stretched. The driver's publisher goroutine builds and hashes a
+// slot's decision records from the decided slot alone, while the driver
+// steps the engine (DESIGN.md §10).
 package serve
 
 import (
@@ -133,15 +135,38 @@ type Server struct {
 	watermark atomic.Int64
 	done      atomic.Bool
 
-	// Decision history and running digest, guarded by decMu.
+	// Decision history and the digest as of the last committed slot,
+	// guarded by decMu. The published clock (slot, nowMin, done) is stored
+	// under decMu too, so a reader holding it sees a slot count and a
+	// latest slot that agree.
 	decMu     sync.RWMutex
 	history   map[int][]policy.Decision
-	digest    hash.Hash
+	sum       [sha256.Size]byte
 	slotCount int
 	decCount  int
 
+	// Slot publication. While the driver advances the engine, the
+	// publisher goroutine (started and stopped by the driver) builds the
+	// decided slot's records into spare, the storage the history window
+	// last evicted when it fits, and writes their digest lines, gathered
+	// in lines, into the rolling digest; busy is its build time. pubIn
+	// hands it a slot and pubOut returns it. The driver commits spare and
+	// takes digest's sum only after that receive, so the two goroutines
+	// never touch them at once, readers only see sum, and nothing is in
+	// flight between slots.
+	pubIn  chan policy.Decided
+	pubOut chan struct{}
+	spare  []policy.Decision
+	digest hash.Hash
+	lines  []byte
+	busy   time.Duration
+
 	met serveMetrics
 }
+
+// digestChunk is how many bytes of digest lines the publisher gathers per
+// hash Write.
+const digestChunk = 4096
 
 type stepReq struct {
 	slots int
@@ -170,6 +195,7 @@ type serveMetrics struct {
 	slotGauge      *telemetry.Gauge
 	watermarkGauge *telemetry.Gauge
 	stepTimer      *telemetry.Timer
+	publishTimer   *telemetry.Timer
 }
 
 // New assembles a server: it resets cfg.Env with cfg.Seed and begins the
@@ -204,7 +230,10 @@ func New(cfg Config) (*Server, error) {
 		stopped: make(chan struct{}),
 		stepCh:  make(chan stepReq),
 		swapCh:  make(chan swapReq),
+		pubIn:   make(chan policy.Decided),
+		pubOut:  make(chan struct{}),
 		history: make(map[int][]policy.Decision),
+		sum:     sha256.Sum256(nil),
 		digest:  sha256.New(),
 		met: serveMetrics{
 			ingestBatches:  reg.Counter("serve.ingest.batches"),
@@ -222,6 +251,7 @@ func New(cfg Config) (*Server, error) {
 			slotGauge:      reg.Gauge("serve.slot"),
 			watermarkGauge: reg.Gauge("serve.watermark_min"),
 			stepTimer:      reg.Timer("serve.step"),
+			publishTimer:   reg.Timer("serve.publish"),
 		},
 	}
 	s.horizonMin = cfg.Env.HorizonMin()
@@ -395,6 +425,11 @@ func (s *Server) PolicyName() string {
 // the remaining queue before exiting.
 func (s *Server) loop() {
 	defer close(s.stopped)
+	go s.publisher()
+	defer func() {
+		close(s.pubIn)
+		<-s.pubOut // closed once the publisher has exited
+	}()
 	var tick <-chan time.Time
 	if s.cfg.SlotEvery > 0 {
 		t := time.NewTicker(s.cfg.SlotEvery)
@@ -472,38 +507,68 @@ func (s *Server) stepN(n int) int {
 	return stepped
 }
 
-// stepOnce closes one slot: run the decision loop, publish the decisions and
-// the rolling digest, refresh the published clock.
+// stepOnce closes one slot in three steps (DESIGN.md §10): decide, then
+// advance the engine while the publisher builds and hashes the slot's
+// decisions, then commit them.
 func (s *Server) stepOnce() {
 	stop := s.met.stepTimer.Start()
-	ds := s.runner.StepSlot()
+	d := s.runner.Decide()
+	s.pubIn <- d
+	s.runner.Advance(d)
 	stop()
+	<-s.pubOut
+	s.commit(d.Slot)
+}
 
+// publisher is the goroutine that builds each decided slot's records and
+// hashes their digest lines beside the engine step. It exits, closing
+// pubOut, when the driver closes pubIn.
+func (s *Server) publisher() {
+	defer close(s.pubOut)
+	for d := range s.pubIn {
+		start := time.Now()
+		if cap(s.spare) < len(d.Vacant) {
+			s.spare = make([]policy.Decision, 0, len(d.Vacant))
+		}
+		s.spare = d.AppendDecisions(s.spare[:0])
+		s.lines = s.lines[:0]
+		for _, dec := range s.spare {
+			s.lines = appendDecision(s.lines, dec)
+			if len(s.lines) >= digestChunk {
+				s.digest.Write(s.lines)
+				s.lines = s.lines[:0]
+			}
+		}
+		s.digest.Write(s.lines)
+		s.busy = time.Since(start)
+		s.pubOut <- struct{}{}
+	}
+}
+
+// commit publishes the slot the publisher just built: the history entry
+// (recycling the storage of the slot it evicts as the next spare), the
+// digest's sum, the counters and the published clock.
+func (s *Server) commit(slot int) {
+	start := time.Now()
+	ds := s.spare
 	env := s.runner.Env()
 	s.decMu.Lock()
-	slot := 0
-	if len(ds) > 0 {
-		slot = ds[0].Slot
-	} else {
-		slot = env.Slot() - 1
-	}
-	s.history[slot] = append([]policy.Decision(nil), ds...)
+	evicted := s.history[slot-s.cfg.History]
 	delete(s.history, slot-s.cfg.History)
-	var line []byte
-	for _, d := range ds {
-		line = appendDecision(line[:0], d)
-		s.digest.Write(line)
-	}
+	s.history[slot] = ds
+	s.spare = evicted[:0]
+	s.digest.Sum(s.sum[:0]) // appends within sum's own 32 bytes
 	s.slotCount++
 	s.decCount += len(ds)
+	s.slot.Store(int64(env.Slot()))
+	s.nowMin.Store(int64(env.Now()))
+	s.done.Store(env.Done())
 	s.decMu.Unlock()
 
 	s.met.slots.Inc()
 	s.met.decisions.Add(int64(len(ds)))
 	s.met.slotGauge.Set(float64(env.Slot()))
-	s.slot.Store(int64(env.Slot()))
-	s.nowMin.Store(int64(env.Now()))
-	s.done.Store(env.Done())
+	s.met.publishTimer.Observe(s.busy + time.Since(start))
 }
 
 // install swaps the serving policy between slots.
@@ -535,7 +600,7 @@ func (s *Server) Decisions(slot int) ([]policy.Decision, int, bool) {
 func (s *Server) DigestState() (slots, decisions int, digest string) {
 	s.decMu.RLock()
 	defer s.decMu.RUnlock()
-	return s.slotCount, s.decCount, hex.EncodeToString(s.digest.Sum(nil))
+	return s.slotCount, s.decCount, hex.EncodeToString(s.sum[:])
 }
 
 // appendDecision appends the canonical one-line encoding of d:

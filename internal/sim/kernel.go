@@ -214,29 +214,40 @@ type Core struct {
 	invalidActions int
 	finalized      bool
 
-	// per-slot read caches (state mutates only inside Step, so anything
-	// keyed on the slot index stays valid between steps)
-	supplySlot int
-	supply     []int
-	aggSlot    int
-	aggValid   bool
-	aggVacant  int
-	aggQueued  int
-	peSlot     int
-	peValid    bool
-	peMean     float64
-	peVar      float64
+	// Per-slot read caches. State mutates only inside Step, and Step ends
+	// with invalidateCaches, which bumps cacheGen (always >= 1 after New):
+	// a cache stamped with the current cacheGen is valid, so nothing is
+	// cleared per slot.
+	cacheGen int
+	// The slot's fleet aggregates, built by one walk over the fleet
+	// (fleetAggregates) on the slot's first read, stamped aggGen: vacant
+	// taxis per region, the fleet's vacant and queued/to-station counts,
+	// the PE of every on-duty taxi packed in ID order with their mean and
+	// variance, and the observation constants of the slot (time pair,
+	// station tariff feature, global triple).
+	aggGen       int
+	supply       []int
+	aggVacant    int
+	aggQueued    int
+	peOnDuty     []float64
+	peMean       float64
+	peVar        float64
+	timePair     [2]float64
+	stationRate  float64
+	globalTriple [3]float64
 	// blocks holds each region's observation block (every feature of
 	// Observe but the taxi's own featSelf triple), blockLen values per
 	// region, built lazily the first time the region is observed in a
-	// slot. blockGen[r] is the cacheGen the block was built at;
-	// invalidateCaches bumps cacheGen (always >= 1 after New), so nothing
-	// is cleared per slot. staleNow[r] is Hooks.ObsStale for region r as of
-	// the last PrepareObserve, allocated with the blocks.
-	blocks   []float64
-	blockGen []int
-	staleNow []bool
-	cacheGen int
+	// slot; blockGen[r] is the cacheGen it was built at. triples holds each
+	// region's (supply, forecast, fare) feature triple, stamped tripleGen,
+	// so a region listed as a neighbour by several blocks is computed once.
+	// staleNow[r] is Hooks.ObsStale for region r as of the last
+	// PrepareObserve. All four are allocated on the first observation.
+	blocks    []float64
+	blockGen  []int
+	triples   []float64
+	tripleGen []int
+	staleNow  []bool
 
 	// merge scratch
 	mergeTrips   []TripStat
@@ -406,12 +417,7 @@ func (c *Core) Reset(seed int64) {
 	c.invalidateCaches()
 }
 
-func (c *Core) invalidateCaches() {
-	c.supplySlot = -1
-	c.cacheGen++
-	c.aggValid = false
-	c.peValid = false
-}
+func (c *Core) invalidateCaches() { c.cacheGen++ }
 
 // applyBatteryFactors scales each taxi's pack by its cohort factor and,
 // under ExtendedHooks, its consumption rate by the cohort's vehicle model.
@@ -538,7 +544,11 @@ func (c *Core) SlotProfit(id int) float64 { return c.taxis[id].slotProfit }
 // one on-duty hour (see peFloorMin).
 func (c *Core) PESoFar(id int) float64 {
 	a := &c.taxis[id].acct
-	d := a.OnDutyMin()
+	return peSoFar(a, a.OnDutyMin())
+}
+
+// peSoFar is PESoFar of an account whose on-duty minutes are d.
+func peSoFar(a *TaxiAccount, d float64) float64 {
 	if d < peFloorMin {
 		d = peFloorMin
 	}
@@ -548,71 +558,62 @@ func (c *Core) PESoFar(id int) float64 {
 // FleetPEStats returns the mean and variance of the cumulative PE across
 // on-duty taxis, cached per slot (accounts change only inside Step).
 func (c *Core) FleetPEStats() (mean, variance float64) {
-	slot := c.Slot()
-	if c.peValid && c.peSlot == slot {
-		return c.peMean, c.peVar
-	}
-	var n int
-	for i := range c.taxis {
-		if c.taxis[i].acct.OnDutyMin() > 0 {
-			mean += c.PESoFar(i)
-			n++
-		}
-	}
-	if n == 0 {
-		c.peMean, c.peVar, c.peSlot, c.peValid = 0, 0, slot, true
-		return 0, 0
-	}
-	mean /= float64(n)
-	for i := range c.taxis {
-		if c.taxis[i].acct.OnDutyMin() > 0 {
-			d := c.PESoFar(i) - mean
-			variance += d * d
-		}
-	}
-	variance /= float64(n)
-	c.peMean, c.peVar, c.peSlot, c.peValid = mean, variance, slot, true
-	return mean, variance
+	c.fleetAggregates()
+	return c.peMean, c.peVar
 }
 
-// fleetStateCounts returns the global vacant and queued/to-station counts,
-// cached per slot.
-func (c *Core) fleetStateCounts() (vacant, queued int) {
-	slot := c.Slot()
-	if c.aggValid && c.aggSlot == slot {
-		return c.aggVacant, c.aggQueued
-	}
-	for i := range c.taxis {
-		switch c.taxis[i].state {
-		case Cruising:
-			vacant++
-		case Queued, ToStation:
-			queued++
-		}
-	}
-	c.aggVacant, c.aggQueued, c.aggSlot, c.aggValid = vacant, queued, slot, true
-	return vacant, queued
-}
-
-// regionSupply returns per-region vacant-taxi counts, cached per slot in a
-// core-owned slice.
-func (c *Core) regionSupply() []int {
-	slot := c.Slot()
-	if c.supplySlot == slot && c.supply != nil {
-		return c.supply
+// fleetAggregates builds the slot's fleet aggregates (see aggGen) on the
+// slot's first call, in one walk over the fleet. The PE mean sums the
+// on-duty PEs in ID order and the variance pass reads them back in that
+// order, so both are the chains a two-pass rescan of the fleet computes,
+// bit for bit.
+func (c *Core) fleetAggregates() {
+	if c.aggGen == c.cacheGen {
+		return
 	}
 	if n := c.city.Partition.Len(); len(c.supply) != n {
 		c.supply = make([]int, n)
 	} else {
 		clear(c.supply)
 	}
+	pe := c.peOnDuty[:0]
+	var vacant, queued int
+	var mean float64
 	for i := range c.taxis {
-		if c.taxis[i].state == Cruising {
-			c.supply[c.taxis[i].region]++
+		t := &c.taxis[i]
+		switch t.state {
+		case Cruising:
+			vacant++
+			c.supply[t.region]++
+		case Queued, ToStation:
+			queued++
+		}
+		if d := t.acct.OnDutyMin(); d > 0 {
+			p := peSoFar(&t.acct, d)
+			mean += p
+			pe = append(pe, p)
 		}
 	}
-	c.supplySlot = slot
-	return c.supply
+	var variance float64
+	if len(pe) > 0 {
+		mean /= float64(len(pe))
+		for _, p := range pe {
+			d := p - mean
+			variance += d * d
+		}
+		variance /= float64(len(pe))
+	}
+	c.peOnDuty, c.peMean, c.peVar = pe, mean, variance
+	c.aggVacant, c.aggQueued = vacant, queued
+
+	now := c.nowMin
+	dayFrac := float64(now%(24*60)) / (24 * 60)
+	c.timePair = [2]float64{math.Sin(2 * math.Pi * dayFrac), math.Cos(2 * math.Pi * dayFrac)}
+	band := c.city.Tariff.BandAt(now)
+	c.stationRate = c.city.Tariff.Rate(band) / 2
+	fleet := float64(len(c.taxis))
+	c.globalTriple = [3]float64{float64(vacant) / fleet, float64(queued) / fleet, float64(band) / 2}
+	c.aggGen = c.cacheGen
 }
 
 // ValidMask returns the action-validity mask for a taxi.
@@ -705,7 +706,7 @@ func (c *Core) ObserveRows(ids []int, feats []float32, masks [][NumActions]bool)
 	if len(ids) == 0 {
 		return
 	}
-	if !c.peValid || c.peSlot != c.Slot() || c.blocks == nil {
+	if c.aggGen != c.cacheGen || c.blocks == nil {
 		panic("sim: ObserveRows before PrepareObserve")
 	}
 	var f [FeatureSize]float64
@@ -768,6 +769,8 @@ func (c *Core) regionBlock(region int) []float64 {
 		n := c.city.Partition.Len()
 		c.blocks = make([]float64, n*blockLen)
 		c.blockGen = make([]int, n)
+		c.triples = make([]float64, n*3)
+		c.tripleGen = make([]int, n)
 		c.staleNow = make([]bool, n)
 	}
 	lo := region * blockLen
@@ -775,18 +778,15 @@ func (c *Core) regionBlock(region int) []float64 {
 	if c.blockGen[region] == c.cacheGen {
 		return b
 	}
-	now := c.nowMin
-	dayFrac := float64(now%(24*60)) / (24 * 60)
+	c.fleetAggregates()
 
-	f := append(b[:0], math.Sin(2*math.Pi*dayFrac), math.Cos(2*math.Pi*dayFrac))
-
-	supply := c.regionSupply()
-	f = c.appendRegionTriple(f, region, supply, now)
+	f := append(b[:0], c.timePair[:]...)
+	f = append(f, c.regionTriple(region)...)
 
 	nbs := c.city.Partition.Region(region).Neighbors
 	for i := 0; i < MaxNeighbors; i++ {
 		if i < len(nbs) {
-			f = c.appendRegionTriple(f, nbs[i], supply, now)
+			f = append(f, c.regionTriple(nbs[i])...)
 		} else {
 			f = append(f, 0, 0, 0)
 		}
@@ -800,17 +800,14 @@ func (c *Core) regionBlock(region int) []float64 {
 				float64(st.Free())/20,
 				float64(st.QueueLen())/10,
 				ns[k].DistKm/10,
-				c.city.Tariff.Rate(c.city.Tariff.BandAt(now))/2,
+				c.stationRate,
 			)
 		} else {
 			f = append(f, 0, 0, 0, 0)
 		}
 	}
 
-	vacant, queued := c.fleetStateCounts()
-	n := float64(len(c.taxis))
-	band := float64(c.city.Tariff.BandAt(now)) / 2
-	f = append(f, float64(vacant)/n, float64(queued)/n, band)
+	f = append(f, c.globalTriple[:]...)
 
 	if len(f) != blockLen {
 		panic("sim: feature size mismatch")
@@ -819,9 +816,16 @@ func (c *Core) regionBlock(region int) []float64 {
 	return b
 }
 
-// appendRegionTriple appends the (supply, forecast, fare) features of a
-// region to f.
-func (c *Core) appendRegionTriple(f []float64, region int, supply []int, now int) []float64 {
+// regionTriple returns the (supply, forecast, fare) features of a region
+// for the current slot, computing them on the slot's first request. The
+// slice aliases c.triples and is read-only; fleetAggregates must have run
+// this slot.
+func (c *Core) regionTriple(region int) []float64 {
+	tr := c.triples[3*region : 3*region+3 : 3*region+3]
+	if c.tripleGen[region] == c.cacheGen {
+		return tr
+	}
+	now := c.nowMin
 	var fc float64
 	switch {
 	case c.opts.NoForecastFeature:
@@ -832,11 +836,9 @@ func (c *Core) appendRegionTriple(f []float64, region int, supply []int, now int
 		fc = c.city.Demand.ExpectedSlotDemand(region, now, c.slotLen)
 	}
 	fare := c.city.Demand.ExpectedFare(region, hourAt(now))
-	return append(f,
-		float64(supply[region])/10,
-		fc/10,
-		fare/100,
-	)
+	tr[0], tr[1], tr[2] = float64(c.supply[region])/10, fc/10, fare/100
+	c.tripleGen[region] = c.cacheGen
+	return tr
 }
 
 // SetHooks installs (or, with nil, removes) a perturbation engine. Call it

@@ -38,12 +38,12 @@ func (r *referenceObserver) observe(c *Core, id int) Observation {
 			supply[c.taxis[i].region]++
 		}
 	}
-	f = c.appendRegionTriple(f, t.region, supply, now)
+	f = refRegionTriple(c, f, t.region, supply, now)
 
 	nbs := c.city.Partition.Region(t.region).Neighbors
 	for i := 0; i < MaxNeighbors; i++ {
 		if i < len(nbs) {
-			f = c.appendRegionTriple(f, nbs[i], supply, now)
+			f = refRegionTriple(c, f, nbs[i], supply, now)
 		} else {
 			f = append(f, 0, 0, 0)
 		}
@@ -91,6 +91,22 @@ func (r *referenceObserver) observe(c *Core, id int) Observation {
 		}
 	}
 	return Observation{Features: f, Mask: c.ValidMask(id)}
+}
+
+// refRegionTriple appends the (supply, forecast, fare) features of a region
+// to f, computed afresh from supply and the clock.
+func refRegionTriple(c *Core, f []float64, region int, supply []int, now int) []float64 {
+	var fc float64
+	switch {
+	case c.opts.NoForecastFeature:
+		fc = 0
+	case c.predictor != nil:
+		fc = c.predictor.Predict(region, now/c.slotLen)
+	default:
+		fc = c.city.Demand.ExpectedSlotDemand(region, now, c.slotLen)
+	}
+	fare := c.city.Demand.ExpectedFare(region, hourAt(now))
+	return append(f, float64(supply[region])/10, fc/10, fare/100)
 }
 
 // TestObserveMatchesUncachedReference pins Observe's region-block cache, and
