@@ -11,8 +11,9 @@ GOFMT ?= gofmt
 # simulator and its sharded driver, and the learning stack (nn kernels,
 # CMA2C, the baselines) — the packages whose tests ARE the regression
 # harness (golden digests, fuzz corpora, shard-invariance battery, kernel
-# tier bit-identity): uncovered code there is unpinned behavior.
-COVER_PKGS = ./internal/scenario/ ./internal/trace/ ./internal/checkpoint/ ./internal/sim/ ./internal/invariant/ ./internal/serve/ ./internal/nn/ ./internal/core/ ./internal/policy/
+# tier bit-identity): uncovered code there is unpinned behavior — plus the
+# telemetry registry every layer timer and the benchmark recorder read.
+COVER_PKGS = ./internal/scenario/ ./internal/trace/ ./internal/checkpoint/ ./internal/sim/ ./internal/invariant/ ./internal/serve/ ./internal/nn/ ./internal/core/ ./internal/policy/ ./internal/telemetry/
 COVER_FLOOR = 70
 
 .PHONY: ci fmt vet build cross perfbench test race cover alloc-gate smoke resume-smoke shard-smoke serve-smoke soak battery fuzz-battery fuzz bench

@@ -89,17 +89,6 @@ func hotpathSet(tb testing.TB) []hotBench {
 				m.Forward1(x)
 			}
 		}},
-		{"nn_forward_rows256", func(b *testing.B) {
-			m, x := hotBenchNet()
-			rows := make([][]float64, 256)
-			for i := range rows {
-				rows[i] = x
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.ForwardRows(rows, 1)
-			}
-		}},
 		{"geo_station_lookup", func(b *testing.B) {
 			idx, queries := hotBenchIndex()
 			b.ResetTimer()

@@ -1,14 +1,16 @@
 package fairmove
 
-// Decide identity: the fused decide FairMove and TBA run (policy.Decider —
-// observe, forward and softmax fanned out per block of the vacant set, then
-// one serial draw) must pick exactly the actions of the plain per-taxi loop
-// it replaced, at any worker count, with and without GPS-dropout hooks.
-// The test runs in the short tier, so `make race` drives the concurrent
-// ObserveRows path.
+// Decide identity: the fused decide every network learner runs
+// (policy.Decider — observe and forward, plus the softmax for FairMove and
+// TBA, fanned out per block of the vacant set, then one serial draw or
+// ε-greedy choice) must pick exactly the actions of the plain per-taxi
+// loop it replaced, at any worker count, with and without GPS-dropout
+// hooks. The test runs in the short tier, so `make race` drives the
+// concurrent ObserveRows path.
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -20,10 +22,14 @@ import (
 	"repro/internal/telemetry"
 )
 
+// referenceChoice picks one taxi's action index from its output row (logits
+// or Q-values) and mask, drawing from src.
+type referenceChoice func(src *rng.Source, out []float32, mask [sim.NumActions]bool) int
+
 // referenceDecide is the per-taxi decide loop: Observe each taxi, narrow
 // its features into a batch row, one ForwardBatch, then per taxi in vacant
-// order the masked softmax and one WeightedChoice on src.
-func referenceDecide(env sim.Environment, net *nn.MLP, src *rng.Source, vacant []int) map[int]sim.Action {
+// order one choice on src.
+func referenceDecide(env sim.Environment, net *nn.MLP, src *rng.Source, vacant []int, choose referenceChoice) map[int]sim.Action {
 	x := nn.NewMat(len(vacant), sim.FeatureSize)
 	masks := make([][sim.NumActions]bool, len(vacant))
 	for i, id := range vacant {
@@ -31,17 +37,51 @@ func referenceDecide(env sim.Environment, net *nn.MLP, src *rng.Source, vacant [
 		x.SetRow(i, obs.Features)
 		masks[i] = obs.Mask
 	}
-	logits := net.ForwardBatch(x, 1)
-	probs := make([]float64, sim.NumActions)
+	out := net.ForwardBatch(x, 1)
 	acts := make(map[int]sim.Action, len(vacant))
 	for i, id := range vacant {
-		nn.SoftmaxInto(logits.Row(i), masks[i][:], probs)
-		acts[id] = sim.ActionFromIndex(src.WeightedChoice(probs))
+		acts[id] = sim.ActionFromIndex(choose(src, out.Row(i), masks[i]))
 	}
 	return acts
 }
 
-// decideLearner is a softmax-policy learner with its decide inputs exposed.
+// sampledChoice is FairMove's and TBA's choice: the masked softmax of the
+// logits and one WeightedChoice.
+func sampledChoice(src *rng.Source, logits []float32, mask [sim.NumActions]bool) int {
+	probs := make([]float64, sim.NumActions)
+	nn.SoftmaxInto(logits, mask[:], probs)
+	return src.WeightedChoice(probs)
+}
+
+// epsGreedyChoice is DQN's choice at exploration rate eps: with
+// probability eps a uniform pick from the collected valid actions,
+// otherwise the first valid action of highest Q (action 0 when none is
+// valid).
+func epsGreedyChoice(eps float64) referenceChoice {
+	return func(src *rng.Source, qs []float32, mask [sim.NumActions]bool) int {
+		if src.Bool(eps) {
+			var valid []int
+			for i, ok := range mask {
+				if ok {
+					valid = append(valid, i)
+				}
+			}
+			if len(valid) == 0 {
+				return 0
+			}
+			return valid[src.Intn(len(valid))]
+		}
+		best, bestQ := 0, math.Inf(-1)
+		for i, ok := range mask {
+			if ok && float64(qs[i]) > bestQ {
+				best, bestQ = i, float64(qs[i])
+			}
+		}
+		return best
+	}
+}
+
+// decideLearner is a network learner with its decide inputs exposed.
 type decideLearner interface {
 	policy.Policy
 	BenchDecideState() (*nn.MLP, *rng.Source)
@@ -81,8 +121,17 @@ const (
 
 func TestDecideMatchesReferenceLoop(t *testing.T) {
 	city := benchCity(t)
-	learners := map[string]func(workers int) decideLearner{
-		"FairMove": func(workers int) decideLearner {
+	const exploreEps = 0.5
+	newDQN := func(workers int) *policy.DQN {
+		dqn := policy.NewDQN(0.6, 42)
+		dqn.Workers = workers
+		return dqn
+	}
+	learners := map[string]struct {
+		build  func(workers int) decideLearner
+		choose referenceChoice
+	}{
+		"FairMove": {func(workers int) decideLearner {
 			cfg := core.DefaultConfig(0.6, 42)
 			cfg.Workers = workers
 			fm, err := core.New(cfg)
@@ -90,12 +139,20 @@ func TestDecideMatchesReferenceLoop(t *testing.T) {
 				t.Fatal(err)
 			}
 			return fm
-		},
-		"TBA": func(workers int) decideLearner {
+		}, sampledChoice},
+		"TBA": {func(workers int) decideLearner {
 			tba := policy.NewTBA(42)
 			tba.Workers = workers
 			return tba
-		},
+		}, sampledChoice},
+		"DQN": {func(workers int) decideLearner {
+			return newDQN(workers)
+		}, epsGreedyChoice(newDQN(1).EvalEpsilon)},
+		"DQN-exploring": {func(workers int) decideLearner {
+			dqn := newDQN(workers)
+			dqn.BenchExplore(exploreEps)
+			return dqn
+		}, epsGreedyChoice(exploreEps)},
 	}
 	newEnv := func(spec *scenario.Spec) sim.Environment {
 		env := sim.New(city, sim.DefaultOptions(1), 42)
@@ -116,10 +173,10 @@ func TestDecideMatchesReferenceLoop(t *testing.T) {
 		if hooked {
 			spec, name = dropoutScenario(t), "dropout"
 		}
-		for lname, build := range learners {
+		for lname, l := range learners {
 			for _, workers := range []int{1, 2, 4} {
 				t.Run(fmt.Sprintf("%s/%s/workers=%d", name, lname, workers), func(t *testing.T) {
-					got, ref := build(workers), build(1)
+					got, ref := l.build(workers), l.build(1)
 					got.BeginEpisode(7)
 					ref.BeginEpisode(7)
 					envGot, envRef := newEnv(spec), newEnv(spec)
@@ -131,7 +188,7 @@ func TestDecideMatchesReferenceLoop(t *testing.T) {
 						vacant := append([]int(nil), envGot.VacantTaxis()...)
 						acts := got.Act(envGot, vacant)
 						net, src := ref.BenchDecideState()
-						want := referenceDecide(envRef, net, src, envRef.VacantTaxis())
+						want := referenceDecide(envRef, net, src, envRef.VacantTaxis(), l.choose)
 						if len(acts) != len(want) {
 							t.Fatalf("slot %d: %d actions, reference %d", s, len(acts), len(want))
 						}

@@ -180,7 +180,6 @@ type TrainStats struct {
 	CriticLoss  []float64 // per-episode mean critic loss
 	MeanAdvAbs  []float64 // per-episode mean |advantage|
 	Transitions int
-	PolicyEnt   float64 // final mean policy entropy over a sample
 }
 
 // Train runs Algorithm 1 until `episodes` total fine-tuning episodes are
@@ -223,7 +222,7 @@ func (f *FairMove) TrainCheckpointed(city *synth.City, episodes, days int, seed 
 		// per-taxi loop would make, because the transition callback only
 		// buffers and never touches the networks or f.src.
 		var buf []policy.Transition
-		stopEp := f.tel.EpisodeTime.Start()
+		epTime := f.tel.EpisodeTime.Start()
 		mean := policy.RunEpisode(env, f, false, f.cfg.Alpha, f.cfg.Gamma,
 			func(id int, tr *policy.Transition) {
 				if tr != nil {
@@ -237,7 +236,7 @@ func (f *FairMove) TrainCheckpointed(city *synth.City, episodes, days int, seed 
 		f.tel.Transitions.Add(int64(len(buf)))
 		f.tel.MeanReward.Set(mean)
 		if len(buf) == 0 {
-			stopEp()
+			epTime.Stop()
 			stats.CriticLoss = append(stats.CriticLoss, 0)
 			stats.MeanAdvAbs = append(stats.MeanAdvAbs, 0)
 			f.epDone = ep + 1
@@ -284,7 +283,7 @@ func (f *FairMove) TrainCheckpointed(city *synth.City, episodes, days int, seed 
 		stats.MeanAdvAbs = append(stats.MeanAdvAbs, advSum/float64(nUpd))
 		f.tel.criticLoss.Set(lossSum / float64(nUpd))
 		f.tel.meanAdvAbs.Set(advSum / float64(nUpd))
-		stopEp()
+		epTime.Stop()
 
 		// Target network hard update per episode (Eq. 7's θv').
 		f.targetCritic.CopyWeightsFrom(f.critic)
@@ -398,17 +397,6 @@ func (f *FairMove) cloneActor(buf []policy.Transition, idxs []int) {
 	f.tel.actorGrad.Observe(nn.ClipGrads(grads, 5))
 	f.tel.cloneSteps.Inc()
 	f.actorOpt.Step(f.actor)
-}
-
-// tdTarget computes r + β^elapsed · V'(s') (Eq. 7/10) for one transition,
-// zero bootstrap at the horizon. The update steps use the batched
-// tdTargetsInto; this scalar form serves diagnostics and tests.
-func (f *FairMove) tdTarget(tr policy.Transition) float64 {
-	y := tr.Reward
-	if !tr.Terminal {
-		y += math.Pow(f.cfg.Gamma, float64(tr.Elapsed)) * value(f.targetCritic, tr.NextObs)
-	}
-	return y
 }
 
 // tdTargetsInto fills y (n×1) with r + β^elapsed · V'(s') for the sampled

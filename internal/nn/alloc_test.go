@@ -75,17 +75,6 @@ func TestForward1ZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestForwardRowsSerialZeroAlloc(t *testing.T) {
-	m, inputs := testNet(t)
-	m.ForwardRows(inputs, 1) // allocate the rows arena once
-	allocs := testing.AllocsPerRun(50, func() {
-		m.ForwardRows(inputs, 1)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state serial ForwardRows allocates %v/op, want 0", allocs)
-	}
-}
-
 func TestForwardBatchZeroAlloc(t *testing.T) {
 	m, inputs := testNet(t)
 	x := NewMat(len(inputs), 55)

@@ -95,32 +95,3 @@ func (m *MLP) forwardBlock(x *Mat, lo, hi int, gemm *gemmScratch) {
 		in = z
 	}
 }
-
-// ForwardRows evaluates the network on each row independently. It is a thin
-// adapter over ForwardBatch: the float64 feature rows are narrowed into an
-// MLP-owned input matrix and evaluated in one batched pass.
-//
-// The returned row slices are views into the network's last activation
-// arena, reused by the next inference call on this network: callers that
-// keep rows beyond that must copy them. Steady-state calls with a stable
-// batch shape allocate nothing, and results are byte-identical for any
-// worker count.
-func (m *MLP) ForwardRows(rows [][]float64, workers int) [][]float32 {
-	n := len(rows)
-	if cap(m.rowsOut) < n {
-		m.rowsOut = make([][]float32, n)
-	}
-	out := m.rowsOut[:n]
-	if n == 0 {
-		return out
-	}
-	m.rowsIn = ensureMat(m.rowsIn, n, m.InputSize())
-	for i, r := range rows {
-		m.rowsIn.SetRow(i, r)
-	}
-	res := m.ForwardBatch(m.rowsIn, workers)
-	for i := range out {
-		out[i] = res.Row(i)
-	}
-	return out
-}

@@ -7,35 +7,34 @@ import (
 	"repro/internal/rng"
 )
 
-// ForwardRows must match a serial Forward1 loop bit-for-bit at every worker
-// count — the batched-inference half of the serial≡parallel invariant. With
-// the batch-first backend this is also the batch-vs-single-row equivalence
-// proof: one GEMM over 33 rows against 33 single-row GEMMs.
-func TestForwardRowsMatchesForward1(t *testing.T) {
+// ForwardBatch must match a serial Forward1 loop bit-for-bit at every
+// worker count — the batched-inference half of the serial≡parallel
+// invariant, and the batch-vs-single-row equivalence proof: one GEMM over
+// 33 rows against 33 single-row GEMMs.
+func TestForwardBatchMatchesForward1(t *testing.T) {
 	src := rng.New(7)
 	m := NewMLP(src, []int{12, 16, 5}, Tanh, Identity)
-	rows := make([][]float64, 33)
-	for i := range rows {
-		r := make([]float64, 12)
+	x := NewMat(33, 12)
+	want := make([][]float32, x.Rows)
+	for i := range want {
+		r := make([]float64, x.Cols)
 		for j := range r {
 			r[j] = src.Uniform(-2, 2)
 		}
-		rows[i] = r
-	}
-	want := make([][]float32, len(rows))
-	for i, r := range rows {
+		x.SetRow(i, r)
 		// Forward1 returns a view into the MLP's inference arena; copy it
 		// out before the next call reuses the buffer.
 		want[i] = append([]float32(nil), m.Forward1(r)...)
 	}
 	for _, workers := range []int{1, 2, 3, 8, 64} {
-		got := m.ForwardRows(rows, workers)
+		out := m.ForwardBatch(x, workers)
+		got := make([][]float32, out.Rows)
+		for i := range got {
+			got[i] = out.Row(i)
+		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d: batched forward differs from serial Forward1", workers)
 		}
-	}
-	if got := m.ForwardRows(nil, 4); len(got) != 0 {
-		t.Fatalf("empty input: got %d rows", len(got))
 	}
 }
 

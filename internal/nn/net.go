@@ -146,7 +146,7 @@ func NewDense(src *rng.Source, in, out int, act Activation) *Dense {
 // through the matching Backward and until the next Forward(train=true) on
 // this layer, and x must likewise stay untouched until Backward consumes it.
 // Inference (train=false) allocates a fresh matrix; the allocation-free
-// inference path is MLP.ForwardBatch/Forward1/ForwardRows.
+// inference path is MLP.ForwardBatch/Forward1.
 func (d *Dense) Forward(x *Mat, train bool) *Mat {
 	if x.Cols != d.In {
 		panic(fmt.Sprintf("nn: dense expected %d inputs, got %d", d.In, x.Cols))
@@ -255,18 +255,15 @@ type MLP struct {
 	Layers []*Dense
 
 	// Inference arenas: batchActs holds one n×Out activation matrix per
-	// layer, shared by ForwardBatch/Forward1/ForwardRows (results alias the
-	// last entry and stay valid until the next inference call on this
-	// network); x1 backs Forward1's single-row input and rowsIn/rowsOut back
-	// ForwardRows' input narrowing and result views. Workers write disjoint
-	// row blocks of the shared arenas, so no per-worker copies exist; only
-	// the GEMM packing scratch is per row block (batchGemm). None of these
-	// are shared by Clone, and checkpoints never touch them.
+	// layer, shared by ForwardBatch/Forward1 (results alias the last entry
+	// and stay valid until the next inference call on this network); x1
+	// backs Forward1's single-row input. Workers write disjoint row blocks
+	// of the shared arenas, so no per-worker copies exist; only the GEMM
+	// packing scratch is per row block (batchGemm). None of these are
+	// shared by Clone, and checkpoints never touch them.
 	batchActs []*Mat
 	batchGemm []gemmScratch
 	x1        *Mat
-	rowsIn    *Mat
-	rowsOut   [][]float32
 
 	// Params() result cache: the layer list is fixed after construction, so
 	// the flat parameter/gradient views are built once — optimizers call
@@ -310,7 +307,7 @@ func (m *MLP) Forward(x *Mat, train bool) *Mat {
 
 // Forward1 runs the network on a single sample and returns the output row.
 // The row aliases the MLP's internal inference arena: it is valid until the
-// next Forward1/ForwardRows/ForwardBatch call on this network, and callers
+// next Forward1/ForwardBatch call on this network, and callers
 // keeping it longer must copy it out. Like all scratch-backed paths, Forward1
 // is not safe for concurrent calls on a shared MLP — ForwardBatch is the
 // parallel entry point.

@@ -53,9 +53,9 @@ func ForEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i
 				return err
 			}
 			tel.queueDepth.Set(float64(n - i - 1))
-			stop := tel.taskTime.Start()
+			sw := tel.taskTime.Start()
 			err := fn(ctx, i)
-			stop()
+			sw.Stop()
 			tel.tasks.Inc()
 			w0.Inc()
 			if err != nil {
@@ -101,9 +101,9 @@ func ForEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i
 					return
 				}
 				tel.queueDepth.Set(float64(n - i - 1))
-				stop := tel.taskTime.Start()
+				sw := tel.taskTime.Start()
 				run(i)
-				stop()
+				sw.Stop()
 				tel.tasks.Inc()
 				wc.Inc()
 			}

@@ -159,67 +159,6 @@ func (p *Partition) IsConnected() bool {
 	return count == len(p.regions)
 }
 
-// ShortestPathNext returns the neighbor of from that lies on a shortest hop
-// path towards to, or from itself if from == to. Used by policies that move
-// taxis one adjacent region per time slot toward a target.
-func (p *Partition) ShortestPathNext(from, to int) int {
-	if from == to {
-		return from
-	}
-	// BFS from `to` backwards; first neighbor of `from` reached wins.
-	dist := make([]int, len(p.regions))
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[to] = 0
-	queue := []int{to}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur == from {
-			break
-		}
-		for _, nb := range p.regions[cur].Neighbors {
-			if dist[nb] < 0 {
-				dist[nb] = dist[cur] + 1
-				queue = append(queue, nb)
-			}
-		}
-	}
-	best, bestD := from, dist[from]
-	if bestD < 0 {
-		return from // unreachable; stay
-	}
-	for _, nb := range p.regions[from].Neighbors {
-		if dist[nb] >= 0 && dist[nb] < bestD {
-			best, bestD = nb, dist[nb]
-		}
-	}
-	return best
-}
-
-// HopDistances returns the hop distance from src to every region (-1 if
-// unreachable).
-func (p *Partition) HopDistances(src int) []int {
-	dist := make([]int, len(p.regions))
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []int{src}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, nb := range p.regions[cur].Neighbors {
-			if dist[nb] < 0 {
-				dist[nb] = dist[cur] + 1
-				queue = append(queue, nb)
-			}
-		}
-	}
-	return dist
-}
-
 // ShenzhenBBox is the bounding box the generator uses; it approximates the
 // extent of urban Shenzhen.
 var ShenzhenBBox = geo.BBox{MinLng: 113.75, MinLat: 22.45, MaxLng: 114.65, MaxLat: 22.85}

@@ -98,60 +98,6 @@ func TestLocateCoversBBox(t *testing.T) {
 	}
 }
 
-func TestShortestPathNextMakesProgress(t *testing.T) {
-	p := GenerateShenzhen(5)
-	src := rng.New(17)
-	for trial := 0; trial < 100; trial++ {
-		from := src.Intn(p.Len())
-		to := src.Intn(p.Len())
-		dists := p.HopDistances(to)
-		next := p.ShortestPathNext(from, to)
-		if from == to {
-			if next != from {
-				t.Fatalf("ShortestPathNext(%d,%d) = %d, want stay", from, to, next)
-			}
-			continue
-		}
-		if dists[from] < 0 {
-			t.Fatalf("region %d unreachable from %d in connected partition", to, from)
-		}
-		if dists[next] != dists[from]-1 {
-			t.Fatalf("ShortestPathNext(%d,%d) = %d does not reduce hop distance (%d -> %d)",
-				from, to, next, dists[from], dists[next])
-		}
-	}
-}
-
-func TestShortestPathWalkTerminates(t *testing.T) {
-	p := GenerateShenzhen(6)
-	from, to := 0, p.Len()-1
-	cur := from
-	for steps := 0; cur != to; steps++ {
-		if steps > p.Len() {
-			t.Fatal("path walk did not terminate")
-		}
-		cur = p.ShortestPathNext(cur, to)
-	}
-}
-
-func TestHopDistances(t *testing.T) {
-	p := GenerateShenzhen(9)
-	d := p.HopDistances(0)
-	if d[0] != 0 {
-		t.Fatal("self distance not 0")
-	}
-	for _, nb := range p.Region(0).Neighbors {
-		if d[nb] != 1 {
-			t.Fatalf("neighbor %d has hop distance %d", nb, d[nb])
-		}
-	}
-	for id, dist := range d {
-		if dist < 0 {
-			t.Fatalf("region %d unreachable", id)
-		}
-	}
-}
-
 func TestDistancePositive(t *testing.T) {
 	p := GenerateShenzhen(10)
 	if p.Distance(0, 0) != 0 {

@@ -10,29 +10,32 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Decider is the sampled decide of the softmax-policy learners (FairMove's
-// CMA2C actor and TBA): every vacant taxi draws its action from the masked
-// softmax of the shared actor's logits on its own observation. The zero
+// Decider is the decide of every network learner: FairMove's CMA2C actor
+// and TBA draw each vacant taxi's action from the masked softmax of the
+// shared net's logits on its own observation (Act); DQN picks it
+// ε-greedily over the shared Q-network's values (ActEpsGreedy). The zero
 // value is ready to use; a Decider holds reused scratch and must not be
 // copied after first use.
 //
 // Given the slot's regional state the per-taxi decisions are independent
 // up to the random draw, so one fan-out over contiguous blocks of the
 // vacant set does everything but the draw: each block fills its float32
-// observation rows (Environment.ObserveRows), runs the actor's layer stack
-// (nn.MLP.ForwardBlocks) and writes its masked softmax rows with their draw
-// totals (rng.WeightedTotal). One serial pass then draws from the learner's
-// stream in vacant order (rng.WeightedDraw) — the draws a per-taxi
-// Observe → softmax → WeightedChoice loop makes, so the actions are
-// byte-identical for any worker count.
+// observation rows (Environment.ObserveRows), runs the net's layer stack
+// (nn.MLP.ForwardBlocks) and, for a sampled decide, writes its masked
+// softmax rows with their draw totals (rng.WeightedTotal). One serial pass
+// then draws from the learner's stream in vacant order — rng.WeightedDraw,
+// or DQN's ε-greedy choice — the draws a per-taxi Observe → forward →
+// choose loop makes, so the actions are byte-identical for any worker
+// count.
 type Decider struct {
 	// Per-call parameters and outputs, read and written by the block hooks.
-	env    sim.Environment
-	vacant []int
-	x      *nn.Mat
-	masks  [][sim.NumActions]bool
-	probs  []float64 // sim.NumActions per vacant taxi
-	totals []float64 // rng.WeightedTotal of each probs row
+	env     sim.Environment
+	vacant  []int
+	x       *nn.Mat
+	masks   [][sim.NumActions]bool
+	sampled bool      // the epilogue writes probs and totals
+	probs   []float64 // sim.NumActions per vacant taxi
+	totals  []float64 // rng.WeightedTotal of each probs row
 
 	// The hooks handed to ForwardBlocks, built once (a method value made
 	// per call would allocate per call).
@@ -56,7 +59,7 @@ type blockTimes struct {
 
 // decideTel holds the decide timers: prepare is the serial PrepareObserve,
 // observe and forward are summed worker busy time, sample the softmax busy
-// time plus the serial draw. Nil handles no-op and the clock is not read.
+// time plus the serial choice. Nil handles no-op and the clock is not read.
 type decideTel struct {
 	prepare, observe, forward, sample *telemetry.Timer
 }
@@ -78,27 +81,36 @@ func (d *Decider) SetTelemetry(r *telemetry.Registry) {
 	}
 }
 
-// Act decides every taxi of vacant under the actor net, drawing from src
-// in vacant order. workers bounds the fan-out (<= 0 means GOMAXPROCS).
+// Act decides every taxi of vacant by sampling the masked softmax of the
+// actor net's logits, drawing from src in vacant order. workers bounds the
+// fan-out (<= 0 means GOMAXPROCS).
 func (d *Decider) Act(env sim.Environment, net *nn.MLP, src *rng.Source, vacant []int, workers int) map[int]sim.Action {
+	return d.decide(env, net, src, vacant, workers, true, 0)
+}
+
+// ActEpsGreedy decides every taxi of vacant ε-greedily over the Q-network
+// net's values (epsGreedy), drawing from src in vacant order. workers
+// bounds the fan-out (<= 0 means GOMAXPROCS).
+func (d *Decider) ActEpsGreedy(env sim.Environment, net *nn.MLP, src *rng.Source, vacant []int, workers int, eps float64) map[int]sim.Action {
+	return d.decide(env, net, src, vacant, workers, false, eps)
+}
+
+// decide is Act and ActEpsGreedy: PrepareObserve, the fan-out, then the
+// serial choice, sampled or ε-greedy.
+func (d *Decider) decide(env sim.Environment, net *nn.MLP, src *rng.Source, vacant []int, workers int, sampled bool, eps float64) map[int]sim.Action {
 	n := len(vacant)
 	actions := make(map[int]sim.Action, n)
 	if n == 0 {
 		return actions
 	}
 	if d.pre == nil {
-		d.pre, d.post = d.observeBlock, d.softmaxBlock
+		d.pre, d.post = d.observeBlock, d.epilogueBlock
 	}
 	d.timed = d.tel.observe != nil
-	var prepStart time.Time
-	if d.timed {
-		prepStart = time.Now()
-	}
+	prep := d.tel.prepare.Start()
 	env.PrepareObserve(vacant)
-	if d.timed {
-		d.tel.prepare.Observe(time.Since(prepStart))
-	}
-	d.env, d.vacant = env, vacant
+	prep.Stop()
+	d.env, d.vacant, d.sampled = env, vacant, sampled
 	d.x = nn.EnsureMat(d.x, n, sim.FeatureSize)
 	if cap(d.masks) < n {
 		d.masks = make([][sim.NumActions]bool, n)
@@ -113,19 +125,25 @@ func (d *Decider) Act(env sim.Environment, net *nn.MLP, src *rng.Source, vacant 
 		clear(d.blockTimes)
 	}
 
-	net.ForwardBlocks(d.x, workers, d.pre, d.post)
+	out := net.ForwardBlocks(d.x, workers, d.pre, d.post)
 
-	var drawStart time.Time
+	var chooseStart time.Time
 	if d.timed {
-		drawStart = time.Now()
+		chooseStart = time.Now()
 	}
-	for i, id := range vacant {
-		p := d.probs[i*sim.NumActions : (i+1)*sim.NumActions]
-		actions[id] = sim.ActionFromIndex(src.WeightedDraw(p, d.totals[i]))
+	if sampled {
+		for i, id := range vacant {
+			p := d.probs[i*sim.NumActions : (i+1)*sim.NumActions]
+			actions[id] = sim.ActionFromIndex(src.WeightedDraw(p, d.totals[i]))
+		}
+	} else {
+		for i, id := range vacant {
+			actions[id] = sim.ActionFromIndex(epsGreedy(src, out.Row(i), d.masks[i], eps))
+		}
 	}
 	d.env, d.vacant = nil, nil
 	if d.timed {
-		draw := time.Since(drawStart)
+		choose := time.Since(chooseStart)
 		var sum blockTimes
 		for _, bt := range d.blockTimes {
 			sum.observe += bt.observe
@@ -134,7 +152,7 @@ func (d *Decider) Act(env sim.Environment, net *nn.MLP, src *rng.Source, vacant 
 		}
 		d.tel.observe.Observe(sum.observe)
 		d.tel.forward.Observe(sum.forward)
-		d.tel.sample.Observe(sum.softmax + draw)
+		d.tel.sample.Observe(sum.softmax + choose)
 	}
 	return actions
 }
@@ -154,18 +172,21 @@ func (d *Decider) observeBlock(block, lo, hi int) {
 	}
 }
 
-// softmaxBlock is the fan-out's epilogue: the masked softmax of logits rows
-// [lo, hi) and their draw totals. The time since the block's observe ended
-// is its forward pass.
-func (d *Decider) softmaxBlock(block, lo, hi int, logits *nn.Mat) {
+// epilogueBlock is the fan-out's epilogue: for a sampled decide, the masked
+// softmax of output rows [lo, hi) and their draw totals. The time since the
+// block's observe ended is its forward pass.
+func (d *Decider) epilogueBlock(block, lo, hi int, out *nn.Mat) {
 	var start time.Time
 	if d.timed {
 		start = time.Now()
 		d.blockTimes[block].forward = start.Sub(d.blockTimes[block].observed)
 	}
+	if !d.sampled {
+		return
+	}
 	for i := lo; i < hi; i++ {
 		p := d.probs[i*sim.NumActions : (i+1)*sim.NumActions]
-		nn.SoftmaxInto(logits.Row(i), d.masks[i][:], p)
+		nn.SoftmaxInto(out.Row(i), d.masks[i][:], p)
 		d.totals[i], _ = rng.WeightedTotal(p)
 	}
 	if d.timed {

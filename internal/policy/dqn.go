@@ -57,16 +57,17 @@ type DQN struct {
 	src    *rng.Source
 	steps  int
 
-	// learn/Act scratch, reused call to call (shapes are fixed by Batch and
+	// learn scratch, reused call to call (shapes are fixed by Batch and
 	// the observation/action widths, so steady-state training allocates
 	// nothing here). lxn holds the minibatch next-observations for the
 	// batched target-network pass. Never serialized.
-	lx      *nn.Mat
-	lxn     *nn.Mat
-	lgrad   *nn.Mat
-	lidx    []int
-	actObs  []sim.Observation
-	actRows [][]float64
+	lx    *nn.Mat
+	lxn   *nn.Mat
+	lgrad *nn.Mat
+	lidx  []int
+
+	// dec runs Act's decide and owns its scratch.
+	dec Decider
 
 	exploring bool
 	eps       float64
@@ -82,8 +83,11 @@ type DQN struct {
 }
 
 // SetTelemetry installs (or, with nil, removes) training telemetry under the
-// "dqn." prefix.
-func (d *DQN) SetTelemetry(r *telemetry.Registry) { d.tel = NewTrainTel(r, "dqn") }
+// "dqn." prefix, and Act's policy.decide.* timers.
+func (d *DQN) SetTelemetry(r *telemetry.Registry) {
+	d.tel = NewTrainTel(r, "dqn")
+	d.dec.SetTelemetry(r)
+}
 
 // NewDQN returns an untrained DQN with the paper's optimizer settings
 // (Adam, lr 0.001) at a batch size scaled to the repro fleet.
@@ -132,53 +136,48 @@ func maskedArgmax(qs []float32, mask [sim.NumActions]bool) (int, float64) {
 	return best, bestQ
 }
 
-// chooseFromQ is the ε-greedy choice over an evaluated Q-row: with
+// epsGreedy is DQN's ε-greedy choice over an evaluated Q-row: with
 // probability eps a uniformly random valid action, otherwise the masked
-// argmax. The ε draw always comes first.
-func (d *DQN) chooseFromQ(obs sim.Observation, qs []float32, eps float64) int {
-	if d.src.Bool(eps) {
-		var valid []int
-		for i, ok := range obs.Mask {
+// argmax. The ε draw always comes first. The random action is the
+// Intn(count)-th valid one, counted and walked to in place: the draws of
+// collecting the valid actions and indexing them, without the slice.
+func epsGreedy(src *rng.Source, qs []float32, mask [sim.NumActions]bool, eps float64) int {
+	if src.Bool(eps) {
+		valid := 0
+		for _, ok := range mask {
 			if ok {
-				valid = append(valid, i)
+				valid++
 			}
 		}
-		if len(valid) == 0 {
+		if valid == 0 {
 			return 0
 		}
-		return valid[d.src.Intn(len(valid))]
+		k := src.Intn(valid)
+		for i, ok := range mask {
+			if ok {
+				if k == 0 {
+					return i
+				}
+				k--
+			}
+		}
 	}
-	a, _ := maskedArgmax(qs, obs.Mask)
+	a, _ := maskedArgmax(qs, mask)
 	return a
 }
 
-// Act implements Policy (greedy over the learned network). Observations are
-// collected serially (Observe refreshes env caches), the shared network
-// evaluates all rows sharded across Workers (weights read-only), and the
-// ε-greedy draws then consume d.src serially in vacant order — the same
-// draw sequence as a per-taxi loop, so output is byte-identical for any
-// worker count.
+// Act implements Policy (ε-greedy over the learned network) through the
+// decide FairMove and TBA share (Decider): one fan-out observes the vacant
+// taxis and evaluates the shared network on them, sharded across Workers,
+// and the ε-greedy choices then consume d.src serially in vacant order —
+// the same draw sequence as a per-taxi loop, so output is byte-identical
+// for any worker count.
 func (d *DQN) Act(env sim.Environment, vacant []int) map[int]sim.Action {
-	actions := make(map[int]sim.Action, len(vacant))
-	if cap(d.actObs) < len(vacant) {
-		d.actObs = make([]sim.Observation, len(vacant))
-		d.actRows = make([][]float64, len(vacant))
-	}
-	obs := d.actObs[:len(vacant)]
-	rows := d.actRows[:len(vacant)]
-	for i, id := range vacant {
-		obs[i] = env.Observe(id)
-		rows[i] = obs[i].Features
-	}
-	qs := d.net.ForwardRows(rows, d.Workers)
 	eps := d.EvalEpsilon
 	if d.exploring {
 		eps = d.eps
 	}
-	for i, id := range vacant {
-		actions[id] = sim.ActionFromIndex(d.chooseFromQ(obs[i], qs[i], eps))
-	}
-	return actions
+	return d.dec.ActEpsGreedy(env, d.net, d.src, vacant, d.Workers, eps)
 }
 
 // remember stores a transition in the fixed-capacity ring-buffer replay
@@ -354,7 +353,7 @@ func (d *DQN) TrainCheckpointed(city *synth.City, episodes, days int, seed int64
 		// that every later taxi of the same slot decides with.
 		learnEvery := 4
 		nSeen := 0
-		stopEp := d.tel.EpisodeTime.Start()
+		epTime := d.tel.EpisodeTime.Start()
 		mean := RunEpisode(env, d, true, d.Alpha, d.Gamma,
 			func(id int, tr *Transition) {
 				if tr == nil {
@@ -367,7 +366,7 @@ func (d *DQN) TrainCheckpointed(city *synth.City, episodes, days int, seed int64
 				}
 			},
 		)
-		stopEp()
+		epTime.Stop()
 		d.tel.Episodes.Inc()
 		d.tel.MeanReward.Set(mean)
 		d.tel.Epsilon.Set(d.eps)

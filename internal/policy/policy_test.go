@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/synth"
 )
@@ -168,8 +169,76 @@ func TestDQNRespectsMaskInGreedy(t *testing.T) {
 	obs := sim.Observation{Features: make([]float64, sim.FeatureSize)}
 	// Only action 3 valid.
 	obs.Mask[3] = true
-	if got := dqn.chooseFromQ(obs, dqn.net.Forward1(obs.Features), dqn.EvalEpsilon); got != 3 {
+	if got := epsGreedy(dqn.src, dqn.net.Forward1(obs.Features), obs.Mask, dqn.EvalEpsilon); got != 3 {
 		t.Fatalf("masked greedy chose %d, want 3", got)
+	}
+}
+
+// sliceEpsGreedy is the ε-greedy choice that collects the valid actions
+// into a slice and indexes it: the reference epsGreedy's in-place walk must
+// match.
+func sliceEpsGreedy(src *rng.Source, qs []float32, mask [sim.NumActions]bool, eps float64) int {
+	if src.Bool(eps) {
+		var valid []int
+		for i, ok := range mask {
+			if ok {
+				valid = append(valid, i)
+			}
+		}
+		if len(valid) == 0 {
+			return 0
+		}
+		return valid[src.Intn(len(valid))]
+	}
+	a, _ := maskedArgmax(qs, mask)
+	return a
+}
+
+// TestEpsGreedyMatchesSliceReference checks epsGreedy against the
+// slice-based choice on random masks (all-false and all-true included) and
+// Q-rows: the same action, and the stream left at the same position.
+func TestEpsGreedyMatchesSliceReference(t *testing.T) {
+	g := rng.New(2042)
+	qs := make([]float32, sim.NumActions)
+	for trial := 0; trial < 20000; trial++ {
+		var mask [sim.NumActions]bool
+		switch trial % 8 {
+		case 0: // all false
+		case 1:
+			for i := range mask {
+				mask[i] = true
+			}
+		default:
+			for i := range mask {
+				mask[i] = g.Bool(0.5)
+			}
+		}
+		for i := range qs {
+			qs[i] = float32(g.Uniform(-1, 1))
+		}
+		for _, eps := range []float64{0, 0.03, 0.5, 1} {
+			seed := g.Int63()
+			ref, got := rng.New(seed), rng.New(seed)
+			want := sliceEpsGreedy(ref, qs, mask, eps)
+			if a := epsGreedy(got, qs, mask, eps); a != want {
+				t.Fatalf("trial %d eps %v mask %v: epsGreedy %d, reference %d", trial, eps, mask, a, want)
+			}
+			if got.Int63() != ref.Int63() {
+				t.Fatalf("trial %d eps %v mask %v: stream misaligned", trial, eps, mask)
+			}
+		}
+	}
+}
+
+// TestEpsGreedyAllocatesNothing pins the exploring draw at zero
+// allocations.
+func TestEpsGreedyAllocatesNothing(t *testing.T) {
+	src := rng.New(5)
+	qs := make([]float32, sim.NumActions)
+	var mask [sim.NumActions]bool
+	mask[2], mask[7], mask[11] = true, true, true
+	if allocs := testing.AllocsPerRun(100, func() { epsGreedy(src, qs, mask, 1) }); allocs != 0 {
+		t.Fatalf("exploring epsGreedy allocates %v/op, want 0", allocs)
 	}
 }
 

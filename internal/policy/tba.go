@@ -206,7 +206,7 @@ func (t *TBA) TrainCheckpointed(city *synth.City, episodes, days int, seed int64
 		// One batched Act per slot draws the same actions as a per-taxi
 		// loop: the transition callback only buffers.
 		var batch []Transition
-		stopEp := t.tel.EpisodeTime.Start()
+		epTime := t.tel.EpisodeTime.Start()
 		mean := RunEpisode(env, t, false,
 			1.0, // selfish: no fairness term
 			t.Gamma,
@@ -216,7 +216,7 @@ func (t *TBA) TrainCheckpointed(city *synth.City, episodes, days int, seed int64
 				}
 			},
 		)
-		stopEp()
+		epTime.Stop()
 		t.tel.Episodes.Inc()
 		t.tel.Transitions.Add(int64(len(batch)))
 		t.tel.MeanReward.Set(mean)
@@ -265,18 +265,4 @@ func (t *TBA) TrainCheckpointed(city *synth.City, episodes, days int, seed int64
 		}
 	}
 	return stats, nil
-}
-
-// Entropy returns the mean policy entropy over a sample of observations,
-// a diagnostic used in tests.
-func (t *TBA) Entropy(obs []sim.Observation) float64 {
-	if len(obs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, o := range obs {
-		logits := t.net.Forward1(o.Features)
-		sum += nn.Entropy(nn.Softmax(logits, o.Mask[:]))
-	}
-	return sum / float64(len(obs))
 }

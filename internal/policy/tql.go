@@ -235,9 +235,9 @@ func (t *TQL) TrainCheckpointed(city *synth.City, episodes, days int, seed int64
 
 		// Per-taxi Acts: each taxi decides with the table the slot's earlier
 		// updates left.
-		stopEp := t.tel.EpisodeTime.Start()
+		epTime := t.tel.EpisodeTime.Start()
 		mean := RunEpisode(env, t, true, t.Alpha, t.Gamma, t.learnHook(env))
-		stopEp()
+		epTime.Stop()
 		t.tel.Episodes.Inc()
 		t.tel.MeanReward.Set(mean)
 		t.tel.Epsilon.Set(t.Epsilon)

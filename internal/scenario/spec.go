@@ -134,11 +134,6 @@ func (ev *Event) RegionID() int {
 	return *ev.Region
 }
 
-// Active reports whether the event's window covers absolute minute m.
-// Windows are half-open [FromMin, ToMin): zero-duration events are never
-// active.
-func (ev *Event) Active(m int) bool { return m >= ev.FromMin && m < ev.ToMin }
-
 // Spec is a named, ordered collection of perturbation events.
 type Spec struct {
 	Name        string  `json:"name"`

@@ -511,11 +511,11 @@ func (s *Server) stepN(n int) int {
 // advance the engine while the publisher builds and hashes the slot's
 // decisions, then commit them.
 func (s *Server) stepOnce() {
-	stop := s.met.stepTimer.Start()
+	sw := s.met.stepTimer.Start()
 	d := s.runner.Decide()
 	s.pubIn <- d
 	s.runner.Advance(d)
-	stop()
+	sw.Stop()
 	<-s.pubOut
 	s.commit(d.Slot)
 }

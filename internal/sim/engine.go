@@ -75,34 +75,34 @@ func (c *Core) Step(actions map[int]Action) {
 		panic("sim: Step after Done")
 	}
 	c.stepActions = actions
-	stop := c.ptel.begin.Start()
+	sw := c.ptel.begin.Start()
 	c.each(c.beginFn)
-	stop()
+	sw.Stop()
 	c.stepActions = nil
-	stop = c.ptel.route.Start()
+	sw = c.ptel.route.Start()
 	c.routeMigrants()
-	stop()
-	stop = c.ptel.gen.Start()
+	sw.Stop()
+	sw = c.ptel.gen.Start()
 	c.each(c.genFn)
 	c.snapshotLoads()
-	stop()
+	sw.Stop()
 	start := c.nowMin
 	for m := start; m < start+c.slotLen; m++ {
 		c.stepMinute = m
-		stop = c.ptel.minute.Start()
+		sw = c.ptel.minute.Start()
 		c.each(c.minuteFn)
-		stop()
-		stop = c.ptel.route.Start()
+		sw.Stop()
+		sw = c.ptel.route.Start()
 		c.routeMigrants()
-		stop()
+		sw.Stop()
 	}
-	stop = c.ptel.end.Start()
+	sw = c.ptel.end.Start()
 	c.each(c.endFn)
-	stop()
-	stop = c.ptel.route.Start()
+	sw.Stop()
+	sw = c.ptel.route.Start()
 	c.routeMigrants()
 	c.finishSlot()
-	stop()
+	sw.Stop()
 }
 
 // each runs a phase once per kernel, returning only after all finish.

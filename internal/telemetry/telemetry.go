@@ -98,14 +98,27 @@ func (t *Timer) Observe(d time.Duration) {
 	}
 }
 
-// Start begins timing and returns the function that stops and records. The
-// nil timer returns a no-op stopper without reading the clock.
-func (t *Timer) Start() func() {
+// Start begins timing one duration; its Stop records it. The nil timer
+// returns a Stopwatch whose Stop does nothing, and neither reads the clock.
+func (t *Timer) Start() Stopwatch {
 	if t == nil {
-		return func() {}
+		return Stopwatch{}
 	}
-	start := time.Now()
-	return func() { t.Observe(time.Since(start)) }
+	return Stopwatch{t: t, start: time.Now()}
+}
+
+// Stopwatch is one duration being timed, a value so that timing a span
+// allocates nothing.
+type Stopwatch struct {
+	t     *Timer
+	start time.Time
+}
+
+// Stop records the time since Start on the timer.
+func (s Stopwatch) Stop() {
+	if s.t != nil {
+		s.t.Observe(time.Since(s.start))
+	}
 }
 
 // Stat returns the accumulated (count, total duration).

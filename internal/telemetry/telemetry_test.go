@@ -22,7 +22,7 @@ func TestNilRegistryAndHandlesAreNoOps(t *testing.T) {
 	c.Add(5)
 	g.Set(3)
 	tm.Observe(time.Second)
-	tm.Start()()
+	tm.Start().Stop()
 	h.Observe(1)
 	if c.Value() != 0 || g.Value() != 0 || tm.Stat().Count != 0 || h.Stat().Count != 0 {
 		t.Fatalf("nil handles must read as zero")
@@ -32,6 +32,22 @@ func TestNilRegistryAndHandlesAreNoOps(t *testing.T) {
 		t.Fatalf("nil registry snapshot must be empty, got %q", snap.Text())
 	}
 	r.DumpEvery(time.Second, nil)() // no-op stop
+}
+
+// TestTimerStartStopAllocatesNothing: timing a span on a live timer is
+// a value round trip, so hot loops can time every iteration.
+func TestTimerStartStopAllocatesNothing(t *testing.T) {
+	tm := NewRegistry().Timer("span")
+	allocs := testing.AllocsPerRun(100, func() {
+		sw := tm.Start()
+		sw.Stop()
+	})
+	if allocs != 0 {
+		t.Fatalf("Timer.Start/Stop allocates %v/op, want 0", allocs)
+	}
+	if st := tm.Stat(); st.Count != 101 {
+		t.Fatalf("timer counted %d spans, want 101", st.Count)
+	}
 }
 
 func TestHandlesAreShared(t *testing.T) {
