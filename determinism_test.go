@@ -280,8 +280,10 @@ func TestBaselineCheckpointResumeDeterminism(t *testing.T) {
 	dir := t.TempDir()
 
 	unbroken := policy.NewDQN(0.6, seed)
-	unbroken.Pretrain(city, policy.NewGroundTruth(), 1, 1, seed)
-	if _, err := unbroken.TrainCheckpointed(city, total, 1, seed, checkpoint.TrainOptions{Dir: dir, Every: 1, Keep: 10}); err != nil {
+	if err := policy.Pretrain(unbroken, city, policy.NewGroundTruth(), 1, 1, seed, checkpoint.TrainOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := policy.Train(unbroken, city, total, 1, seed, checkpoint.TrainOptions{Dir: dir, Every: 1, Keep: 10}); err != nil {
 		t.Fatal(err)
 	}
 	want, err := checkpoint.Marshal(unbroken)
@@ -294,7 +296,7 @@ func TestBaselineCheckpointResumeDeterminism(t *testing.T) {
 	if _, err := checkpoint.ReadFile(mid, resumed); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := resumed.TrainCheckpointed(city, total, 1, seed, checkpoint.TrainOptions{}); err != nil {
+	if _, err := policy.Train(resumed, city, total, 1, seed, checkpoint.TrainOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := checkpoint.Marshal(resumed)

@@ -6,12 +6,13 @@
 // simulator, learning algorithms) behind three operations:
 //
 //   - NewSystem builds a synthetic city and the untrained FairMove policy.
-//   - (*System).Train runs CMA2C training (Algorithm 1 of the paper).
+//   - (*System).TrainWithOptions runs CMA2C training (Algorithm 1 of the
+//     paper), with optional checkpoints and resume.
 //   - (*System).Evaluate / (*System).CompareAll run any of the six
 //     strategies (GT, SD2, TQL, DQN, TBA, FairMove) on identical demand and
 //     report the paper's metrics (PE, PF, PRCT, PRIT, PIPE, PIPF).
 //
-// See examples/ for runnable programs and DESIGN.md for the architecture.
+// See example_test.go for checked examples and DESIGN.md for the architecture.
 package fairmove
 
 import (
@@ -328,14 +329,6 @@ type TrainReport struct {
 	Transitions int
 }
 
-// Train warm-starts FairMove from the coordinated-dispatch teacher and
-// then runs CMA2C reward-driven training for the configured number of
-// episodes (Algorithm 1).
-func (s *System) Train() TrainReport {
-	r, _ := s.TrainWithOptions(TrainOptions{}) // no checkpoint dir, no I/O errors
-	return r
-}
-
 // TrainOptions controls checkpointing and resumption of training.
 type TrainOptions struct {
 	// CheckpointDir, when non-empty, receives crash-safe checkpoints during
@@ -356,7 +349,10 @@ type TrainOptions struct {
 	Resume bool
 }
 
-// TrainWithOptions is Train with checkpoint/resume control.
+// TrainWithOptions warm-starts FairMove from the coordinated-dispatch
+// teacher and then runs CMA2C reward-driven training for the configured
+// number of episodes (Algorithm 1), checkpointing and resuming as opts
+// asks. The zero opts trains without touching the disk.
 func (s *System) TrainWithOptions(opts TrainOptions) (TrainReport, error) {
 	if opts.Resume && opts.CheckpointDir != "" {
 		path, _, err := checkpoint.Latest(opts.CheckpointDir)
@@ -372,12 +368,9 @@ func (s *System) TrainWithOptions(opts TrainOptions) (TrainReport, error) {
 		}
 	}
 	copts := checkpoint.TrainOptions{Dir: opts.CheckpointDir, Every: opts.CheckpointEvery, Keep: opts.CheckpointKeep}
-	if err := s.fm.PretrainCheckpointed(s.city, policy.NewCoordinator(), s.cfg.PretrainEpisodes, s.cfg.TrainDays, s.cfg.Seed, copts); err != nil {
-		return TrainReport{}, fmt.Errorf("fairmove: %w", err)
-	}
-	st, err := s.fm.TrainCheckpointed(s.city, s.cfg.TrainEpisodes, s.cfg.TrainDays, s.cfg.Seed, copts)
+	st, err := s.train(s.fm, s.cfg.TrainEpisodes, copts)
 	if err != nil {
-		return TrainReport{}, fmt.Errorf("fairmove: %w", err)
+		return TrainReport{}, err
 	}
 	s.mu.Lock()
 	s.trained[FairMove] = s.fm
@@ -414,6 +407,19 @@ func (s *System) LoadPolicy(path string) error {
 	return nil
 }
 
+// train warm-starts l from the coordinated-dispatch teacher for the
+// configured demonstration episodes, then fine-tunes it toward episodes.
+func (s *System) train(l policy.Learner, episodes int, opts checkpoint.TrainOptions) (policy.TrainStats, error) {
+	if err := policy.Pretrain(l, s.city, policy.NewCoordinator(), s.cfg.PretrainEpisodes, s.cfg.TrainDays, s.cfg.Seed, opts); err != nil {
+		return policy.TrainStats{}, fmt.Errorf("fairmove: %w", err)
+	}
+	st, err := policy.Train(l, s.city, episodes, s.cfg.TrainDays, s.cfg.Seed, opts)
+	if err != nil {
+		return st, fmt.Errorf("fairmove: %w", err)
+	}
+	return st, nil
+}
+
 // policyFor returns (training if needed) the policy for a method. Training
 // runs outside the lock: every method trains on its own environments, its
 // own teacher, and rng streams split stably from its own names, so methods
@@ -426,7 +432,8 @@ func (s *System) policyFor(m Method) (policy.Policy, error) {
 	if ok {
 		return p, nil
 	}
-	teacher := policy.NewCoordinator()
+	var l policy.Learner
+	episodes := s.cfg.TrainEpisodes
 	switch m {
 	case GT:
 		p = policy.NewGroundTruth()
@@ -436,30 +443,31 @@ func (s *System) policyFor(m Method) (policy.Policy, error) {
 		q := policy.NewTQL(s.cfg.Alpha)
 		q.Shards = s.cfg.Shards
 		q.SetTelemetry(s.tel)
-		q.Pretrain(s.city, teacher, s.cfg.PretrainEpisodes, s.cfg.TrainDays, s.cfg.Seed)
-		q.Train(s.city, s.cfg.TrainEpisodes, s.cfg.TrainDays, s.cfg.Seed)
-		p = q
+		p, l = q, q
 	case DQN:
 		d := policy.NewDQN(s.cfg.Alpha, s.cfg.Seed)
 		d.Shards = s.cfg.Shards
 		d.Workers = s.cfg.Workers
 		d.SetTelemetry(s.tel)
-		d.Pretrain(s.city, teacher, s.cfg.PretrainEpisodes, s.cfg.TrainDays, s.cfg.Seed)
-		d.Train(s.city, (s.cfg.TrainEpisodes+1)/2, s.cfg.TrainDays, s.cfg.Seed)
-		p = d
+		p, l, episodes = d, d, (s.cfg.TrainEpisodes+1)/2
 	case TBA:
 		b := policy.NewTBA(s.cfg.Seed)
 		b.Shards = s.cfg.Shards
 		b.Workers = s.cfg.Workers
 		b.SetTelemetry(s.tel)
-		b.Pretrain(s.city, teacher, s.cfg.PretrainEpisodes, s.cfg.TrainDays, s.cfg.Seed)
-		b.Train(s.city, (s.cfg.TrainEpisodes+1)/2, s.cfg.TrainDays, s.cfg.Seed)
-		p = b
+		p, l, episodes = b, b, (s.cfg.TrainEpisodes+1)/2
 	case FairMove:
-		s.Train()
+		if _, err := s.TrainWithOptions(TrainOptions{}); err != nil {
+			return nil, err
+		}
 		p = s.fm
 	default:
 		return nil, fmt.Errorf("fairmove: unknown method %q", m)
+	}
+	if l != nil {
+		if _, err := s.train(l, episodes, checkpoint.TrainOptions{}); err != nil {
+			return nil, err
+		}
 	}
 	s.mu.Lock()
 	s.trained[m] = p
@@ -642,8 +650,10 @@ func (s *System) AlphaSweep(alphas []float64) ([]AlphaPoint, error) {
 			if err != nil {
 				return pt, err
 			}
-			fm.Pretrain(s.city, policy.NewCoordinator(), s.cfg.PretrainEpisodes, s.cfg.TrainDays, s.cfg.Seed)
-			st := fm.Train(s.city, s.cfg.TrainEpisodes, s.cfg.TrainDays, s.cfg.Seed)
+			st, err := s.train(fm, s.cfg.TrainEpisodes, checkpoint.TrainOptions{})
+			if err != nil {
+				return pt, err
+			}
 			if len(st.MeanReward) > 0 {
 				pt.Reward = st.MeanReward[len(st.MeanReward)-1]
 			}

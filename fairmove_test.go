@@ -51,7 +51,10 @@ func TestTrainAndEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := s.Train()
+	rep, err := s.TrainWithOptions(TrainOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rep.Episodes != 1 || len(rep.MeanReward) != 1 {
 		t.Fatalf("train report wrong: %+v", rep)
 	}
@@ -170,7 +173,9 @@ func TestSaveLoadPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Train()
+	if _, err := s.TrainWithOptions(TrainOptions{}); err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(t.TempDir(), "fm.fmck")
 	if err := s.SavePolicy(path); err != nil {
 		t.Fatal(err)

@@ -62,43 +62,32 @@ func goldenCity(t *testing.T) *synth.City {
 // for the load test.
 func goldenLearner(t *testing.T, kind string, city *synth.City, trained bool) checkpoint.Checkpointer {
 	t.Helper()
-	guide := policy.NewGroundTruth()
+	var l policy.Learner
 	switch kind {
 	case "cma2c":
 		f, err := core.New(core.DefaultConfig(0.6, goldenSeed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if trained {
-			f.Pretrain(city, guide, 1, 1, goldenSeed)
-			f.Train(city, 1, 1, goldenSeed)
-		}
-		return f
+		l = f
 	case "dqn":
-		d := policy.NewDQN(0.6, goldenSeed)
-		if trained {
-			d.Pretrain(city, guide, 1, 1, goldenSeed)
-			d.Train(city, 1, 1, goldenSeed)
-		}
-		return d
+		l = policy.NewDQN(0.6, goldenSeed)
 	case "tql":
-		q := policy.NewTQL(0.6)
-		if trained {
-			q.Pretrain(city, guide, 1, 1, goldenSeed)
-			q.Train(city, 1, 1, goldenSeed)
-		}
-		return q
+		l = policy.NewTQL(0.6)
 	case "tba":
-		b := policy.NewTBA(goldenSeed)
-		if trained {
-			b.Pretrain(city, guide, 1, 1, goldenSeed)
-			b.Train(city, 1, 1, goldenSeed)
-		}
-		return b
+		l = policy.NewTBA(goldenSeed)
 	default:
 		t.Fatalf("unknown golden kind %q", kind)
-		return nil
 	}
+	if trained {
+		if err := policy.Pretrain(l, city, policy.NewGroundTruth(), 1, 1, goldenSeed, checkpoint.TrainOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := policy.Train(l, city, 1, 1, goldenSeed, checkpoint.TrainOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return l
 }
 
 func TestGoldenCheckpoints(t *testing.T) {

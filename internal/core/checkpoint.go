@@ -11,8 +11,8 @@ import (
 // FairMove's checkpoint.Checkpointer implementation. The serialized state is
 // everything that survives an episode boundary: both networks and their
 // target, both optimizers (including the fine-tune learning rate and Adam
-// moments), the demonstration buffer, the resume cursors, and the
-// fine-tuning flag. Transient state — rng source, telemetry
+// moments), the demonstration buffer, the resume position (policy.Progress),
+// and the fine-tuning flag. Transient state — rng source, telemetry
 // handles — is re-derived by the training loop.
 
 // CheckpointKind implements checkpoint.Checkpointer.
@@ -30,18 +30,9 @@ func (f *FairMove) CheckpointFingerprint() uint64 {
 		sim.FeatureSize, sim.NumActions))
 }
 
-// CheckpointProgress implements checkpoint.Checkpointer.
-func (f *FairMove) CheckpointProgress() (int, int) {
-	if f.epDone > 0 {
-		return checkpoint.PhaseTrain, f.epDone
-	}
-	return checkpoint.PhasePretrain, f.demoDone
-}
-
 // EncodeCheckpoint implements checkpoint.Checkpointer.
 func (f *FairMove) EncodeCheckpoint(e *checkpoint.Encoder) {
-	e.Int(f.demoDone)
-	e.Int(f.epDone)
+	f.EncodeProgress(e)
 	e.Bool(f.fineTuning)
 	checkpoint.EncodeMLP(e, f.actor)
 	checkpoint.EncodeMLP(e, f.critic)
@@ -55,7 +46,10 @@ func (f *FairMove) EncodeCheckpoint(e *checkpoint.Encoder) {
 // temporaries and committed only after every validation passes, so a corrupt
 // payload leaves the live system untouched.
 func (f *FairMove) DecodeCheckpoint(dec *checkpoint.Decoder) error {
-	demoDone, epDone := dec.Int(), dec.Int()
+	prog, err := policy.DecodeProgress(dec)
+	if err != nil {
+		return err
+	}
 	fineTuning := dec.Bool()
 	actor, err := checkpoint.DecodeMLP(dec)
 	if err != nil {
@@ -84,9 +78,6 @@ func (f *FairMove) DecodeCheckpoint(dec *checkpoint.Decoder) error {
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	if demoDone < 0 || epDone < 0 {
-		return fmt.Errorf("core: checkpoint has negative episode counters (%d, %d)", demoDone, epDone)
-	}
 	if actor.InputSize() != sim.FeatureSize || actor.OutputSize() != sim.NumActions {
 		return fmt.Errorf("core: actor shape %d -> %d, want %d -> %d", actor.InputSize(), actor.OutputSize(), sim.FeatureSize, sim.NumActions)
 	}
@@ -102,7 +93,7 @@ func (f *FairMove) DecodeCheckpoint(dec *checkpoint.Decoder) error {
 	if !checkpoint.AdamMatches(criticOpt, critic) {
 		return fmt.Errorf("core: critic optimizer moments do not fit the critic")
 	}
-	f.demoDone, f.epDone, f.fineTuning = demoDone, epDone, fineTuning
+	f.Progress, f.fineTuning = prog, fineTuning
 	f.actor, f.critic, f.targetCritic = actor, critic, targetCritic
 	f.actorOpt, f.criticOpt = actorOpt, criticOpt
 	f.demo = demo

@@ -27,8 +27,10 @@ func benchmarkTrain(b *testing.B, everyEpisode bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		f.Pretrain(city, policy.NewGroundTruth(), 1, 1, 1)
-		if _, err := f.TrainCheckpointed(city, 2, 1, 1, opts); err != nil {
+		if err := policy.Pretrain(f, city, policy.NewGroundTruth(), 1, 1, 1, checkpoint.TrainOptions{}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := policy.Train(f, city, 2, 1, 1, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -17,8 +17,10 @@ func trainedFairMove(t *testing.T, seed int64) *FairMove {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Pretrain(city, policy.NewGroundTruth(), 1, 1, seed)
-	f.Train(city, 1, 1, seed)
+	if err := policy.Pretrain(f, city, policy.NewGroundTruth(), 1, 1, seed, checkpoint.TrainOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	train(t, f, city, 1, seed)
 	return f
 }
 
@@ -99,8 +101,10 @@ func TestFairMoveResumeDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Pretrain(city, policy.NewGroundTruth(), 1, 1, seed)
-	if _, err := a.TrainCheckpointed(city, total, 1, seed, checkpoint.TrainOptions{Dir: dir, Every: 1, Keep: 10}); err != nil {
+	if err := policy.Pretrain(a, city, policy.NewGroundTruth(), 1, 1, seed, checkpoint.TrainOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := policy.Train(a, city, total, 1, seed, checkpoint.TrainOptions{Dir: dir, Every: 1, Keep: 10}); err != nil {
 		t.Fatal(err)
 	}
 	want, err := checkpoint.Marshal(a)
@@ -119,7 +123,7 @@ func TestFairMoveResumeDeterminism(t *testing.T) {
 	if !resumed.fineTuning {
 		t.Fatal("restored learner lost the fine-tuning flag")
 	}
-	if _, err := resumed.TrainCheckpointed(city, total, 1, seed, checkpoint.TrainOptions{}); err != nil {
+	if _, err := policy.Train(resumed, city, total, 1, seed, checkpoint.TrainOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := checkpoint.Marshal(resumed)

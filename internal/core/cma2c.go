@@ -17,7 +17,6 @@ import (
 	"repro/internal/policy"
 	"repro/internal/rng"
 	"repro/internal/sim"
-	"repro/internal/synth"
 )
 
 // Config holds the CMA2C hyperparameters. Defaults follow Section IV-A:
@@ -92,15 +91,11 @@ type FairMove struct {
 	// anchor the actor against collapse (in the spirit of DQfD).
 	demo []policy.Transition
 
-	// resume cursors: completed pretraining and fine-tuning episodes.
-	// Checkpoints are cut at episode boundaries, where every per-episode
-	// stream re-derives from (seed, episode), so these counters plus the
-	// networks, optimizers, and demo buffer fully determine the rest of a
-	// run. fineTuning records that Train already swapped in the gentler
-	// actor optimizer, so a resumed run keeps its saved optimizer state.
-	demoDone   int
-	epDone     int
+	// fineTuning records that Train already swapped in the gentler actor
+	// optimizer, so a resumed run keeps its saved optimizer state.
 	fineTuning bool
+
+	policy.Progress
 
 	// Update-step scratch (DESIGN.md §9): batch matrices and per-row softmax
 	// buffers owned by the learner and reused across minibatch updates, so
@@ -160,7 +155,7 @@ func (f *FairMove) BeginEpisode(seed int64) { f.src = rng.SplitStable(seed, "cma
 // would send them all to the same station or neighbor (herding), while
 // sampling from π disperses them — the intended behavior of executing a
 // learned stochastic policy. Training rollouts run through Act as well (see
-// TrainCheckpointed).
+// trainEpisode).
 //
 // The slot runs as one fan-out across Workers — observe, forward and
 // softmax per contiguous block of vacant taxis — and one serial pass that
@@ -173,189 +168,118 @@ func (f *FairMove) Act(env sim.Environment, vacant []int) map[int]sim.Action {
 // value evaluates a critic network on one observation.
 func value(net *nn.MLP, obs []float64) float64 { return float64(net.Forward1(obs)[0]) }
 
-// TrainStats records per-episode training diagnostics.
-type TrainStats struct {
-	Episodes    int
-	MeanReward  []float64 // per-episode mean decision reward (Table IV's r)
-	CriticLoss  []float64 // per-episode mean critic loss
-	MeanAdvAbs  []float64 // per-episode mean |advantage|
-	Transitions int
+// Training implements policy.Learner. Pretrain warm-starts the system from
+// the guide's demonstration episodes (typically ground-truth driver
+// behavior): the critic learns V by TD regression on the demonstration
+// transitions, and the actor is behavior-cloned toward the demonstrated
+// actions (cross-entropy = policy gradient with unit advantage). RL
+// fine-tuning in Train (Algorithm 1) then improves on the demonstrated
+// behavior rather than exploring from scratch — without it, random
+// multi-agent exploration floods charging stations for many episodes before
+// any signal emerges.
+func (f *FairMove) Training() policy.Training {
+	return policy.Training{
+		Shards: f.cfg.Shards, Workers: f.cfg.Workers, Alpha: f.cfg.Alpha, Gamma: f.cfg.Gamma, Tel: f.tel.TrainTel,
+		StartPhase: f.startPhase,
+		LearnDemo:  f.learnDemo,
+		Episode:    f.trainEpisode,
+	}
 }
 
-// Train runs Algorithm 1 until `episodes` total fine-tuning episodes are
-// complete, each simulating `days` of fleet operation on city. The same seed
-// always reproduces the same training trajectory; a system restored from a
-// mid-run checkpoint picks up at its next episode and finishes with
-// byte-identical weights.
-func (f *FairMove) Train(city *synth.City, episodes, days int, seed int64) TrainStats {
-	stats, _ := f.TrainCheckpointed(city, episodes, days, seed, checkpoint.TrainOptions{})
-	return stats
-}
-
-// TrainCheckpointed is Train with a checkpoint cadence: after every
-// opts.Every-th completed episode (and at the end of the run) the full
-// learner state is written crash-safely into opts.Dir.
-func (f *FairMove) TrainCheckpointed(city *synth.City, episodes, days int, seed int64, opts checkpoint.TrainOptions) (TrainStats, error) {
-	stats := TrainStats{Episodes: episodes}
-	env := sim.New(city, policy.EpisodeOptions(days, f.cfg.Shards), seed)
-
-	// When a warm start is present, fine-tuning polishes rather than
-	// re-learns: the actor steps an order of magnitude smaller so the noisy
-	// semi-MDP advantages adjust the demonstrated policy instead of
-	// overwriting it. The fineTuning flag survives checkpoints, so a resumed
-	// run keeps polishing with its saved optimizer state instead of
-	// resetting the moments a second time.
+// startPhase sets the phase gauge and, when fine-tuning follows a warm
+// start, makes it polish rather than re-learn: the actor steps an order of
+// magnitude smaller so the noisy semi-MDP advantages adjust the
+// demonstrated policy instead of overwriting it. The fineTuning flag
+// survives checkpoints, so a resumed run keeps polishing with its saved
+// optimizer state instead of resetting the moments a second time.
+func (f *FairMove) startPhase(phase int) {
+	f.tel.phase.Set(float64(phase))
+	if phase != checkpoint.PhaseTrain {
+		return
+	}
 	if len(f.demo) > 0 && !f.fineTuning {
 		f.actorOpt = nn.NewAdam(f.cfg.ActorLR * 0.1)
 	}
 	f.fineTuning = true
-	f.tel.phase.Set(1)
+}
 
-	for ep := f.epDone; ep < episodes; ep++ {
-		epSeed := seed + int64(ep)
-		env.Reset(epSeed)
-		f.BeginEpisode(epSeed)
-
-		// Lines 3-7 of Algorithm 1: roll out the joint policy, storing the
-		// transitions of all active e-taxis. Each slot runs one batched Act,
-		// which samples in vacant order from f.src — the same draws a
-		// per-taxi loop would make, because the transition callback only
-		// buffers and never touches the networks or f.src.
-		var buf []policy.Transition
-		epTime := f.tel.EpisodeTime.Start()
-		mean := policy.RunEpisode(env, f, false, f.cfg.Alpha, f.cfg.Gamma,
-			func(id int, tr *policy.Transition) {
-				if tr != nil {
-					buf = append(buf, tr.Detach())
-				}
-			},
-		)
-		stats.MeanReward = append(stats.MeanReward, mean)
-		stats.Transitions += len(buf)
-		f.tel.Episodes.Inc()
-		f.tel.Transitions.Add(int64(len(buf)))
-		f.tel.MeanReward.Set(mean)
-		if len(buf) == 0 {
-			epTime.Stop()
-			stats.CriticLoss = append(stats.CriticLoss, 0)
-			stats.MeanAdvAbs = append(stats.MeanAdvAbs, 0)
-			f.epDone = ep + 1
-			if opts.ShouldSave(f.epDone, episodes) {
-				if _, err := checkpoint.SaveDir(opts.Dir, f, opts.Keep); err != nil {
-					return stats, err
-				}
-			}
-			continue
+// learnDemo takes the warm start's critic and cloning steps on one
+// demonstration episode and keeps it for Train's anchor batches.
+func (f *FairMove) learnDemo(buf []policy.Transition) {
+	f.tel.demoEpisodes.Inc()
+	f.tel.Transitions.Add(int64(len(buf)))
+	if len(buf) == 0 {
+		return
+	}
+	batch := min(f.cfg.Batch, len(buf))
+	iters := len(buf) / batch * 2
+	idxs := make([]int, batch)
+	for it := 0; it < iters; it++ {
+		for b := range idxs {
+			idxs[b] = f.src.Intn(len(buf))
 		}
+		f.loadBatch(buf, idxs)
+		f.updateCritic()
+		f.cloneActor(buf, idxs)
+	}
+	f.targetCritic.CopyWeightsFrom(f.critic)
+	f.demo = append(f.demo, buf...)
+}
 
-		// Lines 8-10: M iterations of minibatch updates.
-		var lossSum, advSum float64
-		var nUpd int
-		batch := f.cfg.Batch
-		if batch > len(buf) {
-			batch = len(buf)
+// trainEpisode is one episode of Algorithm 1.
+func (f *FairMove) trainEpisode(env sim.Environment, _, _ int, stats *policy.TrainStats) float64 {
+	// Lines 3-7: roll out the joint policy, storing the transitions of all
+	// active e-taxis. Each slot runs one batched Act, which samples in
+	// vacant order from f.src — the same draws a per-taxi loop would make,
+	// because the transition callback only buffers and never touches the
+	// networks or f.src.
+	var buf []policy.Transition
+	mean := policy.RunEpisode(env, f, false, f.cfg.Alpha, f.cfg.Gamma, func(id int, tr *policy.Transition) {
+		if tr != nil {
+			buf = append(buf, tr.Detach())
 		}
-		idxs := make([]int, batch)
-		for it := 0; it < f.cfg.UpdateIters; it++ {
+	})
+	stats.Transitions += len(buf)
+	f.tel.Transitions.Add(int64(len(buf)))
+	if len(buf) == 0 {
+		stats.CriticLoss = append(stats.CriticLoss, 0)
+		return mean
+	}
+
+	// Lines 8-10: M iterations of minibatch updates.
+	var lossSum, advSum float64
+	batch := min(f.cfg.Batch, len(buf))
+	idxs := make([]int, batch)
+	for it := 0; it < f.cfg.UpdateIters; it++ {
+		for b := range idxs {
+			idxs[b] = f.src.Intn(len(buf))
+		}
+		// Critic step, then actor step on the same minibatch: the actor's
+		// baseline comes from the just-updated critic, and the TD targets
+		// (from the per-episode target network) are shared.
+		f.loadBatch(buf, idxs)
+		lossSum += f.updateCritic()
+		advSum += f.updateActor(buf, idxs)
+		// Demonstration anchor: every few policy-gradient steps, one
+		// behavior-cloning step on Pretrain data keeps the actor from
+		// drifting into degenerate corners of the action space while the
+		// advantage estimates are still noisy.
+		if len(f.demo) >= batch && it%2 == 1 {
 			for b := range idxs {
-				idxs[b] = f.src.Intn(len(buf))
+				idxs[b] = f.src.Intn(len(f.demo))
 			}
-			// Critic step, then actor step on the same minibatch: the actor's
-			// baseline comes from the just-updated critic, and the TD targets
-			// (from the per-episode target network) are shared.
-			f.loadBatch(buf, idxs)
-			lossSum += f.updateCritic()
-			advSum += f.updateActor(buf, idxs)
-			nUpd++
-			// Demonstration anchor: every few policy-gradient steps, one
-			// behavior-cloning step on Pretrain data keeps the actor from
-			// drifting into degenerate corners of the action space while
-			// the advantage estimates are still noisy.
-			if len(f.demo) >= batch && it%2 == 1 {
-				for b := range idxs {
-					idxs[b] = f.src.Intn(len(f.demo))
-				}
-				f.loadObs(f.demo, idxs)
-				f.cloneActor(f.demo, idxs)
-			}
-		}
-		stats.CriticLoss = append(stats.CriticLoss, lossSum/float64(nUpd))
-		stats.MeanAdvAbs = append(stats.MeanAdvAbs, advSum/float64(nUpd))
-		f.tel.criticLoss.Set(lossSum / float64(nUpd))
-		f.tel.meanAdvAbs.Set(advSum / float64(nUpd))
-		epTime.Stop()
-
-		// Target network hard update per episode (Eq. 7's θv').
-		f.targetCritic.CopyWeightsFrom(f.critic)
-
-		f.epDone = ep + 1
-		if opts.ShouldSave(f.epDone, episodes) {
-			if _, err := checkpoint.SaveDir(opts.Dir, f, opts.Keep); err != nil {
-				return stats, err
-			}
+			f.loadObs(f.demo, idxs)
+			f.cloneActor(f.demo, idxs)
 		}
 	}
-	return stats, nil
-}
+	n := float64(f.cfg.UpdateIters)
+	stats.CriticLoss = append(stats.CriticLoss, lossSum/n)
+	f.tel.criticLoss.Set(lossSum / n)
+	f.tel.meanAdvAbs.Set(advSum / n)
 
-// Pretrain warm-starts the system from demonstration episodes driven by
-// guide (typically ground-truth driver behavior): the critic learns V by
-// TD regression on the demonstration transitions, and the actor is
-// behavior-cloned toward the demonstrated actions (cross-entropy = policy
-// gradient with unit advantage). RL fine-tuning in Train then improves on
-// the demonstrated behavior rather than exploring from scratch — without
-// it, random multi-agent exploration floods charging stations for many
-// episodes before any signal emerges.
-//
-// Demonstration rollouts are guide-driven — the learner's weights never
-// influence the trajectories — so episodes fan out across workers and the
-// gradient steps below consume them serially in episode order, which keeps
-// the result byte-identical to a serial run.
-func (f *FairMove) Pretrain(city *synth.City, guide policy.Policy, episodes, days int, seed int64) {
-	_ = f.PretrainCheckpointed(city, guide, episodes, days, seed, checkpoint.TrainOptions{})
-}
-
-// PretrainCheckpointed is Pretrain with a checkpoint cadence. A system
-// restored from a pretraining checkpoint replays only the demonstration
-// episodes it has not consumed yet; the completed warm start is
-// byte-identical to an unbroken one.
-func (f *FairMove) PretrainCheckpointed(city *synth.City, guide policy.Policy, episodes, days int, seed int64, opts checkpoint.TrainOptions) error {
-	f.tel.phase.Set(0)
-	from := f.demoDone
-	bufs := policy.CollectDemosFrom(f.cfg.Shards, city, guide, from, episodes, days, seed, f.cfg.Workers, f.cfg.Alpha, f.cfg.Gamma)
-	for i, buf := range bufs {
-		ep := from + i
-		f.tel.demoEpisodes.Inc()
-		f.tel.Transitions.Add(int64(len(buf)))
-		// BeginEpisode re-derives f.src exactly as the serial loop did
-		// before its rollout; the rollout itself never consumed f.src.
-		f.BeginEpisode(policy.DemoEpisodeSeed(seed, ep))
-		if len(buf) > 0 {
-			batch := f.cfg.Batch
-			if batch > len(buf) {
-				batch = len(buf)
-			}
-			iters := len(buf) / batch * 2
-			idxs := make([]int, batch)
-			for it := 0; it < iters; it++ {
-				for b := range idxs {
-					idxs[b] = f.src.Intn(len(buf))
-				}
-				f.loadBatch(buf, idxs)
-				f.updateCritic()
-				f.cloneActor(buf, idxs)
-			}
-			f.targetCritic.CopyWeightsFrom(f.critic)
-			f.demo = append(f.demo, buf...)
-		}
-		f.demoDone = ep + 1
-		if opts.ShouldSave(f.demoDone, episodes) {
-			if _, err := checkpoint.SaveDir(opts.Dir, f, opts.Keep); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	// Target network hard update per episode (Eq. 7's θv').
+	f.targetCritic.CopyWeightsFrom(f.critic)
+	return mean
 }
 
 // loadObs fills upX with the observations of the sampled transitions.

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/synth"
@@ -17,6 +18,16 @@ func testCity(t *testing.T, seed int64) *synth.City {
 		t.Fatal(err)
 	}
 	return city
+}
+
+// train runs Train without checkpoints over one-day episodes.
+func train(t *testing.T, f *FairMove, city *synth.City, episodes int, seed int64) policy.TrainStats {
+	t.Helper()
+	stats, err := policy.Train(f, city, episodes, 1, seed, checkpoint.TrainOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stats
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -147,7 +158,7 @@ func TestTrainProducesStatsAndLearns(t *testing.T) {
 		obs.Mask[i] = true
 	}
 	vBefore := f.Value(obs)
-	stats := f.Train(city, 2, 1, 3)
+	stats := train(t, f, city, 2, 3)
 	if stats.Episodes != 2 || len(stats.MeanReward) != 2 || len(stats.CriticLoss) != 2 {
 		t.Fatalf("stats shape wrong: %+v", stats)
 	}
@@ -174,7 +185,7 @@ func TestTrainDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return f.Train(city, 2, 1, 4).MeanReward
+		return train(t, f, city, 2, 4).MeanReward
 	}
 	a, b := run(), run()
 	for i := range a {
@@ -196,7 +207,7 @@ func TestAlphaOneIgnoresFairness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stats := f.Train(city, 1, 1, 6)
+		stats := train(t, f, city, 1, 6)
 		if len(stats.MeanReward) != 1 || math.IsNaN(stats.MeanReward[0]) {
 			t.Fatalf("alpha=%v training failed: %+v", alpha, stats)
 		}

@@ -125,28 +125,6 @@ func (c Charger) Charge(b *Battery, minutes float64) float64 {
 	return delivered
 }
 
-// TimeToCharge returns the minutes needed to charge b from its current SoC
-// to targetSoC (clamped to [SoC, 1]), simulated at minute resolution.
-func (c Charger) TimeToCharge(b Battery, targetSoC float64) float64 {
-	targetSoC = clamp01(targetSoC)
-	if targetSoC <= b.SoC {
-		return 0
-	}
-	if c.PowerKW <= 0 {
-		return math.Inf(1)
-	}
-	work := b // copy
-	var minutes float64
-	for work.SoC < targetSoC {
-		c.Charge(&work, 1)
-		minutes++
-		if minutes > 24*60 {
-			return math.Inf(1)
-		}
-	}
-	return minutes
-}
-
 // Validate reports configuration errors.
 func (c Charger) Validate() error {
 	if c.PowerKW <= 0 {

@@ -10,12 +10,12 @@ import (
 
 // Checkpointer implementations for the three trainable baselines. Each
 // learner serializes exactly the state that survives an episode boundary —
-// weights, optimizer moments, replay/demo buffers, schedule position — and
-// nothing transient (rng sources are re-derived by BeginEpisode, exploration
-// flags by the training loop). Decoding is all-or-nothing: state is read
-// into temporaries, validated, and committed only if the whole payload was
-// sound, so a corrupt checkpoint leaves a live learner byte-identical to
-// before the Load attempt.
+// its Progress, weights, optimizer moments, replay/demo buffers, schedule
+// position — and nothing transient (rng sources are re-derived by
+// BeginEpisode, exploration flags by the fine-tune episode). Decoding is
+// all-or-nothing: state is read into temporaries, validated, and committed
+// only if the whole payload was sound, so a corrupt checkpoint leaves a live
+// learner byte-identical to before the Load attempt.
 
 // EncodeTransitions appends a transition buffer (replay memory or
 // demonstration store) to the payload.
@@ -85,16 +85,6 @@ func DecodeTransitions(d *checkpoint.Decoder) ([]Transition, error) {
 	return out, nil
 }
 
-// progress maps the shared (demoDone, epDone) counters to the container's
-// phase/episode header: a learner is in the fine-tuning phase as soon as it
-// has completed a fine-tune episode.
-func progress(demoDone, epDone int) (int, int) {
-	if epDone > 0 {
-		return checkpoint.PhaseTrain, epDone
-	}
-	return checkpoint.PhasePretrain, demoDone
-}
-
 // --- DQN ---
 
 // CheckpointKind implements checkpoint.Checkpointer.
@@ -111,13 +101,9 @@ func (d *DQN) CheckpointFingerprint() uint64 {
 		sim.FeatureSize, sim.NumActions))
 }
 
-// CheckpointProgress implements checkpoint.Checkpointer.
-func (d *DQN) CheckpointProgress() (int, int) { return progress(d.demoDone, d.epDone) }
-
 // EncodeCheckpoint implements checkpoint.Checkpointer.
 func (d *DQN) EncodeCheckpoint(e *checkpoint.Encoder) {
-	e.Int(d.demoDone)
-	e.Int(d.epDone)
+	d.EncodeProgress(e)
 	e.Int(d.steps)
 	e.F64(d.eps)
 	checkpoint.EncodeMLP(e, d.net)
@@ -129,7 +115,11 @@ func (d *DQN) EncodeCheckpoint(e *checkpoint.Encoder) {
 
 // DecodeCheckpoint implements checkpoint.Checkpointer.
 func (d *DQN) DecodeCheckpoint(dec *checkpoint.Decoder) error {
-	demoDone, epDone, steps := dec.Int(), dec.Int(), dec.Int()
+	prog, err := DecodeProgress(dec)
+	if err != nil {
+		return err
+	}
+	steps := dec.Int()
 	eps := dec.F64()
 	net, err := checkpoint.DecodeMLP(dec)
 	if err != nil {
@@ -151,8 +141,8 @@ func (d *DQN) DecodeCheckpoint(dec *checkpoint.Decoder) error {
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	if demoDone < 0 || epDone < 0 || steps < 0 {
-		return fmt.Errorf("policy: dqn checkpoint has negative counters (%d, %d, %d)", demoDone, epDone, steps)
+	if steps < 0 {
+		return fmt.Errorf("policy: dqn checkpoint has negative step count %d", steps)
 	}
 	if net.InputSize() != sim.FeatureSize || net.OutputSize() != sim.NumActions {
 		return fmt.Errorf("policy: dqn net shape %d -> %d, want %d -> %d", net.InputSize(), net.OutputSize(), sim.FeatureSize, sim.NumActions)
@@ -169,10 +159,9 @@ func (d *DQN) DecodeCheckpoint(dec *checkpoint.Decoder) error {
 	if rpPos < 0 || rpPos > len(replay) {
 		return fmt.Errorf("policy: dqn replay cursor %d outside [0,%d]", rpPos, len(replay))
 	}
-	d.demoDone, d.epDone, d.steps, d.eps = demoDone, epDone, steps, eps
+	d.Progress, d.steps, d.eps = prog, steps, eps
 	d.net, d.target, d.opt = net, target, opt
 	d.replay, d.rpPos = replay, rpPos
-	d.exploring = false
 	return nil
 }
 
@@ -188,9 +177,6 @@ func (t *TQL) CheckpointFingerprint() uint64 {
 		t.Alpha, t.Gamma, t.LR, t.Epsilon, t.TimeBins, sim.NumActions))
 }
 
-// CheckpointProgress implements checkpoint.Checkpointer.
-func (t *TQL) CheckpointProgress() (int, int) { return progress(t.demoDone, t.epDone) }
-
 // minQEntryBytes is one encoded Q-table entry: timeBin + region + lowSoC +
 // one value per action.
 const minQEntryBytes = 8 + 8 + 1 + 8*sim.NumActions
@@ -199,8 +185,7 @@ const minQEntryBytes = 8 + 8 + 1 + 8*sim.NumActions
 // so entries are emitted in sorted key order — encoding the same table twice
 // must produce identical bytes.
 func (t *TQL) EncodeCheckpoint(e *checkpoint.Encoder) {
-	e.Int(t.demoDone)
-	e.Int(t.epDone)
+	t.EncodeProgress(e)
 	keys := make([]tqlState, 0, len(t.q))
 	for k := range t.q {
 		keys = append(keys, k)
@@ -229,7 +214,10 @@ func (t *TQL) EncodeCheckpoint(e *checkpoint.Encoder) {
 
 // DecodeCheckpoint implements checkpoint.Checkpointer.
 func (t *TQL) DecodeCheckpoint(dec *checkpoint.Decoder) error {
-	demoDone, epDone := dec.Int(), dec.Int()
+	prog, err := DecodeProgress(dec)
+	if err != nil {
+		return err
+	}
 	n, ok := dec.Count(dec.U32(), minQEntryBytes)
 	if !ok {
 		return dec.Err()
@@ -252,11 +240,7 @@ func (t *TQL) DecodeCheckpoint(dec *checkpoint.Decoder) error {
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	if demoDone < 0 || epDone < 0 {
-		return fmt.Errorf("policy: tql checkpoint has negative counters (%d, %d)", demoDone, epDone)
-	}
-	t.demoDone, t.epDone, t.q = demoDone, epDone, q
-	t.exploring = false
+	t.Progress, t.q = prog, q
 	return nil
 }
 
@@ -272,13 +256,9 @@ func (t *TBA) CheckpointFingerprint() uint64 {
 		t.Gamma, t.LR, t.Hidden, sim.FeatureSize, sim.NumActions))
 }
 
-// CheckpointProgress implements checkpoint.Checkpointer.
-func (t *TBA) CheckpointProgress() (int, int) { return progress(t.demoDone, t.epDone) }
-
 // EncodeCheckpoint implements checkpoint.Checkpointer.
 func (t *TBA) EncodeCheckpoint(e *checkpoint.Encoder) {
-	e.Int(t.demoDone)
-	e.Int(t.epDone)
+	t.EncodeProgress(e)
 	e.Bool(t.fineTuning)
 	e.F64(t.baseline)
 	e.Int(t.baseN)
@@ -289,7 +269,10 @@ func (t *TBA) EncodeCheckpoint(e *checkpoint.Encoder) {
 
 // DecodeCheckpoint implements checkpoint.Checkpointer.
 func (t *TBA) DecodeCheckpoint(dec *checkpoint.Decoder) error {
-	demoDone, epDone := dec.Int(), dec.Int()
+	prog, err := DecodeProgress(dec)
+	if err != nil {
+		return err
+	}
 	fineTuning := dec.Bool()
 	baseline := dec.F64()
 	baseN := dec.Int()
@@ -308,8 +291,8 @@ func (t *TBA) DecodeCheckpoint(dec *checkpoint.Decoder) error {
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	if demoDone < 0 || epDone < 0 || baseN < 0 {
-		return fmt.Errorf("policy: tba checkpoint has negative counters (%d, %d, %d)", demoDone, epDone, baseN)
+	if baseN < 0 {
+		return fmt.Errorf("policy: tba checkpoint has negative baseline count %d", baseN)
 	}
 	if net.InputSize() != sim.FeatureSize || net.OutputSize() != sim.NumActions {
 		return fmt.Errorf("policy: tba net shape %d -> %d, want %d -> %d", net.InputSize(), net.OutputSize(), sim.FeatureSize, sim.NumActions)
@@ -317,7 +300,7 @@ func (t *TBA) DecodeCheckpoint(dec *checkpoint.Decoder) error {
 	if !checkpoint.AdamMatches(opt, net) {
 		return fmt.Errorf("policy: tba optimizer moments do not fit the network")
 	}
-	t.demoDone, t.epDone, t.fineTuning = demoDone, epDone, fineTuning
+	t.Progress, t.fineTuning = prog, fineTuning
 	t.baseline, t.baseN = baseline, baseN
 	t.net, t.opt, t.demo = net, opt, demo
 	return nil

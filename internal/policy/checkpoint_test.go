@@ -3,7 +3,6 @@ package policy
 import (
 	"bytes"
 	"errors"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -54,8 +53,8 @@ func failClosed(t *testing.T, learner checkpoint.Checkpointer) {
 func TestDQNCheckpointRoundTrip(t *testing.T) {
 	city := testCity(t, 5)
 	d := NewDQN(0.6, 5)
-	d.Pretrain(city, NewGroundTruth(), 1, 1, 5)
-	d.Train(city, 1, 1, 5)
+	pretrain(t, d, city, NewGroundTruth(), 1, 5)
+	train(t, d, city, 1, 5)
 	// The twin differs only in weight initialization; hyperparameters (and
 	// hence the fingerprint) match.
 	roundTrip(t, d, NewDQN(0.6, 999))
@@ -65,8 +64,8 @@ func TestDQNCheckpointRoundTrip(t *testing.T) {
 func TestTQLCheckpointRoundTrip(t *testing.T) {
 	city := testCity(t, 6)
 	q := NewTQL(0.6)
-	q.Pretrain(city, NewGroundTruth(), 1, 1, 6)
-	q.Train(city, 1, 1, 6)
+	pretrain(t, q, city, NewGroundTruth(), 1, 6)
+	train(t, q, city, 1, 6)
 	if len(q.q) == 0 {
 		t.Fatal("training left the Q-table empty; round trip would be vacuous")
 	}
@@ -79,7 +78,7 @@ func TestTQLCheckpointRoundTrip(t *testing.T) {
 func TestTQLEncodeDeterministic(t *testing.T) {
 	city := testCity(t, 8)
 	q := NewTQL(0.6)
-	q.Pretrain(city, NewGroundTruth(), 1, 1, 8)
+	pretrain(t, q, city, NewGroundTruth(), 1, 8)
 	first := marshalOrDie(t, q)
 	for i := 0; i < 5; i++ {
 		if !bytes.Equal(marshalOrDie(t, q), first) {
@@ -91,8 +90,8 @@ func TestTQLEncodeDeterministic(t *testing.T) {
 func TestTBACheckpointRoundTrip(t *testing.T) {
 	city := testCity(t, 9)
 	b := NewTBA(9)
-	b.Pretrain(city, NewGroundTruth(), 1, 1, 9)
-	b.Train(city, 1, 1, 9)
+	pretrain(t, b, city, NewGroundTruth(), 1, 9)
+	train(t, b, city, 1, 9)
 	roundTrip(t, b, NewTBA(321))
 	failClosed(t, b)
 }
@@ -119,74 +118,5 @@ func TestHyperparameterMismatchRejected(t *testing.T) {
 	other := NewDQN(0.8, 12) // different α
 	if _, err := checkpoint.Unmarshal(data, other); !errors.Is(err, checkpoint.ErrFingerprint) {
 		t.Fatalf("α mismatch: %v, want ErrFingerprint", err)
-	}
-}
-
-// TestDQNResumeDeterminism is the learner-level crash/resume proof: a run
-// interrupted after fine-tune episode 1 and resumed from its checkpoint in a
-// brand-new process (modeled by a fresh learner instance) finishes with
-// byte-identical state to the unbroken run.
-func TestDQNResumeDeterminism(t *testing.T) {
-	city := testCity(t, 7)
-	const total = 2
-	dir := t.TempDir()
-
-	// Unbroken run, cadence on: also proves checkpoint writes never perturb
-	// training.
-	a := NewDQN(0.6, 7)
-	a.Pretrain(city, NewGroundTruth(), 1, 1, 7)
-	if _, err := a.TrainCheckpointed(city, total, 1, 7, checkpoint.TrainOptions{Dir: dir, Every: 1, Keep: 10}); err != nil {
-		t.Fatal(err)
-	}
-	want := marshalOrDie(t, a)
-
-	// Plain run with checkpointing off must match too.
-	plain := NewDQN(0.6, 7)
-	plain.Pretrain(city, NewGroundTruth(), 1, 1, 7)
-	plain.Train(city, total, 1, 7)
-	if !bytes.Equal(marshalOrDie(t, plain), want) {
-		t.Fatal("enabling checkpoints changed the training trajectory")
-	}
-
-	// "Crash" after episode 1: restore its checkpoint into a fresh learner
-	// and re-run the identical command.
-	mid := filepath.Join(dir, checkpoint.FileName(checkpoint.PhaseTrain, 1))
-	resumed := NewDQN(0.6, 404)
-	if _, err := checkpoint.ReadFile(mid, resumed); err != nil {
-		t.Fatal(err)
-	}
-	if resumed.epDone != 1 {
-		t.Fatalf("restored epDone = %d, want 1", resumed.epDone)
-	}
-	if _, err := resumed.TrainCheckpointed(city, total, 1, 7, checkpoint.TrainOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(marshalOrDie(t, resumed), want) {
-		t.Fatal("resumed run is not byte-identical to the unbroken run")
-	}
-}
-
-// TestTQLPretrainResumeDeterminism covers the pretrain phase: a warm-start
-// interrupted between demonstration episodes resumes byte-identically.
-func TestTQLPretrainResumeDeterminism(t *testing.T) {
-	city := testCity(t, 13)
-	dir := t.TempDir()
-
-	a := NewTQL(0.6)
-	if err := a.PretrainCheckpointed(city, NewGroundTruth(), 2, 1, 13, checkpoint.TrainOptions{Dir: dir, Every: 1, Keep: 10}); err != nil {
-		t.Fatal(err)
-	}
-	want := marshalOrDie(t, a)
-
-	mid := filepath.Join(dir, checkpoint.FileName(checkpoint.PhasePretrain, 1))
-	resumed := NewTQL(0.6)
-	if _, err := checkpoint.ReadFile(mid, resumed); err != nil {
-		t.Fatal(err)
-	}
-	if err := resumed.PretrainCheckpointed(city, NewGroundTruth(), 2, 1, 13, checkpoint.TrainOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(marshalOrDie(t, resumed), want) {
-		t.Fatal("resumed pretrain is not byte-identical to the unbroken run")
 	}
 }

@@ -39,46 +39,33 @@ func EpisodeOptions(days, shards int) sim.Options {
 	return opts
 }
 
-// CollectDemos rolls out episodes of guide-driven demonstrations and returns
-// each episode's transitions, indexed by episode. Episodes are independent —
-// each gets a fresh environment and rng streams derived only from its own
-// episode seed — so they fan out across workers; the returned order is
-// always episode order, making the result byte-identical for any worker
-// count. Rewards accrue with the caller's (alpha, gamma) so the transitions
-// slot directly into the caller's update rule.
+// collectDemos rolls out demonstration episodes [from, episodes) driven by
+// guide and returns each one's transitions, in episode order. Episodes are
+// independent — each gets a fresh environment and rng streams derived only
+// from its own DemoEpisodeSeed — so they fan out across tr.Workers, and the
+// result is byte-identical for any worker count and to the matching tail of
+// a collection that started at episode 0. Rewards accrue with tr's (Alpha,
+// Gamma), so the transitions slot directly into the learner's update rule.
 //
 // If guide does not implement Cloner the rollout runs serially on the shared
-// instance, whatever workers says: correctness beats speed.
-func CollectDemos(city *synth.City, guide Policy, episodes, days int, seed int64, workers int, alpha, gamma float64) [][]Transition {
-	return CollectDemosFrom(1, city, guide, 0, episodes, days, seed, workers, alpha, gamma)
-}
-
-// CollectDemosFrom is CollectDemos restricted to episodes [from, episodes) —
-// the resume path: a learner restored from a pretraining checkpoint replays
-// only the demonstrations it has not consumed yet. Episode ep still rolls
-// out under DemoEpisodeSeed(seed, ep), so the collected transitions are
-// byte-identical to the corresponding tail of a full collection. shards is
-// the rollout environments' sim.Options.Shards.
-func CollectDemosFrom(shards int, city *synth.City, guide Policy, from, episodes, days int, seed int64, workers int, alpha, gamma float64) [][]Transition {
-	if from < 0 {
-		from = 0
-	}
+// instance, whatever tr.Workers says: correctness beats speed.
+func collectDemos(tr Training, city *synth.City, guide Policy, from, episodes, days int, seed int64) [][]Transition {
 	n := episodes - from
 	if n <= 0 {
 		return nil
 	}
+	workers := tr.Workers
 	cloner, ok := guide.(Cloner)
 	if !ok {
 		workers = 1
 	}
 	rollout := func(g Policy, ep int) []Transition {
-		epSeed := DemoEpisodeSeed(seed, ep)
-		env := sim.New(city, EpisodeOptions(days, shards), epSeed)
-		g.BeginEpisode(epSeed)
 		var buf []Transition
-		RunEpisode(env, g, false, alpha, gamma, func(id int, tr *Transition) {
-			if tr != nil {
-				buf = append(buf, tr.Detach())
+		demoRollout(tr, city, g, days, DemoEpisodeSeed(seed, ep), func(sim.Environment) func(int, *Transition) {
+			return func(id int, t *Transition) {
+				if t != nil {
+					buf = append(buf, t.Detach())
+				}
 			}
 		})
 		return buf
@@ -94,4 +81,13 @@ func CollectDemosFrom(shards int, city *synth.City, guide Policy, from, episodes
 		return rollout(cloner.CloneForWorker(), from+i), nil
 	})
 	return out
+}
+
+// demoRollout drives the demonstration episode seeded epSeed with guide on a
+// fresh training environment, reporting its transitions to the hook that
+// hook builds for that environment.
+func demoRollout(tr Training, city *synth.City, guide Policy, days int, epSeed int64, hook func(env sim.Environment) func(id int, t *Transition)) {
+	env := sim.New(city, EpisodeOptions(days, tr.Shards), epSeed)
+	guide.BeginEpisode(epSeed)
+	RunEpisode(env, guide, false, tr.Alpha, tr.Gamma, hook(env))
 }

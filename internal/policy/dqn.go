@@ -3,11 +3,9 @@ package policy
 import (
 	"math"
 
-	"repro/internal/checkpoint"
 	"repro/internal/nn"
 	"repro/internal/rng"
 	"repro/internal/sim"
-	"repro/internal/synth"
 	"repro/internal/telemetry"
 )
 
@@ -69,15 +67,12 @@ type DQN struct {
 	// dec runs Act's decide and owns its scratch.
 	dec Decider
 
+	// exploring is on only inside a fine-tune episode: Act then chooses
+	// ε-greedily at the scheduled rate eps instead of EvalEpsilon.
 	exploring bool
 	eps       float64
 
-	// resume cursors: completed pretraining and fine-tuning episodes.
-	// Checkpoints are cut at episode boundaries, and every per-episode
-	// stream re-derives from (seed, episode), so these two counters plus
-	// the serialized state above fully determine the rest of a run.
-	demoDone int
-	epDone   int
+	Progress
 
 	tel TrainTel
 }
@@ -283,105 +278,56 @@ func (d *DQN) learn() {
 	}
 }
 
-// Pretrain seeds the replay buffer with demonstration episodes driven by
-// guide and performs offline Q-learning steps on them — a warm start before
-// on-policy Train. Q-learning is off-policy, so learning from ground-truth
-// driver trajectories is sound and lets the network start from competent
-// behavior instead of random queue-flooding exploration.
-//
-// Rollouts are guide-driven (the learner's weights never influence the
-// trajectories), so episodes fan out across Workers; the replay buffer and
-// the offline sweeps then consume them serially in episode order, keeping
-// the result byte-identical to a serial run.
-func (d *DQN) Pretrain(city *synth.City, guide Policy, episodes, days int, seed int64) {
-	_ = d.PretrainCheckpointed(city, guide, episodes, days, seed, checkpoint.TrainOptions{})
+// Training implements Learner. Pretrain seeds the replay buffer with the
+// demonstration episodes and runs offline Q-learning sweeps over it — a warm
+// start before on-policy Train. Q-learning is off-policy, so learning from
+// the teacher's trajectories is sound and lets the network start from
+// competent behavior instead of random queue-flooding exploration.
+func (d *DQN) Training() Training {
+	return Training{
+		Shards: d.Shards, Workers: d.Workers, Alpha: d.Alpha, Gamma: d.Gamma, Tel: d.tel,
+		LearnDemo: d.learnDemo,
+		Episode:   d.trainEpisode,
+	}
 }
 
-// PretrainCheckpointed is Pretrain with a checkpoint cadence. Pretraining
-// resumes past the demonstration episodes a loaded checkpoint already
-// consumed; the completed run is byte-identical to an unbroken one.
-func (d *DQN) PretrainCheckpointed(city *synth.City, guide Policy, episodes, days int, seed int64, opts checkpoint.TrainOptions) error {
-	from := d.demoDone
-	bufs := CollectDemosFrom(d.Shards, city, guide, from, episodes, days, seed, d.Workers, d.Alpha, d.Gamma)
-	for i, buf := range bufs {
-		ep := from + i
-		// Restore d.src exactly where the serial loop left it: reset at the
-		// top of the episode and untouched by the guide-driven rollout.
-		d.BeginEpisode(DemoEpisodeSeed(seed, ep))
-		for _, tr := range buf {
-			d.remember(tr)
+// learnDemo stores one demonstration episode in the replay buffer and
+// sweeps the buffer offline.
+func (d *DQN) learnDemo(buf []Transition) {
+	for _, tr := range buf {
+		d.remember(tr)
+	}
+	steps := len(d.replay) / d.Batch
+	for s := 0; s < steps; s++ {
+		d.learn()
+	}
+}
+
+// trainEpisode runs fine-tune episode ep of episodes with replay learning.
+// ε decays linearly across all the episodes.
+func (d *DQN) trainEpisode(env sim.Environment, ep, episodes int, _ *TrainStats) float64 {
+	if episodes > 1 {
+		frac := float64(ep) / float64(episodes-1)
+		d.eps = d.Epsilon + (d.MinEps-d.Epsilon)*frac
+	}
+	// Per-taxi Acts: a learn step inside the callback moves the weights
+	// that every later taxi of the same slot decides with.
+	const learnEvery = 4
+	nSeen := 0
+	d.exploring = true
+	mean := RunEpisode(env, d, true, d.Alpha, d.Gamma, func(id int, tr *Transition) {
+		if tr == nil {
+			return
 		}
-		// Offline sweep over the demonstration data.
-		steps := len(d.replay) / d.Batch
-		for s := 0; s < steps; s++ {
+		d.remember(*tr)
+		nSeen++
+		if nSeen%learnEvery == 0 {
 			d.learn()
 		}
-		d.demoDone = ep + 1
-		if opts.ShouldSave(d.demoDone, episodes) {
-			if _, err := checkpoint.SaveDir(opts.Dir, d, opts.Keep); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// Train runs episodes of environment interaction with replay learning,
-// continuing until `episodes` total fine-tuning episodes are complete. A
-// learner restored from a mid-run checkpoint picks up at its next episode;
-// the total matters because the linear ε schedule spans all of them.
-func (d *DQN) Train(city *synth.City, episodes, days int, seed int64) TrainStats {
-	stats, _ := d.TrainCheckpointed(city, episodes, days, seed, checkpoint.TrainOptions{})
-	return stats
-}
-
-// TrainCheckpointed is Train with a checkpoint cadence.
-func (d *DQN) TrainCheckpointed(city *synth.City, episodes, days int, seed int64, opts checkpoint.TrainOptions) (TrainStats, error) {
-	stats := TrainStats{Episodes: episodes}
-	env := sim.New(city, EpisodeOptions(days, d.Shards), seed)
-	for ep := d.epDone; ep < episodes; ep++ {
-		epSeed := seed + int64(ep)
-		env.Reset(epSeed)
-		d.BeginEpisode(epSeed)
-		d.exploring = true
-		// Linear ε decay across episodes.
-		if episodes > 1 {
-			frac := float64(ep) / float64(episodes-1)
-			d.eps = d.Epsilon + (d.MinEps-d.Epsilon)*frac
-		}
-		// Per-taxi Acts: a learn step inside the callback moves the weights
-		// that every later taxi of the same slot decides with.
-		learnEvery := 4
-		nSeen := 0
-		epTime := d.tel.EpisodeTime.Start()
-		mean := RunEpisode(env, d, true, d.Alpha, d.Gamma,
-			func(id int, tr *Transition) {
-				if tr == nil {
-					return
-				}
-				d.remember(*tr)
-				nSeen++
-				if nSeen%learnEvery == 0 {
-					d.learn()
-				}
-			},
-		)
-		epTime.Stop()
-		d.tel.Episodes.Inc()
-		d.tel.MeanReward.Set(mean)
-		d.tel.Epsilon.Set(d.eps)
-		stats.MeanReward = append(stats.MeanReward, mean)
-		d.epDone = ep + 1
-		if opts.ShouldSave(d.epDone, episodes) {
-			if _, err := checkpoint.SaveDir(opts.Dir, d, opts.Keep); err != nil {
-				d.exploring = false
-				return stats, err
-			}
-		}
-	}
+	})
 	d.exploring = false
-	stats.FinalEpsilon = d.eps
-	return stats, nil
+	d.tel.Epsilon.Set(d.eps)
+	return mean
 }
 
 // Net exposes the online network (for serialization).

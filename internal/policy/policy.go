@@ -3,7 +3,8 @@
 // shortest-distance displacement (SD2), tabular Q-learning (TQL), Deep
 // Q-Networks (DQN), and the REINFORCE-based trip bandit (TBA). The paper's
 // contribution, CMA2C, lives in internal/core and shares the episode
-// harness and reward definition declared here.
+// harness, the reward definition and the training loop (Pretrain, Train)
+// declared here.
 package policy
 
 import (

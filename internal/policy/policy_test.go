@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/synth"
@@ -16,6 +17,25 @@ func testCity(t *testing.T, seed int64) *synth.City {
 		t.Fatal(err)
 	}
 	return city
+}
+
+// pretrain runs Pretrain without checkpoints: episodes one-day
+// demonstration episodes driven by guide.
+func pretrain(t *testing.T, l Learner, city *synth.City, guide Policy, episodes int, seed int64) {
+	t.Helper()
+	if err := Pretrain(l, city, guide, episodes, 1, seed, checkpoint.TrainOptions{}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// train runs Train without checkpoints over one-day episodes.
+func train(t *testing.T, l Learner, city *synth.City, episodes int, seed int64) TrainStats {
+	t.Helper()
+	stats, err := Train(l, city, episodes, 1, seed, checkpoint.TrainOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stats
 }
 
 func TestEvaluateRunsAllPolicies(t *testing.T) {
@@ -126,7 +146,7 @@ func TestSD2MovesTowardDemand(t *testing.T) {
 func TestTQLTrainingImprovesTable(t *testing.T) {
 	city := testCity(t, 6)
 	tql := NewTQL(0.6)
-	stats := tql.Train(city, 2, 1, 6)
+	stats := train(t, tql, city, 2, 6)
 	if stats.Episodes != 2 || len(stats.MeanReward) != 2 {
 		t.Fatalf("train stats wrong: %+v", stats)
 	}
@@ -145,7 +165,7 @@ func TestDQNLearnChangesWeights(t *testing.T) {
 	city := testCity(t, 7)
 	dqn := NewDQN(0.6, 7)
 	before := dqn.Net().Clone()
-	dqn.Train(city, 1, 1, 7)
+	train(t, dqn, city, 1, 7)
 	x := make([]float64, sim.FeatureSize)
 	for i := range x {
 		x[i] = 0.1
@@ -280,7 +300,7 @@ func TestTBASamplesValidActions(t *testing.T) {
 func TestTBATrainRuns(t *testing.T) {
 	city := testCity(t, 10)
 	tba := NewTBA(10)
-	stats := tba.Train(city, 1, 1, 10)
+	stats := train(t, tba, city, 1, 10)
 	if len(stats.MeanReward) != 1 {
 		t.Fatalf("train stats wrong: %+v", stats)
 	}

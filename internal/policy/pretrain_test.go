@@ -17,7 +17,7 @@ import (
 func TestCollectDemosFollowsGuide(t *testing.T) {
 	city := testCity(t, 40)
 	const seed, episodes = 40, 2
-	demos := CollectDemos(city, NewCoordinator(), episodes, 1, seed, 2, 0.6, 0.9)
+	demos := collectDemos(Training{Workers: 2, Alpha: 0.6, Gamma: 0.9}, city, NewCoordinator(), 0, episodes, 1, seed)
 	for ep, buf := range demos {
 		got := make([]int, len(buf))
 		for i, tr := range buf {
@@ -59,7 +59,7 @@ func TestCollectDemosFollowsGuide(t *testing.T) {
 func TestTQLPretrainSeedsTable(t *testing.T) {
 	city := testCity(t, 41)
 	tql := NewTQL(0.6)
-	tql.Pretrain(city, NewGroundTruth(), 1, 1, 41)
+	pretrain(t, tql, city, NewGroundTruth(), 1, 41)
 	if len(tql.q) == 0 {
 		t.Fatal("pretrain left the Q-table empty")
 	}
@@ -80,7 +80,7 @@ func TestTQLPretrainSeedsTable(t *testing.T) {
 func TestDQNPretrainFillsReplay(t *testing.T) {
 	city := testCity(t, 42)
 	dqn := NewDQN(0.6, 42)
-	dqn.Pretrain(city, NewGroundTruth(), 1, 1, 42)
+	pretrain(t, dqn, city, NewGroundTruth(), 1, 42)
 	if len(dqn.replay) == 0 {
 		t.Fatal("pretrain left the replay buffer empty")
 	}
@@ -107,7 +107,7 @@ func TestDQNPretrainFillsReplay(t *testing.T) {
 func TestTBAPretrainClonesTeacher(t *testing.T) {
 	city := testCity(t, 43)
 	tba := NewTBA(43)
-	tba.Pretrain(city, NewCoordinator(), 1, 1, 43)
+	pretrain(t, tba, city, NewCoordinator(), 1, 43)
 	if len(tba.demo) == 0 {
 		t.Fatal("pretrain kept no demonstration transitions")
 	}

@@ -5,7 +5,6 @@ import (
 	"repro/internal/nn"
 	"repro/internal/rng"
 	"repro/internal/sim"
-	"repro/internal/synth"
 	"repro/internal/telemetry"
 )
 
@@ -53,13 +52,12 @@ type TBA struct {
 	// batches from it to anchor the actor while REINFORCE returns are noisy.
 	demo []Transition
 
-	// resume cursors (see the DQN fields of the same name). fineTuning
-	// records that Train already swapped in the gentler optimizer, so a
-	// resumed run keeps the warm-start optimizer state instead of resetting
-	// it a second time.
-	demoDone   int
-	epDone     int
+	// fineTuning records that Train already swapped in the gentler
+	// optimizer, so a resumed run keeps the warm-start optimizer state
+	// instead of resetting it a second time.
 	fineTuning bool
+
+	Progress
 
 	tel TrainTel
 }
@@ -142,127 +140,91 @@ func (t *TBA) gradStep(buf []Transition, idxs []int, start, end int, advs []floa
 	t.opt.Step(t.net)
 }
 
-// Pretrain behavior-clones the actor toward guide's decisions over
-// demonstration episodes — a warm start before REINFORCE fine-tuning. The
-// cross-entropy gradient is the policy gradient with unit advantage.
-//
-// Rollouts are guide-driven, so episodes fan out across Workers and the
-// cloning updates consume them serially in episode order — byte-identical
-// to a serial run.
-func (t *TBA) Pretrain(city *synth.City, guide Policy, episodes, days int, seed int64) {
-	_ = t.PretrainCheckpointed(city, guide, episodes, days, seed, checkpoint.TrainOptions{})
-}
-
-// PretrainCheckpointed is Pretrain with a checkpoint cadence, resuming past
-// the demonstration episodes a loaded checkpoint already consumed.
-func (t *TBA) PretrainCheckpointed(city *synth.City, guide Policy, episodes, days int, seed int64, opts checkpoint.TrainOptions) error {
-	from := t.demoDone
-	bufs := CollectDemosFrom(t.Shards, city, guide, from, episodes, days, seed, t.Workers, 1.0, t.Gamma)
-	for i, batch := range bufs {
-		ep := from + i
-		t.BeginEpisode(DemoEpisodeSeed(seed, ep))
-		for start := 0; start < len(batch); start += 64 {
-			end := min(start+64, len(batch))
-			t.gradStep(batch, nil, start, end, nil, 1.0)
-		}
-		t.demo = append(t.demo, batch...)
-		t.demoDone = ep + 1
-		if opts.ShouldSave(t.demoDone, episodes) {
-			if _, err := checkpoint.SaveDir(opts.Dir, t, opts.Keep); err != nil {
-				return err
-			}
-		}
+// Training implements Learner. Pretrain behavior-clones the actor toward
+// the guide's decisions — the cross-entropy gradient is the policy gradient
+// with unit advantage — and Train runs REINFORCE episodes. Rewards are
+// selfish (α = 1: own profit only), matching the competitive setting of [6].
+func (t *TBA) Training() Training {
+	return Training{
+		Shards: t.Shards, Workers: t.Workers, Alpha: 1, Gamma: t.Gamma, Tel: t.tel,
+		StartPhase: t.startPhase,
+		LearnDemo:  t.learnDemo,
+		Episode:    t.trainEpisode,
 	}
-	return nil
 }
 
-// Train runs REINFORCE episodes until `episodes` total are complete. Rewards
-// are selfish (α = 1: own profit only), matching the competitive setting
-// of [6].
-func (t *TBA) Train(city *synth.City, episodes, days int, seed int64) TrainStats {
-	stats, _ := t.TrainCheckpointed(city, episodes, days, seed, checkpoint.TrainOptions{})
-	return stats
-}
-
-// TrainCheckpointed is Train with a checkpoint cadence.
-func (t *TBA) TrainCheckpointed(city *synth.City, episodes, days int, seed int64, opts checkpoint.TrainOptions) (TrainStats, error) {
-	stats := TrainStats{Episodes: episodes}
-	env := sim.New(city, EpisodeOptions(days, t.Shards), seed)
-
-	// Gentle fine-tuning after a warm start (see FairMove.Train): REINFORCE
-	// returns are noisy, so polish rather than overwrite the demonstrated
-	// policy. The fineTuning flag survives checkpoints, so a resumed run
-	// keeps polishing with the optimizer state it saved instead of resetting
-	// the moments a second time.
+// startPhase swaps in a gentler optimizer when fine-tuning follows a warm
+// start (see FairMove): REINFORCE returns are noisy, so Train polishes
+// rather than overwrites the demonstrated policy. The fineTuning flag
+// survives checkpoints, so a resumed run keeps polishing with the optimizer
+// state it saved instead of resetting the moments a second time.
+func (t *TBA) startPhase(phase int) {
+	if phase != checkpoint.PhaseTrain {
+		return
+	}
 	if len(t.demo) > 0 && !t.fineTuning {
 		t.opt = nn.NewAdam(t.LR * 0.1)
 	}
 	t.fineTuning = true
-	for ep := t.epDone; ep < episodes; ep++ {
-		epSeed := seed + int64(ep)
-		env.Reset(epSeed)
-		t.BeginEpisode(epSeed)
+}
 
-		// One batched Act per slot draws the same actions as a per-taxi
-		// loop: the transition callback only buffers.
-		var batch []Transition
-		epTime := t.tel.EpisodeTime.Start()
-		mean := RunEpisode(env, t, false,
-			1.0, // selfish: no fairness term
-			t.Gamma,
-			func(id int, tr *Transition) {
-				if tr != nil {
-					batch = append(batch, tr.Detach())
-				}
-			},
-		)
-		epTime.Stop()
-		t.tel.Episodes.Inc()
-		t.tel.Transitions.Add(int64(len(batch)))
-		t.tel.MeanReward.Set(mean)
-		stats.MeanReward = append(stats.MeanReward, mean)
-
-		// Demonstration anchor (see FairMove): occasional cloning batches
-		// keep the actor near competent behavior while returns are noisy.
-		if cap(t.bcIdx) < 64 {
-			t.bcIdx = make([]int, 64)
-		}
-		for i := 0; i+64 <= len(t.demo) && i < 20*64; i += 64 {
-			idxs := t.bcIdx[:64]
-			for b := 0; b < 64; b++ {
-				idxs[b] = t.src.Intn(len(t.demo))
-			}
-			t.gradStep(t.demo, idxs, 0, 64, nil, 1.0/64)
-		}
-
-		// REINFORCE update over the episode's decisions with a running
-		// baseline: ∇ = Σ (G − b) ∇ log π(a|s). The baseline recursion is
-		// network-independent, so a first pass folds every return into it and
-		// records the surviving (non-zero advantage) transitions; the policy
-		// gradients then run as batched 64-row steps over that selection.
-		t.bcIdx = t.bcIdx[:0]
-		t.bcAdvs = t.bcAdvs[:0]
-		for i, tr := range batch {
-			g := tr.Reward
-			t.baseN++
-			t.baseline += (g - t.baseline) / float64(t.baseN)
-			adv := g - t.baseline
-			if adv == 0 {
-				continue
-			}
-			t.bcIdx = append(t.bcIdx, i)
-			t.bcAdvs = append(t.bcAdvs, adv)
-		}
-		for start := 0; start < len(t.bcIdx); start += 64 {
-			end := min(start+64, len(t.bcIdx))
-			t.gradStep(batch, t.bcIdx, start, end, t.bcAdvs, 1.0)
-		}
-		t.epDone = ep + 1
-		if opts.ShouldSave(t.epDone, episodes) {
-			if _, err := checkpoint.SaveDir(opts.Dir, t, opts.Keep); err != nil {
-				return stats, err
-			}
-		}
+// learnDemo clones one demonstration episode in 64-row steps and keeps it
+// for Train's anchor batches.
+func (t *TBA) learnDemo(buf []Transition) {
+	for start := 0; start < len(buf); start += 64 {
+		end := min(start+64, len(buf))
+		t.gradStep(buf, nil, start, end, nil, 1.0)
 	}
-	return stats, nil
+	t.demo = append(t.demo, buf...)
+}
+
+// trainEpisode rolls out one fine-tune episode and takes its REINFORCE
+// steps.
+func (t *TBA) trainEpisode(env sim.Environment, _, _ int, _ *TrainStats) float64 {
+	// One batched Act per slot draws the same actions as a per-taxi loop:
+	// the transition callback only buffers.
+	var batch []Transition
+	mean := RunEpisode(env, t, false, 1.0, t.Gamma, func(id int, tr *Transition) {
+		if tr != nil {
+			batch = append(batch, tr.Detach())
+		}
+	})
+	t.tel.Transitions.Add(int64(len(batch)))
+
+	// Demonstration anchor (see FairMove): occasional cloning batches keep
+	// the actor near competent behavior while returns are noisy.
+	if cap(t.bcIdx) < 64 {
+		t.bcIdx = make([]int, 64)
+	}
+	for i := 0; i+64 <= len(t.demo) && i < 20*64; i += 64 {
+		idxs := t.bcIdx[:64]
+		for b := 0; b < 64; b++ {
+			idxs[b] = t.src.Intn(len(t.demo))
+		}
+		t.gradStep(t.demo, idxs, 0, 64, nil, 1.0/64)
+	}
+
+	// REINFORCE update over the episode's decisions with a running
+	// baseline: ∇ = Σ (G − b) ∇ log π(a|s). The baseline recursion is
+	// network-independent, so a first pass folds every return into it and
+	// records the surviving (non-zero advantage) transitions; the policy
+	// gradients then run as batched 64-row steps over that selection.
+	t.bcIdx = t.bcIdx[:0]
+	t.bcAdvs = t.bcAdvs[:0]
+	for i, tr := range batch {
+		g := tr.Reward
+		t.baseN++
+		t.baseline += (g - t.baseline) / float64(t.baseN)
+		adv := g - t.baseline
+		if adv == 0 {
+			continue
+		}
+		t.bcIdx = append(t.bcIdx, i)
+		t.bcAdvs = append(t.bcAdvs, adv)
+	}
+	for start := 0; start < len(t.bcIdx); start += 64 {
+		end := min(start+64, len(t.bcIdx))
+		t.gradStep(batch, t.bcIdx, start, end, t.bcAdvs, 1.0)
+	}
+	return mean
 }

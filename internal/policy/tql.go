@@ -3,10 +3,8 @@ package policy
 import (
 	"math"
 
-	"repro/internal/checkpoint"
 	"repro/internal/rng"
 	"repro/internal/sim"
-	"repro/internal/synth"
 	"repro/internal/telemetry"
 )
 
@@ -29,13 +27,11 @@ type TQL struct {
 
 	q   map[tqlState][sim.NumActions]float64
 	src *rng.Source
-	// exploration switch: on during Train, off during evaluation.
+	// exploring is on only inside a fine-tune episode: Act then explores
+	// at rate Epsilon.
 	exploring bool
 
-	// resume cursors: completed pretraining and fine-tuning episodes (see
-	// the DQN fields of the same name).
-	demoDone int
-	epDone   int
+	Progress
 
 	tel TrainTel
 }
@@ -179,79 +175,26 @@ func (t *TQL) learnHook(env sim.Environment) func(id int, tr *Transition) {
 	}
 }
 
-// TrainStats summarizes a training run.
-type TrainStats struct {
-	Episodes      int
-	MeanReward    []float64 // per-episode mean decision reward
-	FinalEpsilon  float64
-	StatesVisited int
-}
-
-// Pretrain runs demonstration episodes driven by guide (typically the
-// ground-truth driver policy) and applies off-policy Q-learning updates to
-// the table — a warm start before on-policy Train.
-func (t *TQL) Pretrain(city *synth.City, guide Policy, episodes, days int, seed int64) {
-	_ = t.PretrainCheckpointed(city, guide, episodes, days, seed, checkpoint.TrainOptions{})
-}
-
-// PretrainCheckpointed is Pretrain with a checkpoint cadence, resuming past
-// the demonstration episodes a loaded checkpoint already consumed.
-func (t *TQL) PretrainCheckpointed(city *synth.City, guide Policy, episodes, days int, seed int64, opts checkpoint.TrainOptions) error {
-	env := sim.New(city, EpisodeOptions(days, t.Shards), seed)
-	for ep := t.demoDone; ep < episodes; ep++ {
-		epSeed := DemoEpisodeSeed(seed, ep)
-		env.Reset(epSeed)
-		guide.BeginEpisode(epSeed)
-		t.BeginEpisode(epSeed)
-		RunEpisode(env, guide, false, t.Alpha, t.Gamma, t.learnHook(env))
-		t.demoDone = ep + 1
-		if opts.ShouldSave(t.demoDone, episodes) {
-			if _, err := checkpoint.SaveDir(opts.Dir, t, opts.Keep); err != nil {
-				return err
-			}
-		}
+// Training implements Learner. Pretrain applies off-policy Q-learning
+// updates inside the demonstration rollouts (the update reads the taxi's
+// next state off the live environment); Train runs ε-greedy Q-learning.
+// Each episode replays a fresh demand realization; transitions close at
+// each taxi's next decision (semi-MDP).
+func (t *TQL) Training() Training {
+	return Training{
+		Shards: t.Shards, Alpha: t.Alpha, Gamma: t.Gamma, Tel: t.tel,
+		DemoHook: t.learnHook,
+		Episode:  t.trainEpisode,
 	}
-	return nil
 }
 
-// Train runs episodes of Q-learning on city until `episodes` total episodes
-// are complete. Each episode replays a fresh demand realization; transitions
-// close at each taxi's next decision (semi-MDP) and update Q with the
-// standard rule.
-func (t *TQL) Train(city *synth.City, episodes, days int, seed int64) TrainStats {
-	stats, _ := t.TrainCheckpointed(city, episodes, days, seed, checkpoint.TrainOptions{})
-	return stats
-}
-
-// TrainCheckpointed is Train with a checkpoint cadence.
-func (t *TQL) TrainCheckpointed(city *synth.City, episodes, days int, seed int64, opts checkpoint.TrainOptions) (TrainStats, error) {
-	stats := TrainStats{Episodes: episodes}
-	env := sim.New(city, EpisodeOptions(days, t.Shards), seed)
-	for ep := t.epDone; ep < episodes; ep++ {
-		epSeed := seed + int64(ep)
-		env.Reset(epSeed)
-		t.BeginEpisode(epSeed)
-		t.exploring = true
-
-		// Per-taxi Acts: each taxi decides with the table the slot's earlier
-		// updates left.
-		epTime := t.tel.EpisodeTime.Start()
-		mean := RunEpisode(env, t, true, t.Alpha, t.Gamma, t.learnHook(env))
-		epTime.Stop()
-		t.tel.Episodes.Inc()
-		t.tel.MeanReward.Set(mean)
-		t.tel.Epsilon.Set(t.Epsilon)
-		stats.MeanReward = append(stats.MeanReward, mean)
-		t.epDone = ep + 1
-		if opts.ShouldSave(t.epDone, episodes) {
-			if _, err := checkpoint.SaveDir(opts.Dir, t, opts.Keep); err != nil {
-				t.exploring = false
-				return stats, err
-			}
-		}
-	}
+// trainEpisode runs one fine-tune episode of Q-learning. Per-taxi Acts: each
+// taxi decides with the table the slot's earlier updates left.
+func (t *TQL) trainEpisode(env sim.Environment, _, _ int, stats *TrainStats) float64 {
+	t.exploring = true
+	mean := RunEpisode(env, t, true, t.Alpha, t.Gamma, t.learnHook(env))
 	t.exploring = false
-	stats.FinalEpsilon = t.Epsilon
+	t.tel.Epsilon.Set(t.Epsilon)
 	stats.StatesVisited = len(t.q)
-	return stats, nil
+	return mean
 }

@@ -6,51 +6,10 @@ import (
 	"testing/quick"
 )
 
-// The fast samplers (prefix-sum binary search, Walker alias table) exist for
-// the sharded engine's hot path. Their contract: same marginal distribution
-// as WeightedChoice over the same weights, exactly one uniform consumed per
-// draw, zero-weight entries never drawn.
-
-func TestCumWeightsPrefixSums(t *testing.T) {
-	cum, total := CumWeights([]float64{1, 0, 2, -3, 4})
-	if total != 7 {
-		t.Fatalf("total = %v, want 7 (negatives ignored)", total)
-	}
-	want := []float64{1, 1, 3, 3, 7}
-	for i, c := range cum {
-		if c != want[i] {
-			t.Fatalf("cum[%d] = %v, want %v", i, c, want[i])
-		}
-	}
-}
-
-func TestWeightedChoiceCumMatchesLinearAlmostAlways(t *testing.T) {
-	// The binary search rounds by prefix addition, the linear scan by
-	// repeated subtraction; they may disagree only on rare boundary draws.
-	weights := []float64{0.3, 0, 2.5, 1.1, 0, 0.7, 3.2}
-	cum, total := CumWeights(weights)
-	a, b := New(99), New(99)
-	diverged := 0
-	for i := 0; i < 20000; i++ {
-		if a.WeightedChoice(weights) != b.WeightedChoiceCum(cum, total) {
-			diverged++
-		}
-	}
-	if diverged > 2 {
-		t.Fatalf("linear and prefix-sum samplers diverged on %d of 20000 aligned draws", diverged)
-	}
-}
-
-func TestWeightedChoiceCumNeverDrawsZeroWeight(t *testing.T) {
-	weights := []float64{0, 1, 0, 0, 5, 0}
-	cum, total := CumWeights(weights)
-	src := New(7)
-	for i := 0; i < 5000; i++ {
-		if got := src.WeightedChoiceCum(cum, total); weights[got] == 0 {
-			t.Fatalf("drew zero-weight index %d", got)
-		}
-	}
-}
+// The fast sampler (Walker alias table) exists for the sharded engine's hot
+// path. Its contract: same marginal distribution as WeightedChoice over the
+// same weights, exactly one uniform consumed per draw, zero-weight entries
+// never drawn.
 
 func TestAliasChoiceDistribution(t *testing.T) {
 	weights := []float64{1, 3, 0, 6}
@@ -150,7 +109,7 @@ func TestAliasEmptyPanics(t *testing.T) {
 	New(1).AliasChoice(NewAlias(nil))
 }
 
-// Edge-case battery for the sampler trio: all-zero tables, single-element
+// Edge-case battery for the samplers: all-zero tables, single-element
 // tables, NaN and +Inf weights, and float-error fallthrough must each
 // degrade deterministically — no panic, no zero-weight index, no bias
 // toward an arbitrary trailing entry.
@@ -180,13 +139,11 @@ func TestSamplerEdgeCaseTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cum, total := CumWeights(tc.weights)
 			alias := NewAlias(tc.weights)
 			src := New(31)
 			for i := 0; i < 2000; i++ {
-				got := [3]int{
+				got := [2]int{
 					src.WeightedChoice(tc.weights),
-					src.WeightedChoiceCum(cum, total),
 					src.AliasChoice(alias),
 				}
 				for s, g := range got {
@@ -207,49 +164,16 @@ func TestSamplerEdgeCaseTable(t *testing.T) {
 	}
 }
 
-func TestWeightedChoiceCumMismatchedTotalDeterministic(t *testing.T) {
-	// A caller-supplied total above the table's own sum pushes draws past
-	// the last prefix; the fallback must land on the last positive-weight
-	// entry, not the final (zero-weight) one — and do so deterministically.
-	cum := []float64{1, 3, 3, 3} // weights {1, 2, 0, 0}
-	src := New(13)
-	for i := 0; i < 2000; i++ {
-		got := src.WeightedChoiceCum(cum, 100) // most draws land past cum[3]=3
-		if got != 0 && got != 1 {
-			t.Fatalf("mismatched-total draw returned zero-weight index %d", got)
-		}
-	}
-}
-
-func TestLastRisingCum(t *testing.T) {
-	cases := []struct {
-		cum  []float64
-		want int
-	}{
-		{[]float64{1, 3, 3, 3}, 1},
-		{[]float64{0, 0, 0}, 0},
-		{[]float64{2}, 0},
-		{[]float64{0, 0, 5}, 2},
-		{[]float64{1, 2, 3}, 2},
-	}
-	for _, tc := range cases {
-		if got := lastRisingCum(tc.cum); got != tc.want {
-			t.Fatalf("lastRisingCum(%v) = %d, want %d", tc.cum, got, tc.want)
-		}
-	}
-}
-
 func TestInfWeightKeepsStreamAlignment(t *testing.T) {
 	// The deterministic +Inf path must still consume exactly one uniform so
 	// interleaved callers stay in lockstep with the finite-weight path.
 	inf := math.Inf(1)
 	weights := []float64{1, inf, 2}
-	cum, total := CumWeights([]float64{1, 4, 2})
 	a := NewAlias(weights)
 	s1, s2 := New(17), New(17)
 	for i := 0; i < 50; i++ {
 		s1.WeightedChoice(weights)
-		s2.WeightedChoiceCum(cum, total)
+		s2.Float64()
 		s1.AliasChoice(a)
 		s2.Float64()
 		if got, want := s1.Float64(), s2.Float64(); got != want {

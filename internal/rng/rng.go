@@ -200,70 +200,6 @@ func (s *Source) WeightedDraw(weights []float64, total float64) int {
 	return last
 }
 
-// CumWeights precomputes the prefix sums of weights (negatives treated as
-// zero) for WeightedChoiceCum. The returned total is the sum of the positive
-// weights.
-func CumWeights(weights []float64) (cum []float64, total float64) {
-	cum = make([]float64, len(weights))
-	for i, w := range weights {
-		if w > 0 {
-			total += w
-		}
-		cum[i] = total
-	}
-	return cum, total
-}
-
-// WeightedChoiceCum is WeightedChoice over a precomputed prefix-sum table:
-// O(log n) instead of O(n) for a draw from a fixed distribution. It consumes
-// exactly one uniform draw, the same as WeightedChoice over the underlying
-// weights, so the two keep the stream aligned — but the linear scan
-// accumulates rounding by repeated subtraction while the table rounds by
-// prefix addition, so on rare boundary values the chosen *index* differs.
-// Callers pinned to byte-identical historical traces must keep the linear
-// form. It panics on an empty table.
-func (s *Source) WeightedChoiceCum(cum []float64, total float64) int {
-	if len(cum) == 0 {
-		panic("rng: WeightedChoiceCum with no weights")
-	}
-	if !(total > 0) { // covers total <= 0 and a NaN total alike
-		return s.r.IntN(len(cum))
-	}
-	x := s.r.Float64() * total
-	if !(x < cum[len(cum)-1]) {
-		// A total exceeding the table's own sum (caller mismatch, or an
-		// overflowed/Inf table) can push the draw past the last prefix; fall
-		// to the last index whose weight is positive rather than blindly to
-		// the final (possibly zero-weight) entry.
-		return lastRisingCum(cum)
-	}
-	// Smallest index with cum[i] > x: the strict inequality mirrors the
-	// linear scan's `x - w < 0` rule, and flat spots (zero-weight entries)
-	// can never satisfy it, so the drawn index always has positive weight.
-	lo, hi := 0, len(cum)-1
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if cum[mid] > x {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
-
-// lastRisingCum returns the index of the last strict rise in a prefix-sum
-// table — the last entry with positive weight — or 0 when the table never
-// rises.
-func lastRisingCum(cum []float64) int {
-	for i := len(cum) - 1; i > 0; i-- {
-		if cum[i] > cum[i-1] {
-			return i
-		}
-	}
-	return 0
-}
-
 // Alias is a Walker alias table: an O(1)-per-draw sampler for a fixed
 // discrete distribution. Entry i either keeps its own index (with
 // probability prob[i]) or defers to alias[i].
@@ -339,8 +275,8 @@ func NewAlias(weights []float64) Alias {
 }
 
 // AliasChoice draws an index from the table using exactly one uniform draw.
-// The index *sequence* differs from WeightedChoice/WeightedChoiceCum over
-// the same weights even though the marginal distribution is identical, so
+// The index *sequence* differs from WeightedChoice over the same weights
+// even though the marginal distribution is identical, so
 // callers pinned to historical traces must not switch samplers. It panics
 // on an empty table.
 func (s *Source) AliasChoice(a Alias) int {

@@ -35,7 +35,9 @@ func TestPrecisionDriftFromFloat64Pins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Train()
+	if _, err := s.TrainWithOptions(TrainOptions{}); err != nil {
+		t.Fatal(err)
+	}
 	ev, err := s.Evaluate(FairMove)
 	if err != nil {
 		t.Fatal(err)
