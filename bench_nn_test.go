@@ -64,6 +64,28 @@ func nnBenchSet(tb testing.TB) []hotBench {
 				m.ForwardBatch(batch, 1)
 			}
 		}},
+		{"nn_forward_tiles", func(b *testing.B) {
+			// The decide's hooked fan-out: two worker blocks of three
+			// 512-row tiles each, the hooks built once like the Decider's.
+			m, x := hotBenchNet()
+			const n = 2 * 3 * 512
+			var in [sim.FeatureSize]float32
+			for j, v := range x {
+				in[j] = float32(v)
+			}
+			var sums [2]float32
+			pre := func(_, lo, hi int, tile *nn.Mat) {
+				for r := 0; r < hi-lo; r++ {
+					copy(tile.Row(r), in[:])
+				}
+			}
+			post := func(block, lo, hi int, out *nn.Mat) { sums[block] += out.Data[0] }
+			m.ForwardBlocks(n, 2, pre, post) // size the tiles, start the helpers
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.ForwardBlocks(n, 2, pre, post)
+			}
+		}},
 		{"nn_softmax_into", func(b *testing.B) {
 			// The decide loop's per-taxi softmax: 256 action-width logit
 			// rows, some actions masked, into one fixed probability buffer.

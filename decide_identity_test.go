@@ -19,6 +19,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/scenario"
 	"repro/internal/sim"
+	"repro/internal/synth"
 	"repro/internal/telemetry"
 )
 
@@ -120,7 +121,6 @@ const (
 )
 
 func TestDecideMatchesReferenceLoop(t *testing.T) {
-	city := benchCity(t)
 	const exploreEps = 0.5
 	newDQN := func(workers int) *policy.DQN {
 		dqn := policy.NewDQN(0.6, 42)
@@ -154,19 +154,7 @@ func TestDecideMatchesReferenceLoop(t *testing.T) {
 			return dqn
 		}, epsGreedyChoice(exploreEps)},
 	}
-	newEnv := func(spec *scenario.Spec) sim.Environment {
-		env := sim.New(city, sim.DefaultOptions(1), 42)
-		if spec != nil {
-			if _, err := scenario.Attach(env, spec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		env.Reset(42)
-		for env.Now() < decideFromMin {
-			env.Step(nil)
-		}
-		return env
-	}
+	small := benchCity(t)
 	for _, hooked := range []bool{false, true} {
 		var spec *scenario.Spec
 		name := "clean"
@@ -176,49 +164,82 @@ func TestDecideMatchesReferenceLoop(t *testing.T) {
 		for lname, l := range learners {
 			for _, workers := range []int{1, 2, 4} {
 				t.Run(fmt.Sprintf("%s/%s/workers=%d", name, lname, workers), func(t *testing.T) {
-					got, ref := l.build(workers), l.build(1)
-					got.BeginEpisode(7)
-					ref.BeginEpisode(7)
-					envGot, envRef := newEnv(spec), newEnv(spec)
-					reg := telemetry.NewRegistry()
-					envGot.SetTelemetry(reg)
-					got.SetTelemetry(reg) // write-only: the actions must not move
-					decided, busySlots := 0, 0
-					for s := 0; s < decideSlots && !envGot.Done(); s++ {
-						vacant := append([]int(nil), envGot.VacantTaxis()...)
-						acts := got.Act(envGot, vacant)
-						net, src := ref.BenchDecideState()
-						want := referenceDecide(envRef, net, src, envRef.VacantTaxis(), l.choose)
-						if len(acts) != len(want) {
-							t.Fatalf("slot %d: %d actions, reference %d", s, len(acts), len(want))
-						}
-						for id, a := range want {
-							if acts[id] != a {
-								t.Fatalf("slot %d taxi %d: action %+v, reference %+v", s, id, acts[id], a)
-							}
-						}
-						checkObserveRows(t, envGot, vacant)
-						decided += len(vacant)
-						if len(vacant) > 0 {
-							busySlots++
-						}
-						envGot.Step(acts)
-						envRef.Step(want)
-					}
-					if decided == 0 {
-						t.Fatal("no taxi decided in the tested slots")
-					}
-					if stale := reg.Counter("sim.hook.stale_obs").Value(); hooked != (stale > 0) {
-						t.Fatalf("%d stale observations with hooks=%v", stale, hooked)
-					}
-					for _, name := range []string{"prepare", "observe", "forward", "sample"} {
-						st := reg.Timer("policy.decide." + name).Stat()
-						if st.Count != int64(busySlots) || st.TotalNs <= 0 {
-							t.Errorf("policy.decide.%s: %d observations, %d ns over %d decided slots", name, st.Count, st.TotalNs, busySlots)
-						}
-					}
+					checkDecide(t, l.build(workers), l.build(1), l.choose, small, spec, decideFromMin, decideSlots)
 				})
 			}
+		}
+	}
+	// The paper's fleet from slot 0, when every taxi is vacant: the only
+	// case whose blocks span several of the forward pass's 512-row tiles.
+	full, err := synth.Build(synth.FullScaleConfig(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fm := learners["FairMove"]
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("full/FairMove/workers=%d", workers), func(t *testing.T) {
+			checkDecide(t, fm.build(workers), fm.build(1), fm.choose, full, nil, 0, 3)
+		})
+	}
+}
+
+// checkDecide steps two environments of city, conditioned by spec when it
+// is non-nil, with every taxi staying until minute from, then for slots
+// slots decides each with got's Act and the reference loop over ref's net
+// and stream, requiring the same actions, and checks got's decide timers.
+func checkDecide(t *testing.T, got, ref decideLearner, choose referenceChoice, city *synth.City, spec *scenario.Spec, from, slots int) {
+	t.Helper()
+	newEnv := func() sim.Environment {
+		env := sim.New(city, sim.DefaultOptions(1), 42)
+		if spec != nil {
+			if _, err := scenario.Attach(env, spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		env.Reset(42)
+		for env.Now() < from {
+			env.Step(nil)
+		}
+		return env
+	}
+	got.BeginEpisode(7)
+	ref.BeginEpisode(7)
+	envGot, envRef := newEnv(), newEnv()
+	reg := telemetry.NewRegistry()
+	envGot.SetTelemetry(reg)
+	got.SetTelemetry(reg) // write-only: the actions must not move
+	decided, busySlots := 0, 0
+	for s := 0; s < slots && !envGot.Done(); s++ {
+		vacant := append([]int(nil), envGot.VacantTaxis()...)
+		acts := got.Act(envGot, vacant)
+		net, src := ref.BenchDecideState()
+		want := referenceDecide(envRef, net, src, envRef.VacantTaxis(), choose)
+		if len(acts) != len(want) {
+			t.Fatalf("slot %d: %d actions, reference %d", s, len(acts), len(want))
+		}
+		for id, a := range want {
+			if acts[id] != a {
+				t.Fatalf("slot %d taxi %d: action %+v, reference %+v", s, id, acts[id], a)
+			}
+		}
+		checkObserveRows(t, envGot, vacant)
+		decided += len(vacant)
+		if len(vacant) > 0 {
+			busySlots++
+		}
+		envGot.Step(acts)
+		envRef.Step(want)
+	}
+	if decided == 0 {
+		t.Fatal("no taxi decided in the tested slots")
+	}
+	if stale := reg.Counter("sim.hook.stale_obs").Value(); (spec != nil) != (stale > 0) {
+		t.Fatalf("%d stale observations with hooks=%v", stale, spec != nil)
+	}
+	for _, name := range []string{"prepare", "observe", "forward", "sample"} {
+		st := reg.Timer("policy.decide." + name).Stat()
+		if st.Count != int64(busySlots) || st.TotalNs <= 0 {
+			t.Errorf("policy.decide.%s: %d observations, %d ns over %d decided slots", name, st.Count, st.TotalNs, busySlots)
 		}
 	}
 }

@@ -12,7 +12,6 @@ package demand
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"repro/internal/geo"
 	"repro/internal/partition"
@@ -115,7 +114,6 @@ type RegionProfile struct {
 
 // Request is one passenger trip request.
 type Request struct {
-	ID           int64
 	TimeMin      int // absolute simulation minute
 	Origin       geo.Point
 	OriginRegion int
@@ -149,11 +147,6 @@ type Model struct {
 	// meanDistKm[o] caches the gravity-weighted mean haversine trip
 	// distance from origin o, used for fast expected-fare queries.
 	meanDistKm []float64
-	// nextID labels sampled requests. It is atomic because several
-	// simulation environments may share one Model (the City is read-only
-	// shared state under the parallel runtime); the IDs themselves are
-	// diagnostic only and never reach Results.
-	nextID atomic.Int64
 }
 
 // RoadFactor converts haversine distance to road distance.
@@ -530,7 +523,6 @@ func (m *Model) sampleOne(src *rng.Source, origin, tMin int, fast bool) Request 
 	durMin := distKm / speed * 60 * src.Uniform(0.9, 1.2)
 	fare := m.fares.Fare(distKm, durMin, hour)
 	return Request{
-		ID:           m.nextID.Add(1),
 		TimeMin:      tMin,
 		Origin:       op,
 		OriginRegion: origin,

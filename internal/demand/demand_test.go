@@ -120,7 +120,6 @@ func TestSampleProducesValidRequests(t *testing.T) {
 	if len(reqs) == 0 {
 		t.Fatal("no requests in rush hour slot")
 	}
-	seen := make(map[int64]bool)
 	for _, r := range reqs {
 		if r.TimeMin < 480 || r.TimeMin >= 490 {
 			t.Fatalf("request time %d outside slot", r.TimeMin)
@@ -140,10 +139,6 @@ func TestSampleProducesValidRequests(t *testing.T) {
 		if r.Fare <= 0 {
 			t.Fatalf("non-positive fare %v", r.Fare)
 		}
-		if seen[r.ID] {
-			t.Fatalf("duplicate request ID %d", r.ID)
-		}
-		seen[r.ID] = true
 	}
 }
 

@@ -13,7 +13,7 @@ func TestSampleScaledIdentityMatchesSample(t *testing.T) {
 	m := testModel(t)
 	a := sampleCity(m, rng.New(7), 8*60, 10, nil)
 	b := sampleCity(m, rng.New(7), 8*60, 10, func(int) float64 { return 1 })
-	if !reflect.DeepEqual(stripIDs(a), stripIDs(b)) {
+	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("identity scale diverged: %d vs %d requests", len(a), len(b))
 	}
 }
@@ -72,16 +72,6 @@ func sampleCity(m *Model, src *rng.Source, tMin, slotMin int, scale func(region 
 			factor = scale(region)
 		}
 		out = m.SampleRegionScaledFast(out, src, region, tMin, slotMin, factor)
-	}
-	return out
-}
-
-// stripIDs zeroes the diagnostic request IDs, which come from a shared
-// atomic counter and are not part of the realization.
-func stripIDs(reqs []Request) []Request {
-	out := append([]Request(nil), reqs...)
-	for i := range out {
-		out[i].ID = 0
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/parallel"
 	"repro/internal/rng"
 )
 
@@ -254,16 +255,19 @@ func (d *Dense) ZeroGrad() {
 type MLP struct {
 	Layers []*Dense
 
-	// Inference arenas: batchActs holds one n×Out activation matrix per
-	// layer, shared by ForwardBatch/Forward1 (results alias the last entry
-	// and stay valid until the next inference call on this network); x1
-	// backs Forward1's single-row input. Workers write disjoint row blocks
-	// of the shared arenas, so no per-worker copies exist; only the GEMM
-	// packing scratch is per row block (batchGemm). None of these are
-	// shared by Clone, and checkpoints never touch them.
-	batchActs []*Mat
-	batchGemm []gemmScratch
-	x1        *Mat
+	// Inference scratch: tiles holds each worker block's tile buffers (see
+	// ForwardBlocks), so only out, ForwardBatch's result, is batch-sized;
+	// results alias out and stay valid until the next inference call on
+	// this network. x1 backs Forward1's single-row input. call is the
+	// running call's arguments, read by runBlock (forwardBlock, bound once
+	// so a fan-out allocates nothing), and fan runs the blocks. None of
+	// these are shared by Clone, and checkpoints never touch them.
+	tiles    []tileScratch
+	out      *Mat
+	x1       *Mat
+	call     inferCall
+	runBlock func(block int)
+	fan      parallel.Fan
 
 	// Params() result cache: the layer list is fixed after construction, so
 	// the flat parameter/gradient views are built once — optimizers call

@@ -136,28 +136,17 @@ func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context
 	return out, nil
 }
 
-// Chunks splits [0, n) into at most workers contiguous half-open ranges of
-// near-equal size, for batched kernels that want each worker to own a
-// contiguous block (cache-friendly, and the block boundaries are a pure
-// function of (n, workers), so the work split is deterministic too).
-func Chunks(n, workers int) [][2]int {
-	workers = Resolve(workers)
-	if workers > n {
-		workers = n
+// Chunk returns range i of the split of [0, n) into parts contiguous
+// half-open ranges of near-equal size (0 < parts <= n), for batched
+// kernels that want each worker to own a contiguous block: cache-friendly,
+// and the block boundaries are a pure function of (n, parts), so the work
+// split is deterministic too.
+func Chunk(n, parts, i int) (lo, hi int) {
+	base, rem := n/parts, n%parts
+	lo = i*base + min(i, rem)
+	hi = lo + base
+	if i < rem {
+		hi++
 	}
-	if workers <= 0 {
-		return nil
-	}
-	out := make([][2]int, 0, workers)
-	base, rem := n/workers, n%workers
-	start := 0
-	for w := 0; w < workers; w++ {
-		size := base
-		if w < rem {
-			size++
-		}
-		out = append(out, [2]int{start, start + size})
-		start += size
-	}
-	return out
+	return lo, hi
 }

@@ -146,27 +146,78 @@ func TestForEachContextCancelled(t *testing.T) {
 
 func TestChunks(t *testing.T) {
 	cases := []struct {
-		n, workers int
-	}{{10, 3}, {10, 1}, {3, 8}, {0, 4}, {100, 7}}
+		n, parts int
+	}{{10, 3}, {10, 1}, {3, 3}, {1, 1}, {100, 7}, {3079, 8}}
 	for _, c := range cases {
-		chunks := Chunks(c.n, c.workers)
-		covered := 0
 		prevEnd := 0
-		for _, ch := range chunks {
-			if ch[0] != prevEnd {
-				t.Fatalf("n=%d workers=%d: chunk %v not contiguous", c.n, c.workers, ch)
+		for i := 0; i < c.parts; i++ {
+			lo, hi := Chunk(c.n, c.parts, i)
+			if lo != prevEnd {
+				t.Fatalf("n=%d parts=%d: chunk %d [%d,%d) not contiguous", c.n, c.parts, i, lo, hi)
 			}
-			if ch[1] < ch[0] {
-				t.Fatalf("n=%d workers=%d: negative chunk %v", c.n, c.workers, ch)
+			if size := hi - lo; size != c.n/c.parts && size != c.n/c.parts+1 {
+				t.Fatalf("n=%d parts=%d: chunk %d has %d items", c.n, c.parts, i, size)
 			}
-			covered += ch[1] - ch[0]
-			prevEnd = ch[1]
+			prevEnd = hi
 		}
-		if covered != c.n {
-			t.Fatalf("n=%d workers=%d: chunks cover %d items", c.n, c.workers, covered)
+		if prevEnd != c.n {
+			t.Fatalf("n=%d parts=%d: chunks cover %d items", c.n, c.parts, prevEnd)
 		}
-		if c.n > 0 && len(chunks) > c.workers && c.workers > 0 {
-			t.Fatalf("n=%d workers=%d: %d chunks", c.n, c.workers, len(chunks))
+	}
+}
+
+// Every block of every Run runs exactly once, with several Fans running
+// concurrently and nested: more blocks in flight than helpers started by
+// any one of them.
+func TestFanRunsEveryBlock(t *testing.T) {
+	var outer Fan
+	var counts [4][5]atomic.Int64
+	inner := make([]Fan, 4)
+	for rep := 0; rep < 50; rep++ {
+		outer.Run(4, func(o int) {
+			inner[o].Run(5, func(i int) { counts[o][i].Add(1) })
+		})
+	}
+	for o := range counts {
+		for i := range counts[o] {
+			if got := counts[o][i].Load(); got != 50 {
+				t.Fatalf("block %d/%d ran %d times, want 50", o, i, got)
+			}
 		}
+	}
+}
+
+func TestFanPanicPropagates(t *testing.T) {
+	var f Fan
+	for _, bad := range []int{0, 2} {
+		func() {
+			defer func() {
+				if r := recover(); r != "kaboom" {
+					t.Fatalf("block %d: recovered %v, want kaboom", bad, r)
+				}
+			}()
+			f.Run(3, func(i int) {
+				if i == bad {
+					panic("kaboom")
+				}
+			})
+			t.Fatalf("block %d: no panic reached the caller", bad)
+		}()
+	}
+	// The Fan stays usable after a re-raised panic.
+	var ran atomic.Int64
+	f.Run(3, func(int) { ran.Add(1) })
+	if ran.Load() != 3 {
+		t.Fatalf("%d blocks ran after a panic, want 3", ran.Load())
+	}
+}
+
+func TestFanSteadyStateAllocatesNothing(t *testing.T) {
+	var f Fan
+	var sum [3]int
+	fn := func(i int) { sum[i]++ }
+	f.Run(3, fn) // start the helpers
+	if allocs := testing.AllocsPerRun(100, func() { f.Run(3, fn) }); allocs != 0 {
+		t.Fatalf("steady-state Run allocates %v/op, want 0", allocs)
 	}
 }

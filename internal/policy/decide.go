@@ -19,47 +19,57 @@ import (
 //
 // Given the slot's regional state the per-taxi decisions are independent
 // up to the random draw, so one fan-out over contiguous blocks of the
-// vacant set does everything but the draw: each block fills its float32
-// observation rows (Environment.ObserveRows), runs the net's layer stack
-// (nn.MLP.ForwardBlocks) and, for a sampled decide, writes its masked
-// softmax rows with their draw totals (rng.WeightedTotal). One serial pass
-// then draws from the learner's stream in vacant order — rng.WeightedDraw,
-// or DQN's ε-greedy choice — the draws a per-taxi Observe → forward →
-// choose loop makes, so the actions are byte-identical for any worker
-// count.
+// vacant set does everything but the draw, one tile of rows at a time
+// (nn.MLP.ForwardBlocks): each tile fills its float32 observation rows
+// (Environment.ObserveRows), runs the net's layer stack and writes its
+// per-row outputs — for a sampled decide the masked softmax rows with
+// their draw totals (rng.WeightedTotal), for an ε-greedy one the masks and
+// masked-argmax actions. Only those outputs are sized by the vacant set.
+// One serial pass then draws from the learner's stream in vacant order —
+// rng.WeightedDraw, or DQN's ε-greedy choice — the draws a per-taxi
+// Observe → forward → choose loop makes, so the actions are byte-identical
+// for any worker count.
 type Decider struct {
-	// Per-call parameters and outputs, read and written by the block hooks.
+	// Per-call parameters, read by the tile hooks.
 	env     sim.Environment
 	vacant  []int
-	x       *nn.Mat
-	masks   [][sim.NumActions]bool
-	sampled bool      // the epilogue writes probs and totals
-	probs   []float64 // sim.NumActions per vacant taxi
-	totals  []float64 // rng.WeightedTotal of each probs row
+	sampled bool
+
+	// Per-row outputs: probs (sim.NumActions per vacant taxi) and totals
+	// (rng.WeightedTotal of each probs row) for a sampled decide; masks and
+	// greedy (maskedArgmax) for an ε-greedy one.
+	probs  []float64
+	totals []float64
+	masks  [][sim.NumActions]bool
+	greedy []int8
+
+	// blocks is each fan-out block's tile scratch and busy times; timed is
+	// set when timers are installed.
+	blocks []deciderBlock
+	timed  bool
 
 	// The hooks handed to ForwardBlocks, built once (a method value made
 	// per call would allocate per call).
-	pre  func(block, lo, hi int)
+	pre  func(block, lo, hi int, x *nn.Mat)
 	post func(block, lo, hi int, out *nn.Mat)
-
-	// Per-block timings of the last call, summed into the timers after the
-	// fan-out; timed is set when timers are installed.
-	blockTimes []blockTimes
-	timed      bool
 
 	tel decideTel
 }
 
-// blockTimes is one fan-out block's busy times; observed marks the end of
-// its observe, where its forward pass starts.
-type blockTimes struct {
-	observe, forward, softmax time.Duration
-	observed                  time.Time
+// deciderBlock is one fan-out block's state: the masks of its current tile
+// (a sampled decide's masks die with the tile) and its busy times, summed
+// over its tiles; observed marks the end of the current tile's observe,
+// where its forward pass starts.
+type deciderBlock struct {
+	masks                      [][sim.NumActions]bool
+	observe, forward, epilogue time.Duration
+	observed                   time.Time
 }
 
 // decideTel holds the decide timers: prepare is the serial PrepareObserve,
-// observe and forward are summed worker busy time, sample the softmax busy
-// time plus the serial choice. Nil handles no-op and the clock is not read.
+// observe and forward are summed worker busy time, sample the epilogues'
+// busy time (softmax, or DQN's argmax) plus the serial choice. Nil handles
+// no-op and the clock is not read.
 type decideTel struct {
 	prepare, observe, forward, sample *telemetry.Timer
 }
@@ -104,28 +114,29 @@ func (d *Decider) decide(env sim.Environment, net *nn.MLP, src *rng.Source, vaca
 		return actions
 	}
 	if d.pre == nil {
-		d.pre, d.post = d.observeBlock, d.epilogueBlock
+		d.pre, d.post = d.observeTile, d.chooseTile
 	}
 	d.timed = d.tel.observe != nil
 	prep := d.tel.prepare.Start()
 	env.PrepareObserve(vacant)
 	prep.Stop()
 	d.env, d.vacant, d.sampled = env, vacant, sampled
-	d.x = nn.EnsureMat(d.x, n, sim.FeatureSize)
-	if cap(d.masks) < n {
-		d.masks = make([][sim.NumActions]bool, n)
-		d.probs = make([]float64, n*sim.NumActions)
-		d.totals = make([]float64, n)
+	if sampled {
+		d.probs = growTo(d.probs, n*sim.NumActions)
+		d.totals = growTo(d.totals, n)
+	} else {
+		d.masks = growTo(d.masks, n)
+		d.greedy = growTo(d.greedy, n)
 	}
-	d.masks, d.probs, d.totals = d.masks[:n], d.probs[:n*sim.NumActions], d.totals[:n]
-	if d.timed {
-		if blocks := parallel.Resolve(workers); len(d.blockTimes) < blocks {
-			d.blockTimes = make([]blockTimes, blocks)
-		}
-		clear(d.blockTimes)
+	if blocks := parallel.Resolve(workers); len(d.blocks) < blocks {
+		d.blocks = append(d.blocks, make([]deciderBlock, blocks-len(d.blocks))...)
+	}
+	for i := range d.blocks {
+		b := &d.blocks[i]
+		b.observe, b.forward, b.epilogue = 0, 0, 0
 	}
 
-	out := net.ForwardBlocks(d.x, workers, d.pre, d.post)
+	net.ForwardBlocks(n, workers, d.pre, d.post)
 
 	var chooseStart time.Time
 	if d.timed {
@@ -138,58 +149,83 @@ func (d *Decider) decide(env sim.Environment, net *nn.MLP, src *rng.Source, vaca
 		}
 	} else {
 		for i, id := range vacant {
-			actions[id] = sim.ActionFromIndex(epsGreedy(src, out.Row(i), d.masks[i], eps))
+			actions[id] = sim.ActionFromIndex(epsGreedy(src, int(d.greedy[i]), d.masks[i], eps))
 		}
 	}
 	d.env, d.vacant = nil, nil
 	if d.timed {
 		choose := time.Since(chooseStart)
-		var sum blockTimes
-		for _, bt := range d.blockTimes {
-			sum.observe += bt.observe
-			sum.forward += bt.forward
-			sum.softmax += bt.softmax
+		var sum deciderBlock
+		for _, b := range d.blocks {
+			sum.observe += b.observe
+			sum.forward += b.forward
+			sum.epilogue += b.epilogue
 		}
 		d.tel.observe.Observe(sum.observe)
 		d.tel.forward.Observe(sum.forward)
-		d.tel.sample.Observe(sum.softmax + choose)
+		d.tel.sample.Observe(sum.epilogue + choose)
 	}
 	return actions
 }
 
-// observeBlock is the fan-out's prologue: the observation rows and masks
-// of vacant[lo:hi].
-func (d *Decider) observeBlock(block, lo, hi int) {
+// growTo returns buf resliced to n, reallocating only when it is too small.
+func growTo[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// tileMasks returns the masks of rows [lo, hi): for a sampled decide the
+// block's tile buffer, else those rows of the per-row masks the ε-greedy
+// choice reads.
+func (d *Decider) tileMasks(block, lo, hi int) [][sim.NumActions]bool {
+	if !d.sampled {
+		return d.masks[lo:hi]
+	}
+	b := &d.blocks[block]
+	b.masks = growTo(b.masks, hi-lo)
+	return b.masks
+}
+
+// observeTile is the fan-out's prologue: the observation rows and masks of
+// the tile vacant[lo:hi].
+func (d *Decider) observeTile(block, lo, hi int, x *nn.Mat) {
 	var start time.Time
 	if d.timed {
 		start = time.Now()
 	}
-	d.env.ObserveRows(d.vacant[lo:hi], d.x.Data[lo*sim.FeatureSize:hi*sim.FeatureSize], d.masks[lo:hi])
+	d.env.ObserveRows(d.vacant[lo:hi], x.Data, d.tileMasks(block, lo, hi))
 	if d.timed {
-		bt := &d.blockTimes[block]
-		bt.observed = time.Now()
-		bt.observe = bt.observed.Sub(start)
+		b := &d.blocks[block]
+		b.observed = time.Now()
+		b.observe += b.observed.Sub(start)
 	}
 }
 
-// epilogueBlock is the fan-out's epilogue: for a sampled decide, the masked
-// softmax of output rows [lo, hi) and their draw totals. The time since the
-// block's observe ended is its forward pass.
-func (d *Decider) epilogueBlock(block, lo, hi int, out *nn.Mat) {
+// chooseTile is the fan-out's epilogue over the tile's output rows: for a
+// sampled decide their masked softmax and draw totals, else their masked
+// argmax. The time since the tile's observe ended is its forward pass.
+func (d *Decider) chooseTile(block, lo, hi int, out *nn.Mat) {
+	b := &d.blocks[block]
 	var start time.Time
 	if d.timed {
 		start = time.Now()
-		d.blockTimes[block].forward = start.Sub(d.blockTimes[block].observed)
+		b.forward += start.Sub(b.observed)
 	}
-	if !d.sampled {
-		return
-	}
-	for i := lo; i < hi; i++ {
-		p := d.probs[i*sim.NumActions : (i+1)*sim.NumActions]
-		nn.SoftmaxInto(out.Row(i), d.masks[i][:], p)
-		d.totals[i], _ = rng.WeightedTotal(p)
+	masks := d.tileMasks(block, lo, hi)
+	for r, mask := range masks {
+		i := lo + r
+		if d.sampled {
+			p := d.probs[i*sim.NumActions : (i+1)*sim.NumActions]
+			nn.SoftmaxInto(out.Row(r), mask[:], p)
+			d.totals[i], _ = rng.WeightedTotal(p)
+		} else {
+			a, _ := maskedArgmax(out.Row(r), mask)
+			d.greedy[i] = int8(a)
+		}
 	}
 	if d.timed {
-		d.blockTimes[block].softmax = time.Since(start)
+		b.epilogue += time.Since(start)
 	}
 }

@@ -1,0 +1,116 @@
+package policy
+
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/nn"
+	"repro/internal/rng"
+	"repro/internal/sim"
+	"repro/internal/synth"
+)
+
+// TestDecideScratchIsPerTile decides the full-scale fleet at slot 0, when
+// all 20,130 taxis are vacant, and bounds what the actor net and the
+// Decider retain afterwards: per worker block the inference tiles (512 rows
+// of the 55 inputs and of two 64-wide layer outputs) plus a constant for
+// the block's GEMM packing space, tile masks and timings; per row only the
+// sampled decide's outputs, its probabilities and draw total. A batch-sized
+// observation matrix, activation arena or mask array would exceed it.
+func TestDecideScratchIsPerTile(t *testing.T) {
+	city, err := synth.Build(synth.FullScaleConfig(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := sim.New(city, sim.DefaultOptions(1), 42)
+	env.Reset(42)
+	vacant := env.VacantTaxis()
+	n := len(vacant)
+	if n != 20130 {
+		t.Fatalf("%d vacant taxis at slot 0, want the whole 20,130-taxi fleet", n)
+	}
+	const tile, hidden, blockConst = 512, 64, 32 << 10
+	for _, workers := range []int{1, 2} {
+		net := nn.NewMLP(rng.New(1), []int{sim.FeatureSize, hidden, hidden, sim.NumActions}, nn.ReLU, nn.Identity)
+		var d Decider
+		before := retainedBytes(net, &d)
+		if acts := d.Act(env, net, rng.New(2), vacant, workers); len(acts) != n {
+			t.Fatalf("workers=%d: %d actions for %d taxis", workers, len(acts), n)
+		}
+		grown := retainedBytes(net, &d) - before
+		perBlock := workers * (tile*(sim.FeatureSize+2*hidden)*4 + blockConst)
+		perRow := n * (sim.NumActions + 1) * 8
+		if grown > perBlock+perRow {
+			t.Fatalf("workers=%d: decide retains %d bytes, bound %d per block + %d per row", workers, grown, perBlock, perRow)
+		}
+		t.Logf("workers=%d: retains %d bytes, bound %d", workers, grown, perBlock+perRow)
+	}
+}
+
+// retainedBytes sums the bytes reachable from roots through pointers and
+// slice backing arrays, each allocation counted once. Func, map, interface
+// and channel values are not followed.
+func retainedBytes(roots ...any) int {
+	seen := map[uintptr]bool{}
+	var walk func(v reflect.Value) int
+	walk = func(v reflect.Value) int {
+		switch v.Kind() {
+		case reflect.Pointer:
+			if v.IsNil() || seen[v.Pointer()] {
+				return 0
+			}
+			seen[v.Pointer()] = true
+			return int(v.Type().Elem().Size()) + walk(v.Elem())
+		case reflect.Slice:
+			if v.IsNil() || seen[v.Pointer()] {
+				return 0
+			}
+			seen[v.Pointer()] = true
+			total := v.Cap() * int(v.Type().Elem().Size())
+			if holdsRefs(v.Type().Elem()) {
+				for i := 0; i < v.Len(); i++ {
+					total += walk(v.Index(i))
+				}
+			}
+			return total
+		case reflect.Struct:
+			total := 0
+			for i := 0; i < v.NumField(); i++ {
+				total += walk(v.Field(i))
+			}
+			return total
+		case reflect.Array:
+			total := 0
+			if holdsRefs(v.Type().Elem()) {
+				for i := 0; i < v.Len(); i++ {
+					total += walk(v.Index(i))
+				}
+			}
+			return total
+		}
+		return 0
+	}
+	total := 0
+	for _, r := range roots {
+		total += walk(reflect.ValueOf(r))
+	}
+	return total
+}
+
+// holdsRefs reports whether a value of type t can hold a pointer or slice
+// retainedBytes follows.
+func holdsRefs(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.Slice:
+		return true
+	case reflect.Array:
+		return holdsRefs(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if holdsRefs(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
+}

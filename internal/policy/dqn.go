@@ -131,12 +131,12 @@ func maskedArgmax(qs []float32, mask [sim.NumActions]bool) (int, float64) {
 	return best, bestQ
 }
 
-// epsGreedy is DQN's ε-greedy choice over an evaluated Q-row: with
-// probability eps a uniformly random valid action, otherwise the masked
-// argmax. The ε draw always comes first. The random action is the
+// epsGreedy is DQN's ε-greedy choice given an evaluated Q-row's masked
+// argmax, greedy: with probability eps a uniformly random valid action,
+// otherwise greedy. The ε draw always comes first. The random action is the
 // Intn(count)-th valid one, counted and walked to in place: the draws of
 // collecting the valid actions and indexing them, without the slice.
-func epsGreedy(src *rng.Source, qs []float32, mask [sim.NumActions]bool, eps float64) int {
+func epsGreedy(src *rng.Source, greedy int, mask [sim.NumActions]bool, eps float64) int {
 	if src.Bool(eps) {
 		valid := 0
 		for _, ok := range mask {
@@ -157,8 +157,7 @@ func epsGreedy(src *rng.Source, qs []float32, mask [sim.NumActions]bool, eps flo
 			}
 		}
 	}
-	a, _ := maskedArgmax(qs, mask)
-	return a
+	return greedy
 }
 
 // Act implements Policy (ε-greedy over the learned network) through the

@@ -233,11 +233,13 @@ func TestObsStaleFreezesFeatures(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := New(city, DefaultOptions(1), 34)
-	staleNow := false
-	e.SetHooks(stubHooks{stale: func(r, m int) bool { return staleNow }})
+	// A pure dropout window over minutes: it covers slots 2 and 3 and lifts
+	// at slot 4.
+	slot := e.SlotLen()
+	e.SetHooks(stubHooks{stale: func(r, m int) bool { return m >= 2*slot && m < 4*slot }})
 	e.Reset(34)
 
-	e.Step(nil) // advance so features are non-trivial
+	e.Step(nil) // slot 1: advance so features are non-trivial
 	ids := e.VacantTaxis()
 	if len(ids) == 0 {
 		t.Skip("no vacant taxis after one slot")
@@ -247,9 +249,8 @@ func TestObsStaleFreezesFeatures(t *testing.T) {
 	// later Observe calls on the same taxi rewrite it.
 	fresh := append([]float64(nil), e.Observe(id).Features...)
 
-	staleNow = true
 	e.Step(nil)
-	e.Step(nil)
+	e.Step(nil) // slot 3, inside the dropout
 	if e.TaxiState(id) != Cruising {
 		t.Skip("probe taxi left the vacant pool")
 	}
@@ -261,7 +262,10 @@ func TestObsStaleFreezesFeatures(t *testing.T) {
 		t.Fatal("mask went stale during GPS dropout")
 	}
 
-	staleNow = false
+	e.Step(nil) // slot 4, the dropout lifted
+	if e.TaxiState(id) != Cruising {
+		t.Skip("probe taxi left the vacant pool")
+	}
 	after := e.Observe(id)
 	if reflect.DeepEqual(after.Features, fresh) {
 		t.Fatal("features still frozen after the dropout lifted")

@@ -241,13 +241,16 @@ type Core struct {
 	// slot; blockGen[r] is the cacheGen it was built at. triples holds each
 	// region's (supply, forecast, fare) feature triple, stamped tripleGen,
 	// so a region listed as a neighbour by several blocks is computed once.
-	// staleNow[r] is Hooks.ObsStale for region r as of the last
-	// PrepareObserve. All four are allocated on the first observation.
+	// staleNow[r] is Hooks.ObsStale for region r at the slot's minute,
+	// read once per slot and stamped staleGen, so Observe and ObserveRows
+	// follow one GPS-dropout rule. All five are allocated on the first
+	// observation.
 	blocks    []float64
 	blockGen  []int
 	triples   []float64
 	tripleGen []int
 	staleNow  []bool
+	staleGen  int
 
 	// merge scratch
 	mergeTrips   []TripStat
@@ -653,13 +656,13 @@ func (c *Core) Observe(id int) Observation {
 	region := c.taxis[id].region
 	c.regionBlock(region)
 	meanPE, _ := c.FleetPEStats()
-	c.ensureStaleMemory()
+	c.refreshStale()
 	f := c.obsBufs[id]
 	if cap(f) < FeatureSize {
 		f = make([]float64, FeatureSize)
 	}
 	f = f[:FeatureSize]
-	c.observeInto(f, id, meanPE, c.hooks != nil && c.hooks.ObsStale(region, c.nowMin))
+	c.observeInto(f, id, meanPE, c.hooks != nil && c.staleNow[region])
 	c.obsBufs[id] = f
 	return Observation{Features: f, Mask: c.ValidMask(id)}
 }
@@ -674,21 +677,26 @@ func (c *Core) PrepareObserve(vacant []int) {
 		c.regionBlock(c.taxis[id].region)
 	}
 	c.FleetPEStats()
-	if c.hooks == nil || c.blocks == nil {
-		return
-	}
-	c.ensureStaleMemory()
-	for r := range c.staleNow {
-		c.staleNow[r] = c.hooks.ObsStale(r, c.nowMin)
+	if c.blocks != nil {
+		c.refreshStale()
 	}
 }
 
-// ensureStaleMemory allocates the per-taxi GPS-dropout memory on the first
-// observation under hooks.
-func (c *Core) ensureStaleMemory() {
-	if c.hooks != nil && c.staleFeats == nil {
+// refreshStale reads every region's GPS-dropout flag (Hooks.ObsStale at
+// the slot's minute) into staleNow on the slot's first observation under
+// hooks, and allocates the per-taxi dropout memory on the first one ever.
+// The observation blocks must exist.
+func (c *Core) refreshStale() {
+	if c.hooks == nil || c.staleGen == c.cacheGen {
+		return
+	}
+	if c.staleFeats == nil {
 		c.staleFeats = make([][]float64, len(c.taxis))
 	}
+	for r := range c.staleNow {
+		c.staleNow[r] = c.hooks.ObsStale(r, c.nowMin)
+	}
+	c.staleGen = c.cacheGen
 }
 
 // ObserveRows writes the observations of ids into feats, FeatureSize
@@ -848,6 +856,7 @@ func (c *Core) regionTriple(region int) []float64 {
 func (c *Core) SetHooks(h Hooks) {
 	c.hooks = h
 	c.xh, _ = h.(ExtendedHooks)
+	c.staleGen = 0 // cacheGen >= 1: the next observation re-reads the flags
 	if c.nowMin == 0 {
 		// Fresh environment: re-derive the fleet so battery cohorts apply
 		// even if the caller steps without another Reset.
