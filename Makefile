@@ -92,24 +92,27 @@ smoke:
 # cadence cutoff, resume toward the full total with the identical command,
 # and diff the saved policy against an unbroken run's byte for byte. Then
 # prove both artifacts load and act alike: eval -load-policy runs each and
-# the two reports must match byte for byte.
+# the two reports must match byte for byte. The recipe is one shell over its
+# own mktemp directory, removed on exit (a failure included), so concurrent
+# runs on one host never share files.
 resume-smoke:
-	@rm -rf /tmp/fairmove-resume-smoke && mkdir -p /tmp/fairmove-resume-smoke
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	set -x; \
 	$(GO) run ./cmd/fairmove train -fleet 24 -pretrain 1 -episodes 1 \
-		-checkpoint-dir /tmp/fairmove-resume-smoke/ckpt -checkpoint-every 1 > /dev/null
+		-checkpoint-dir $$dir/ckpt -checkpoint-every 1 > /dev/null; \
 	$(GO) run ./cmd/fairmove train -fleet 24 -pretrain 1 -episodes 2 -resume \
-		-checkpoint-dir /tmp/fairmove-resume-smoke/ckpt -checkpoint-every 1 \
-		-save-policy /tmp/fairmove-resume-smoke/resumed.fmck > /dev/null
+		-checkpoint-dir $$dir/ckpt -checkpoint-every 1 \
+		-save-policy $$dir/resumed.fmck > /dev/null; \
 	$(GO) run ./cmd/fairmove train -fleet 24 -pretrain 1 -episodes 2 \
-		-save-policy /tmp/fairmove-resume-smoke/unbroken.fmck > /dev/null
-	cmp /tmp/fairmove-resume-smoke/resumed.fmck /tmp/fairmove-resume-smoke/unbroken.fmck
+		-save-policy $$dir/unbroken.fmck > /dev/null; \
+	cmp $$dir/resumed.fmck $$dir/unbroken.fmck; \
 	$(GO) run ./cmd/fairmove eval -fleet 24 \
-		-load-policy /tmp/fairmove-resume-smoke/resumed.fmck > /tmp/fairmove-resume-smoke/resumed.txt
+		-load-policy $$dir/resumed.fmck > $$dir/resumed.txt; \
 	$(GO) run ./cmd/fairmove eval -fleet 24 \
-		-load-policy /tmp/fairmove-resume-smoke/unbroken.fmck > /tmp/fairmove-resume-smoke/unbroken.txt
-	cmp /tmp/fairmove-resume-smoke/resumed.txt /tmp/fairmove-resume-smoke/unbroken.txt
-	@rm -rf /tmp/fairmove-resume-smoke
-	@echo "resume-smoke: resumed run byte-identical to unbroken run, and evaluates identically"
+		-load-policy $$dir/unbroken.fmck > $$dir/unbroken.txt; \
+	cmp $$dir/resumed.txt $$dir/unbroken.txt; \
+	{ set +x; } 2>/dev/null; \
+	echo "resume-smoke: resumed run byte-identical to unbroken run, and evaluates identically"
 
 # Online-dispatch service smoke: build the real binaries, start
 # `fairmove serve`, replay two slots of recorded events through

@@ -21,18 +21,17 @@ import (
 
 // nnBenchTransitions builds a deterministic synthetic replay buffer with the
 // deployed observation width and full action masks.
-func nnBenchTransitions(n int) []policy.Transition {
+func nnBenchTransitions(n int) *policy.TransitionStore {
 	src := rng.New(11)
-	buf := make([]policy.Transition, n)
-	for i := range buf {
-		obs := make([]float64, sim.FeatureSize)
-		next := make([]float64, sim.FeatureSize)
+	var buf policy.TransitionStore
+	var obs, next [sim.FeatureSize]float32
+	for i := 0; i < n; i++ {
 		for j := range obs {
-			obs[j] = src.Uniform(-1, 1)
-			next[j] = src.Uniform(-1, 1)
+			obs[j] = float32(src.Uniform(-1, 1))
+			next[j] = float32(src.Uniform(-1, 1))
 		}
 		tr := policy.Transition{
-			Obs: obs, NextObs: next,
+			Obs: obs[:], NextObs: next[:],
 			Action: src.Intn(sim.NumActions), Reward: src.Uniform(-1, 1),
 			Elapsed: 1,
 		}
@@ -42,9 +41,9 @@ func nnBenchTransitions(n int) []policy.Transition {
 		for j := range tr.NextMask {
 			tr.NextMask[j] = true
 		}
-		buf[i] = tr
+		buf.Add(&tr)
 	}
-	return buf
+	return &buf
 }
 
 // nnBenchSet returns the pinned NN-layer benchmarks. Shapes match the
@@ -122,8 +121,10 @@ func nnBenchSet(tb testing.TB) []hotBench {
 		}},
 		{"dqn_learn_step", func(b *testing.B) {
 			d := policy.NewDQN(0.6, 7)
-			for _, tr := range nnBenchTransitions(512) {
-				d.BenchRemember(tr)
+			buf := nnBenchTransitions(512)
+			for i := range buf.Len() {
+				tr := buf.At(i)
+				d.BenchRemember(&tr)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -133,7 +134,7 @@ func nnBenchSet(tb testing.TB) []hotBench {
 	}
 }
 
-func nnBenchFairMove(b *testing.B) (*core.FairMove, []policy.Transition, []int) {
+func nnBenchFairMove(b *testing.B) (*core.FairMove, *policy.TransitionStore, []int) {
 	cfg := core.DefaultConfig(0.6, 7)
 	f, err := core.New(cfg)
 	if err != nil {
@@ -142,7 +143,7 @@ func nnBenchFairMove(b *testing.B) (*core.FairMove, []policy.Transition, []int) 
 	buf := nnBenchTransitions(512)
 	idxs := make([]int, cfg.Batch)
 	for i := range idxs {
-		idxs[i] = (i * 37) % len(buf)
+		idxs[i] = (i * 37) % buf.Len()
 	}
 	return f, buf, idxs
 }

@@ -46,9 +46,12 @@ const Magic = "FMCK"
 // container layout or any learner payload encoding changes shape — the
 // golden fixtures under testdata/checkpoints/ exist to force that
 // conversation whenever the bytes drift. Version 2 moved the nn weight and
-// Adam-moment payloads to float32 (the tensor backend's native precision);
-// version 1 files fail closed with ErrVersion.
-const Version = 2
+// Adam-moment payloads to float32 (the tensor backend's native precision).
+// Version 3 stores transition buffers (replay memory, demonstration stores)
+// as float32 rows in one block after the count (policy.EncodeTransitions)
+// instead of two float64 slices per transition. Files of earlier versions
+// fail closed with ErrVersion.
+const Version = 3
 
 // Training phases recorded in the container header.
 const (

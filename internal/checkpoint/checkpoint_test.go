@@ -20,7 +20,7 @@ type stubLearner struct {
 
 	a    int
 	b    float64
-	xs   []float64
+	xs   []float32
 	flag bool
 }
 
@@ -32,7 +32,7 @@ func newStub() *stubLearner {
 		ep:          3,
 		a:           17,
 		b:           2.5,
-		xs:          []float64{1, -2, 3.75},
+		xs:          []float32{1, -2, 3.75},
 		flag:        true,
 	}
 }
@@ -44,12 +44,12 @@ func (s *stubLearner) CheckpointProgress() (int, int) { return s.phase, s.ep }
 func (s *stubLearner) EncodeCheckpoint(e *Encoder) {
 	e.Int(s.a)
 	e.F64(s.b)
-	e.Floats(s.xs)
+	e.Floats32(s.xs)
 	e.Bool(s.flag)
 }
 
 func (s *stubLearner) DecodeCheckpoint(d *Decoder) error {
-	a, b, xs, flag := d.Int(), d.F64(), d.Floats(), d.Bool()
+	a, b, xs, flag := d.Int(), d.F64(), d.Floats32(), d.Bool()
 	if err := d.Err(); err != nil {
 		return err
 	}
@@ -63,7 +63,7 @@ func (s *stubLearner) DecodeCheckpoint(d *Decoder) error {
 // snapshot copies the mutable state for before/after comparison.
 func (s *stubLearner) snapshot() stubLearner {
 	cp := *s
-	cp.xs = append([]float64(nil), s.xs...)
+	cp.xs = append([]float32(nil), s.xs...)
 	return cp
 }
 
@@ -139,13 +139,16 @@ func TestCorruptionBattery(t *testing.T) {
 		// Version-1 files carry float64 weight payloads; the header check
 		// must reject them before the float32 payload decoder ever runs.
 		{"previous version (float64-era file)", Seal(Meta{Version: 1, Kind: "stub", Fingerprint: meta.Fingerprint}, nil), ErrVersion},
+		// Version-2 files carry float64 transition rows; they too fail
+		// closed on the header, with no migration.
+		{"previous version (float64 transition rows)", Seal(Meta{Version: 2, Kind: "stub", Fingerprint: meta.Fingerprint}, nil), ErrVersion},
 		{"kind mismatch", Seal(Meta{Version: Version, Kind: "dqn", Fingerprint: meta.Fingerprint}, nil), ErrKind},
 		{"fingerprint mismatch", Seal(Meta{Version: Version, Kind: "stub", Fingerprint: meta.Fingerprint + 1}, nil), ErrFingerprint},
 		{"payload truncated inside a field", badPayload(func(e *Encoder) { e.Int(1) }), ErrPayload},
 		{"payload fails learner validation", badPayload(func(e *Encoder) {
 			e.Int(-5)
 			e.F64(0)
-			e.Floats(nil)
+			e.Floats32(nil)
 			e.Bool(false)
 		}), ErrPayload},
 		{"payload with trailing bytes", badPayload(func(e *Encoder) {

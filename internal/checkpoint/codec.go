@@ -72,27 +72,11 @@ func (e *Encoder) String(s string) {
 	e.buf = append(e.buf, s...)
 }
 
-// Floats appends a length-prefixed []float64.
-func (e *Encoder) Floats(xs []float64) {
-	e.U32(uint32(len(xs)))
-	for _, x := range xs {
-		e.F64(x)
-	}
-}
-
 // Floats32 appends a length-prefixed []float32.
 func (e *Encoder) Floats32(xs []float32) {
 	e.U32(uint32(len(xs)))
 	for _, x := range xs {
 		e.F32(x)
-	}
-}
-
-// Bools appends a length-prefixed []bool.
-func (e *Encoder) Bools(bs []bool) {
-	e.U32(uint32(len(bs)))
-	for _, b := range bs {
-		e.Bool(b)
 	}
 }
 
@@ -218,26 +202,9 @@ func (d *Decoder) Count(n uint32, elemSize int) (int, bool) {
 	return int(n), true
 }
 
-// Floats reads a length-prefixed []float64. A nil slice encodes/decodes as
-// length zero; decoding returns nil for length zero, so encode(decode(x))
-// is byte-stable.
-func (d *Decoder) Floats() []float64 {
-	n, ok := d.Count(d.U32(), 8)
-	if !ok || n == 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.F64()
-	}
-	if d.err != nil {
-		return nil
-	}
-	return out
-}
-
-// Floats32 reads a length-prefixed []float32, with the same nil/zero-length
-// byte-stability as Floats.
+// Floats32 reads a length-prefixed []float32. A nil slice encodes/decodes
+// as length zero; decoding returns nil for length zero, so
+// encode(decode(x)) is byte-stable.
 func (d *Decoder) Floats32() []float32 {
 	n, ok := d.Count(d.U32(), 4)
 	if !ok || n == 0 {
@@ -246,22 +213,6 @@ func (d *Decoder) Floats32() []float32 {
 	out := make([]float32, n)
 	for i := range out {
 		out[i] = d.F32()
-	}
-	if d.err != nil {
-		return nil
-	}
-	return out
-}
-
-// Bools reads a length-prefixed []bool.
-func (d *Decoder) Bools() []bool {
-	n, ok := d.Count(d.U32(), 1)
-	if !ok || n == 0 {
-		return nil
-	}
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = d.Bool()
 	}
 	if d.err != nil {
 		return nil

@@ -21,9 +21,8 @@ func TestCodecRoundTrip(t *testing.T) {
 	e.F64(math.Inf(-1))
 	e.String("fairmove")
 	e.String("")
-	e.Floats([]float64{1, -2.5, 0})
-	e.Floats(nil)
-	e.Bools([]bool{true, false, true})
+	e.Floats32([]float32{1, -2.5, 0})
+	e.Floats32(nil)
 
 	d := NewDecoder(e.Bytes())
 	if got := d.U8(); got != 7 {
@@ -56,14 +55,11 @@ func TestCodecRoundTrip(t *testing.T) {
 	if got := d.String(); got != "" {
 		t.Errorf("empty String = %q", got)
 	}
-	if got := d.Floats(); !reflect.DeepEqual(got, []float64{1, -2.5, 0}) {
-		t.Errorf("Floats = %v", got)
+	if got := d.Floats32(); !reflect.DeepEqual(got, []float32{1, -2.5, 0}) {
+		t.Errorf("Floats32 = %v", got)
 	}
-	if got := d.Floats(); got != nil {
-		t.Errorf("nil Floats decoded to %v", got)
-	}
-	if got := d.Bools(); !reflect.DeepEqual(got, []bool{true, false, true}) {
-		t.Errorf("Bools = %v", got)
+	if got := d.Floats32(); got != nil {
+		t.Errorf("nil Floats32 decoded to %v", got)
 	}
 	if err := d.Err(); err != nil {
 		t.Fatalf("Err = %v", err)
@@ -90,20 +86,20 @@ func TestCodecNaNBitExact(t *testing.T) {
 // break checkpoint digests.
 func TestCodecEncodeDecodeByteStable(t *testing.T) {
 	e := NewEncoder()
-	e.Floats([]float64{})
-	e.Floats([]float64{1})
-	e.Bools(nil)
+	e.Floats32([]float32{})
+	e.Floats32([]float32{1})
+	e.Floats32(nil)
 	orig := append([]byte(nil), e.Bytes()...)
 
 	d := NewDecoder(orig)
-	a, b, c := d.Floats(), d.Floats(), d.Bools()
+	a, b, c := d.Floats32(), d.Floats32(), d.Floats32()
 	if err := d.Err(); err != nil {
 		t.Fatal(err)
 	}
 	e2 := NewEncoder()
-	e2.Floats(a)
-	e2.Floats(b)
-	e2.Bools(c)
+	e2.Floats32(a)
+	e2.Floats32(b)
+	e2.Floats32(c)
 	if !reflect.DeepEqual(e2.Bytes(), orig) {
 		t.Errorf("re-encode differs: %x vs %x", e2.Bytes(), orig)
 	}
@@ -142,7 +138,7 @@ func TestDecoderCountBoundsAllocation(t *testing.T) {
 	e := NewEncoder()
 	e.U32(math.MaxUint32) // claims 4 billion floats
 	d := NewDecoder(e.Bytes())
-	if got := d.Floats(); got != nil {
+	if got := d.Floats32(); got != nil {
 		t.Errorf("forged count decoded to %d floats", len(got))
 	}
 	if d.Err() == nil {
@@ -152,9 +148,9 @@ func TestDecoderCountBoundsAllocation(t *testing.T) {
 	// A plausible count that still exceeds the remaining bytes also fails.
 	e2 := NewEncoder()
 	e2.U32(3)
-	e2.F64(1) // only one of three elements present
+	e2.F32(1) // only one of three elements present
 	d2 := NewDecoder(e2.Bytes())
-	if d2.Floats() != nil || d2.Err() == nil {
+	if d2.Floats32() != nil || d2.Err() == nil {
 		t.Error("truncated slice did not fail closed")
 	}
 }
@@ -163,13 +159,13 @@ func TestDecoderCountBoundsAllocation(t *testing.T) {
 // the sticky error, and the partial slice is discarded.
 func TestDecoderTruncationMidSlice(t *testing.T) {
 	e := NewEncoder()
-	e.Bools([]bool{true, true, true})
+	e.Floats32([]float32{1, 2, 3})
 	data := e.Bytes()[:len(e.Bytes())-1]
 	d := NewDecoder(data)
-	if got := d.Bools(); got != nil {
-		t.Errorf("truncated Bools returned %v", got)
+	if got := d.Floats32(); got != nil {
+		t.Errorf("truncated Floats32 returned %v", got)
 	}
 	if d.Err() == nil {
-		t.Error("truncated Bools did not error")
+		t.Error("truncated Floats32 did not error")
 	}
 }

@@ -15,6 +15,12 @@ package checkpoint_test
 //   - reproducibility: retraining from scratch yields the fixture bytes,
 //     pinning the whole train→serialize pipeline.
 //
+// The fixtures are container version 3: transition buffers are one float32
+// row block per store (policy.EncodeTransitions). Their regeneration for
+// version 3 moved no trajectory: every network, optimizer, counter and
+// transition scalar decoded as in the version-2 files, and every row is
+// float32 of the version-2 float64 row.
+//
 // To regenerate after an INTENTIONAL format or training change:
 //
 //	go test ./internal/checkpoint -run TestGoldenCheckpoints -update

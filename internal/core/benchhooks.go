@@ -16,7 +16,7 @@ import (
 // BenchCriticStep runs one batched critic update over buf at the sampled
 // minibatch indices, loading the batch and its TD targets first. Exported
 // only for benchmarks.
-func (f *FairMove) BenchCriticStep(buf []policy.Transition, idxs []int) {
+func (f *FairMove) BenchCriticStep(buf *policy.TransitionStore, idxs []int) {
 	f.loadBatch(buf, idxs)
 	f.updateCritic()
 }
@@ -24,7 +24,7 @@ func (f *FairMove) BenchCriticStep(buf []policy.Transition, idxs []int) {
 // BenchActorStep runs one batched actor update over buf at the sampled
 // minibatch indices, loading the batch and computing its own TD targets
 // first. Exported only for benchmarks.
-func (f *FairMove) BenchActorStep(buf []policy.Transition, idxs []int) {
+func (f *FairMove) BenchActorStep(buf *policy.TransitionStore, idxs []int) {
 	f.loadBatch(buf, idxs)
 	f.updateActor(buf, idxs)
 }

@@ -39,7 +39,7 @@ func (f *FairMove) EncodeCheckpoint(e *checkpoint.Encoder) {
 	checkpoint.EncodeMLP(e, f.targetCritic)
 	checkpoint.EncodeAdam(e, f.actorOpt)
 	checkpoint.EncodeAdam(e, f.criticOpt)
-	policy.EncodeTransitions(e, f.demo)
+	policy.EncodeTransitions(e, &f.demo)
 }
 
 // DecodeCheckpoint implements checkpoint.Checkpointer. State is decoded into

@@ -89,7 +89,7 @@ type FairMove struct {
 	// demo holds demonstration transitions from Pretrain; Train replays
 	// behavior-cloning batches from it between policy-gradient updates to
 	// anchor the actor against collapse (in the spirit of DQfD).
-	demo []policy.Transition
+	demo policy.TransitionStore
 
 	// fineTuning records that Train already swapped in the gentler actor
 	// optimizer, so a resumed run keeps its saved optimizer state.
@@ -165,9 +165,6 @@ func (f *FairMove) Act(env sim.Environment, vacant []int) map[int]sim.Action {
 	return f.dec.Act(env, f.actor, f.src, vacant, f.cfg.Workers)
 }
 
-// value evaluates a critic network on one observation.
-func value(net *nn.MLP, obs []float64) float64 { return float64(net.Forward1(obs)[0]) }
-
 // Training implements policy.Learner. Pretrain warm-starts the system from
 // the guide's demonstration episodes (typically ground-truth driver
 // behavior): the critic learns V by TD regression on the demonstration
@@ -197,7 +194,7 @@ func (f *FairMove) startPhase(phase int) {
 	if phase != checkpoint.PhaseTrain {
 		return
 	}
-	if len(f.demo) > 0 && !f.fineTuning {
+	if f.demo.Len() > 0 && !f.fineTuning {
 		f.actorOpt = nn.NewAdam(f.cfg.ActorLR * 0.1)
 	}
 	f.fineTuning = true
@@ -205,25 +202,25 @@ func (f *FairMove) startPhase(phase int) {
 
 // learnDemo takes the warm start's critic and cloning steps on one
 // demonstration episode and keeps it for Train's anchor batches.
-func (f *FairMove) learnDemo(buf []policy.Transition) {
+func (f *FairMove) learnDemo(buf *policy.TransitionStore) {
 	f.tel.demoEpisodes.Inc()
-	f.tel.Transitions.Add(int64(len(buf)))
-	if len(buf) == 0 {
+	f.tel.Transitions.Add(int64(buf.Len()))
+	if buf.Len() == 0 {
 		return
 	}
-	batch := min(f.cfg.Batch, len(buf))
-	iters := len(buf) / batch * 2
+	batch := min(f.cfg.Batch, buf.Len())
+	iters := buf.Len() / batch * 2
 	idxs := make([]int, batch)
 	for it := 0; it < iters; it++ {
 		for b := range idxs {
-			idxs[b] = f.src.Intn(len(buf))
+			idxs[b] = f.src.Intn(buf.Len())
 		}
 		f.loadBatch(buf, idxs)
 		f.updateCritic()
 		f.cloneActor(buf, idxs)
 	}
 	f.targetCritic.CopyWeightsFrom(f.critic)
-	f.demo = append(f.demo, buf...)
+	f.demo.Extend(buf)
 }
 
 // trainEpisode is one episode of Algorithm 1.
@@ -233,43 +230,43 @@ func (f *FairMove) trainEpisode(env sim.Environment, _, _ int, stats *policy.Tra
 	// vacant order from f.src — the same draws a per-taxi loop would make,
 	// because the transition callback only buffers and never touches the
 	// networks or f.src.
-	var buf []policy.Transition
+	var buf policy.TransitionStore
 	mean := policy.RunEpisode(env, f, false, f.cfg.Alpha, f.cfg.Gamma, func(id int, tr *policy.Transition) {
 		if tr != nil {
-			buf = append(buf, tr.Detach())
+			buf.Add(tr)
 		}
 	})
-	stats.Transitions += len(buf)
-	f.tel.Transitions.Add(int64(len(buf)))
-	if len(buf) == 0 {
+	stats.Transitions += buf.Len()
+	f.tel.Transitions.Add(int64(buf.Len()))
+	if buf.Len() == 0 {
 		stats.CriticLoss = append(stats.CriticLoss, 0)
 		return mean
 	}
 
 	// Lines 8-10: M iterations of minibatch updates.
 	var lossSum, advSum float64
-	batch := min(f.cfg.Batch, len(buf))
+	batch := min(f.cfg.Batch, buf.Len())
 	idxs := make([]int, batch)
 	for it := 0; it < f.cfg.UpdateIters; it++ {
 		for b := range idxs {
-			idxs[b] = f.src.Intn(len(buf))
+			idxs[b] = f.src.Intn(buf.Len())
 		}
 		// Critic step, then actor step on the same minibatch: the actor's
 		// baseline comes from the just-updated critic, and the TD targets
 		// (from the per-episode target network) are shared.
-		f.loadBatch(buf, idxs)
+		f.loadBatch(&buf, idxs)
 		lossSum += f.updateCritic()
-		advSum += f.updateActor(buf, idxs)
+		advSum += f.updateActor(&buf, idxs)
 		// Demonstration anchor: every few policy-gradient steps, one
 		// behavior-cloning step on Pretrain data keeps the actor from
 		// drifting into degenerate corners of the action space while the
 		// advantage estimates are still noisy.
-		if len(f.demo) >= batch && it%2 == 1 {
+		if f.demo.Len() >= batch && it%2 == 1 {
 			for b := range idxs {
-				idxs[b] = f.src.Intn(len(f.demo))
+				idxs[b] = f.src.Intn(f.demo.Len())
 			}
-			f.loadObs(f.demo, idxs)
-			f.cloneActor(f.demo, idxs)
+			f.upX = f.demo.GatherObs(f.upX, idxs)
+			f.cloneActor(&f.demo, idxs)
 		}
 	}
 	n := float64(f.cfg.UpdateIters)
@@ -282,28 +279,20 @@ func (f *FairMove) trainEpisode(env sim.Environment, _, _ int, stats *policy.Tra
 	return mean
 }
 
-// loadObs fills upX with the observations of the sampled transitions.
-func (f *FairMove) loadObs(buf []policy.Transition, idxs []int) {
-	f.upX = nn.EnsureMat(f.upX, len(idxs), sim.FeatureSize)
-	for b, i := range idxs {
-		f.upX.SetRow(b, buf[i].Obs)
-	}
-}
-
-// loadBatch loads one update minibatch: the observations into upX (loadObs)
-// and their TD targets into upY. The targets read only the target critic,
+// loadBatch loads one update minibatch: the observations into upX and
+// their TD targets into upY. The targets read only the target critic,
 // which changes once per episode, so one load serves a critic step and the
 // actor step after it.
-func (f *FairMove) loadBatch(buf []policy.Transition, idxs []int) {
-	f.loadObs(buf, idxs)
+func (f *FairMove) loadBatch(buf *policy.TransitionStore, idxs []int) {
+	f.upX = buf.GatherObs(f.upX, idxs)
 	f.upY = nn.EnsureMat(f.upY, len(idxs), 1)
 	f.tdTargetsInto(buf, idxs, f.upY)
 }
 
 // cloneActor takes one behavior-cloning step toward the demonstrated
-// actions of the minibatch loadObs (or loadBatch) put in upX for the same
-// idxs: one batched forward, fused per-row gradients, one batched backward.
-func (f *FairMove) cloneActor(buf []policy.Transition, idxs []int) {
+// actions of the minibatch whose observations upX holds for the same idxs:
+// one batched forward, fused per-row gradients, one batched backward.
+func (f *FairMove) cloneActor(buf *policy.TransitionStore, idxs []int) {
 	n := len(idxs)
 	f.actor.ZeroGrad()
 	logits := f.actor.Forward(f.upX, true)
@@ -313,7 +302,7 @@ func (f *FairMove) cloneActor(buf []policy.Transition, idxs []int) {
 	}
 	inv := 1 / float64(n)
 	for b, i := range idxs {
-		tr := &buf[i]
+		tr := buf.At(i)
 		nn.PolicyGradientRowInto(logits.Row(b), tr.Mask[:], tr.Action, 1.0, 0, inv, f.upProbs, f.upGrad.Row(b))
 	}
 	f.actor.Backward(f.upGrad)
@@ -325,26 +314,13 @@ func (f *FairMove) cloneActor(buf []policy.Transition, idxs []int) {
 
 // tdTargetsInto fills y (n×1) with r + β^elapsed · V'(s') for the sampled
 // transitions, evaluating the target critic on every next-state in one
-// batched pass. Terminal rows bootstrap zero; their input rows are zeroed
-// (any value would do — the output is discarded) so the batch shape stays
-// fixed.
-func (f *FairMove) tdTargetsInto(buf []policy.Transition, idxs []int, y *nn.Mat) {
-	n := len(idxs)
-	f.upXN = nn.EnsureMat(f.upXN, n, sim.FeatureSize)
-	for b, i := range idxs {
-		tr := &buf[i]
-		if tr.Terminal || tr.NextObs == nil {
-			row := f.upXN.Row(b)
-			for j := range row {
-				row[j] = 0
-			}
-		} else {
-			f.upXN.SetRow(b, tr.NextObs)
-		}
-	}
+// batched pass. Terminal rows bootstrap zero: their next rows are stored as
+// zeros and the output is discarded, so the batch shape stays fixed.
+func (f *FairMove) tdTargetsInto(buf *policy.TransitionStore, idxs []int, y *nn.Mat) {
+	f.upXN = buf.GatherNext(f.upXN, idxs)
 	next := f.targetCritic.ForwardBatch(f.upXN, 1)
 	for b, i := range idxs {
-		tr := &buf[i]
+		tr := buf.At(i)
 		t := tr.Reward
 		if !tr.Terminal {
 			t += math.Pow(f.cfg.Gamma, float64(tr.Elapsed)) * next.At(b, 0)
@@ -376,7 +352,7 @@ func (f *FairMove) updateCritic() float64 {
 // the noisy semi-MDP advantages random-walk the logits of rarely compared
 // actions (the five station ranks) until the softmax saturates on an
 // arbitrary one. It runs on the batch loadBatch loaded for the same idxs.
-func (f *FairMove) updateActor(buf []policy.Transition, idxs []int) float64 {
+func (f *FairMove) updateActor(buf *policy.TransitionStore, idxs []int) float64 {
 	n := len(idxs)
 	f.actor.ZeroGrad()
 	logits := f.actor.Forward(f.upX, true)
@@ -417,7 +393,7 @@ func (f *FairMove) updateActor(buf []policy.Transition, idxs []int) float64 {
 	}
 	inv := 1 / float64(n)
 	for b, i := range idxs {
-		tr := &buf[i]
+		tr := buf.At(i)
 		nn.PolicyGradientRowInto(logits.Row(b), tr.Mask[:], tr.Action, advs[b], f.cfg.EntropyCoef, inv, f.upProbs, f.upGrad.Row(b))
 	}
 	f.actor.Backward(f.upGrad)
@@ -427,12 +403,4 @@ func (f *FairMove) updateActor(buf []policy.Transition, idxs []int) float64 {
 	f.tel.advStd.Set(std)
 	f.actorOpt.Step(f.actor)
 	return advAbs / float64(n)
-}
-
-// Value exposes the critic's state-value estimate (diagnostics, tests).
-func (f *FairMove) Value(obs sim.Observation) float64 { return value(f.critic, obs.Features) }
-
-// Probs exposes the policy distribution (diagnostics, tests).
-func (f *FairMove) Probs(obs sim.Observation) []float64 {
-	return nn.Softmax(f.actor.Forward1(obs.Features), obs.Mask[:])
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/nn"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/synth"
@@ -71,15 +72,25 @@ func TestActProducesValidActions(t *testing.T) {
 	}
 }
 
+// value is the critic's state-value estimate on one observation.
+func value(f *FairMove, obs sim.Observation) float64 {
+	return float64(f.critic.Forward1(obs.Features)[0])
+}
+
+// probs is the actor's masked policy distribution on one observation.
+func probs(f *FairMove, obs sim.Observation) []float64 {
+	return nn.Softmax(f.actor.Forward1(obs.Features), obs.Mask[:])
+}
+
 // perTaxiActor is the per-taxi rollout the batched one replaced: each
-// vacant taxi is observed and sampled on its own, from Probs with
+// vacant taxi is observed and sampled on its own, from probs with
 // WeightedChoice on the learner's stream.
 type perTaxiActor struct{ *FairMove }
 
 func (p perTaxiActor) Act(env sim.Environment, vacant []int) map[int]sim.Action {
 	acts := make(map[int]sim.Action, len(vacant))
 	for _, id := range vacant {
-		acts[id] = sim.ActionFromIndex(p.src.WeightedChoice(p.Probs(env.Observe(id))))
+		acts[id] = sim.ActionFromIndex(p.src.WeightedChoice(probs(p.FairMove, env.Observe(id))))
 	}
 	return acts
 }
@@ -96,29 +107,29 @@ func TestBatchedRolloutMatchesPerTaxi(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rollout := func(pol policy.Policy, perTaxi bool) []policy.Transition {
+	rollout := func(pol policy.Policy, perTaxi bool) *policy.TransitionStore {
 		env := sim.New(city, policy.EpisodeOptions(1, 1), seed)
 		f.BeginEpisode(seed)
-		var out []policy.Transition
+		var out policy.TransitionStore
 		policy.RunEpisode(env, pol, perTaxi, f.cfg.Alpha, f.cfg.Gamma,
 			func(id int, tr *policy.Transition) {
 				if tr != nil {
-					out = append(out, tr.Detach())
+					out.Add(tr)
 				}
 			})
-		return out
+		return &out
 	}
 	batched := rollout(f, false)
 	perTaxi := rollout(perTaxiActor{f}, true)
-	if len(batched) == 0 {
+	if batched.Len() == 0 {
 		t.Fatal("the episode closed no transitions; the comparison would be vacuous")
 	}
-	if len(batched) != len(perTaxi) {
-		t.Fatalf("batched rollout closed %d transitions, per-taxi %d", len(batched), len(perTaxi))
+	if batched.Len() != perTaxi.Len() {
+		t.Fatalf("batched rollout closed %d transitions, per-taxi %d", batched.Len(), perTaxi.Len())
 	}
-	for i := range batched {
-		if !reflect.DeepEqual(batched[i], perTaxi[i]) {
-			t.Fatalf("transition %d differs:\nbatched  %+v\nper-taxi %+v", i, batched[i], perTaxi[i])
+	for i := range batched.Len() {
+		if a, b := batched.At(i), perTaxi.At(i); !reflect.DeepEqual(a, b) {
+			t.Fatalf("transition %d differs:\nbatched  %+v\nper-taxi %+v", i, a, b)
 		}
 	}
 }
@@ -131,7 +142,7 @@ func TestProbsRespectMask(t *testing.T) {
 	obs := sim.Observation{Features: make([]float64, sim.FeatureSize)}
 	obs.Mask[0] = true
 	obs.Mask[7] = true
-	p := f.Probs(obs)
+	p := probs(f, obs)
 	var sum float64
 	for i, v := range p {
 		if !obs.Mask[i] && v != 0 {
@@ -157,7 +168,7 @@ func TestTrainProducesStatsAndLearns(t *testing.T) {
 	for i := range obs.Mask {
 		obs.Mask[i] = true
 	}
-	vBefore := f.Value(obs)
+	vBefore := value(f, obs)
 	stats := train(t, f, city, 2, 3)
 	if stats.Episodes != 2 || len(stats.MeanReward) != 2 || len(stats.CriticLoss) != 2 {
 		t.Fatalf("stats shape wrong: %+v", stats)
@@ -165,7 +176,7 @@ func TestTrainProducesStatsAndLearns(t *testing.T) {
 	if stats.Transitions == 0 {
 		t.Fatal("no transitions collected")
 	}
-	if f.Value(obs) == vBefore {
+	if value(f, obs) == vBefore {
 		t.Fatal("critic unchanged by training")
 	}
 	for _, l := range stats.CriticLoss {

@@ -20,7 +20,7 @@ import (
 type goldenCMA2C struct {
 	*core.FairMove
 	actor *nn.MLP
-	demo  []policy.Transition
+	demo  policy.TransitionStore
 }
 
 func (g *goldenCMA2C) DecodeCheckpoint(d *checkpoint.Decoder) error {
@@ -69,8 +69,8 @@ func loadGoldenCMA2C(t *testing.T) ([]byte, *goldenCMA2C, core.Config, func() *c
 	if _, err := checkpoint.Unmarshal(data, g); err != nil {
 		t.Fatal(err)
 	}
-	if len(g.demo) < 1000 {
-		t.Fatalf("golden demo buffer holds %d observations, want >= 1000", len(g.demo))
+	if g.demo.Len() < 1000 {
+		t.Fatalf("golden demo buffer holds %d observations, want >= 1000", g.demo.Len())
 	}
 	return data, g, cfg, newLearner
 }
@@ -78,10 +78,11 @@ func loadGoldenCMA2C(t *testing.T) ([]byte, *goldenCMA2C, core.Config, func() *c
 // demoLogits runs the golden actor over every recorded demonstration
 // observation and returns a copy of the logits, one row per observation.
 func (g *goldenCMA2C) demoLogits() []float32 {
-	x := nn.NewMat(len(g.demo), g.actor.InputSize())
-	for i, tr := range g.demo {
-		x.SetRow(i, tr.Obs)
+	all := make([]int, g.demo.Len())
+	for i := range all {
+		all[i] = i
 	}
+	x := g.demo.GatherObs(nil, all)
 	return append([]float32(nil), g.actor.ForwardBatch(x, 1).Data...)
 }
 
@@ -101,14 +102,14 @@ func TestKernelPathsMatchOnGoldenCMA2C(t *testing.T) {
 	data, g, cfg, newLearner := loadGoldenCMA2C(t)
 	idxs := make([]int, cfg.Batch)
 	for i := range idxs {
-		idxs[i] = (i * 37) % len(g.demo)
+		idxs[i] = (i * 37) % g.demo.Len()
 	}
 	actorStep := func() []byte {
 		f := newLearner()
 		if _, err := checkpoint.Unmarshal(data, f); err != nil {
 			t.Fatal(err)
 		}
-		f.BenchActorStep(g.demo, idxs)
+		f.BenchActorStep(&g.demo, idxs)
 		out, err := checkpoint.Marshal(f)
 		if err != nil {
 			t.Fatal(err)
@@ -153,8 +154,8 @@ func TestSoftmaxVectorMatchesScalarOnGoldenLogits(t *testing.T) {
 	width := g.actor.OutputSize()
 	softmaxAll := func() []float64 {
 		out := make([]float64, len(logits))
-		for r, tr := range g.demo {
-			row := r * width
+		for r := range g.demo.Len() {
+			row, tr := r*width, g.demo.At(r)
 			nn.SoftmaxInto(logits[row:row+width], tr.Mask[:], out[row:row+width])
 		}
 		return out
@@ -162,7 +163,8 @@ func TestSoftmaxVectorMatchesScalarOnGoldenLogits(t *testing.T) {
 	var want []float64
 	nn.WithKernelTierForTest("scalar", func() { want = softmaxAll() })
 	inRange := 0
-	for r, tr := range g.demo {
+	for r := range g.demo.Len() {
+		tr := g.demo.At(r)
 		row := logits[r*width : (r+1)*width]
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for i, l := range row {

@@ -14,7 +14,7 @@ import (
 
 // BenchRemember appends one transition to the replay buffer. Exported only
 // for benchmarks.
-func (d *DQN) BenchRemember(tr Transition) { d.remember(tr) }
+func (d *DQN) BenchRemember(tr *Transition) { d.remember(tr) }
 
 // BenchLearnStep runs one minibatch target/online update. Exported only for
 // benchmarks.

@@ -17,74 +17,6 @@ import (
 // only if the whole payload was sound, so a corrupt checkpoint leaves a live
 // learner byte-identical to before the Load attempt.
 
-// EncodeTransitions appends a transition buffer (replay memory or
-// demonstration store) to the payload.
-func EncodeTransitions(e *checkpoint.Encoder, trs []Transition) {
-	e.U32(uint32(len(trs)))
-	for _, tr := range trs {
-		e.Floats(tr.Obs)
-		for _, b := range tr.Mask {
-			e.Bool(b)
-		}
-		e.Int(tr.Action)
-		e.F64(tr.Reward)
-		e.Floats(tr.NextObs)
-		for _, b := range tr.NextMask {
-			e.Bool(b)
-		}
-		e.Int(tr.Elapsed)
-		e.Bool(tr.Terminal)
-	}
-}
-
-// minTransitionBytes is the smallest possible encoded transition: two slice
-// length prefixes, two fixed masks, action, reward, elapsed, terminal.
-const minTransitionBytes = 4 + sim.NumActions + 8 + 8 + 4 + sim.NumActions + 8 + 1
-
-// DecodeTransitions reads a buffer written by EncodeTransitions, validating
-// feature widths and action indices.
-func DecodeTransitions(d *checkpoint.Decoder) ([]Transition, error) {
-	n, ok := d.Count(d.U32(), minTransitionBytes)
-	if !ok {
-		return nil, d.Err()
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]Transition, n)
-	for i := range out {
-		tr := &out[i]
-		tr.Obs = d.Floats()
-		for j := range tr.Mask {
-			tr.Mask[j] = d.Bool()
-		}
-		tr.Action = d.Int()
-		tr.Reward = d.F64()
-		tr.NextObs = d.Floats()
-		for j := range tr.NextMask {
-			tr.NextMask[j] = d.Bool()
-		}
-		tr.Elapsed = d.Int()
-		tr.Terminal = d.Bool()
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		if len(tr.Obs) != sim.FeatureSize {
-			return nil, fmt.Errorf("policy: transition %d has %d features, want %d", i, len(tr.Obs), sim.FeatureSize)
-		}
-		if len(tr.NextObs) != 0 && len(tr.NextObs) != sim.FeatureSize {
-			return nil, fmt.Errorf("policy: transition %d has %d next features, want 0 or %d", i, len(tr.NextObs), sim.FeatureSize)
-		}
-		if tr.Action < 0 || tr.Action >= sim.NumActions {
-			return nil, fmt.Errorf("policy: transition %d has action %d outside [0,%d)", i, tr.Action, sim.NumActions)
-		}
-		if tr.Elapsed < 0 {
-			return nil, fmt.Errorf("policy: transition %d has negative elapsed %d", i, tr.Elapsed)
-		}
-	}
-	return out, nil
-}
-
 // --- DQN ---
 
 // CheckpointKind implements checkpoint.Checkpointer.
@@ -109,8 +41,8 @@ func (d *DQN) EncodeCheckpoint(e *checkpoint.Encoder) {
 	checkpoint.EncodeMLP(e, d.net)
 	checkpoint.EncodeMLP(e, d.target)
 	checkpoint.EncodeAdam(e, d.opt)
-	EncodeTransitions(e, d.replay)
-	e.Int(d.rpPos)
+	EncodeTransitions(e, &d.replay)
+	e.Int(d.replay.next)
 }
 
 // DecodeCheckpoint implements checkpoint.Checkpointer.
@@ -153,15 +85,16 @@ func (d *DQN) DecodeCheckpoint(dec *checkpoint.Decoder) error {
 	if !checkpoint.AdamMatches(opt, net) {
 		return fmt.Errorf("policy: dqn optimizer moments do not fit the network")
 	}
-	if len(replay) > d.Buffer {
-		return fmt.Errorf("policy: dqn replay holds %d transitions, capacity %d", len(replay), d.Buffer)
+	if replay.Len() > d.Buffer {
+		return fmt.Errorf("policy: dqn replay holds %d transitions, capacity %d", replay.Len(), d.Buffer)
 	}
-	if rpPos < 0 || rpPos > len(replay) {
-		return fmt.Errorf("policy: dqn replay cursor %d outside [0,%d]", rpPos, len(replay))
+	if rpPos < 0 || rpPos > 0 && rpPos >= replay.Len() {
+		return fmt.Errorf("policy: dqn replay cursor %d outside [0,%d)", rpPos, max(replay.Len(), 1))
 	}
+	replay.limit, replay.next = d.Buffer, rpPos
 	d.Progress, d.steps, d.eps = prog, steps, eps
 	d.net, d.target, d.opt = net, target, opt
-	d.replay, d.rpPos = replay, rpPos
+	d.replay = replay
 	return nil
 }
 
@@ -264,7 +197,7 @@ func (t *TBA) EncodeCheckpoint(e *checkpoint.Encoder) {
 	e.Int(t.baseN)
 	checkpoint.EncodeMLP(e, t.net)
 	checkpoint.EncodeAdam(e, t.opt)
-	EncodeTransitions(e, t.demo)
+	EncodeTransitions(e, &t.demo)
 }
 
 // DecodeCheckpoint implements checkpoint.Checkpointer.

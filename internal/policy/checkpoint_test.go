@@ -32,7 +32,9 @@ func roundTrip(t *testing.T, trained, fresh checkpoint.Checkpointer) {
 }
 
 // failClosed proves a digest-valid container with a malformed payload is
-// rejected with ErrPayload and leaves the learner bit-for-bit unchanged.
+// rejected with ErrPayload, and one of format version 2 (float64
+// transition rows) with ErrVersion, each leaving the learner bit-for-bit
+// unchanged.
 func failClosed(t *testing.T, learner checkpoint.Checkpointer) {
 	t.Helper()
 	before := marshalOrDie(t, learner)
@@ -47,6 +49,15 @@ func failClosed(t *testing.T, learner checkpoint.Checkpointer) {
 	}
 	if after := marshalOrDie(t, learner); !bytes.Equal(after, before) {
 		t.Fatal("rejected payload mutated the learner")
+	}
+	e := checkpoint.NewEncoder()
+	learner.EncodeCheckpoint(e)
+	meta.Version = 2
+	if _, err := checkpoint.Unmarshal(checkpoint.Seal(meta, e.Bytes()), learner); !errors.Is(err, checkpoint.ErrVersion) {
+		t.Fatalf("version-2 container: %v, want ErrVersion", err)
+	}
+	if after := marshalOrDie(t, learner); !bytes.Equal(after, before) {
+		t.Fatal("rejected version-2 container mutated the learner")
 	}
 }
 
@@ -118,5 +129,35 @@ func TestHyperparameterMismatchRejected(t *testing.T) {
 	other := NewDQN(0.8, 12) // different α
 	if _, err := checkpoint.Unmarshal(data, other); !errors.Is(err, checkpoint.ErrFingerprint) {
 		t.Fatalf("α mismatch: %v, want ErrFingerprint", err)
+	}
+}
+
+// TestDQNReplayCursorValidated: the replay cursor is 0 until the ring is
+// full and then below its length, so a payload whose cursor equals the
+// stored length (where the next remember would write past a full ring) is
+// malformed and leaves the learner unchanged.
+func TestDQNReplayCursorValidated(t *testing.T) {
+	d := NewDQN(0.6, 13)
+	for k := 0; k < 3; k++ {
+		tr := storeTransition(k)
+		d.remember(&tr)
+	}
+	meta := checkpoint.Meta{Version: checkpoint.Version, Kind: d.CheckpointKind(), Fingerprint: d.CheckpointFingerprint()}
+	withCursor := func(pos byte) []byte {
+		e := checkpoint.NewEncoder()
+		d.EncodeCheckpoint(e)
+		payload := e.Bytes()
+		payload[len(payload)-8] = pos // the cursor is the payload's last field
+		return checkpoint.Seal(meta, payload)
+	}
+	before := marshalOrDie(t, d)
+	if _, err := checkpoint.Unmarshal(withCursor(3), d); !errors.Is(err, checkpoint.ErrPayload) {
+		t.Fatalf("cursor at the stored length: %v, want ErrPayload", err)
+	}
+	if !bytes.Equal(marshalOrDie(t, d), before) {
+		t.Fatal("rejected cursor mutated the learner")
+	}
+	if _, err := checkpoint.Unmarshal(withCursor(0), d); err != nil {
+		t.Fatalf("cursor 0: %v", err)
 	}
 }

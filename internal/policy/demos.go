@@ -49,7 +49,7 @@ func EpisodeOptions(days, shards int) sim.Options {
 //
 // If guide does not implement Cloner the rollout runs serially on the shared
 // instance, whatever tr.Workers says: correctness beats speed.
-func collectDemos(tr Training, city *synth.City, guide Policy, from, episodes, days int, seed int64) [][]Transition {
+func collectDemos(tr Training, city *synth.City, guide Policy, from, episodes, days int, seed int64) []TransitionStore {
 	n := episodes - from
 	if n <= 0 {
 		return nil
@@ -59,25 +59,25 @@ func collectDemos(tr Training, city *synth.City, guide Policy, from, episodes, d
 	if !ok {
 		workers = 1
 	}
-	rollout := func(g Policy, ep int) []Transition {
-		var buf []Transition
+	rollout := func(g Policy, ep int) TransitionStore {
+		var buf TransitionStore
 		demoRollout(tr, city, g, days, DemoEpisodeSeed(seed, ep), func(sim.Environment) func(int, *Transition) {
 			return func(id int, t *Transition) {
 				if t != nil {
-					buf = append(buf, t.Detach())
+					buf.Add(t)
 				}
 			}
 		})
 		return buf
 	}
 	if parallel.Resolve(workers) == 1 || n == 1 {
-		out := make([][]Transition, n)
+		out := make([]TransitionStore, n)
 		for i := 0; i < n; i++ {
 			out[i] = rollout(guide, from+i)
 		}
 		return out
 	}
-	out, _ := parallel.Map(context.Background(), workers, n, func(_ context.Context, i int) ([]Transition, error) {
+	out, _ := parallel.Map(context.Background(), workers, n, func(_ context.Context, i int) (TransitionStore, error) {
 		return rollout(cloner.CloneForWorker(), from+i), nil
 	})
 	return out

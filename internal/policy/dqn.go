@@ -50,15 +50,15 @@ type DQN struct {
 	net    *nn.MLP
 	target *nn.MLP
 	opt    *nn.Adam
-	replay []Transition
-	rpPos  int
+	replay TransitionStore // ring of capacity Buffer
 	src    *rng.Source
 	steps  int
 
 	// learn scratch, reused call to call (shapes are fixed by Batch and
 	// the observation/action widths, so steady-state training allocates
-	// nothing here). lxn holds the minibatch next-observations for the
-	// batched target-network pass. Never serialized.
+	// nothing here). lx and lxn hold the minibatch observations and
+	// next-observations, the latter for the batched target-network pass.
+	// Never serialized.
 	lx    *nn.Mat
 	lxn   *nn.Mat
 	lgrad *nn.Mat
@@ -106,6 +106,7 @@ func NewDQN(alpha float64, seed int64) *DQN {
 	d.net = nn.NewMLP(d.src, sizes, nn.ReLU, nn.Identity)
 	d.target = d.net.Clone()
 	d.opt = nn.NewAdam(d.LR)
+	d.replay = NewTransitionRing(d.Buffer)
 	d.eps = d.Epsilon
 	return d
 }
@@ -174,69 +175,43 @@ func (d *DQN) Act(env sim.Environment, vacant []int) map[int]sim.Action {
 	return d.dec.ActEpsGreedy(env, d.net, d.src, vacant, d.Workers, eps)
 }
 
-// remember stores a transition in the fixed-capacity ring-buffer replay
-// memory, copying Obs/NextObs into the slot's own storage — the incoming
-// slices borrow RunEpisode buffers, and an overwritten slot donates its
-// old backing arrays, so a full ring recycles storage instead of allocating.
-func (d *DQN) remember(tr Transition) {
+// remember stores a transition in the replay ring, over the oldest once
+// the ring is full.
+func (d *DQN) remember(tr *Transition) {
 	d.tel.Transitions.Inc()
-	var slot *Transition
-	if len(d.replay) < d.Buffer {
-		d.replay = append(d.replay, Transition{})
-		slot = &d.replay[len(d.replay)-1]
-	} else {
-		slot = &d.replay[d.rpPos]
-		d.rpPos = (d.rpPos + 1) % d.Buffer
-	}
-	obs, next := slot.Obs, slot.NextObs
-	*slot = tr
-	slot.Obs = append(obs[:0], tr.Obs...)
-	if tr.NextObs != nil {
-		slot.NextObs = append(next[:0], tr.NextObs...)
-	} else {
-		slot.NextObs = nil
-	}
+	d.replay.Add(tr)
 }
 
 // learn samples a minibatch and takes one TD step:
 // L(θ) = E[(Q(s,a;θ) − y)²], y = r + β^elapsed · max_a' Q̂(s',a').
 func (d *DQN) learn() {
-	if len(d.replay) < d.Batch {
+	n := d.replay.Len()
+	if n < d.Batch {
 		return
 	}
 	d.net.ZeroGrad()
-	if d.lx == nil {
-		d.lx = nn.NewMat(d.Batch, sim.FeatureSize)
-		d.lxn = nn.NewMat(d.Batch, sim.FeatureSize)
+	if d.lgrad == nil {
 		d.lgrad = nn.NewMat(d.Batch, sim.NumActions)
 		d.lidx = make([]int, d.Batch)
 	}
-	x, xn, grad, idxs := d.lx, d.lxn, d.lgrad, d.lidx
-	// x's and xn's rows are fully overwritten below; grad is sparse and must
-	// start from zero. Terminal transitions bootstrap zero, so their xn rows
-	// are zeroed and the target row discarded — the batch shape stays fixed.
+	grad, idxs := d.lgrad, d.lidx
+	// grad is sparse and must start from zero. Terminal transitions
+	// bootstrap zero: their next rows are stored as zeros and the target
+	// row is discarded, so the batch shape stays fixed.
 	for i := range grad.Data {
 		grad.Data[i] = 0
 	}
-	for b := 0; b < d.Batch; b++ {
-		idxs[b] = d.src.Intn(len(d.replay))
-		tr := &d.replay[idxs[b]]
-		x.SetRow(b, tr.Obs)
-		if tr.Terminal || tr.NextObs == nil {
-			row := xn.Row(b)
-			for j := range row {
-				row[j] = 0
-			}
-		} else {
-			xn.SetRow(b, tr.NextObs)
-		}
+	for b := range idxs {
+		idxs[b] = d.src.Intn(n)
 	}
+	d.lx = d.replay.GatherObs(d.lx, idxs)
+	d.lxn = d.replay.GatherNext(d.lxn, idxs)
 	// Online prediction and target evaluation are each one batched GEMM pass
 	// per layer instead of per-sample loops.
-	pred := d.net.Forward(x, true)
-	nextQ := d.target.ForwardBatch(xn, 1)
-	for b := 0; b < d.Batch; b++ {
-		tr := d.replay[idxs[b]]
+	pred := d.net.Forward(d.lx, true)
+	nextQ := d.target.ForwardBatch(d.lxn, 1)
+	for b, i := range idxs {
+		tr := d.replay.At(i)
 		y := tr.Reward
 		if !tr.Terminal {
 			_, nq := maskedArgmax(nextQ.Row(b), tr.NextMask)
@@ -292,11 +267,12 @@ func (d *DQN) Training() Training {
 
 // learnDemo stores one demonstration episode in the replay buffer and
 // sweeps the buffer offline.
-func (d *DQN) learnDemo(buf []Transition) {
-	for _, tr := range buf {
-		d.remember(tr)
+func (d *DQN) learnDemo(buf *TransitionStore) {
+	for i := range buf.Len() {
+		tr := buf.At(i)
+		d.remember(&tr)
 	}
-	steps := len(d.replay) / d.Batch
+	steps := d.replay.Len() / d.Batch
 	for s := 0; s < steps; s++ {
 		d.learn()
 	}
@@ -318,7 +294,7 @@ func (d *DQN) trainEpisode(env sim.Environment, ep, episodes int, _ *TrainStats)
 		if tr == nil {
 			return
 		}
-		d.remember(*tr)
+		d.remember(tr)
 		nSeen++
 		if nSeen%learnEvery == 0 {
 			d.learn()

@@ -49,33 +49,22 @@ func SlotReward(env sim.Environment, id int, alpha, pfDelta float64) float64 {
 // Transition is one semi-MDP learning sample: the observation and action at
 // a decision slot, the discounted reward accumulated until the taxi's next
 // decision, and the observation there. Elapsed counts slots between the two
-// decisions (≥1), used to discount the bootstrap term by gamma^Elapsed.
+// decisions (≥1), used to discount the bootstrap term by gamma^Elapsed. The
+// observations are the float32 rows the decide reads (ObserveRows).
 //
 // RunEpisode's onDecision callback gets a borrowed *Transition: the
-// transition itself and its Obs and NextObs buffers are reused by the same
-// taxi's next decision, so a callback that stores the transition beyond its
-// own return must Detach a copy (or copy the slices into storage it owns, as
-// the DQN replay ring does).
+// transition itself and its Obs and NextObs rows are reused by the same
+// taxi's next decisions, so a callback that keeps the transition beyond its
+// own return must copy it, as TransitionStore.Add does.
 type Transition struct {
-	Obs      []float64
+	Obs      []float32
 	Mask     [sim.NumActions]bool
 	Action   int // flattened action index
 	Reward   float64
-	NextObs  []float64
+	NextObs  []float32
 	NextMask [sim.NumActions]bool
 	Elapsed  int
 	Terminal bool
-}
-
-// Detach returns the transition with Obs and NextObs copied into fresh
-// storage, safe to keep after the onDecision callback returns. A nil
-// NextObs (terminal transitions) stays nil.
-func (tr Transition) Detach() Transition {
-	tr.Obs = append([]float64(nil), tr.Obs...)
-	if tr.NextObs != nil {
-		tr.NextObs = append([]float64(nil), tr.NextObs...)
-	}
-	return tr
 }
 
 // RunEpisode drives env from its current state to the horizon under pol,
@@ -101,28 +90,35 @@ func (tr Transition) Detach() Transition {
 // one outside the action space (ActionIndex -1), is recorded as the first
 // valid index, which is what Step coerces it to.
 func RunEpisode(env sim.Environment, pol Policy, perTaxi bool, alpha, gamma float64, onDecision func(id int, tr *Transition)) (meanReward float64) {
+	// Each taxi owns two observation rows: the open transition's Obs and
+	// the one its next decision observes into, which becomes the next Obs.
 	type pending struct {
-		// tr.Obs is a pend-owned copy of the opening observation's features:
-		// Observation.Features borrows an env buffer the same taxi's next
-		// Observe rewrites, and a transition stays open across many slots.
 		tr      Transition
+		rows    [2][sim.FeatureSize]float32
+		cur     int // rows[cur] is tr.Obs
 		gammaPw float64
 		open    bool
 	}
 	pend := make([]pending, len(env.City().Fleet))
+	ids := make([]int, 1)
+	masks := make([][sim.NumActions]bool, 1)
 
 	r := &Runner{env: env, pol: pol, perTaxi: perTaxi, beforeAct: func(id int) {
-		obs := env.Observe(id)
 		p := &pend[id]
+		obs := p.rows[1-p.cur][:]
+		ids[0] = id
+		env.PrepareObserve(ids)
+		env.ObserveRows(ids, obs, masks)
 		if onDecision != nil {
 			var closed *Transition
 			if p.open {
 				closed = &p.tr
-				closed.NextObs, closed.NextMask = obs.Features, obs.Mask
+				closed.NextObs, closed.NextMask = obs, masks[0]
 			}
 			onDecision(id, closed)
 		}
-		p.tr = Transition{Obs: append(p.tr.Obs[:0], obs.Features...), Mask: obs.Mask}
+		p.cur = 1 - p.cur
+		p.tr = Transition{Obs: obs, Mask: masks[0]}
 		p.gammaPw = 1
 		p.open = true
 	}}

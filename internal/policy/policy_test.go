@@ -2,10 +2,12 @@ package policy
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/checkpoint"
 	"repro/internal/rng"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/synth"
 )
@@ -312,50 +314,113 @@ func TestTBATrainRuns(t *testing.T) {
 	}
 }
 
+// TestRunEpisodeTransitionsWellFormed checks every transition RunEpisode
+// closes, on a clean run and under a station outage composed with a
+// citywide GPS dropout: field ranges, a terminal at the horizon, and rows
+// and masks that are exactly what the taxi saw — each Obs and NextObs row
+// float32 of Observe for that taxi at that decision, each mask ValidMask.
 func TestRunEpisodeTransitionsWellFormed(t *testing.T) {
-	city := testCity(t, 11)
-	env := sim.New(city, sim.DefaultOptions(1), 11)
-	env.Reset(11)
-	var n, terminals int
-	mean := RunEpisode(env, firstValid{}, false, 0.6, 0.9,
-		func(id int, tr *Transition) {
-			if tr == nil {
-				return
-			}
-			n++
-			if len(tr.Obs) != sim.FeatureSize {
-				t.Fatalf("obs width %d", len(tr.Obs))
-			}
-			if tr.Action < 0 || tr.Action >= sim.NumActions {
-				t.Fatalf("action %d out of range", tr.Action)
-			}
-			if tr.Elapsed < 1 {
-				t.Fatalf("elapsed %d < 1", tr.Elapsed)
-			}
-			if !tr.Mask[tr.Action] {
-				t.Fatal("transition action was masked")
-			}
-			if tr.Terminal {
-				terminals++
-				if tr.NextObs != nil {
-					t.Fatal("terminal transition has next obs")
+	const dropFrom, dropTo = 6 * 60, 9 * 60
+	outage, err := scenario.NewBuilder("outage-dropout").
+		StationOutage(0, 0, 24*60).
+		GPSDropout(-1, dropFrom, dropTo).
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		spec *scenario.Spec
+	}{{"clean", nil}, {"outage+dropout", outage}} {
+		t.Run(tc.name, func(t *testing.T) {
+			city := testCity(t, 11)
+			env := sim.New(city, sim.DefaultOptions(1), 11)
+			if tc.spec != nil {
+				if _, err := scenario.Attach(env, tc.spec); err != nil {
+					t.Fatal(err)
 				}
-			} else if len(tr.NextObs) != sim.FeatureSize {
-				t.Fatal("non-terminal transition missing next obs")
 			}
-			if math.IsNaN(tr.Reward) || math.IsInf(tr.Reward, 0) {
-				t.Fatalf("bad reward %v", tr.Reward)
+			env.Reset(11)
+			// seen holds float32 of each taxi's Observe at its last decision
+			// and the mask there: the Obs and Mask of its open transition.
+			seen := make([][]float32, len(city.Fleet))
+			seenMask := make([][sim.NumActions]bool, len(city.Fleet))
+			var n, terminals, underDropout int
+			mean := RunEpisode(env, firstValid{}, false, 0.6, 0.9,
+				func(id int, tr *Transition) {
+					var now []float32
+					var mask [sim.NumActions]bool
+					if !env.Done() {
+						obs := env.Observe(id)
+						now = make([]float32, len(obs.Features))
+						for j, x := range obs.Features {
+							now[j] = float32(x)
+						}
+						mask = env.ValidMask(id)
+						if obs.Mask != mask {
+							t.Fatalf("taxi %d: Observe mask %v, ValidMask %v", id, obs.Mask, mask)
+						}
+						if env.Now() >= dropFrom && env.Now() < dropTo {
+							underDropout++
+						}
+					}
+					if tr != nil {
+						n++
+						checkTransition(t, id, tr, seen[id], seenMask[id], now, mask)
+						if tr.Terminal {
+							terminals++
+						}
+					}
+					seen[id], seenMask[id] = now, mask
+				},
+			)
+			if n == 0 {
+				t.Fatal("no transitions")
 			}
-		},
-	)
-	if n == 0 {
-		t.Fatal("no transitions")
+			if terminals == 0 {
+				t.Fatal("no terminal transitions at horizon")
+			}
+			if tc.spec != nil && underDropout == 0 {
+				t.Fatal("no decision fell inside the GPS dropout; the case is vacuous")
+			}
+			if math.IsNaN(mean) {
+				t.Fatal("NaN mean reward")
+			}
+		})
 	}
-	if terminals == 0 {
-		t.Fatal("no terminal transitions at horizon")
+}
+
+// checkTransition checks one closed transition of taxi id against what the
+// taxi saw: obs and mask at the decision that opened it, next and nextMask
+// at the decision that closed it (unused for a terminal).
+func checkTransition(t *testing.T, id int, tr *Transition, obs []float32, mask [sim.NumActions]bool, next []float32, nextMask [sim.NumActions]bool) {
+	t.Helper()
+	if len(tr.Obs) != sim.FeatureSize {
+		t.Fatalf("obs width %d", len(tr.Obs))
 	}
-	if math.IsNaN(mean) {
-		t.Fatal("NaN mean reward")
+	if !slices.Equal(tr.Obs, obs) || tr.Mask != mask {
+		t.Fatalf("taxi %d: recorded Obs/Mask differ from Observe at the opening decision", id)
+	}
+	if tr.Action < 0 || tr.Action >= sim.NumActions {
+		t.Fatalf("action %d out of range", tr.Action)
+	}
+	if tr.Elapsed < 1 {
+		t.Fatalf("elapsed %d < 1", tr.Elapsed)
+	}
+	if !tr.Mask[tr.Action] {
+		t.Fatal("transition action was masked")
+	}
+	if tr.Terminal {
+		if tr.NextObs != nil {
+			t.Fatal("terminal transition has next obs")
+		}
+	} else if len(tr.NextObs) != sim.FeatureSize {
+		t.Fatal("non-terminal transition missing next obs")
+	} else if !slices.Equal(tr.NextObs, next) || tr.NextMask != nextMask {
+		t.Fatalf("taxi %d: recorded NextObs/NextMask differ from Observe at the closing decision", id)
+	}
+	if math.IsNaN(tr.Reward) || math.IsInf(tr.Reward, 0) {
+		t.Fatalf("bad reward %v", tr.Reward)
 	}
 }
 

@@ -19,9 +19,9 @@ func TestCollectDemosFollowsGuide(t *testing.T) {
 	const seed, episodes = 40, 2
 	demos := collectDemos(Training{Workers: 2, Alpha: 0.6, Gamma: 0.9}, city, NewCoordinator(), 0, episodes, 1, seed)
 	for ep, buf := range demos {
-		got := make([]int, len(buf))
-		for i, tr := range buf {
-			got[i] = tr.Action
+		got := make([]int, buf.Len())
+		for i := range got {
+			got[i] = buf.At(i).Action
 		}
 		epSeed := DemoEpisodeSeed(seed, ep)
 		env := sim.New(city, EpisodeOptions(1, 1), epSeed)
@@ -81,7 +81,7 @@ func TestDQNPretrainFillsReplay(t *testing.T) {
 	city := testCity(t, 42)
 	dqn := NewDQN(0.6, 42)
 	pretrain(t, dqn, city, NewGroundTruth(), 1, 42)
-	if len(dqn.replay) == 0 {
+	if dqn.replay.Len() == 0 {
 		t.Fatal("pretrain left the replay buffer empty")
 	}
 	// Offline learning must have moved the network.
@@ -108,7 +108,7 @@ func TestTBAPretrainClonesTeacher(t *testing.T) {
 	city := testCity(t, 43)
 	tba := NewTBA(43)
 	pretrain(t, tba, city, NewCoordinator(), 1, 43)
-	if len(tba.demo) == 0 {
+	if tba.demo.Len() == 0 {
 		t.Fatal("pretrain kept no demonstration transitions")
 	}
 	// After cloning a mostly-staying teacher, "stay" should carry large

@@ -33,8 +33,8 @@ type TBA struct {
 
 	// Batch-update scratch, reused across chunks (see DESIGN.md §9): bcX
 	// holds observation rows, bcGrad the fused policy-gradient rows, bcProbs
-	// the per-row softmax buffer, bcAdvs the per-transition advantages of
-	// the REINFORCE pass. Never serialized.
+	// the per-row softmax buffer, bcIdx the selected transitions and bcAdvs
+	// their advantages in the REINFORCE pass. Never serialized.
 	bcX     *nn.Mat
 	bcGrad  *nn.Mat
 	bcProbs []float64
@@ -50,7 +50,7 @@ type TBA struct {
 
 	// demo holds Pretrain transitions; Train replays behavior-cloning
 	// batches from it to anchor the actor while REINFORCE returns are noisy.
-	demo []Transition
+	demo TransitionStore
 
 	// fineTuning records that Train already swapped in the gentler
 	// optimizer, so a resumed run keeps the warm-start optimizer state
@@ -101,35 +101,24 @@ func (t *TBA) Act(env sim.Environment, vacant []int) map[int]sim.Action {
 	return t.dec.Act(env, t.net, t.src, vacant, t.Workers)
 }
 
-// gradStep takes one batched policy-gradient step on transitions
-// buf[idxs[start..end)] (idxs nil means buf[start..end) directly): one
-// batched forward, fused per-row gradients, one batched backward, then a
-// clipped optimizer step. advs holds per-selection advantages indexed like
-// idxs (nil means unit advantage — the behavior-cloning case); every row is
-// scaled by scale.
-func (t *TBA) gradStep(buf []Transition, idxs []int, start, end int, advs []float64, scale float64) {
-	n := end - start
+// gradStep takes one batched policy-gradient step on transitions idxs of
+// buf: one batched forward, fused per-row gradients, one batched backward,
+// then a clipped optimizer step. advs holds the advantages of idxs (nil
+// means unit advantage — the behavior-cloning case); every row is scaled
+// by scale.
+func (t *TBA) gradStep(buf *TransitionStore, idxs []int, advs []float64, scale float64) {
 	t.net.ZeroGrad()
-	t.bcX = nn.EnsureMat(t.bcX, n, sim.FeatureSize)
-	at := func(b int) *Transition {
-		if idxs != nil {
-			return &buf[idxs[start+b]]
-		}
-		return &buf[start+b]
-	}
-	for b := 0; b < n; b++ {
-		t.bcX.SetRow(b, at(b).Obs)
-	}
+	t.bcX = buf.GatherObs(t.bcX, idxs)
 	logits := t.net.Forward(t.bcX, true)
-	t.bcGrad = nn.EnsureMat(t.bcGrad, n, sim.NumActions)
+	t.bcGrad = nn.EnsureMat(t.bcGrad, len(idxs), sim.NumActions)
 	if t.bcProbs == nil {
 		t.bcProbs = make([]float64, sim.NumActions)
 	}
-	for b := 0; b < n; b++ {
-		tr := at(b)
+	for b, i := range idxs {
+		tr := buf.At(i)
 		adv := 1.0
 		if advs != nil {
-			adv = advs[start+b]
+			adv = advs[b]
 		}
 		nn.PolicyGradientRowInto(logits.Row(b), tr.Mask[:], tr.Action, adv, 0, scale, t.bcProbs, t.bcGrad.Row(b))
 	}
@@ -162,7 +151,7 @@ func (t *TBA) startPhase(phase int) {
 	if phase != checkpoint.PhaseTrain {
 		return
 	}
-	if len(t.demo) > 0 && !t.fineTuning {
+	if t.demo.Len() > 0 && !t.fineTuning {
 		t.opt = nn.NewAdam(t.LR * 0.1)
 	}
 	t.fineTuning = true
@@ -170,12 +159,15 @@ func (t *TBA) startPhase(phase int) {
 
 // learnDemo clones one demonstration episode in 64-row steps and keeps it
 // for Train's anchor batches.
-func (t *TBA) learnDemo(buf []Transition) {
-	for start := 0; start < len(buf); start += 64 {
-		end := min(start+64, len(buf))
-		t.gradStep(buf, nil, start, end, nil, 1.0)
+func (t *TBA) learnDemo(buf *TransitionStore) {
+	for start := 0; start < buf.Len(); start += 64 {
+		t.bcIdx = t.bcIdx[:0]
+		for i := start; i < min(start+64, buf.Len()); i++ {
+			t.bcIdx = append(t.bcIdx, i)
+		}
+		t.gradStep(buf, t.bcIdx, nil, 1.0)
 	}
-	t.demo = append(t.demo, buf...)
+	t.demo.Extend(buf)
 }
 
 // trainEpisode rolls out one fine-tune episode and takes its REINFORCE
@@ -183,25 +175,25 @@ func (t *TBA) learnDemo(buf []Transition) {
 func (t *TBA) trainEpisode(env sim.Environment, _, _ int, _ *TrainStats) float64 {
 	// One batched Act per slot draws the same actions as a per-taxi loop:
 	// the transition callback only buffers.
-	var batch []Transition
+	var batch TransitionStore
 	mean := RunEpisode(env, t, false, 1.0, t.Gamma, func(id int, tr *Transition) {
 		if tr != nil {
-			batch = append(batch, tr.Detach())
+			batch.Add(tr)
 		}
 	})
-	t.tel.Transitions.Add(int64(len(batch)))
+	t.tel.Transitions.Add(int64(batch.Len()))
 
 	// Demonstration anchor (see FairMove): occasional cloning batches keep
 	// the actor near competent behavior while returns are noisy.
 	if cap(t.bcIdx) < 64 {
 		t.bcIdx = make([]int, 64)
 	}
-	for i := 0; i+64 <= len(t.demo) && i < 20*64; i += 64 {
+	for i := 0; i+64 <= t.demo.Len() && i < 20*64; i += 64 {
 		idxs := t.bcIdx[:64]
-		for b := 0; b < 64; b++ {
-			idxs[b] = t.src.Intn(len(t.demo))
+		for b := range idxs {
+			idxs[b] = t.src.Intn(t.demo.Len())
 		}
-		t.gradStep(t.demo, idxs, 0, 64, nil, 1.0/64)
+		t.gradStep(&t.demo, idxs, nil, 1.0/64)
 	}
 
 	// REINFORCE update over the episode's decisions with a running
@@ -211,8 +203,8 @@ func (t *TBA) trainEpisode(env sim.Environment, _, _ int, _ *TrainStats) float64
 	// gradients then run as batched 64-row steps over that selection.
 	t.bcIdx = t.bcIdx[:0]
 	t.bcAdvs = t.bcAdvs[:0]
-	for i, tr := range batch {
-		g := tr.Reward
+	for i := range batch.Len() {
+		g := batch.At(i).Reward
 		t.baseN++
 		t.baseline += (g - t.baseline) / float64(t.baseN)
 		adv := g - t.baseline
@@ -224,7 +216,7 @@ func (t *TBA) trainEpisode(env sim.Environment, _, _ int, _ *TrainStats) float64
 	}
 	for start := 0; start < len(t.bcIdx); start += 64 {
 		end := min(start+64, len(t.bcIdx))
-		t.gradStep(batch, t.bcIdx, start, end, t.bcAdvs, 1.0)
+		t.gradStep(&batch, t.bcIdx[start:end], t.bcAdvs[start:end], 1.0)
 	}
 	return mean
 }

@@ -76,7 +76,7 @@ type Training struct {
 	// LearnDemo learns from one demonstration episode's transitions, which
 	// the guide drove on a fresh environment; the learner's episode has
 	// begun at the same DemoEpisodeSeed.
-	LearnDemo func(buf []Transition)
+	LearnDemo func(buf *TransitionStore)
 	// DemoHook, set in place of LearnDemo, learns inside the guide-driven
 	// rollout instead, for a learner whose update reads the live
 	// environment: it returns the rollout's RunEpisode hook on env.
@@ -108,7 +108,7 @@ func Pretrain(l Learner, city *synth.City, guide Policy, episodes, days int, see
 		tr.StartPhase(checkpoint.PhasePretrain)
 	}
 	from := p.demoDone
-	var bufs [][]Transition
+	var bufs []TransitionStore
 	if tr.DemoHook == nil {
 		bufs = collectDemos(tr, city, guide, from, episodes, days, seed)
 	}
@@ -118,7 +118,7 @@ func Pretrain(l Learner, city *synth.City, guide Policy, episodes, days int, see
 		if tr.DemoHook != nil {
 			demoRollout(tr, city, guide, days, epSeed, tr.DemoHook)
 		} else {
-			tr.LearnDemo(bufs[ep-from])
+			tr.LearnDemo(&bufs[ep-from])
 		}
 	})
 }

@@ -73,8 +73,6 @@ type Environment interface {
 
 	// SetHooks installs (or, with nil, removes) a perturbation engine.
 	SetHooks(h Hooks)
-	// Hooks returns the installed perturbation engine, or nil.
-	Hooks() Hooks
 	// SetRecorder installs (or, with nil, removes) the event recorder.
 	SetRecorder(r Recorder)
 	// SetTelemetry installs (or, with nil, removes) a metrics registry.

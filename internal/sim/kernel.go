@@ -259,7 +259,8 @@ type Core struct {
 	keyBuf       []uint64
 
 	// Reusable hot-path scratch: per-taxi observation buffers (borrowed by
-	// Observation.Features, see Observe for the ownership contract), the
+	// Observation.Features, see Observe for the ownership contract; made on
+	// the first Observe, which only tests and tracers call), the
 	// VacantTaxis result buffer, and routeMigrants' gather slice.
 	obsBufs    [][]float64
 	vacantBuf  []int
@@ -382,9 +383,6 @@ func (c *Core) Reset(seed int64) {
 		RegionServed: make([]int, n),
 	}
 	c.resetChunks()
-	if len(c.obsBufs) != len(c.taxis) {
-		c.obsBufs = make([][]float64, len(c.taxis))
-	}
 	c.generated = 0
 	c.invalidActions = 0
 	c.finalized = false
@@ -657,6 +655,9 @@ func (c *Core) Observe(id int) Observation {
 	c.regionBlock(region)
 	meanPE, _ := c.FleetPEStats()
 	c.refreshStale()
+	if c.obsBufs == nil {
+		c.obsBufs = make([][]float64, len(c.taxis))
+	}
 	f := c.obsBufs[id]
 	if cap(f) < FeatureSize {
 		f = make([]float64, FeatureSize)
@@ -863,9 +864,6 @@ func (c *Core) SetHooks(h Hooks) {
 		c.applyBatteryFactors()
 	}
 }
-
-// Hooks returns the installed perturbation engine, or nil.
-func (c *Core) Hooks() Hooks { return c.hooks }
 
 // SetRecorder installs (or, with nil, removes) the event recorder. It
 // persists across Reset. Events are buffered per kernel during a slot and
