@@ -343,7 +343,9 @@ type TrainOptions struct {
 	// Resume loads the newest valid checkpoint from CheckpointDir before
 	// training and continues toward the configured episode totals. With no
 	// checkpoint present training starts fresh, so a crashed run is resumed
-	// by re-running the identical command. The completed run is
+	// by re-running the identical command; an intact checkpoint of another
+	// format version fails the call instead (checkpoint.ErrVersion), leaving
+	// the directory as it was. The completed run is
 	// byte-identical to one that never crashed (pinned in
 	// determinism_test.go).
 	Resume bool

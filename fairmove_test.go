@@ -1,11 +1,15 @@
 package fairmove
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/checkpoint"
 )
 
 // tinyConfig keeps facade tests fast.
@@ -204,5 +208,34 @@ func TestSaveLoadPolicy(t *testing.T) {
 	}
 	if err := s2.LoadPolicy(junk); err == nil {
 		t.Fatal("junk policy file accepted")
+	}
+}
+
+// A resume over a directory whose newest checkpoint is an intact file of
+// another format version refuses to start: it neither retrains from episode
+// 0 nor writes over the file it cannot read.
+func TestResumeRefusesOtherVersionCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, checkpoint.FileName(checkpoint.PhaseTrain, 1))
+	old := checkpoint.Seal(checkpoint.Meta{Version: checkpoint.Version - 1, Kind: "cma2c", Phase: checkpoint.PhaseTrain, Episode: 1}, nil)
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSystem(tinyConfig(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.TrainWithOptions(TrainOptions{Resume: true, CheckpointDir: dir}); !errors.Is(err, checkpoint.ErrVersion) {
+		t.Fatalf("resume over a version-%d checkpoint: err = %v, want ErrVersion", checkpoint.Version-1, err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("refused resume changed %s (read err %v)", path, err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("refused resume left %d entries in the directory, want only %s", len(entries), path)
 	}
 }

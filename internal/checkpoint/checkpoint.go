@@ -192,20 +192,22 @@ func Marshal(c Checkpointer) ([]byte, error) {
 	return Seal(meta, enc.Bytes()), nil
 }
 
-// parseHeader validates everything up to (but not including) the payload
-// and returns the meta plus the payload bounds.
-func parseHeader(data []byte) (meta Meta, payloadStart, payloadLen int, err error) {
+// open runs the container checks Unmarshal and Peek share, in contract
+// order — magic, version, size, digest — and returns the validated meta and
+// the payload bytes.
+func open(data []byte) (Meta, []byte, error) {
 	r := NewDecoder(data)
 	magic := r.take(len(Magic))
 	if magic == nil {
-		return Meta{}, 0, 0, fmt.Errorf("%w: %d bytes is shorter than the magic", ErrTruncated, len(data))
+		return Meta{}, nil, fmt.Errorf("%w: %d bytes is shorter than the magic", ErrTruncated, len(data))
 	}
 	if string(magic) != Magic {
-		return Meta{}, 0, 0, fmt.Errorf("%w: got %q", ErrBadMagic, string(magic))
+		return Meta{}, nil, fmt.Errorf("%w: got %q", ErrBadMagic, string(magic))
 	}
+	var meta Meta
 	meta.Version = r.U32()
 	if r.Err() == nil && meta.Version != Version {
-		return Meta{}, 0, 0, fmt.Errorf("%w: file has version %d, this build reads version %d", ErrVersion, meta.Version, Version)
+		return Meta{}, nil, fmt.Errorf("%w: file has version %d, this build reads version %d", ErrVersion, meta.Version, Version)
 	}
 	meta.Kind = r.String()
 	meta.Fingerprint = r.U64()
@@ -213,13 +215,31 @@ func parseHeader(data []byte) (meta Meta, payloadStart, payloadLen int, err erro
 	meta.Episode = int(r.U64())
 	n := r.U64()
 	if r.Err() != nil {
-		return Meta{}, 0, 0, fmt.Errorf("%w: header incomplete: %v", ErrTruncated, r.Err())
+		return Meta{}, nil, fmt.Errorf("%w: header incomplete: %v", ErrTruncated, r.Err())
 	}
-	payloadStart = len(data) - r.Remaining()
 	if n > uint64(r.Remaining()) {
-		return Meta{}, 0, 0, fmt.Errorf("%w: header claims %d payload bytes, %d remain", ErrTruncated, n, r.Remaining())
+		return Meta{}, nil, fmt.Errorf("%w: header claims %d payload bytes, %d remain", ErrTruncated, n, r.Remaining())
 	}
-	return meta, payloadStart, int(n), nil
+	start := len(data) - r.Remaining()
+	end := start + int(n)
+	if len(data) != end+sha256.Size {
+		return Meta{}, nil, fmt.Errorf("%w: file is %d bytes, container describes %d", ErrTruncated, len(data), end+sha256.Size)
+	}
+	if !sealed(data) {
+		return Meta{}, nil, fmt.Errorf("%w: stored digest %x does not match the content", ErrDigest, data[end:end+8])
+	}
+	return meta, data[start:end], nil
+}
+
+// sealed reports whether data ends in the SHA-256 digest of every byte
+// before it, as Seal writes it.
+func sealed(data []byte) bool {
+	if len(data) < sha256.Size {
+		return false
+	}
+	end := len(data) - sha256.Size
+	digest := sha256.Sum256(data[:end])
+	return bytes.Equal(digest[:], data[end:])
 }
 
 // Unmarshal validates a container and, if every check passes, hands the
@@ -229,17 +249,9 @@ func parseHeader(data []byte) (meta Meta, payloadStart, payloadLen int, err erro
 // payload byte reaches the learner decoder before the digest has proven
 // the payload is exactly what was written.
 func Unmarshal(data []byte, c Checkpointer) (Meta, error) {
-	meta, payloadStart, payloadLen, err := parseHeader(data)
+	meta, payload, err := open(data)
 	if err != nil {
 		return Meta{}, err
-	}
-	end := payloadStart + payloadLen
-	if len(data) != end+sha256.Size {
-		return Meta{}, fmt.Errorf("%w: file is %d bytes, container describes %d", ErrTruncated, len(data), end+sha256.Size)
-	}
-	digest := sha256.Sum256(data[:end])
-	if !bytes.Equal(digest[:], data[end:]) {
-		return Meta{}, fmt.Errorf("%w: stored %x, computed %x", ErrDigest, data[end:end+8], digest[:8])
 	}
 	if meta.Kind != c.CheckpointKind() {
 		return Meta{}, fmt.Errorf("%w: file holds %q state, learner is %q", ErrKind, meta.Kind, c.CheckpointKind())
@@ -247,7 +259,7 @@ func Unmarshal(data []byte, c Checkpointer) (Meta, error) {
 	if meta.Fingerprint != c.CheckpointFingerprint() {
 		return Meta{}, fmt.Errorf("%w: file %016x, learner %016x (hyperparameters differ)", ErrFingerprint, meta.Fingerprint, c.CheckpointFingerprint())
 	}
-	dec := NewDecoder(data[payloadStart:end])
+	dec := NewDecoder(payload)
 	if err := c.DecodeCheckpoint(dec); err != nil {
 		return Meta{}, fmt.Errorf("%w: %v", ErrPayload, err)
 	}
@@ -316,17 +328,9 @@ func Peek(path string) (Meta, error) {
 	if err != nil {
 		return Meta{}, fmt.Errorf("checkpoint: %w", err)
 	}
-	meta, payloadStart, payloadLen, err := parseHeader(data)
+	meta, _, err := open(data)
 	if err != nil {
 		return Meta{}, fmt.Errorf("%s: %w", path, err)
-	}
-	end := payloadStart + payloadLen
-	if len(data) != end+sha256.Size {
-		return Meta{}, fmt.Errorf("%s: %w: file is %d bytes, container describes %d", path, ErrTruncated, len(data), end+sha256.Size)
-	}
-	digest := sha256.Sum256(data[:end])
-	if !bytes.Equal(digest[:], data[end:]) {
-		return Meta{}, fmt.Errorf("%s: %w", path, ErrDigest)
 	}
 	return meta, nil
 }
@@ -361,7 +365,11 @@ func checkpointFiles(dir string) ([]string, error) {
 // Latest returns the path and meta of the newest valid checkpoint in dir.
 // Corrupt files are skipped (a crash mid-retention or a torn disk cannot
 // brick resume as long as one older checkpoint survives); if the directory
-// holds no valid checkpoint the error wraps ErrNoCheckpoint.
+// holds no valid checkpoint the error wraps ErrNoCheckpoint. An intact file
+// of another format version is not corruption: met before any valid file,
+// it stops the search with an error that wraps ErrVersion and names it, so
+// a resume never retrains from scratch over checkpoints this build cannot
+// read.
 func Latest(dir string) (string, Meta, error) {
 	names, err := checkpointFiles(dir)
 	if err != nil {
@@ -374,9 +382,16 @@ func Latest(dir string) (string, Meta, error) {
 	}
 	for i := len(names) - 1; i >= 0; i-- {
 		path := filepath.Join(dir, names[i])
-		meta, err := Peek(path)
-		if err == nil {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			continue
+		}
+		meta, _, err := open(data)
+		switch {
+		case err == nil:
 			return path, meta, nil
+		case errors.Is(err, ErrVersion) && sealed(data):
+			return "", Meta{}, fmt.Errorf("%s: %w", path, err)
 		}
 	}
 	return "", Meta{}, fmt.Errorf("%w in %s", ErrNoCheckpoint, dir)

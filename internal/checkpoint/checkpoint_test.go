@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -304,6 +305,15 @@ func TestLatestAndPrune(t *testing.T) {
 		t.Errorf("Latest after corruption = episode %d, want 3", meta2.Episode)
 	}
 
+	// An intact file of the previous format version behind the valid ones
+	// does not stop the search: the newest valid file is still returned.
+	if err := os.WriteFile(filepath.Join(dir, FileName(PhasePretrain, 1)), previousVersionFile(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, meta3, err := Latest(dir); err != nil || meta3.Episode != 3 {
+		t.Errorf("Latest with an older-version file behind = episode %d, %v; want 3", meta3.Episode, err)
+	}
+
 	// Tighter prune keeps only the newest.
 	if err := Prune(dir, 1); err != nil {
 		t.Fatal(err)
@@ -331,6 +341,23 @@ func TestLatestNoCheckpoint(t *testing.T) {
 	if _, _, err := Latest(dir); !errors.Is(err, ErrNoCheckpoint) {
 		t.Errorf("all-corrupt dir: %v", err)
 	}
+	// An intact file of another format version is not "nothing saved": a
+	// resume must refuse it rather than retrain over it.
+	dir = t.TempDir()
+	old := filepath.Join(dir, FileName(PhaseTrain, 1))
+	if err := os.WriteFile(old, previousVersionFile(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := Latest(dir)
+	if !errors.Is(err, ErrVersion) || errors.Is(err, ErrNoCheckpoint) || !strings.Contains(err.Error(), old) {
+		t.Errorf("previous-version-only dir: %v, want an ErrVersion naming %s", err, old)
+	}
+}
+
+// previousVersionFile is a digest-valid stub checkpoint of the format
+// version before this build's.
+func previousVersionFile() []byte {
+	return Seal(Meta{Version: Version - 1, Kind: "stub", Fingerprint: Fingerprint("stub|v=1"), Phase: PhaseTrain, Episode: 1}, nil)
 }
 
 func TestPeekValidatesWithoutLearner(t *testing.T) {

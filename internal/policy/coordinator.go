@@ -25,16 +25,17 @@ import (
 type Coordinator struct {
 	// FairShare gives low-PE taxis priority on favorable assignments.
 	FairShare bool
-	// PreChargeProb is the chance an eligible taxi is sent to pre-charge
-	// during an off-peak band with spare station capacity.
-	PreChargeProb float64
 
 	src *rng.Source
 }
 
+// preChargeProb is the chance an eligible taxi is sent to pre-charge during
+// an off-peak band with spare station capacity.
+const preChargeProb = 0.4
+
 // NewCoordinator returns the fairness-aware coordinated heuristic.
 func NewCoordinator() *Coordinator {
-	return &Coordinator{FairShare: true, PreChargeProb: 0.4, src: rng.New(0)}
+	return &Coordinator{FairShare: true, src: rng.New(0)}
 }
 
 // Name implements Policy.
@@ -52,7 +53,7 @@ func (c *Coordinator) BeginEpisode(seed int64) { c.src = rng.SplitStable(seed, "
 // its rng stream, and BeginEpisode re-derives that from the episode seed, so
 // a clone driving an episode behaves exactly like the original would.
 func (c *Coordinator) CloneForWorker() Policy {
-	return &Coordinator{FairShare: c.FairShare, PreChargeProb: c.PreChargeProb, src: rng.New(0)}
+	return &Coordinator{FairShare: c.FairShare, src: rng.New(0)}
 }
 
 // Act implements Policy.
@@ -76,9 +77,9 @@ func (c *Coordinator) Act(env sim.Environment, vacant []int) map[int]sim.Action 
 		soc := env.TaxiSoC(id)
 		region := env.TaxiRegion(id)
 		switch {
-		case soc < 0.20:
+		case soc < sim.LowSoC:
 			actions[id] = sim.Action{Kind: sim.Charge, Arg: c.bestStation(env, region)}
-		case soc < 0.30 && band == pricing.OffPeak && c.src.Bool(c.PreChargeProb) && c.stationHasFree(env, region):
+		case soc < sim.AllowChargeSoC && band == pricing.OffPeak && c.src.Bool(preChargeProb) && c.stationHasFree(env, region):
 			// Staggered pre-charging: use the cheap band while points are
 			// actually free, spreading the fleet's charging demand in time.
 			actions[id] = sim.Action{Kind: sim.Charge, Arg: c.bestStation(env, region)}

@@ -14,15 +14,6 @@ import (
 // charging peaks of Fig. 4, and the nearest-station habit produces the
 // queueing that FairMove later removes.
 type GroundTruth struct {
-	// WanderProb is the chance a driver drifts toward a promising adjacent
-	// region instead of staying.
-	WanderProb float64
-	// CheapChargeProb is the chance a mid-SoC driver starts charging when
-	// the tariff is off-peak.
-	CheapChargeProb float64
-	// CheapChargeSoC is the SoC ceiling for opportunistic charging.
-	CheapChargeSoC float64
-
 	src *rng.Source
 	// savvy[id] ∈ [0,1] is driver id's skill: how accurately they know
 	// where demand is and which stations are free. The spread is what
@@ -31,15 +22,20 @@ type GroundTruth struct {
 	savvy []float64
 }
 
-// NewGroundTruth returns the driver-behavior replay with the calibrated
-// habit strengths.
+// The calibrated habit strengths of the replayed drivers.
+const (
+	// wanderProb is the chance a driver drifts toward a promising adjacent
+	// region instead of staying.
+	wanderProb = 0.35
+	// cheapChargeProb is the chance a driver below the simulator's charge
+	// ceiling (sim.AllowChargeSoC) starts charging when the tariff is
+	// off-peak.
+	cheapChargeProb = 0.5
+)
+
+// NewGroundTruth returns the driver-behavior replay.
 func NewGroundTruth() *GroundTruth {
-	return &GroundTruth{
-		WanderProb:      0.35,
-		CheapChargeProb: 0.5,
-		CheapChargeSoC:  0.30, // must stay within the simulator's AllowChargeSoC
-		src:             rng.New(0),
-	}
+	return &GroundTruth{src: rng.New(0)}
 }
 
 // Name implements Policy.
@@ -72,16 +68,16 @@ func (g *GroundTruth) Act(env sim.Environment, vacant []int) map[int]sim.Action 
 	for _, id := range vacant {
 		soc := env.TaxiSoC(id)
 		switch {
-		case soc < 0.20:
+		case soc < sim.LowSoC:
 			// Forced: a nearby station. Savvy drivers disperse by their
 			// rough knowledge of occupancy; the rest just go to the nearest
 			// (and inherit its queue).
 			actions[id] = sim.Action{Kind: sim.Charge, Arg: g.pickStation(env, id, savvy[id])}
-		case soc < g.CheapChargeSoC && band == pricing.OffPeak && g.src.Bool(g.CheapChargeProb):
+		case soc < sim.AllowChargeSoC && band == pricing.OffPeak && g.src.Bool(cheapChargeProb):
 			// Opportunistic cheap charging — everyone has the same idea,
 			// hence the off-peak charging peaks of Fig. 4.
 			actions[id] = sim.Action{Kind: sim.Charge, Arg: g.pickStation(env, id, savvy[id])}
-		case g.lowLocalDemand(env, id, savvy[id]) && g.src.Bool(g.WanderProb):
+		case g.lowLocalDemand(env, id, savvy[id]) && g.src.Bool(wanderProb):
 			// Drivers drift when their region is dead. Savvy drivers head
 			// toward the genuinely busiest neighbor; the rest guess.
 			actions[id] = sim.Action{Kind: sim.Move, Arg: g.pickNeighbor(env, id, savvy[id])}

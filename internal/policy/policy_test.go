@@ -111,7 +111,7 @@ func TestSD2AlwaysNearestStation(t *testing.T) {
 	// as built; directly checking the decision rule instead.
 	actions := sd2.Act(env, []int{id})
 	a := actions[id]
-	if env.TaxiSoC(id) < 0.20 && (a.Kind != sim.Charge || a.Arg != 0) {
+	if env.TaxiSoC(id) < sim.LowSoC && (a.Kind != sim.Charge || a.Arg != 0) {
 		t.Fatalf("low-SoC SD2 action = %v, want charge(0)", a)
 	}
 	// All actions must be valid kinds.

@@ -59,7 +59,7 @@ func (s *SD2) Act(env sim.Environment, vacant []int) map[int]sim.Action {
 
 	actions := make(map[int]sim.Action, len(vacant))
 	for _, id := range vacant {
-		if env.TaxiSoC(id) < 0.20 {
+		if env.TaxiSoC(id) < sim.LowSoC {
 			// Nearest station, always — the defining SD2 move.
 			actions[id] = sim.Action{Kind: sim.Charge, Arg: 0}
 			continue

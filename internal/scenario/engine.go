@@ -80,9 +80,7 @@ type cohortWindow struct {
 	mod, rem int
 }
 
-// Engine implements the extended tier too: plain-Hooks consumers see the
-// base six methods, extended-aware environments get all ten.
-var _ sim.ExtendedHooks = (*Engine)(nil)
+var _ sim.Hooks = (*Engine)(nil)
 
 // NewEngine compiles a validated spec. It does not validate indices against
 // a city; use Attach for that.
@@ -194,13 +192,13 @@ func (e *Engine) BatteryFactor(taxi int) float64 {
 	return f
 }
 
-// SpeedScale implements sim.ExtendedHooks: the travel-speed multiplier for
+// SpeedScale implements sim.Hooks: the travel-speed multiplier for
 // a region at a minute (weather events; 1 means clear skies).
 func (e *Engine) SpeedScale(region, minute int) float64 {
 	return productAt(e.speed, region, minute)
 }
 
-// TariffScale implements sim.ExtendedHooks: the citywide charging-price
+// TariffScale implements sim.Hooks: the citywide charging-price
 // multiplier at a minute (tariff-shift events).
 func (e *Engine) TariffScale(minute int) float64 {
 	f := 1.0
@@ -212,7 +210,7 @@ func (e *Engine) TariffScale(minute int) float64 {
 	return f
 }
 
-// OffDuty implements sim.ExtendedHooks: whether a taxi is on a shift
+// OffDuty implements sim.Hooks: whether a taxi is on a shift
 // change at a minute.
 func (e *Engine) OffDuty(taxi, minute int) bool {
 	for _, cw := range e.offduty {
@@ -223,7 +221,7 @@ func (e *Engine) OffDuty(taxi, minute int) bool {
 	return false
 }
 
-// ConsumptionFactor implements sim.ExtendedHooks: the per-taxi multiplier
+// ConsumptionFactor implements sim.Hooks: the per-taxi multiplier
 // on energy consumption per km (battery-cohort events).
 func (e *Engine) ConsumptionFactor(taxi int) float64 {
 	f := 1.0

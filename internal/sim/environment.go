@@ -68,8 +68,6 @@ type Environment interface {
 	FleetPEStats() (mean, variance float64)
 	// Results returns the accounting of the run.
 	Results() *Results
-	// InvalidActions returns how many submitted actions were mask-coerced.
-	InvalidActions() int
 
 	// SetHooks installs (or, with nil, removes) a perturbation engine.
 	SetHooks(h Hooks)

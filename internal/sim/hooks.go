@@ -5,8 +5,11 @@ import "repro/internal/trace"
 // Hooks is the environment's fault/perturbation interface. A scenario engine
 // (internal/scenario) implements it to inject charging-station outages and
 // capacity derating, demand surges and droughts, fare-price shocks, GPS
-// dropout (stale observations), and battery-degradation cohorts — without
-// the environment hard-coding any particular fault type.
+// dropout (stale observations), battery-degradation and mixed-consumption
+// cohorts, weather slowdowns, time-of-use tariff shifts and shift-change
+// waves — without the environment hard-coding any particular fault type.
+// Every method has an exact identity answer (false, 0 or 1) under which the
+// environment's behavior, trace bytes included, is untouched.
 //
 // All methods must be pure functions of their arguments (and the scenario
 // they were built from): the environment may call them any number of times
@@ -36,22 +39,6 @@ type Hooks interface {
 	// BatteryFactor returns the battery-capacity multiplier for a taxi
 	// (1 = healthy; 0.8 models a degraded cohort). Applied at Reset.
 	BatteryFactor(taxi int) float64
-}
-
-// ExtendedHooks is the optional second tier of the perturbation interface:
-// weather slowdowns, time-of-use tariff shifts, shift-change waves, and
-// mixed-consumption battery cohorts. A Hooks implementation that also
-// satisfies ExtendedHooks is detected by type assertion in SetHooks;
-// implementations of plain Hooks keep working unchanged, and every method
-// here has an exact identity element (1, 1, false, 1) under which the
-// environment's behavior — including its trace bytes — is untouched.
-//
-// The same purity contract as Hooks applies: every method must be a pure
-// function of its arguments, because the simulator calls them from
-// per-region kernels and byte-identical traces across shard counts depend
-// on it.
-type ExtendedHooks interface {
-	Hooks
 	// SpeedScale returns the travel-speed multiplier for a region at a
 	// minute (1 = unperturbed; 0.7 models heavy rain). Applied to cruising,
 	// pickup approach, and station approach legs alike.
@@ -63,8 +50,8 @@ type ExtendedHooks interface {
 	TariffScale(minute int) float64
 	// OffDuty reports whether a taxi is on a shift change at a minute:
 	// excluded from matching and holding position instead of executing
-	// displacement actions. Forced charging below the low-SoC floor still
-	// applies, so a shift change never strands a taxi.
+	// displacement actions. Forced charging below LowSoC still applies, so
+	// a shift change never strands a taxi.
 	OffDuty(taxi, minute int) bool
 	// ConsumptionFactor returns the multiplier on a taxi's energy
 	// consumption per km (1 = stock vehicle). Applied at Reset alongside

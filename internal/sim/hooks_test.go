@@ -13,14 +13,19 @@ import (
 	"repro/internal/trace"
 )
 
-// stubHooks implements Hooks from closures; nil fields mean "unperturbed".
+// stubHooks implements Hooks from closures; nil fields mean "unperturbed",
+// so each channel can be perturbed alone.
 type stubHooks struct {
-	closed  func(station, minute int) bool
-	derate  func(station, minute int) int
-	demand  func(region, minute int) float64
-	fare    func(region, minute int) float64
-	stale   func(region, minute int) bool
-	battery func(taxi int) float64
+	closed      func(station, minute int) bool
+	derate      func(station, minute int) int
+	demand      func(region, minute int) float64
+	fare        func(region, minute int) float64
+	stale       func(region, minute int) bool
+	battery     func(taxi int) float64
+	speed       func(region, minute int) float64
+	tariff      func(minute int) float64
+	offDuty     func(taxi, minute int) bool
+	consumption func(taxi int) float64
 }
 
 func (h stubHooks) StationClosed(s, m int) bool {
@@ -57,6 +62,31 @@ func (h stubHooks) BatteryFactor(i int) float64 {
 		return 1
 	}
 	return h.battery(i)
+}
+
+func (h stubHooks) SpeedScale(r, m int) float64 {
+	if h.speed == nil {
+		return 1
+	}
+	return h.speed(r, m)
+}
+
+func (h stubHooks) TariffScale(m int) float64 {
+	if h.tariff == nil {
+		return 1
+	}
+	return h.tariff(m)
+}
+
+func (h stubHooks) OffDuty(taxi, m int) bool {
+	return h.offDuty != nil && h.offDuty(taxi, m)
+}
+
+func (h stubHooks) ConsumptionFactor(taxi int) float64 {
+	if h.consumption == nil {
+		return 1
+	}
+	return h.consumption(taxi)
 }
 
 func TestOutageDivertsArrivals(t *testing.T) {
@@ -145,34 +175,47 @@ func TestHooksPersistAcrossReset(t *testing.T) {
 
 // Identity hooks must replay the clean run byte for byte: the golden
 // baseline scenario is trustworthy only if installing a no-op engine
-// perturbs nothing (in particular the demand RNG stream).
+// perturbs nothing (in particular the demand RNG stream). stubHooks{}
+// answers the identity on all ten methods; it goes onto a fresh environment
+// (SetHooks re-derives the fleet there) and onto a used one before a Reset.
 func TestIdentityHooksMatchCleanRun(t *testing.T) {
 	city, err := synth.Build(synth.TestConfig(31))
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(city, DefaultOptions(1), 31)
-	var clean []trace.Event
-	e.SetRecorder(func(ev trace.Event) { clean = append(clean, ev) })
-	runStay(e)
-	cleanRes := e.Results()
-
-	var hooked []trace.Event
-	e.SetRecorder(func(ev trace.Event) { hooked = append(hooked, ev) })
-	e.SetHooks(stubHooks{})
-	e.Reset(31)
-	runStay(e)
-	hookedRes := e.Results()
-
-	if trace.DigestEvents(clean) != trace.DigestEvents(hooked) {
-		t.Fatalf("identity hooks changed the event stream: %d vs %d events",
-			len(clean), len(hooked))
+	run := func(install func(e *Core)) (string, *Results) {
+		e := New(city, DefaultOptions(1), 31)
+		install(e)
+		var events []trace.Event
+		e.SetRecorder(func(ev trace.Event) { events = append(events, ev) })
+		runStay(e)
+		return trace.DigestEvents(events), e.Results()
 	}
-	if cleanRes.ServedRequests != hookedRes.ServedRequests ||
-		cleanRes.UnservedRequests != hookedRes.UnservedRequests {
-		t.Fatalf("identity hooks changed service counts: %d/%d vs %d/%d",
-			cleanRes.ServedRequests, cleanRes.UnservedRequests,
-			hookedRes.ServedRequests, hookedRes.UnservedRequests)
+	cleanDigest, cleanRes := run(func(*Core) {})
+	cases := []struct {
+		name    string
+		install func(e *Core)
+	}{
+		{"fresh-env", func(e *Core) { e.SetHooks(stubHooks{}) }},
+		{"after-reset", func(e *Core) {
+			runStay(e)
+			e.SetHooks(stubHooks{})
+			e.Reset(31)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			digest, hookedRes := run(tc.install)
+			if digest != cleanDigest {
+				t.Fatalf("identity hooks changed the event stream: %s vs %s", digest, cleanDigest)
+			}
+			if cleanRes.ServedRequests != hookedRes.ServedRequests ||
+				cleanRes.UnservedRequests != hookedRes.UnservedRequests {
+				t.Fatalf("identity hooks changed service counts: %d/%d vs %d/%d",
+					cleanRes.ServedRequests, cleanRes.UnservedRequests,
+					hookedRes.ServedRequests, hookedRes.UnservedRequests)
+			}
+		})
 	}
 }
 

@@ -203,7 +203,6 @@ type Core struct {
 	closedNow []bool
 
 	hooks      Hooks
-	xh         ExtendedHooks
 	rec        Recorder
 	tel        simTel
 	predictor  *forecast.Predictor
@@ -420,8 +419,8 @@ func (c *Core) Reset(seed int64) {
 
 func (c *Core) invalidateCaches() { c.cacheGen++ }
 
-// applyBatteryFactors scales each taxi's pack by its cohort factor and,
-// under ExtendedHooks, its consumption rate by the cohort's vehicle model.
+// applyBatteryFactors scales each taxi's pack by its cohort factor and its
+// consumption rate by the cohort's vehicle model.
 func (c *Core) applyBatteryFactors() {
 	if c.hooks == nil {
 		return
@@ -431,34 +430,32 @@ func (c *Core) applyBatteryFactors() {
 		if f := c.hooks.BatteryFactor(i); f > 0 && f != 1 {
 			b.CapacityKWh *= f
 		}
-		if c.xh != nil {
-			if f := c.xh.ConsumptionFactor(i); f > 0 && f != 1 {
-				b.ConsumptionPerKm *= f
-			}
+		if f := c.hooks.ConsumptionFactor(i); f > 0 && f != 1 {
+			b.ConsumptionPerKm *= f
 		}
 		c.taxis[i].batt = b
 	}
 }
 
-// speedScale returns the ExtendedHooks travel-speed multiplier for a
-// region at a minute, or exactly 1 when no extended hooks are installed.
+// speedScale returns the hooks' travel-speed multiplier for a region at a
+// minute, or exactly 1 when no hooks are installed.
 func (c *Core) speedScale(region, minute int) float64 {
-	if c.xh == nil {
+	if c.hooks == nil {
 		return 1
 	}
-	if f := c.xh.SpeedScale(region, minute); f > 0 {
+	if f := c.hooks.SpeedScale(region, minute); f > 0 {
 		return f
 	}
 	return 1
 }
 
-// tariffScale returns the ExtendedHooks charging-price multiplier at a
-// minute, or exactly 1 when no extended hooks are installed.
+// tariffScale returns the hooks' charging-price multiplier at a minute, or
+// exactly 1 when no hooks are installed.
 func (c *Core) tariffScale(minute int) float64 {
-	if c.xh == nil {
+	if c.hooks == nil {
 		return 1
 	}
-	if f := c.xh.TariffScale(minute); f > 0 {
+	if f := c.hooks.TariffScale(minute); f > 0 {
 		return f
 	}
 	return 1
@@ -466,7 +463,7 @@ func (c *Core) tariffScale(minute int) float64 {
 
 // offDuty reports whether the taxi sits out this minute on a shift change.
 func (c *Core) offDuty(taxi, minute int) bool {
-	return c.xh != nil && c.xh.OffDuty(taxi, minute)
+	return c.hooks != nil && c.hooks.OffDuty(taxi, minute)
 }
 
 // travelMinutes converts a road distance to whole driving minutes at the
@@ -621,8 +618,8 @@ func (c *Core) fleetAggregates() {
 func (c *Core) ValidMask(id int) [NumActions]bool {
 	var mask [NumActions]bool
 	t := &c.taxis[id]
-	mustCharge := t.batt.SoC < c.opts.LowSoC
-	mayCharge := t.batt.SoC < c.opts.AllowChargeSoC
+	mustCharge := t.batt.SoC < LowSoC
+	mayCharge := t.batt.SoC < AllowChargeSoC
 	if !mustCharge {
 		mask[0] = true
 		nbs := c.city.Partition.Region(t.region).Neighbors
@@ -856,7 +853,6 @@ func (c *Core) regionTriple(region int) []float64 {
 // Hooks persist across Reset so one engine conditions every episode.
 func (c *Core) SetHooks(h Hooks) {
 	c.hooks = h
-	c.xh, _ = h.(ExtendedHooks)
 	c.staleGen = 0 // cacheGen >= 1: the next observation re-reads the flags
 	if c.nowMin == 0 {
 		// Fresh environment: re-derive the fleet so battery cohorts apply
@@ -930,7 +926,7 @@ func (c *Core) beginSlotApply(k int, actions map[int]Action) {
 		// Off-duty taxis hold position — unless forced charging applies (a
 		// shift change never strands a taxi), in which case the action
 		// proceeds and the mask coercion steers it to a charger.
-		if c.offDuty(id, c.nowMin) && c.taxis[id].batt.SoC >= c.opts.LowSoC {
+		if c.offDuty(id, c.nowMin) && c.taxis[id].batt.SoC >= LowSoC {
 			a = Action{Kind: Stay}
 			c.tel.offDutyHolds.Inc()
 		}
@@ -1039,7 +1035,7 @@ func (c *Core) endSlot(k int) {
 	kn.owned.forEach(func(id int) {
 		t := &c.taxis[id]
 		if t.state == Cruising {
-			accrueCrawl(t, slotEnd, c.opts.CruiseSpeedKmh)
+			accrueCrawl(t, slotEnd)
 		}
 		if c.regionOwner[t.region] != kn.idx {
 			kn.outbox = append(kn.outbox, id)
@@ -1275,7 +1271,7 @@ func (c *Core) finalize() {
 		t := &c.taxis[i]
 		if t.state == Cruising {
 			flushCruise(t, c.endMin)
-			accrueCrawl(t, c.endMin, c.opts.CruiseSpeedKmh)
+			accrueCrawl(t, c.endMin)
 		}
 		c.res.Accounts[i] = t.acct
 	}

@@ -60,7 +60,7 @@ func (kn *kernel) adopt(id int) {
 func (kn *kernel) applyAction(id int, a Action) {
 	c := kn.c
 	t := &c.taxis[id]
-	mustCharge := t.batt.SoC < c.opts.LowSoC
+	mustCharge := t.batt.SoC < LowSoC
 
 	valid := false
 	switch a.Kind {
@@ -71,7 +71,7 @@ func (kn *kernel) applyAction(id int, a Action) {
 			valid = a.Arg < len(c.city.Partition.Region(t.region).Neighbors)
 		}
 	case Charge:
-		if (mustCharge || t.batt.SoC < c.opts.AllowChargeSoC) && a.Arg >= 0 && a.Arg < KStations {
+		if (mustCharge || t.batt.SoC < AllowChargeSoC) && a.Arg >= 0 && a.Arg < KStations {
 			valid = a.Arg < len(c.nearStations[t.region])
 		}
 	}
@@ -92,7 +92,7 @@ func (kn *kernel) applyAction(id int, a Action) {
 		dest := nbs[a.Arg]
 		distKm := c.nbDistKm[t.region][a.Arg]
 		travelMin := c.travelMinutes(distKm, t.region, c.nowMin)
-		accrueCrawl(t, c.nowMin, c.opts.CruiseSpeedKmh)
+		accrueCrawl(t, c.nowMin)
 		driveTracked(t, distKm)
 		kn.record(trace.Event{TimeMin: c.nowMin, Taxi: t.id, Region: t.region, Kind: trace.EvMove, A: dest, B: -1})
 		c.tel.relocations.Inc()
@@ -107,7 +107,7 @@ func (kn *kernel) applyAction(id int, a Action) {
 		distKm := st.DistKm * demand.RoadFactor
 		travelMin := c.travelMinutes(distKm, t.region, c.nowMin)
 		flushCruise(t, c.nowMin)
-		accrueCrawl(t, c.nowMin, c.opts.CruiseSpeedKmh)
+		accrueCrawl(t, c.nowMin)
 		driveTracked(t, distKm)
 		kn.record(trace.Event{TimeMin: c.nowMin, Taxi: t.id, Region: t.region, Kind: trace.EvChargeSeek, A: st.Label, B: -1})
 		t.state = ToStation
@@ -177,7 +177,7 @@ func (kn *kernel) serve(id int, req *demand.Request) {
 	}
 	cruiseMin := float64(pickup - t.vacantSinceMin)
 	flushCruise(t, pickup)
-	accrueCrawl(t, pickup, c.opts.CruiseSpeedKmh)
+	accrueCrawl(t, pickup)
 	driveTracked(t, approachKm+req.DistanceKm)
 
 	durMin := int(math.Ceil(req.DurationMin))
@@ -363,14 +363,13 @@ func (kn *kernel) dispatch(id, m int) {
 }
 
 // shouldBalk reports whether the queue at t's (always owned) target station
-// is hopeless: its queue is at least BalkFactor × its point count.
+// is hopeless: its queue is at least balkFactor × its point count.
 func (kn *kernel) shouldBalk(t *taxi) bool {
-	c := kn.c
-	if c.opts.BalkFactor < 0 || t.balkCount >= maxBalks {
+	if t.balkCount >= maxBalks {
 		return false
 	}
-	st := c.stations[t.stationID]
-	threshold := c.opts.BalkFactor * float64(st.Station().Points)
+	st := kn.c.stations[t.stationID]
+	threshold := balkFactor * float64(st.Station().Points)
 	if threshold < 3 {
 		threshold = 3
 	}
@@ -431,11 +430,8 @@ func (kn *kernel) beginCharge(t *taxi, m int) {
 	t.state = ChargingState
 	t.plugMin = m
 	t.chargeTarget = t.batt.SoC + 0.3 + c.stationSrc[t.stationID].Uniform(0, 0.55)
-	if t.chargeTarget > c.opts.ChargeTargetSoC+0.04 {
-		t.chargeTarget = c.opts.ChargeTargetSoC + 0.04
-	}
-	if t.chargeTarget > 0.99 {
-		t.chargeTarget = 0.99
+	if t.chargeTarget > chargeCapSoC {
+		t.chargeTarget = chargeCapSoC
 	}
 	t.chargeSoC0 = t.batt.SoC
 	t.chargeEnergy = 0

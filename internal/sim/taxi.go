@@ -49,21 +49,36 @@ func (s TaxiState) String() string {
 	}
 }
 
+// The fleet's fixed charging and driving rules. The action mask and every
+// driver heuristic read the two exported thresholds from here, so the
+// simulator and the policies cannot disagree on them.
+const (
+	// LowSoC is the forced-charge threshold η of the paper: below it only
+	// charging actions are valid.
+	LowSoC = 0.20
+	// AllowChargeSoC is the ceiling below which charging actions are
+	// offered: a nearly full taxi is not offered charge actions.
+	AllowChargeSoC = 0.30
+	// chargeCapSoC caps a charging session's jittered stop SoC.
+	chargeCapSoC = 0.99
+	// cruiseSpeedKmh is the effective crawl speed while seeking passengers
+	// (slow, with stops).
+	cruiseSpeedKmh = 12
+	// balkFactor controls queue balking: a taxi arriving at a station whose
+	// queue is ≥ balkFactor × its point count drives on to the next nearest
+	// station instead of joining (up to maxBalks redirects). Drivers do not
+	// join hopeless queues; this bounds the damage of bad station choices
+	// for every policy.
+	balkFactor = 2
+	// maxBalks caps redirects per charging attempt so a taxi eventually
+	// joins some queue even when the whole network is saturated.
+	maxBalks = 3
+)
+
 // Options configures a simulation run.
 type Options struct {
 	// Days is the simulated horizon.
 	Days int
-	// ChargeTargetSoC is the SoC at which a charging session ends (default 0.95).
-	ChargeTargetSoC float64
-	// LowSoC is the forced-charge threshold η of the paper (default 0.20):
-	// below it only charging actions are valid.
-	LowSoC float64
-	// AllowChargeSoC is the ceiling below which charging actions are offered
-	// (default 0.60): a nearly full taxi is not offered charge actions.
-	AllowChargeSoC float64
-	// CruiseSpeedKmh is the effective crawl speed while seeking passengers
-	// (default 12; slow, with stops).
-	CruiseSpeedKmh float64
 	// PatienceMin is how long a passenger waits before abandoning the
 	// request (default 10 minutes — one slot).
 	PatienceMin int
@@ -82,12 +97,6 @@ type Options struct {
 	// "predicted with historical and real-time data". The oracle remains
 	// the default so experiments stay comparable.
 	LearnedForecast bool
-	// BalkFactor controls queue balking: a taxi arriving at a station whose
-	// queue is ≥ BalkFactor × its point count drives on to the next nearest
-	// station instead of joining (up to maxBalks redirects). Drivers do not
-	// join hopeless queues; this bounds the damage of bad station choices
-	// for every policy. Default 2; negative disables balking.
-	BalkFactor float64
 	// Shards is how many region shards advance the world concurrently
 	// within a slot (default 1, clamped to the region count). It is
 	// parallelism only: every shard count produces a byte-identical
@@ -95,44 +104,17 @@ type Options struct {
 	Shards int
 }
 
-// maxBalks caps redirects per charging attempt so a taxi eventually joins
-// some queue even when the whole network is saturated.
-const maxBalks = 3
-
 // DefaultOptions returns the evaluation defaults.
 func DefaultOptions(days int) Options {
-	return Options{
-		Days:            days,
-		ChargeTargetSoC: 0.95,
-		LowSoC:          0.20,
-		AllowChargeSoC:  0.30,
-		CruiseSpeedKmh:  12,
-		PatienceMin:     10,
-		BalkFactor:      2,
-	}
+	return Options{Days: days, PatienceMin: 10}
 }
 
 func (o *Options) fillDefaults() {
 	if o.Days <= 0 {
 		o.Days = 1
 	}
-	if o.ChargeTargetSoC == 0 {
-		o.ChargeTargetSoC = 0.95
-	}
-	if o.LowSoC == 0 {
-		o.LowSoC = 0.20
-	}
-	if o.AllowChargeSoC == 0 {
-		o.AllowChargeSoC = 0.30
-	}
-	if o.CruiseSpeedKmh == 0 {
-		o.CruiseSpeedKmh = 12
-	}
 	if o.PatienceMin == 0 {
 		o.PatienceMin = 10
-	}
-	if o.BalkFactor == 0 {
-		o.BalkFactor = 2
 	}
 }
 
@@ -158,8 +140,8 @@ type taxi struct {
 
 	// balkCount counts redirects within the current charging attempt.
 	balkCount int
-	// chargeTarget is this session's stop SoC, jittered per event around
-	// Options.ChargeTargetSoC: drivers unplug anywhere from "enough to keep
+	// chargeTarget is this session's stop SoC, jittered per event up to
+	// chargeCapSoC: drivers unplug anywhere from "enough to keep
 	// working" to a full pack, which is what spreads session durations over
 	// the paper's 45-120 minute band (Fig. 3).
 	chargeTarget float64
@@ -192,8 +174,8 @@ func travelMinutesAt(distKm float64, m int) int {
 }
 
 // travelMinutesScaled is travelMinutesAt under a weather speed multiplier.
-// Kept as a separate function so the clean path divides by the exact same
-// float as before extended hooks existed.
+// Kept as a separate function so the unperturbed path divides by the exact
+// same float as a run without hooks.
 func travelMinutesScaled(distKm float64, m int, scale float64) int {
 	travelMin := int(math.Ceil(distKm / (demand.SpeedKmh(hourAt(m)) * scale) * 60))
 	if travelMin < 1 {
@@ -230,7 +212,7 @@ func flushCruise(t *taxi, m int) {
 
 // accrueCrawl charges the crawl energy of a vacant taxi for the interval
 // since the last accrual up to minute m.
-func accrueCrawl(t *taxi, m int, cruiseSpeedKmh float64) {
+func accrueCrawl(t *taxi, m int) {
 	mins := float64(m - t.crawlFromMin)
 	if mins <= 0 {
 		return
