@@ -192,9 +192,9 @@ func Marshal(c Checkpointer) ([]byte, error) {
 	return Seal(meta, enc.Bytes()), nil
 }
 
-// open runs the container checks Unmarshal and Peek share, in contract
-// order — magic, version, size, digest — and returns the validated meta and
-// the payload bytes.
+// open runs Unmarshal's container checks, in contract order — magic,
+// version, size, digest — and returns the validated meta and the payload
+// bytes.
 func open(data []byte) (Meta, []byte, error) {
 	r := NewDecoder(data)
 	magic := r.take(len(Magic))
@@ -315,20 +315,6 @@ func ReadFile(path string, c Checkpointer) (Meta, error) {
 		return Meta{}, fmt.Errorf("checkpoint: %w", err)
 	}
 	meta, err := Unmarshal(data, c)
-	if err != nil {
-		return Meta{}, fmt.Errorf("%s: %w", path, err)
-	}
-	return meta, nil
-}
-
-// Peek validates the container at path (header and digest) without touching
-// any learner and returns its meta.
-func Peek(path string) (Meta, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Meta{}, fmt.Errorf("checkpoint: %w", err)
-	}
-	meta, _, err := open(data)
 	if err != nil {
 		return Meta{}, fmt.Errorf("%s: %w", path, err)
 	}

@@ -360,31 +360,6 @@ func previousVersionFile() []byte {
 	return Seal(Meta{Version: Version - 1, Kind: "stub", Fingerprint: Fingerprint("stub|v=1"), Phase: PhaseTrain, Episode: 1}, nil)
 }
 
-func TestPeekValidatesWithoutLearner(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ok.fmck")
-	if err := WriteFile(path, newStub()); err != nil {
-		t.Fatal(err)
-	}
-	meta, err := Peek(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta.Kind != "stub" || meta.Episode != 3 {
-		t.Errorf("Peek meta = %+v", meta)
-	}
-
-	data, _ := os.ReadFile(path)
-	data[len(data)-1] ^= 1
-	bad := filepath.Join(dir, "bad.fmck")
-	if err := os.WriteFile(bad, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Peek(bad); !errors.Is(err, ErrDigest) {
-		t.Errorf("Peek on corrupt file: %v", err)
-	}
-}
-
 func TestFingerprintStable(t *testing.T) {
 	// FNV-64a reference values; the fingerprint definition is frozen, so
 	// these must never change.

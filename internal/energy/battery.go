@@ -15,7 +15,7 @@ import (
 // BYD e6 parameters used throughout the paper.
 const (
 	BYDe6CapacityKWh = 80.0
-	BYDe6RangeKm     = 400.0
+	BYDe6RatedKm     = 400.0 // driving range on a full pack
 )
 
 // Battery is the state of one vehicle's pack. SoC is the state of charge in
@@ -31,7 +31,7 @@ type Battery struct {
 func NewBYDe6(initialSoC float64) Battery {
 	return Battery{
 		CapacityKWh:      BYDe6CapacityKWh,
-		ConsumptionPerKm: BYDe6CapacityKWh / BYDe6RangeKm,
+		ConsumptionPerKm: BYDe6CapacityKWh / BYDe6RatedKm,
 		SoC:              clamp01(initialSoC),
 	}
 }
@@ -48,14 +48,6 @@ func clamp01(v float64) float64 {
 
 // EnergyKWh returns the energy currently stored.
 func (b Battery) EnergyKWh() float64 { return b.SoC * b.CapacityKWh }
-
-// RangeKm returns the remaining driving range.
-func (b Battery) RangeKm() float64 {
-	if b.ConsumptionPerKm <= 0 {
-		return math.Inf(1)
-	}
-	return b.EnergyKWh() / b.ConsumptionPerKm
-}
 
 // Drive consumes energy for km kilometres and returns the energy drawn in
 // kWh. If the pack cannot cover the distance the SoC floors at zero and the

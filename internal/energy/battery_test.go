@@ -17,9 +17,6 @@ func TestNewBYDe6(t *testing.T) {
 	if b.EnergyKWh() != 40 {
 		t.Errorf("energy = %v, want 40", b.EnergyKWh())
 	}
-	if b.RangeKm() != 200 {
-		t.Errorf("range = %v, want 200", b.RangeKm())
-	}
 }
 
 func TestNewBYDe6ClampsSoC(t *testing.T) {
@@ -175,12 +172,5 @@ func TestChargerValidate(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("bad charger %d accepted", i)
 		}
-	}
-}
-
-func TestRangeKmInfiniteWithZeroConsumption(t *testing.T) {
-	b := Battery{CapacityKWh: 80, ConsumptionPerKm: 0, SoC: 0.5}
-	if !math.IsInf(b.RangeKm(), 1) {
-		t.Fatal("zero consumption should give infinite range")
 	}
 }

@@ -304,6 +304,3 @@ func (d *DQN) trainEpisode(env sim.Environment, ep, episodes int, _ *TrainStats)
 	d.tel.Epsilon.Set(d.eps)
 	return mean
 }
-
-// Net exposes the online network (for serialization).
-func (d *DQN) Net() *nn.MLP { return d.net }

@@ -166,14 +166,14 @@ func TestTQLTrainingImprovesTable(t *testing.T) {
 func TestDQNLearnChangesWeights(t *testing.T) {
 	city := testCity(t, 7)
 	dqn := NewDQN(0.6, 7)
-	before := dqn.Net().Clone()
+	before := dqn.net.Clone()
 	train(t, dqn, city, 1, 7)
 	x := make([]float64, sim.FeatureSize)
 	for i := range x {
 		x[i] = 0.1
 	}
 	a := before.Forward1(x)
-	b := dqn.Net().Forward1(x)
+	b := dqn.net.Forward1(x)
 	changed := false
 	for i := range a {
 		if a[i] != b[i] {

@@ -90,8 +90,8 @@ func TestDQNPretrainFillsReplay(t *testing.T) {
 	for i := range x {
 		x[i] = 0.2
 	}
-	a := fresh.Net().Forward1(x)
-	b := dqn.Net().Forward1(x)
+	a := fresh.net.Forward1(x)
+	b := dqn.net.Forward1(x)
 	same := true
 	for i := range a {
 		if a[i] != b[i] {

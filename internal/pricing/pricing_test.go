@@ -3,7 +3,6 @@ package pricing
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestShenzhenTariffRates(t *testing.T) {
@@ -49,77 +48,6 @@ func TestBandAtWrapsAndNegatives(t *testing.T) {
 	}
 	if tr.BandAt(-60) != tr.BandAt(23*60) {
 		t.Error("BandAt does not handle negative minutes")
-	}
-}
-
-func TestDecomposeSumsToDuration(t *testing.T) {
-	tr := Shenzhen()
-	f := func(start, dur int) bool {
-		start = ((start % 1440) + 1440) % 1440
-		dur = dur % 300
-		if dur < 0 {
-			dur = -dur
-		}
-		d := tr.Decompose(start, dur)
-		return math.Abs(d[0]+d[1]+d[2]-float64(dur)) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDecomposeCrossesMidnight(t *testing.T) {
-	tr := Shenzhen()
-	// 23:30 to 00:30: all flat in the Shenzhen layout.
-	d := tr.Decompose(23*60+30, 60)
-	if d[Flat] != 60 || d[OffPeak] != 0 || d[Peak] != 0 {
-		t.Fatalf("midnight crossing decompose = %v", d)
-	}
-}
-
-func TestDecomposeZeroAndNegativeDuration(t *testing.T) {
-	tr := Shenzhen()
-	if d := tr.Decompose(100, 0); d != [3]float64{} {
-		t.Errorf("zero duration = %v", d)
-	}
-	if d := tr.Decompose(100, -30); d != [3]float64{} {
-		t.Errorf("negative duration = %v", d)
-	}
-}
-
-func TestEnergyCostSingleBand(t *testing.T) {
-	tr := Shenzhen()
-	// One hour at 60 kW entirely inside off-peak (3:00-4:00): 60 kWh * 0.9.
-	cost := tr.EnergyCost(3*60, 60, 60)
-	if math.Abs(cost-54.0) > 1e-9 {
-		t.Fatalf("off-peak hour cost = %v, want 54", cost)
-	}
-	// Same hour in peak (19:00-20:00): 60 kWh * 1.6 = 96.
-	cost = tr.EnergyCost(19*60, 60, 60)
-	if math.Abs(cost-96.0) > 1e-9 {
-		t.Fatalf("peak hour cost = %v, want 96", cost)
-	}
-}
-
-func TestEnergyCostBandBoundary(t *testing.T) {
-	tr := Shenzhen()
-	// 1:30-2:30 straddles flat->off-peak: 30 min each.
-	cost := tr.EnergyCost(90, 60, 60)
-	want := 0.5*60*1.2 + 0.5*60*0.9
-	if math.Abs(cost-want) > 1e-9 {
-		t.Fatalf("boundary cost = %v, want %v", cost, want)
-	}
-}
-
-func TestEnergyCostMonotonicInDuration(t *testing.T) {
-	tr := Shenzhen()
-	prev := 0.0
-	for d := 0; d <= 240; d += 10 {
-		c := tr.EnergyCost(8*60, d, 60)
-		if c < prev-1e-9 {
-			t.Fatalf("cost decreased with duration at %d min", d)
-		}
-		prev = c
 	}
 }
 

@@ -6,8 +6,8 @@
 // The Shenzhen tariff has three bands — off-peak, flat ("semi-peak"), and
 // peak — priced at 0.9, 1.2, and 1.6 CNY/kWh. Charging costs are the inner
 // product λ·T_charge of the price vector with the time spent in each band
-// (Eq. 2), which this package computes exactly for charging intervals that
-// span band boundaries or midnight.
+// (Eq. 2); the simulator accrues it minute by minute at Rate(BandAt(m)), so
+// a session that spans band boundaries or midnight is priced exactly.
 package pricing
 
 import "fmt"
@@ -120,31 +120,4 @@ func (t *Tariff) BandAt(m int) Band {
 		m += 24 * 60
 	}
 	return t.byMinute[m]
-}
-
-// Decompose splits a charging interval that starts at minute-of-day startMin
-// and lasts durationMin minutes into the per-band durations
-// T = [T_o, T_f, T_p] (minutes), wrapping across midnight as needed.
-func (t *Tariff) Decompose(startMin, durationMin int) [3]float64 {
-	var out [3]float64
-	if durationMin <= 0 {
-		return out
-	}
-	for i := 0; i < durationMin; i++ {
-		out[t.BandAt(startMin+i)]++
-	}
-	return out
-}
-
-// EnergyCost returns the CNY cost of drawing powerKW continuously from
-// startMin for durationMin minutes: the inner product λ·T_charge of Eq. 2
-// with energy expressed through constant power.
-func (t *Tariff) EnergyCost(startMin, durationMin int, powerKW float64) float64 {
-	dur := t.Decompose(startMin, durationMin)
-	var cost float64
-	for b := OffPeak; b < numBands; b++ {
-		hours := dur[b] / 60
-		cost += t.rates[b] * powerKW * hours
-	}
-	return cost
 }

@@ -25,55 +25,6 @@ func TestNoForecastFeatureZeroes(t *testing.T) {
 	}
 }
 
-func TestLearnedForecastColdThenWarm(t *testing.T) {
-	city, err := synth.Build(synth.TestConfig(51))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions(2)
-	opts.LearnedForecast = true
-	e := New(city, opts, 51)
-
-	// Cold: the predictor has seen nothing, so forecasts are the prior (0).
-	id := e.VacantTaxis()[0]
-	if got := e.Observe(id).Features[forecastFeatureIndex]; got != 0 {
-		t.Fatalf("cold learned forecast = %v, want 0", got)
-	}
-
-	// After a day of observations the busiest regions must forecast > 0.
-	for i := 0; i < 144 && !e.Done(); i++ {
-		e.Step(nil)
-	}
-	var any bool
-	for _, id := range e.VacantTaxis() {
-		if e.Observe(id).Features[forecastFeatureIndex] > 0 {
-			any = true
-			break
-		}
-	}
-	if !any {
-		t.Fatal("learned forecast stayed at zero after a day of demand")
-	}
-}
-
-func TestLearnedForecastResetsWithEnv(t *testing.T) {
-	city, err := synth.Build(synth.TestConfig(52))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions(1)
-	opts.LearnedForecast = true
-	e := New(city, opts, 52)
-	for i := 0; i < 20; i++ {
-		e.Step(nil)
-	}
-	e.Reset(52)
-	id := e.VacantTaxis()[0]
-	if got := e.Observe(id).Features[forecastFeatureIndex]; got != 0 {
-		t.Fatalf("forecast survived Reset: %v", got)
-	}
-}
-
 func TestOracleForecastPositiveInBusyRegions(t *testing.T) {
 	city, err := synth.Build(synth.TestConfig(53))
 	if err != nil {

@@ -44,7 +44,6 @@ import (
 	"strconv"
 
 	"repro/internal/demand"
-	"repro/internal/forecast"
 	"repro/internal/geo"
 	"repro/internal/rng"
 	"repro/internal/station"
@@ -205,7 +204,6 @@ type Core struct {
 	hooks      Hooks
 	rec        Recorder
 	tel        simTel
-	predictor  *forecast.Predictor
 	staleFeats [][]float64
 
 	res            Results
@@ -366,15 +364,6 @@ func (c *Core) Reset(seed int64) {
 	c.closedNow = make([]bool, nS)
 	c.staleFeats = nil
 	c.applyBatteryFactors()
-	if c.opts.LearnedForecast {
-		p, err := forecast.New(n, c.city.SlotsPerDay())
-		if err != nil {
-			panic("sim: " + err.Error())
-		}
-		c.predictor = p
-	} else {
-		c.predictor = nil
-	}
 	c.res = Results{
 		SlotMinutes:  c.slotLen,
 		Accounts:     make([]TaxiAccount, len(c.taxis)),
@@ -833,12 +822,7 @@ func (c *Core) regionTriple(region int) []float64 {
 	}
 	now := c.nowMin
 	var fc float64
-	switch {
-	case c.opts.NoForecastFeature:
-		fc = 0
-	case c.predictor != nil:
-		fc = c.predictor.Predict(region, now/c.slotLen)
-	default:
+	if !c.opts.NoForecastFeature {
 		fc = c.city.Demand.ExpectedSlotDemand(region, now, c.slotLen)
 	}
 	fare := c.city.Demand.ExpectedFare(region, hourAt(now))
@@ -941,7 +925,6 @@ func (c *Core) beginSlotApply(k int, actions map[int]Action) {
 func (c *Core) generateAndMatch(k int) {
 	kn := c.kernels[k]
 	slotStart := c.nowMin
-	slot := slotStart / c.slotLen
 
 	for r, s := range kn.cands {
 		kn.cands[r] = s[:0]
@@ -976,11 +959,6 @@ func (c *Core) generateAndMatch(k int) {
 				}
 			}
 		}
-		if c.predictor != nil {
-			// Observe every owned region every slot, zeros included: the
-			// predictor's EWMA semantics require the full sequence.
-			c.predictor.Observe(r, slot, float64(len(reqs)))
-		}
 		kn.generated += len(reqs)
 
 		pend := append(kn.pending[r], reqs...)
@@ -991,7 +969,7 @@ func (c *Core) generateAndMatch(k int) {
 		// storage is free to take back the unmatched remainder.
 		kn.keyBuf = kn.keyBuf[:0]
 		for i := range pend {
-			if pend[i].TimeMin+c.opts.PatienceMin < slotStart {
+			if pend[i].TimeMin+patienceMin < slotStart {
 				kn.unserved++
 				c.tel.abandonments.Inc()
 				continue

@@ -97,12 +97,7 @@ func (r *referenceObserver) observe(c *Core, id int) Observation {
 // to f, computed afresh from supply and the clock.
 func refRegionTriple(c *Core, f []float64, region int, supply []int, now int) []float64 {
 	var fc float64
-	switch {
-	case c.opts.NoForecastFeature:
-		fc = 0
-	case c.predictor != nil:
-		fc = c.predictor.Predict(region, now/c.slotLen)
-	default:
+	if !c.opts.NoForecastFeature {
 		fc = c.city.Demand.ExpectedSlotDemand(region, now, c.slotLen)
 	}
 	fare := c.city.Demand.ExpectedFare(region, hourAt(now))
@@ -112,8 +107,8 @@ func refRegionTriple(c *Core, f []float64, region int, supply []int, now int) []
 // TestObserveMatchesUncachedReference pins Observe's region-block cache, and
 // the float32 rows of ObserveRows, bit for bit against the uncached
 // reference builder: every feature and the mask of every vacant taxi, over
-// many slots, under a GPS-dropout hook (the stale path), the learned
-// forecast predictor, and the forecast ablation.
+// many slots, under a GPS-dropout hook (the stale path) and under the
+// forecast ablation.
 // Each setup then resets with a different seed and compares again, which
 // fails if invalidateCaches leaves the previous episode's blocks live.
 func TestObserveMatchesUncachedReference(t *testing.T) {
@@ -123,13 +118,11 @@ func TestObserveMatchesUncachedReference(t *testing.T) {
 	}
 	dropout := stubHooks{stale: func(r, m int) bool { return r%3 == 0 && (m/10)%4 == 2 }}
 	cases := []struct {
-		name   string
-		opts   func(*Options)
-		hooks  Hooks
-		warmup int // Step(nil) slots before comparing, to warm the predictor
+		name  string
+		opts  func(*Options)
+		hooks Hooks
 	}{
 		{name: "gps-dropout", opts: func(*Options) {}, hooks: dropout},
-		{name: "learned-forecast", opts: func(o *Options) { o.LearnedForecast = true }, warmup: 120},
 		{name: "no-forecast-feature", opts: func(o *Options) { o.NoForecastFeature = true }},
 	}
 	const slots = 12
@@ -145,9 +138,6 @@ func TestObserveMatchesUncachedReference(t *testing.T) {
 			for _, seed := range []int64{61, 62} {
 				e.Reset(seed)
 				ref.reset()
-				for i := 0; i < tc.warmup; i++ {
-					e.Step(nil)
-				}
 				compared, forecasts := 0, 0
 				for s := 0; s < slots; s++ {
 					n, fc := compareObservations(t, e, ref, seed)

@@ -128,7 +128,6 @@ func TestPatienceConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := DefaultOptions(1)
-	opts.PatienceMin = 30 // three slots
 	e := New(city, opts, 64)
 	runStay(e)
 	res := e.Results()
@@ -144,27 +143,6 @@ func TestPatienceConservation(t *testing.T) {
 	}
 	if res.ServedRequests == 0 || res.UnservedRequests == 0 {
 		t.Fatalf("degenerate split served=%d unserved=%d", res.ServedRequests, res.UnservedRequests)
-	}
-}
-
-// Longer patience must never reduce the served count on the same demand.
-func TestPatienceMonotonicity(t *testing.T) {
-	city, err := synth.Build(synth.TestConfig(65))
-	if err != nil {
-		t.Fatal(err)
-	}
-	served := make([]int, 0, 3)
-	for _, patience := range []int{10, 30, 60} {
-		opts := DefaultOptions(1)
-		opts.PatienceMin = patience
-		e := New(city, opts, 65)
-		runStay(e)
-		served = append(served, e.Results().ServedRequests)
-	}
-	for i := 1; i < len(served); i++ {
-		if served[i] < served[i-1] {
-			t.Fatalf("served %v not monotone in patience", served)
-		}
 	}
 }
 

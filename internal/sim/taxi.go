@@ -61,6 +61,9 @@ const (
 	AllowChargeSoC = 0.30
 	// chargeCapSoC caps a charging session's jittered stop SoC.
 	chargeCapSoC = 0.99
+	// patienceMin is how long a passenger waits before abandoning the
+	// request: one slot.
+	patienceMin = 10
 	// cruiseSpeedKmh is the effective crawl speed while seeking passengers
 	// (slow, with stops).
 	cruiseSpeedKmh = 12
@@ -75,13 +78,13 @@ const (
 	maxBalks = 3
 )
 
-// Options configures a simulation run.
+// Options configures a simulation run. It holds only what callers set: the
+// horizon, the warm-up, the forecast ablation and the shard count. The
+// engine's behavioural rules (passenger patience, the forced-charge
+// threshold, balking, crawl speed) are the constants above.
 type Options struct {
 	// Days is the simulated horizon.
 	Days int
-	// PatienceMin is how long a passenger waits before abandoning the
-	// request (default 10 minutes — one slot).
-	PatienceMin int
 	// WarmupDays runs the fleet for this many days before accounting
 	// starts, so metrics reflect steady state rather than the synchronized
 	// initial battery levels (the paper evaluates a full month, where
@@ -91,12 +94,6 @@ type Options struct {
 	// observation. It is the ablation for the paper's "expected number of
 	// passengers at the next time slot" global-state feature.
 	NoForecastFeature bool
-	// LearnedForecast replaces the oracle demand expectation in the
-	// observation features with an online-learned predictor (historical
-	// slot-of-day profile + real-time correction), matching the paper's
-	// "predicted with historical and real-time data". The oracle remains
-	// the default so experiments stay comparable.
-	LearnedForecast bool
 	// Shards is how many region shards advance the world concurrently
 	// within a slot (default 1, clamped to the region count). It is
 	// parallelism only: every shard count produces a byte-identical
@@ -106,15 +103,12 @@ type Options struct {
 
 // DefaultOptions returns the evaluation defaults.
 func DefaultOptions(days int) Options {
-	return Options{Days: days, PatienceMin: 10}
+	return Options{Days: days}
 }
 
 func (o *Options) fillDefaults() {
 	if o.Days <= 0 {
 		o.Days = 1
-	}
-	if o.PatienceMin == 0 {
-		o.PatienceMin = 10
 	}
 }
 

@@ -164,9 +164,6 @@ func (h *Histogram) Add(x float64) {
 	h.total++
 }
 
-// Total returns the number of observations.
-func (h *Histogram) Total() int { return h.total }
-
 // Fraction returns the fraction of observations in bins [lo, hi).
 func (h *Histogram) Fraction(lo, hi int) float64 {
 	if h.total == 0 {
@@ -233,9 +230,6 @@ func (hb *HourBuckets) Means() [24]float64 {
 	}
 	return out
 }
-
-// Totals returns all 24 hourly counts.
-func (hb *HourBuckets) Totals() [24]int { return hb.Count }
 
 // Summary bundles the five-number summary used when printing distribution
 // rows for figures.

@@ -185,8 +185,8 @@ func TestHistogram(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		h.Add(float64(i))
 	}
-	if h.Total() != 100 {
-		t.Fatal("Total wrong")
+	if h.total != 100 {
+		t.Fatal("total wrong")
 	}
 	for i, c := range h.Counts {
 		if c != 10 {
@@ -248,8 +248,8 @@ func TestHourBuckets(t *testing.T) {
 	if means[3] != 20 {
 		t.Fatal("Means()[3] wrong")
 	}
-	if hb.Totals()[3] != 3 {
-		t.Fatal("Totals wrong")
+	if hb.Count[3] != 3 {
+		t.Fatal("Count wrong")
 	}
 }
 
