@@ -67,14 +67,16 @@ cover:
 			{ echo "coverage below floor for $$pkg"; exit 1; }; \
 	done
 
-# Allocation-regression gate: measure allocs/op of every pinned hot-path
-# benchmark (testdata/alloc_floors.json names the set) and fail if any
-# exceeds its recorded floor. Floors are exact at -benchscale=small —
-# steady-state allocation counts do not depend on fleet size, so the gate
-# stays cheap. `make ci` runs it once, as part of `test` (TestAllocGate is
-# an ordinary root-package test); this target runs it alone. After a
-# deliberate allocation change, regenerate with `make alloc-gate UPDATE=1`
-# and commit the diff so the regression shows up in review.
+# Allocation-regression gate: warm up every pinned hot-path body
+# (testdata/alloc_floors.json names the set), count its allocations over a
+# fixed 50 operations, and fail if any exceeds its recorded floor. Floors
+# are exact at -benchscale=small — steady-state allocation counts do not
+# depend on fleet size — and the gate takes well under a second. `make ci`
+# runs it in `test` and again under the race detector in `race`
+# (TestAllocGate is an ordinary root-package test); this target runs it
+# alone. After a deliberate allocation change, regenerate with
+# `make alloc-gate UPDATE=1` and commit the diff so the regression shows
+# up in review.
 alloc-gate:
 ifeq ($(UPDATE),1)
 	$(GO) test -run TestAllocGate -update-alloc-floors .

@@ -1,14 +1,22 @@
 package fairmove
 
-// Hot-path benchmark set: the pinned micro/meso benchmarks behind
-// `make alloc-gate`. Each entry measures one layer of the per-slot critical
-// path — single-shard stepping, a single observation build, the batched
-// observation rows of a slot's vacant set, one served slot
-// (decide plus step) under the GT heuristic and under CMA2C, one slot of
-// the dispatch service under GT (driver round trip, step and publication),
-// single-row and
-// batched network inference, the nearest-station lookup the matcher leans
-// on, and the ingest decoder on one recorded feed batch.
+// Hot-path benchmark set: the pinned bodies behind `make alloc-gate`. Each
+// entry measures one layer of the per-slot critical path — single-shard
+// stepping, a single observation build, the batched observation rows of a
+// slot's vacant set, one served slot (decide plus step) under the GT
+// heuristic and under CMA2C, one slot of the dispatch service under GT
+// (driver round trip, step and publication), single-row network inference,
+// the nearest-station lookup the matcher leans on, and the ingest decoder
+// on one recorded feed batch.
+//
+// Each entry's setup warms its body up and returns one operation. Stepping
+// entries run two full episodes and reset; the others run their operation
+// once. TestAllocGate then counts the allocations of a fixed number of
+// operations, and BenchmarkHotpath times b.N of them. A stepping operation
+// starts its own new episode when the current one is done, so a benchmark
+// run longer than one episode (144 slots) counts the restart's time and
+// allocations in its per-op figures; the gate's run stays inside one
+// episode.
 //
 // The set is pinned: names are stable identifiers recorded in
 // testdata/alloc_floors.json (allocs/op ceilings, enforced by TestAllocGate).
@@ -20,6 +28,7 @@ import (
 	"encoding/json"
 	"flag"
 	"os"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -31,168 +40,173 @@ import (
 	"repro/internal/sim"
 )
 
+// hotBench is one pinned body. setup builds it, warms it up so every
+// reusable buffer is at its high-water mark, and returns one operation.
 type hotBench struct {
-	name string
-	run  func(b *testing.B)
+	name  string
+	setup func(tb testing.TB) (op func())
 }
 
 // hotpathSet returns the pinned benchmarks at the current -benchscale.
 // Engine benchmarks use the scale's city; the nn and geo entries are
 // scale-independent (fixed shapes matching the deployed policy network and
 // station index).
-func hotpathSet(tb testing.TB) []hotBench {
+func hotpathSet() []hotBench {
 	return []hotBench{
-		{"sim_step_sharded1", func(b *testing.B) {
-			benchStepSlots(b, sim.New(benchCity(b), sim.DefaultOptions(1), 42))
+		{"sim_step_sharded1", func(tb testing.TB) func() {
+			return stepOp(sim.New(benchCity(tb), sim.DefaultOptions(1), 42))
 		}},
-		{"env_observe", func(b *testing.B) {
-			env := sim.New(benchCity(b), sim.DefaultOptions(1), 42)
-			ids := env.VacantTaxis()
-			if len(ids) == 0 {
-				b.Fatal("no vacant taxis at reset")
-			}
-			id := ids[0]
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				env.Observe(id)
-			}
+		{"env_observe", func(tb testing.TB) func() {
+			env := sim.New(benchCity(tb), sim.DefaultOptions(1), 42)
+			id := hotBenchVacant(tb, env)[0]
+			return warmOnce(func() { env.Observe(id) })
 		}},
-		{"env_observe_rows", func(b *testing.B) {
-			env := sim.New(benchCity(b), sim.DefaultOptions(1), 42)
-			ids := env.VacantTaxis()
-			if len(ids) == 0 {
-				b.Fatal("no vacant taxis at reset")
-			}
+		{"env_observe_rows", func(tb testing.TB) func() {
+			env := sim.New(benchCity(tb), sim.DefaultOptions(1), 42)
+			ids := hotBenchVacant(tb, env)
 			feats := make([]float32, len(ids)*sim.FeatureSize)
 			masks := make([][sim.NumActions]bool, len(ids))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			return warmOnce(func() {
 				env.PrepareObserve(ids)
 				env.ObserveRows(ids, feats, masks)
-			}
+			})
 		}},
-		{"runner_step_gt", func(b *testing.B) {
-			benchRunnerSteps(b, policy.NewGroundTruth())
+		{"runner_step_gt", func(tb testing.TB) func() {
+			return runnerOp(tb, policy.NewGroundTruth())
 		}},
-		{"runner_step_cma2c", func(b *testing.B) {
+		{"runner_step_cma2c", func(tb testing.TB) func() {
 			fm, err := core.New(core.DefaultConfig(0.6, 42))
 			if err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
-			benchRunnerSteps(b, fm)
+			return runnerOp(tb, fm)
 		}},
-		{"serve_step_slot", benchServeSteps},
-		{"nn_forward1", func(b *testing.B) {
+		{"serve_step_slot", serveOp},
+		{"nn_forward1", func(testing.TB) func() {
 			m, x := hotBenchNet()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Forward1(x)
-			}
+			return warmOnce(func() { m.Forward1(x) })
 		}},
-		{"geo_station_lookup", func(b *testing.B) {
+		{"geo_station_lookup", func(testing.TB) func() {
 			idx, queries := hotBenchIndex()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			i := 0
+			return warmOnce(func() {
 				benchNeighborSink = stationLookup(idx, queries[i%len(queries)], sim.KStations)
-			}
+				i++
+			})
 		}},
-		{"serve_parse_batch", func(b *testing.B) {
-			body := hotBenchIngestBody(b)
-			b.SetBytes(int64(len(body)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+		{"serve_parse_batch", func(tb testing.TB) func() {
+			body := hotBenchIngestBody(tb)
+			return warmOnce(func() {
 				if _, err := serve.ParseBatch(body, serve.DefaultMaxBatch); err != nil {
-					b.Fatal(err)
+					tb.Fatal(err)
 				}
-			}
+			})
 		}},
 	}
+}
+
+// warmOnce runs op once, growing whatever it keeps for reuse, and returns
+// it.
+func warmOnce(op func()) func() {
+	op()
+	return op
+}
+
+// hotBenchVacant returns env's vacant taxis, failing when there are none.
+func hotBenchVacant(tb testing.TB, env sim.Environment) []int {
+	ids := env.VacantTaxis()
+	if len(ids) == 0 {
+		tb.Fatal("no vacant taxis at reset")
+	}
+	return ids
 }
 
 // hotBenchIngestBody is the first 256-event ingest body of the ground-truth
 // feed recorded on the bench city: the NDJSON a feed client POSTs to
 // /ingest, GPS fixes and trip requests mixed as the service receives them.
-func hotBenchIngestBody(b *testing.B) []byte {
+func hotBenchIngestBody(tb testing.TB) []byte {
 	const batch = 256
-	city := benchCity(b)
+	city := benchCity(tb)
 	slots := (batch + len(city.Fleet) - 1) / len(city.Fleet)
 	events := serve.RecordFeed(city, sim.DefaultOptions(1), 42, slots)
 	if len(events) < batch {
-		b.Fatalf("recorded %d events, want at least %d", len(events), batch)
+		tb.Fatalf("recorded %d events, want at least %d", len(events), batch)
 	}
 	body, err := serve.EncodeBatch(events[:batch])
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return body
 }
 
-// benchRunnerSteps reports one policy.Runner.StepSlot per op: the decide
-// path (VacantTaxis, Observe, Act, the decision record) plus the engine
-// step, with episode restarts excluded from the timer. One untimed episode
-// first grows every reused buffer, so allocs/op is the steady state at any
-// b.N. The policy's weights do not matter here: allocation counts are the
-// same for any weights.
-func benchRunnerSteps(b *testing.B, p policy.Policy) {
-	env := sim.New(benchCity(b), sim.DefaultOptions(1), 42)
-	for r := policy.NewRunner(p, env, 42); !r.Done(); {
-		r.StepSlot()
-	}
-	r := policy.NewRunner(p, env, 42)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if r.Done() {
-			b.StopTimer()
-			r = policy.NewRunner(p, env, 42)
-			b.StartTimer()
+// warmEpisodes runs two full episodes of p on a new engine of the bench
+// city, growing the engine's and the policy's reusable buffers, and
+// returns the engine.
+func warmEpisodes(tb testing.TB, p policy.Policy) sim.Environment {
+	env := sim.New(benchCity(tb), sim.DefaultOptions(1), 42)
+	for ep := 0; ep < 2; ep++ {
+		for r := policy.NewRunner(p, env, 42); !r.Done(); {
+			r.StepSlot()
 		}
-		r.StepSlot()
 	}
+	return env
 }
 
-// benchServeSteps reports one served slot per op: StepSlots(ctx, 1) on a
+// runnerOp returns one policy.Runner.StepSlot as the operation: the decide
+// path (VacantTaxis, Observe, Act, the decision record) plus the engine
+// step. After warmEpisodes, the measured runner's first slot grows its own
+// buffers; the operation starts a new runner when the episode is done. The
+// policy's weights do not matter here: allocation counts are the same for
+// any weights.
+func runnerOp(tb testing.TB, p policy.Policy) func() {
+	env := warmEpisodes(tb, p)
+	r := policy.NewRunner(p, env, 42)
+	return warmOnce(func() {
+		if r.Done() {
+			r = policy.NewRunner(p, env, 42)
+		}
+		r.StepSlot()
+	})
+}
+
+// serveOp returns one served slot as the operation: StepSlots(ctx, 1) on a
 // started server under the GT heuristic — the driver round trip, decide,
-// the engine step beside the publisher, and the commit. One untimed episode
-// first grows the engine's buffers, and every server (each resets the same
-// engine) serves History+1 slots untimed, so the history window recycles
-// its storage and allocs/op is the steady state; a server whose horizon
-// ends is drained and replaced outside the timer.
-func benchServeSteps(b *testing.B) {
+// the engine step beside the publisher, and the commit. After
+// warmEpisodes, every server (each resets the same engine) serves
+// History+1 slots before it is used, so the history window recycles its
+// storage. The operation drains a server whose horizon ends and starts
+// another; the last one is drained at cleanup.
+func serveOp(tb testing.TB) func() {
 	ctx := context.Background()
 	gt := policy.NewGroundTruth()
-	env := sim.New(benchCity(b), sim.DefaultOptions(1), 42)
-	for r := policy.NewRunner(gt, env, 42); !r.Done(); {
-		r.StepSlot()
-	}
+	env := warmEpisodes(tb, gt)
 	start := func() *serve.Server {
 		srv, err := serve.New(serve.Config{Env: env, Policy: gt, Seed: 42})
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		srv.Start()
 		if _, err := srv.StepSlots(ctx, serve.DefaultHistory+1); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		return srv
 	}
 	srv := start()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	tb.Cleanup(func() {
+		if err := srv.Drain(ctx); err != nil {
+			tb.Error(err)
+		}
+	})
+	return func() {
 		if srv.Done() {
-			b.StopTimer()
 			if err := srv.Drain(ctx); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 			srv = start()
-			b.StartTimer()
 		}
 		if _, err := srv.StepSlots(ctx, 1); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-	}
-	b.StopTimer()
-	if err := srv.Drain(ctx); err != nil {
-		b.Fatal(err)
 	}
 }
 
@@ -241,12 +255,13 @@ func hotBenchIndex() (*geo.GridIndex, []geo.Point) {
 	return idx, queries
 }
 
-// BenchmarkHotpath runs the pinned set as sub-benchmarks:
+// BenchmarkHotpath runs the pinned set as sub-benchmarks, each timing b.N
+// calls of its entry's operation:
 //
 //	go test -bench '^BenchmarkHotpath$' -benchmem -benchscale=full -run '^$' .
 func BenchmarkHotpath(b *testing.B) {
-	for _, hb := range hotpathSet(b) {
-		b.Run(hb.name, hb.run)
+	for _, hb := range hotpathSet() {
+		b.Run(hb.name, func(b *testing.B) { benchOp(b, hb.setup(b)) })
 	}
 }
 
@@ -257,12 +272,37 @@ var updateAllocFloors = flag.Bool("update-alloc-floors", false,
 
 const allocFloorsPath = "testdata/alloc_floors.json"
 
-// TestAllocGate measures allocs/op of every pinned benchmark — the hot-path
-// set here plus the NN-layer set in bench_nn_test.go — and fails if any
-// exceeds its recorded floor: the regression gate for the zero-allocation
-// work. Floors are exact allocs/op at -benchscale=small
-// (steady-state allocation counts do not depend on fleet size, so the gate
-// stays cheap in ci). After a deliberate change, regenerate the floors with
+// gateOps is how many operations the gate measures per entry, after the
+// entry's warm-up. A stepping entry's run must fit in one episode at
+// -benchscale=small (144 slots), so no episode restart falls inside it.
+const gateOps = 50
+
+// allocsPerOp runs op gateOps times and returns its heap allocations per
+// operation, rounded down: the runtime.MemStats.Mallocs delta, the counter
+// and the integer allocs/op testing.B reports. Rounding down keeps the
+// floors of bodies that allocate now and then rather than per operation
+// (the engine's station queues regrow after each Reset, and a served
+// slot's action maps change size with the vacant set), while one more
+// allocation per operation still reads one more. Unlike the testing
+// package's AllocsPerRun it leaves GOMAXPROCS as it is, so the multi-block
+// decide and the sharded engine run as they do in production.
+func allocsPerOp(op func()) int64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range gateOps {
+		op()
+	}
+	runtime.ReadMemStats(&after)
+	return int64((after.Mallocs - before.Mallocs) / gateOps)
+}
+
+// TestAllocGate measures allocs/op of every pinned body — the hot-path set
+// here plus the NN-layer set in bench_nn_test.go — over gateOps operations
+// after its warm-up, and fails if any exceeds its recorded floor: the
+// regression gate for the zero-allocation work. Floors are exact allocs/op
+// at -benchscale=small (steady-state allocation counts do not depend on
+// fleet size, so the gate stays cheap in ci). After a deliberate change,
+// regenerate the floors with
 //
 //	go test -run TestAllocGate -update-alloc-floors .
 //
@@ -279,12 +319,22 @@ func TestAllocGate(t *testing.T) {
 			t.Fatalf("alloc-gate: bad %s: %v", allocFloorsPath, err)
 		}
 	}
-	gated := append(hotpathSet(t), nnBenchSet(t)...)
 	measured := map[string]int64{}
-	for _, hb := range gated {
-		r := testing.Benchmark(hb.run)
-		measured[hb.name] = r.AllocsPerOp()
-		t.Logf("%-22s %d allocs/op (%d ops)", hb.name, r.AllocsPerOp(), r.N)
+	for _, hb := range append(hotpathSet(), nnBenchSet()...) {
+		t.Run(hb.name, func(t *testing.T) {
+			got := allocsPerOp(hb.setup(t))
+			measured[hb.name] = got
+			t.Logf("%d allocs/op over %d ops", got, gateOps)
+			if *updateAllocFloors {
+				return
+			}
+			floor, ok := floors[hb.name]
+			if !ok {
+				t.Errorf("alloc-gate: %s has no recorded floor; run -update-alloc-floors", hb.name)
+			} else if got > floor {
+				t.Errorf("alloc-gate: %s allocates %d/op, floor is %d/op", hb.name, got, floor)
+			}
+		})
 	}
 	if *updateAllocFloors {
 		data, err := json.MarshalIndent(measured, "", "  ")
@@ -295,16 +345,28 @@ func TestAllocGate(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Logf("wrote %s", allocFloorsPath)
-		return
 	}
-	for _, hb := range gated {
-		floor, ok := floors[hb.name]
-		if !ok {
-			t.Errorf("alloc-gate: %s has no recorded floor; run -update-alloc-floors", hb.name)
-			continue
-		}
-		if got := measured[hb.name]; got > floor {
-			t.Errorf("alloc-gate: %s allocates %d/op, floor is %d/op", hb.name, got, floor)
-		}
+}
+
+// allocSink keeps TestAllocsPerOp's allocating operation's object on the heap.
+var allocSink *[64]byte
+
+// TestAllocsPerOp pins the gate's counter: an operation that allocates
+// nothing reads 0, one that allocates one heap object per call reads 1,
+// and the operations run at the caller's GOMAXPROCS.
+func TestAllocsPerOp(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	seen := procs
+	if got := allocsPerOp(func() { seen = runtime.GOMAXPROCS(0) }); got != 0 {
+		t.Errorf("non-allocating op reads %d allocs/op, want 0", got)
+	}
+	if seen != procs {
+		t.Errorf("op ran at GOMAXPROCS %d, caller's is %d", seen, procs)
+	}
+	if got := allocsPerOp(func() { allocSink = new([64]byte) }); got != 1 {
+		t.Errorf("one-allocation op reads %d allocs/op, want 1", got)
+	}
+	if runtime.GOMAXPROCS(0) != procs {
+		t.Errorf("GOMAXPROCS %d after the run, was %d", runtime.GOMAXPROCS(0), procs)
 	}
 }

@@ -49,21 +49,19 @@ func nnBenchTransitions(n int) *policy.TransitionStore {
 // nnBenchSet returns the pinned NN-layer benchmarks. Shapes match the
 // deployed networks (FeatureSize→64→64→NumActions and the 1-wide critic);
 // update steps run at the configured minibatch size over a 512-transition
-// buffer with a fixed sampling pattern.
-func nnBenchSet(tb testing.TB) []hotBench {
+// buffer with a fixed sampling pattern. Each operation runs once in setup,
+// which sizes its arenas and scratch.
+func nnBenchSet() []hotBench {
 	return []hotBench{
-		{"nn_forward_batch256", func(b *testing.B) {
+		{"nn_forward_batch256", func(testing.TB) func() {
 			m, x := hotBenchNet()
 			batch := nn.NewMat(256, sim.FeatureSize)
 			for r := 0; r < batch.Rows; r++ {
 				batch.SetRow(r, x)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.ForwardBatch(batch, 1)
-			}
+			return warmOnce(func() { m.ForwardBatch(batch, 1) })
 		}},
-		{"nn_forward_tiles", func(b *testing.B) {
+		{"nn_forward_tiles", func(testing.TB) func() {
 			// The decide's hooked fan-out: two worker blocks of three
 			// 512-row tiles each, the hooks built once like the Decider's.
 			m, x := hotBenchNet()
@@ -79,13 +77,10 @@ func nnBenchSet(tb testing.TB) []hotBench {
 				}
 			}
 			post := func(block, lo, hi int, out *nn.Mat) { sums[block] += out.Data[0] }
-			m.ForwardBlocks(n, 2, pre, post) // size the tiles, start the helpers
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.ForwardBlocks(n, 2, pre, post)
-			}
+			// The warm-up sizes the tiles and starts the helpers.
+			return warmOnce(func() { m.ForwardBlocks(n, 2, pre, post) })
 		}},
-		{"nn_softmax_into", func(b *testing.B) {
+		{"nn_softmax_into", func(testing.TB) func() {
 			// The decide loop's per-taxi softmax: 256 action-width logit
 			// rows, some actions masked, into one fixed probability buffer.
 			src := rng.New(5)
@@ -98,47 +93,37 @@ func nnBenchSet(tb testing.TB) []hotBench {
 				mask[i] = i%5 != 3
 			}
 			probs := make([]float64, sim.NumActions)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			return warmOnce(func() {
 				for r := 0; r < 256; r++ {
 					nn.SoftmaxInto(logits[r*sim.NumActions:(r+1)*sim.NumActions], mask[:], probs)
 				}
-			}
+			})
 		}},
-		{"cma2c_critic_step", func(b *testing.B) {
-			f, buf, idxs := nnBenchFairMove(b)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				f.BenchCriticStep(buf, idxs)
-			}
+		{"cma2c_critic_step", func(tb testing.TB) func() {
+			f, buf, idxs := nnBenchFairMove(tb)
+			return warmOnce(func() { f.BenchCriticStep(buf, idxs) })
 		}},
-		{"cma2c_actor_step", func(b *testing.B) {
-			f, buf, idxs := nnBenchFairMove(b)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				f.BenchActorStep(buf, idxs)
-			}
+		{"cma2c_actor_step", func(tb testing.TB) func() {
+			f, buf, idxs := nnBenchFairMove(tb)
+			return warmOnce(func() { f.BenchActorStep(buf, idxs) })
 		}},
-		{"dqn_learn_step", func(b *testing.B) {
+		{"dqn_learn_step", func(testing.TB) func() {
 			d := policy.NewDQN(0.6, 7)
 			buf := nnBenchTransitions(512)
 			for i := range buf.Len() {
 				tr := buf.At(i)
 				d.BenchRemember(&tr)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d.BenchLearnStep()
-			}
+			return warmOnce(d.BenchLearnStep)
 		}},
 	}
 }
 
-func nnBenchFairMove(b *testing.B) (*core.FairMove, *policy.TransitionStore, []int) {
+func nnBenchFairMove(tb testing.TB) (*core.FairMove, *policy.TransitionStore, []int) {
 	cfg := core.DefaultConfig(0.6, 7)
 	f, err := core.New(cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	buf := nnBenchTransitions(512)
 	idxs := make([]int, cfg.Batch)

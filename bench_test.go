@@ -75,18 +75,32 @@ func benchCity(tb testing.TB) *synth.City {
 	return city
 }
 
-// benchStepSlots reports ns per simulated slot: each iteration is one
-// Step(nil), with episode resets excluded from the timer.
-func benchStepSlots(b *testing.B, env sim.Environment) {
-	b.Helper()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+// stepOp returns one Step(nil) of env as the operation. It first steps two
+// full episodes and resets: every reusable buffer reaches its high-water
+// mark, and the measured episode shows, to whole allocs/op, that Reset
+// keeps it (a Reset that dropped working storage would re-pay growth). The
+// operation resets env when the episode is done, so a timed loop of it
+// includes that cost.
+func stepOp(env sim.Environment) func() {
+	for ep := 0; ep < 2; ep++ {
+		for !env.Done() {
+			env.Step(nil)
+		}
+		env.Reset(42)
+	}
+	return func() {
 		if env.Done() {
-			b.StopTimer()
 			env.Reset(42)
-			b.StartTimer()
 		}
 		env.Step(nil)
+	}
+}
+
+// benchOp times b.N calls of op, built and warmed up outside the timer.
+func benchOp(b *testing.B, op func()) {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
 	}
 }
 
@@ -95,7 +109,7 @@ func benchStepSlots(b *testing.B, env sim.Environment) {
 func BenchmarkEngineStepSharded(b *testing.B) {
 	for _, k := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", k), func(b *testing.B) {
-			benchStepSlots(b, sim.New(benchCity(b), policy.EpisodeOptions(1, k), 42))
+			benchOp(b, stepOp(sim.New(benchCity(b), policy.EpisodeOptions(1, k), 42)))
 		})
 	}
 }

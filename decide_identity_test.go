@@ -89,24 +89,19 @@ type decideLearner interface {
 	SetTelemetry(r *telemetry.Registry)
 }
 
-// dropoutScenario is the golden station-outage fixture plus GPS-dropout
-// windows inside the tested slots: one citywide, one on region 1 that
-// starts earlier and ends later, so the slots see fresh, partly frozen and
-// fully frozen observations.
+// dropoutScenario is the golden station-outage fixture's events (station 1
+// closed over minutes 420–720, one point of station 2 derated over
+// 600–900) plus GPS-dropout windows inside the tested slots: one citywide,
+// one on region 1 that starts earlier and ends later, so the slots see
+// fresh, partly frozen and fully frozen observations.
 func dropoutScenario(t *testing.T) *scenario.Spec {
 	t.Helper()
-	outage, err := scenario.Load("internal/scenario/testdata/scenarios/station-outage.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dropout, err := scenario.NewBuilder("dropout").
+	spec, err := scenario.NewBuilder("station-outage+dropout").
+		StationOutage(1, 420, 720).
+		StationDerate(2, 1, 600, 900).
 		GPSDropout(-1, decideFromMin+30, decideFromMin+60).
 		GPSDropout(1, decideFromMin+10, decideFromMin+90).
 		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := scenario.Compose("station-outage+dropout", outage, dropout)
 	if err != nil {
 		t.Fatal(err)
 	}

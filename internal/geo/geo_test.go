@@ -350,30 +350,3 @@ func TestGridIndexKNearestIntoMatchesKNearest(t *testing.T) {
 		}
 	}
 }
-
-// TestGridIndexKNearestIntoSteadyStateAllocs proves the amortized lookup
-// allocates nothing once the buffer has grown to steady size.
-func TestGridIndexKNearestIntoSteadyStateAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	pts := make([]Point, 300)
-	for i := range pts {
-		pts[i] = Point{Lng: 113.7 + rng.Float64()*0.9, Lat: 22.4 + rng.Float64()*0.5}
-	}
-	idx := NewGridIndex(pts, nil, 16)
-	queries := make([]Point, 64)
-	for i := range queries {
-		queries[i] = Point{Lng: 113.7 + rng.Float64()*0.9, Lat: 22.4 + rng.Float64()*0.5}
-	}
-	var buf []Neighbor
-	for _, q := range queries {
-		buf = idx.KNearestInto(q, 5, buf)
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		buf = idx.KNearestInto(queries[i%len(queries)], 5, buf)
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state KNearestInto allocates %.1f/op, want 0", allocs)
-	}
-}

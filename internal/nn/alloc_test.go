@@ -62,34 +62,6 @@ func TestForward1MatchesFreshAllocReference(t *testing.T) {
 	}
 }
 
-func TestForward1ZeroAlloc(t *testing.T) {
-	m, inputs := testNet(t)
-	m.Forward1(inputs[0]) // allocate the arena once
-	i := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		m.Forward1(inputs[i%len(inputs)])
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state Forward1 allocates %v/op, want 0", allocs)
-	}
-}
-
-func TestForwardBatchZeroAlloc(t *testing.T) {
-	m, inputs := testNet(t)
-	x := NewMat(len(inputs), 55)
-	for i, r := range inputs {
-		x.SetRow(i, r)
-	}
-	m.ForwardBatch(x, 1) // allocate the arenas once
-	allocs := testing.AllocsPerRun(50, func() {
-		m.ForwardBatch(x, 1)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state ForwardBatch allocates %v/op, want 0", allocs)
-	}
-}
-
 // TestTrainStepZeroAlloc pins the batched training step — forward, MSE,
 // backward, Adam — at zero steady-state allocations through the layer-owned
 // scratch (trOut, bwGz/bwGw/bwGx, and the transposed pack panels).

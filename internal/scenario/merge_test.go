@@ -97,43 +97,10 @@ func TestMergeOrderIndependence(t *testing.T) {
 	}
 }
 
-// Composing single-kind slices in any order equals the all-at-once union,
-// for the new kinds just like the old ones.
-func TestComposeOrderIndependenceAcrossKinds(t *testing.T) {
-	mk := func(name string, f func(*Builder) *Builder) *Spec {
-		s, err := f(NewBuilder(name)).Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	parts := []*Spec{
-		mk("wx", func(b *Builder) *Builder { return b.Weather(-1, 400, 700, 0.7).Weather(1, 450, 650, 0.9) }),
-		mk("tou", func(b *Builder) *Builder { return b.TariffShift(0, 480, 0.8).TariffShift(400, 900, 1.5) }),
-		mk("fleet", func(b *Builder) *Builder { return b.BatteryCohort(2, 0, 1.1).BatteryDegradation(2, 1, 0.85) }),
-		mk("ops", func(b *Builder) *Builder { return b.ShiftChange(3, 0, 480, 540).AirportSurge(2, 500, 620, 2) }),
-		mk("legacy", func(b *Builder) *Builder { return b.StationOutage(0, 420, 480).DemandScale(-1, 300, 900, 1.3) }),
-	}
-	fwd, err := Compose("all", parts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rev, err := Compose("all", parts[4], parts[3], parts[2], parts[1], parts[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	ef, _ := Encode(fwd)
-	er, _ := Encode(rev)
-	if !bytes.Equal(ef, er) {
-		t.Fatalf("composition order changed the canonical encoding:\n%s\nvs\n%s", ef, er)
-	}
-	enginesAgree(t, NewEngine(fwd), NewEngine(rev), "compose")
-}
-
 // Non-finite factors must be rejected on the programmatic paths: NaN slips
 // past a bare `< 0` comparison, breaks the canonical sort (making the
 // encoding permutation-dependent), and poisons every factor product. JSON
-// cannot encode NaN/Inf, so Builder/Compose are the only ways in.
+// cannot encode NaN/Inf, so only specs built in Go (the Builder) carry them.
 func TestNonFiniteFactorsRejected(t *testing.T) {
 	cases := []struct {
 		name  string

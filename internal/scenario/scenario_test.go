@@ -239,69 +239,6 @@ func TestScheduleSemantics(t *testing.T) {
 	})
 }
 
-// Composing two scenarios equals authoring their union: the composed
-// engine answers exactly like an engine built from all events at once,
-// and composition order does not matter.
-func TestComposeEquivalence(t *testing.T) {
-	a, err := NewBuilder("outage").
-		StationOutage(0, 100, 200).
-		StationDerate(1, 1, 0, 300).
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewBuilder("surge").
-		DemandSurge(-1, 50, 250, 2).
-		FareShock(2, 0, 400, 1.5).
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ab, err := Compose("ab", a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ba, err := Compose("ab", b, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eab, err := Encode(ab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eba, err := Encode(ba)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(eab, eba) {
-		t.Fatal("composition order changed the canonical encoding")
-	}
-	union, err := NewBuilder("ab").
-		StationOutage(0, 100, 200).
-		StationDerate(1, 1, 0, 300).
-		DemandSurge(-1, 50, 250, 2).
-		FareShock(2, 0, 400, 1.5).
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	e1, e2 := NewEngine(ab), NewEngine(union)
-	for m := 0; m < 500; m += 7 {
-		for r := 0; r < 4; r++ {
-			if e1.DemandScale(r, m) != e2.DemandScale(r, m) ||
-				e1.FareScale(r, m) != e2.FareScale(r, m) {
-				t.Fatalf("composed engine diverges from union at region %d minute %d", r, m)
-			}
-		}
-		for st := 0; st < 2; st++ {
-			if e1.StationClosed(st, m) != e2.StationClosed(st, m) ||
-				e1.StationDerate(st, m) != e2.StationDerate(st, m) {
-				t.Fatalf("composed engine diverges from union at station %d minute %d", st, m)
-			}
-		}
-	}
-}
-
 func TestBuilderPropagatesErrors(t *testing.T) {
 	if _, err := NewBuilder("bad").StationDerate(0, 0, 0, 10).Build(); err == nil {
 		t.Fatal("Build accepted a zero-point derate")

@@ -21,7 +21,6 @@ import (
 	"math"
 	"os"
 	"sort"
-	"strings"
 )
 
 // Event kinds. The set is closed: Parse rejects unknown kinds so a typo in
@@ -210,7 +209,7 @@ func validateEvent(ev *Event) error {
 	case KindDemandScale, KindFareShock:
 		// NaN passes a bare `< 0` check and then poisons every product and
 		// the canonical sort, so rule out non-finite factors explicitly
-		// (JSON cannot encode them, but Builder/Compose can).
+		// (JSON cannot encode them, but Builder can).
 		if math.IsNaN(ev.Factor) || math.IsInf(ev.Factor, 0) {
 			return fmt.Errorf("%s: factor must be finite, got %v", ev.Kind, ev.Factor)
 		}
@@ -328,24 +327,4 @@ func Encode(s *Spec) ([]byte, error) {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
 	return append(data, '\n'), nil
-}
-
-// Compose merges several scenarios into one: the union of their events
-// under the standard merge semantics (closures OR, derates sum, scales
-// multiply). The result is validated and normalized.
-func Compose(name string, specs ...*Spec) (*Spec, error) {
-	out := &Spec{Name: name}
-	var descs []string
-	for _, s := range specs {
-		if s.Description != "" {
-			descs = append(descs, s.Description)
-		}
-		out.Events = append(out.Events, s.Events...)
-	}
-	out.Description = strings.Join(descs, " + ")
-	if err := out.Validate(); err != nil {
-		return nil, err
-	}
-	out.Normalize()
-	return out, nil
 }

@@ -38,7 +38,8 @@ type Environment interface {
 	// VacantTaxis returns the IDs of taxis awaiting a displacement decision
 	// this slot, ascending.
 	VacantTaxis() []int
-	// Observe builds the observation for a vacant taxi.
+	// Observe builds the observation for a vacant taxi: its ObserveRows row
+	// widened to float64. Features stays valid until the next Observe.
 	Observe(id int) Observation
 	// PrepareObserve builds the slot's shared observation state for the
 	// given vacant taxis, so ObserveRows can then run concurrently.

@@ -288,8 +288,8 @@ func TestObsStaleFreezesFeatures(t *testing.T) {
 		t.Skip("no vacant taxis after one slot")
 	}
 	id := ids[0]
-	// Observation.Features borrows a per-taxi buffer; snapshot it before
-	// later Observe calls on the same taxi rewrite it.
+	// Observation.Features is valid until the next Observe call; snapshot
+	// it.
 	fresh := append([]float64(nil), e.Observe(id).Features...)
 
 	e.Step(nil)

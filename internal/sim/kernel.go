@@ -204,7 +204,7 @@ type Core struct {
 	hooks      Hooks
 	rec        Recorder
 	tel        simTel
-	staleFeats [][]float64
+	staleFeats [][]float32
 
 	res            Results
 	generated      int
@@ -255,11 +255,10 @@ type Core struct {
 	mergeEvents  []trace.Event
 	keyBuf       []uint64
 
-	// Reusable hot-path scratch: per-taxi observation buffers (borrowed by
-	// Observation.Features, see Observe for the ownership contract; made on
-	// the first Observe, which only tests and tracers call), the
-	// VacantTaxis result buffer, and routeMigrants' gather slice.
-	obsBufs    [][]float64
+	// Reusable hot-path scratch: Observe's widened row (the
+	// Observation.Features it returns), the VacantTaxis result buffer, and
+	// routeMigrants' gather slice.
+	obsOut     [FeatureSize]float64
 	vacantBuf  []int
 	migrantBuf []int
 
@@ -624,34 +623,21 @@ func (c *Core) ValidMask(id int) [NumActions]bool {
 	return mask
 }
 
-// Observe builds the observation for a vacant taxi. It is deterministic
-// given the environment state. Everything but the taxi's own SoC, PE gap
-// and vacancy age is a function of its region and the slot, so Observe
-// copies those features from the region's block (built once per slot, see
-// regionBlock) around the three per-taxi values: a call costs O(1)
-// amortized.
-//
-// Features borrows a per-taxi buffer owned by the environment: it stays
-// valid until the same taxi is observed again. Within one slot repeated
-// observations rewrite identical bytes, so holding the slice across calls
-// in the same slot is safe; callers keeping features across Step (replay
-// buffers, demonstration logs) must copy them out.
+// Observe builds the observation for a vacant taxi: a one-taxi
+// PrepareObserve and ObserveRows, the row widened to float64, so each
+// feature is float64(float32(x)) of the value the rows are rounded from.
+// Features aliases a buffer owned by the environment and stays valid until
+// the next Observe call; callers keeping features longer must copy them.
 func (c *Core) Observe(id int) Observation {
-	region := c.taxis[id].region
-	c.regionBlock(region)
-	meanPE, _ := c.FleetPEStats()
-	c.refreshStale()
-	if c.obsBufs == nil {
-		c.obsBufs = make([][]float64, len(c.taxis))
+	ids := [1]int{id}
+	var row [FeatureSize]float32
+	var mask [1][NumActions]bool
+	c.PrepareObserve(ids[:])
+	c.ObserveRows(ids[:], row[:], mask[:])
+	for j, x := range row {
+		c.obsOut[j] = float64(x)
 	}
-	f := c.obsBufs[id]
-	if cap(f) < FeatureSize {
-		f = make([]float64, FeatureSize)
-	}
-	f = f[:FeatureSize]
-	c.observeInto(f, id, meanPE, c.hooks != nil && c.staleNow[region])
-	c.obsBufs[id] = f
-	return Observation{Features: f, Mask: c.ValidMask(id)}
+	return Observation{Features: c.obsOut[:], Mask: mask[0]}
 }
 
 // PrepareObserve readies the slot's shared observation state for the given
@@ -678,7 +664,7 @@ func (c *Core) refreshStale() {
 		return
 	}
 	if c.staleFeats == nil {
-		c.staleFeats = make([][]float64, len(c.taxis))
+		c.staleFeats = make([][]float32, len(c.taxis))
 	}
 	for r := range c.staleNow {
 		c.staleNow[r] = c.hooks.ObsStale(r, c.nowMin)
@@ -688,8 +674,8 @@ func (c *Core) refreshStale() {
 
 // ObserveRows writes the observations of ids into feats, FeatureSize
 // float32 values per taxi in ids order, and their action masks into masks.
-// Each row holds float32(x) of the float64 feature x Observe returns for
-// the same taxi, and masks[i] is ValidMask(ids[i]). It reads only state
+// Each feature is float32(x) of the float64 value x the engine computes,
+// rounded once, and masks[i] is ValidMask(ids[i]). It reads only state
 // PrepareObserve built for a vacant set containing ids, and writes only
 // the taxis' own GPS-dropout memory, so calls on disjoint ids may run
 // concurrently. It panics on a taxi whose region PrepareObserve did not
@@ -704,37 +690,36 @@ func (c *Core) ObserveRows(ids []int, feats []float32, masks [][NumActions]bool)
 	if c.aggGen != c.cacheGen || c.blocks == nil {
 		panic("sim: ObserveRows before PrepareObserve")
 	}
-	var f [FeatureSize]float64
 	for i, id := range ids {
 		if c.blockGen[c.taxis[id].region] != c.cacheGen {
 			panic("sim: ObserveRows on a region PrepareObserve did not prepare")
 		}
-		c.observeInto(f[:], id, c.peMean, c.hooks != nil && c.staleNow[c.taxis[id].region])
-		row := feats[i*FeatureSize : (i+1)*FeatureSize]
-		for j, x := range f {
-			row[j] = float32(x)
-		}
+		c.observeInto(feats[i*FeatureSize:(i+1)*FeatureSize], id, c.hooks != nil && c.staleNow[c.taxis[id].region])
 		masks[i] = c.ValidMask(id)
 	}
 }
 
-// observeInto is the feature assembly behind Observe and ObserveRows: it
-// writes taxi id's FeatureSize features into f from its region's block,
-// which must be built this slot, and meanPE, the fleet's mean PE. Under
-// hooks, when stale (a GPS dropout covers the taxi's region) it substitutes
-// the taxi's last features seen outside one; otherwise it records them for
-// that use.
-func (c *Core) observeInto(f []float64, id int, meanPE float64, stale bool) {
+// observeInto is the feature assembly behind ObserveRows: it writes taxi
+// id's FeatureSize features into f, each rounded to float32, from its
+// region's block, which must be built this slot, and the fleet's mean PE.
+// Under hooks, when stale (a GPS dropout covers the taxi's region) it
+// substitutes the taxi's last features seen outside one; otherwise it
+// records them for that use.
+func (c *Core) observeInto(f []float32, id int, stale bool) {
 	t := &c.taxis[id]
 	lo := t.region * blockLen
 	blk := c.blocks[lo : lo+blockLen]
-	peGap := (c.PESoFar(id) - meanPE) / 50
+	peGap := (c.PESoFar(id) - c.peMean) / 50
 	vacancyAge := float64(c.nowMin-t.vacantSinceMin) / 60
-	copy(f, blk[:featTime])
-	f[featTime] = t.batt.SoC
-	f[featTime+1] = clampF(peGap, -2, 2)
-	f[featTime+2] = clampF(vacancyAge, 0, 4)
-	copy(f[featTime+featSelf:], blk[featTime:])
+	for j, x := range blk[:featTime] {
+		f[j] = float32(x)
+	}
+	f[featTime] = float32(t.batt.SoC)
+	f[featTime+1] = float32(clampF(peGap, -2, 2))
+	f[featTime+2] = float32(clampF(vacancyAge, 0, 4))
+	for j, x := range blk[featTime:] {
+		f[featTime+featSelf+j] = float32(x)
+	}
 
 	if c.hooks == nil {
 		return
