@@ -26,7 +26,6 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/parallel"
 	"repro/internal/report"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
@@ -82,11 +81,9 @@ func run() error {
 	if *telemetryOn {
 		reg = telemetry.NewRegistry()
 		cfg = cfg.WithTelemetry(reg)
-		parallel.SetTelemetry(reg)
 		stop := reg.DumpEvery(30*time.Second, os.Stderr)
 		defer func() {
 			stop()
-			parallel.SetTelemetry(nil)
 			fmt.Fprint(os.Stderr, "--- final telemetry ---\n"+reg.Snapshot().Text())
 		}()
 	}

@@ -43,7 +43,6 @@ import (
 
 	fairmove "repro"
 	"repro/internal/metrics"
-	"repro/internal/parallel"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
 )
@@ -109,11 +108,9 @@ func observe(telemetryOn bool, pprofAddr string) (*telemetry.Registry, func()) {
 		return nil, func() {}
 	}
 	reg := telemetry.NewRegistry()
-	parallel.SetTelemetry(reg)
 	stop := reg.DumpEvery(30*time.Second, os.Stderr)
 	return reg, func() {
 		stop()
-		parallel.SetTelemetry(nil)
 		fmt.Fprint(os.Stderr, "--- final telemetry ---\n"+reg.Snapshot().Text())
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -104,11 +103,10 @@ func TestCompareAllWorkerInvariance(t *testing.T) {
 
 // Telemetry is write-only, so enabling it must not perturb the byte-identity
 // contract: CompareAll with telemetry on must match across worker counts, and
-// the deterministic counter namespaces (sim.*, training prefixes) must also
-// be identical — those counters are pure functions of the trajectory. The
-// parallel.* namespace is scheduler-dependent by documented contract and is
-// excluded, as are float histogram sums (accumulation order varies when
-// concurrent evaluations share one registry).
+// every counter (sim.*, training prefixes) must also be identical — those
+// counters are pure functions of the trajectory. Float histogram sums are
+// excluded (accumulation order varies when concurrent evaluations share one
+// registry).
 func TestCompareAllWorkerInvarianceWithTelemetry(t *testing.T) {
 	run := func(workers int) ([]Comparison, telemetry.Snapshot) {
 		s, err := NewSystem(microConfig(3, workers))
@@ -131,7 +129,7 @@ func TestCompareAllWorkerInvarianceWithTelemetry(t *testing.T) {
 				serial[i].Method, serial[i], parallel[i])
 		}
 	}
-	c1, c4 := deterministicCounters(snap1), deterministicCounters(snap4)
+	c1, c4 := snap1.Counters, snap4.Counters
 	if !reflect.DeepEqual(c1, c4) {
 		t.Fatalf("deterministic counters diverged across worker counts:\nworkers=1: %v\nworkers=4: %v", c1, c4)
 	}
@@ -153,16 +151,6 @@ func TestCompareAllWorkerInvarianceWithTelemetry(t *testing.T) {
 	if !reflect.DeepEqual(plain, serial) {
 		t.Fatalf("enabling telemetry changed the report:\nplain: %+v\ntelemetry: %+v", plain, serial)
 	}
-}
-
-func deterministicCounters(s telemetry.Snapshot) map[string]int64 {
-	out := make(map[string]int64, len(s.Counters))
-	for k, v := range s.Counters {
-		if !strings.HasPrefix(k, "parallel.") {
-			out[k] = v
-		}
-	}
-	return out
 }
 
 // TestCheckpointResumeDeterminism is the checkpoint subsystem's executable
@@ -198,7 +186,7 @@ func TestCheckpointResumeDeterminism(t *testing.T) {
 	if _, err := unbroken.TrainWithOptions(TrainOptions{CheckpointDir: t.TempDir(), CheckpointEvery: 1, CheckpointKeep: 10}); err != nil {
 		t.Fatal(err)
 	}
-	countersU := deterministicCounters(regU.Snapshot())
+	countersU := regU.Snapshot().Counters
 	wantPolicy := policyBytes(unbroken)
 	wantEval, err := unbroken.Evaluate(FairMove)
 	if err != nil {
@@ -221,7 +209,7 @@ func TestCheckpointResumeDeterminism(t *testing.T) {
 	if _, err := crashed.TrainWithOptions(TrainOptions{CheckpointDir: dir, CheckpointEvery: 1, CheckpointKeep: 10}); err != nil {
 		t.Fatal(err)
 	}
-	countersC := deterministicCounters(regC.Snapshot())
+	countersC := regC.Snapshot().Counters
 
 	// Resumed run: fresh process (fresh System), identical command, -resume.
 	resumed, err := NewSystem(cfg)
@@ -233,7 +221,7 @@ func TestCheckpointResumeDeterminism(t *testing.T) {
 	if _, err := resumed.TrainWithOptions(TrainOptions{CheckpointDir: dir, CheckpointEvery: 1, CheckpointKeep: 10, Resume: true}); err != nil {
 		t.Fatal(err)
 	}
-	countersR := deterministicCounters(regR.Snapshot())
+	countersR := regR.Snapshot().Counters
 
 	// Byte-identical weights.
 	if !bytes.Equal(policyBytes(resumed), wantPolicy) {
@@ -352,7 +340,7 @@ func TestShardCountInvariance(t *testing.T) {
 		}
 		return outcome{
 			digest:   trace.DigestEvents(events),
-			counters: deterministicCounters(reg.Snapshot()),
+			counters: reg.Snapshot().Counters,
 			policy:   data,
 			report:   rep,
 		}

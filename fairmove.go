@@ -16,7 +16,6 @@
 package fairmove
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -607,8 +606,8 @@ func (c Comparison) String() string {
 // Methods() order — is byte-identical for any worker count.
 func (s *System) CompareAll() ([]Comparison, error) {
 	ms := Methods()
-	results, err := parallel.Map(context.Background(), s.cfg.Workers, len(ms),
-		func(_ context.Context, i int) (*sim.Results, error) {
+	results, err := parallel.Map(s.cfg.Workers, len(ms),
+		func(i int) (*sim.Results, error) {
 			p, err := s.policyFor(ms[i])
 			if err != nil {
 				return nil, err
@@ -645,8 +644,8 @@ type AlphaPoint struct {
 func (s *System) AlphaSweep(alphas []float64) ([]AlphaPoint, error) {
 	sorted := append([]float64(nil), alphas...)
 	sort.Float64s(sorted)
-	return parallel.Map(context.Background(), s.cfg.Workers, len(sorted),
-		func(_ context.Context, i int) (AlphaPoint, error) {
+	return parallel.Map(s.cfg.Workers, len(sorted),
+		func(i int) (AlphaPoint, error) {
 			pt := AlphaPoint{Alpha: sorted[i]}
 			fm, err := core.New(coreConfig(s.cfg, pt.Alpha))
 			if err != nil {

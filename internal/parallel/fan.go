@@ -1,12 +1,14 @@
 package parallel
 
-import "sync"
+import (
+	"runtime"
+	"sync"
+)
 
-// Fan runs the blocks of a fan-out that repeats on a hot path (the decide's
-// every slot) on parked helper goroutines, so a steady-state Run allocates
-// nothing: ForEach pays a context, its closures and a goroutine per worker
-// on every call. The zero value is ready to use. A Fan serves one Run at a
-// time and must not be copied after first use.
+// Fan runs the blocks of a fan-out on parked helper goroutines, so a
+// steady-state Run allocates nothing — the engine's phases and the decide
+// repeat theirs every slot or minute. The zero value is ready to use. A Fan
+// serves one Run at a time and must not be copied after first use.
 type Fan struct {
 	wg       sync.WaitGroup
 	mu       sync.Mutex
@@ -45,11 +47,13 @@ func helper() {
 // Run calls fn(i) for every i in [0, n) concurrently and returns when all
 // have returned: fn(0) on the calling goroutine, the others on helpers. A
 // panic in any block is re-raised on the caller once every block has
-// finished. With n <= 1 it runs inline.
+// finished. With n <= 1, or when the runtime has a single scheduler thread
+// (where a fan-out is pure barrier overhead), the blocks run inline on the
+// caller in index order, and a panic unwinds from the block that raised it.
 func (f *Fan) Run(n int, fn func(i int)) {
-	if n <= 1 {
-		if n == 1 {
-			fn(0)
+	if n <= 1 || runtime.GOMAXPROCS(0) == 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
 		}
 		return
 	}
@@ -65,6 +69,11 @@ func (f *Fan) Run(n int, fn func(i int)) {
 	for i := 1; i < n; i++ {
 		fanTasks <- fanTask{f, fn, i}
 	}
+	// The last helper woken waits in this scheduler thread's next-to-run
+	// slot, which an idle thread steals only after a back-off of tens of
+	// microseconds. Yielding runs it here at once and lets an idle thread
+	// pick the caller up from the global run queue instead.
+	runtime.Gosched()
 	f.call(fn, 0)
 	f.wg.Wait()
 	helpers.Lock()

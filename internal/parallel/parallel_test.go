@@ -1,8 +1,9 @@
 package parallel
 
 import (
-	"context"
 	"errors"
+	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -22,7 +23,7 @@ func TestResolve(t *testing.T) {
 
 func TestMapOrdered(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 16} {
-		out, err := Map(context.Background(), workers, 100, func(_ context.Context, i int) (int, error) {
+		out, err := Map(workers, 100, func(i int) (int, error) {
 			return i * i, nil
 		})
 		if err != nil {
@@ -36,10 +37,10 @@ func TestMapOrdered(t *testing.T) {
 	}
 }
 
-func TestForEachBoundedConcurrency(t *testing.T) {
+func TestMapBoundedConcurrency(t *testing.T) {
 	const workers = 3
 	var cur, peak atomic.Int64
-	err := ForEach(context.Background(), workers, 50, func(_ context.Context, i int) error {
+	_, err := Map(workers, 50, func(i int) (struct{}, error) {
 		c := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -49,7 +50,7 @@ func TestForEachBoundedConcurrency(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 		cur.Add(-1)
-		return nil
+		return struct{}{}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -59,11 +60,11 @@ func TestForEachBoundedConcurrency(t *testing.T) {
 	}
 }
 
-func TestForEachRunsAll(t *testing.T) {
+func TestMapRunsAll(t *testing.T) {
 	var n atomic.Int64
-	if err := ForEach(context.Background(), 4, 257, func(_ context.Context, i int) error {
+	if _, err := Map(4, 257, func(i int) (struct{}, error) {
 		n.Add(1)
-		return nil
+		return struct{}{}, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -72,29 +73,53 @@ func TestForEachRunsAll(t *testing.T) {
 	}
 }
 
-func TestForEachErrorCancels(t *testing.T) {
+func TestMapErrorStopsClaiming(t *testing.T) {
 	boom := errors.New("boom")
 	var after atomic.Int64
-	err := ForEach(context.Background(), 2, 1000, func(ctx context.Context, i int) error {
+	_, err := Map(2, 1000, func(i int) (struct{}, error) {
 		if i == 3 {
-			return boom
+			return struct{}{}, boom
 		}
 		if i > 500 {
-			// Cancellation should stop the sweep long before the tail.
+			// The failure should stop the sweep long before the tail.
 			after.Add(1)
 		}
-		return nil
+		return struct{}{}, nil
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	if after.Load() > 100 {
-		t.Fatalf("%d tail tasks ran after the error; cancellation is not pruning", after.Load())
+		t.Fatalf("%d tail tasks ran after the error; claiming did not stop", after.Load())
+	}
+}
+
+// With two failing tasks Map returns the lower index's error, as a
+// sequential loop does, at every worker count — even when the higher index
+// fails first in wall-clock order.
+func TestMapReturnsLowestIndexError(t *testing.T) {
+	low, high := errors.New("low"), errors.New("high")
+	for _, workers := range []int{1, 2, 4, 16} {
+		for rep := 0; rep < 20; rep++ {
+			_, err := Map(workers, 40, func(i int) (int, error) {
+				switch i {
+				case 7:
+					time.Sleep(time.Millisecond)
+					return 0, low
+				case 9:
+					return 0, high
+				}
+				return i, nil
+			})
+			if err != low {
+				t.Fatalf("workers=%d: err = %v, want %v", workers, err, low)
+			}
+		}
 	}
 }
 
 func TestMapErrorDiscardsResults(t *testing.T) {
-	out, err := Map(context.Background(), 4, 10, func(_ context.Context, i int) (int, error) {
+	out, err := Map(4, 10, func(i int) (int, error) {
 		if i == 5 {
 			return 0, errors.New("bad")
 		}
@@ -108,7 +133,7 @@ func TestMapErrorDiscardsResults(t *testing.T) {
 	}
 }
 
-func TestForEachPanicPropagates(t *testing.T) {
+func TestMapPanicPropagates(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		func() {
 			defer func() {
@@ -117,30 +142,14 @@ func TestForEachPanicPropagates(t *testing.T) {
 					t.Fatalf("workers=%d: recovered %v, want kaboom", workers, r)
 				}
 			}()
-			_ = ForEach(context.Background(), workers, 10, func(_ context.Context, i int) error {
+			_, _ = Map(workers, 10, func(i int) (int, error) {
 				if i == 2 {
 					panic("kaboom")
 				}
-				return nil
+				return i, nil
 			})
 			t.Fatalf("workers=%d: no panic reached the caller", workers)
 		}()
-	}
-}
-
-func TestForEachContextCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var ran atomic.Int64
-	err := ForEach(ctx, 1, 10, func(_ context.Context, i int) error {
-		ran.Add(1)
-		return nil
-	})
-	if err == nil {
-		t.Fatal("want context error")
-	}
-	if ran.Load() != 0 {
-		t.Fatalf("%d tasks ran under a cancelled context", ran.Load())
 	}
 }
 
@@ -220,4 +229,37 @@ func TestFanSteadyStateAllocatesNothing(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { f.Run(3, fn) }); allocs != 0 {
 		t.Fatalf("steady-state Run allocates %v/op, want 0", allocs)
 	}
+}
+
+// On a single scheduler thread Run runs the blocks on the caller in index
+// order and a panic unwinds straight to it.
+func TestFanOneProcRunsInline(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var f Fan
+	var order []int
+	f.Run(5, func(i int) {
+		helpers.Lock()
+		handedOut := helpers.demand
+		helpers.Unlock()
+		if handedOut != 0 {
+			t.Errorf("block %d: %d blocks handed to helpers", i, handedOut)
+		}
+		order = append(order, i)
+	})
+	if want := []int{0, 1, 2, 3, 4}; !slices.Equal(order, want) {
+		t.Fatalf("ran blocks %v, want %v", order, want)
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != "kaboom" {
+				t.Fatalf("recovered %v, want kaboom", r)
+			}
+		}()
+		f.Run(3, func(i int) {
+			if i == 1 {
+				panic("kaboom")
+			}
+		})
+		t.Fatal("no panic reached the caller")
+	}()
 }

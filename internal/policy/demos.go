@@ -1,8 +1,6 @@
 package policy
 
 import (
-	"context"
-
 	"repro/internal/parallel"
 	"repro/internal/sim"
 	"repro/internal/synth"
@@ -77,7 +75,7 @@ func collectDemos(tr Training, city *synth.City, guide Policy, from, episodes, d
 		}
 		return out
 	}
-	out, _ := parallel.Map(context.Background(), workers, n, func(_ context.Context, i int) (TransitionStore, error) {
+	out, _ := parallel.Map(workers, n, func(i int) (TransitionStore, error) {
 		return rollout(cloner.CloneForWorker(), from+i), nil
 	})
 	return out

@@ -14,7 +14,6 @@
 package report
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -199,8 +198,8 @@ func Run(cfg Config) (*Bundle, error) {
 		}
 	}
 	methods := fairmove.Methods()
-	cells, err := parallel.Map(context.Background(), cfg.Workers, len(methods),
-		func(_ context.Context, i int) (evalCell, error) {
+	cells, err := parallel.Map(cfg.Workers, len(methods),
+		func(i int) (evalCell, error) {
 			p, err := b.sys.PolicyFor(methods[i])
 			if err != nil {
 				return evalCell{}, err
@@ -255,8 +254,8 @@ func (b *Bundle) RunScenarios(specs []*scenario.Spec) error {
 	methods := b.methodsPresent()
 	// Fan out over (scenario, method) pairs; each cell owns a private env,
 	// so the grid reduces identically for any worker count.
-	cells, err := parallel.Map(context.Background(), b.Config.Workers, len(specs)*len(methods),
-		func(_ context.Context, i int) (evalCell, error) {
+	cells, err := parallel.Map(b.Config.Workers, len(specs)*len(methods),
+		func(i int) (evalCell, error) {
 			p, err := b.sys.PolicyFor(methods[i%len(methods)])
 			if err != nil {
 				return evalCell{}, err

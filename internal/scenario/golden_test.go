@@ -17,7 +17,6 @@ package scenario
 // them. Never update goldens to quiet a failure you cannot explain.
 
 import (
-	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -174,8 +173,8 @@ func TestGoldenTracesWorkerInvariant(t *testing.T) {
 		serial[i] = d
 	}
 	for _, workers := range []int{1, 4} {
-		got, err := parallel.Map(context.Background(), workers, len(specs),
-			func(_ context.Context, i int) (string, error) {
+		got, err := parallel.Map(workers, len(specs),
+			func(i int) (string, error) {
 				// One engine instance shared across all replicas of the same
 				// spec would also be legal (Hooks are pure); building per
 				// replay keeps the test symmetric with goldenDigest.

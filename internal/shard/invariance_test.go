@@ -8,7 +8,6 @@ package shard_test
 import (
 	"math"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/scenario"
@@ -82,14 +81,7 @@ func shardRun(t *testing.T, city *synth.City, spec *scenario.Spec, shards int) (
 	for !env.Done() {
 		env.Step(nil)
 	}
-	counters := make(map[string]int64)
-	for name, v := range reg.Snapshot().Counters {
-		if strings.HasPrefix(name, "parallel.") {
-			continue
-		}
-		counters[name] = v
-	}
-	return trace.DigestEvents(events), counters, env.Results()
+	return trace.DigestEvents(events), reg.Snapshot().Counters, env.Results()
 }
 
 // TestShardInvarianceGoldenFixtures is the acceptance gate: for every golden

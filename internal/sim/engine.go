@@ -1,9 +1,6 @@
 package sim
 
 import (
-	"runtime"
-	"sync"
-
 	"repro/internal/shard"
 	"repro/internal/synth"
 	"repro/internal/telemetry"
@@ -23,7 +20,8 @@ import (
 //	end slot        (parallel)   │ crawl drain, dropoff migrants
 //	route + finish  (barrier)   ─┘ canonical merge, clock advance
 //
-// With one shard every phase runs inline on the calling goroutine.
+// The parallel phases run on the Core's parallel.Fan, one block per kernel;
+// with one shard (or one scheduler thread) they run inline on the caller.
 func New(city *synth.City, opts Options, seed int64) *Core {
 	opts.fillDefaults()
 	c := &Core{
@@ -76,56 +74,31 @@ func (c *Core) Step(actions map[int]Action) {
 	}
 	c.stepActions = actions
 	sw := c.ptel.begin.Start()
-	c.each(c.beginFn)
+	c.fan.Run(len(c.kernels), c.beginFn)
 	sw.Stop()
 	c.stepActions = nil
 	sw = c.ptel.route.Start()
 	c.routeMigrants()
 	sw.Stop()
 	sw = c.ptel.gen.Start()
-	c.each(c.genFn)
+	c.fan.Run(len(c.kernels), c.genFn)
 	c.snapshotLoads()
 	sw.Stop()
 	start := c.nowMin
 	for m := start; m < start+c.slotLen; m++ {
 		c.stepMinute = m
 		sw = c.ptel.minute.Start()
-		c.each(c.minuteFn)
+		c.fan.Run(len(c.kernels), c.minuteFn)
 		sw.Stop()
 		sw = c.ptel.route.Start()
 		c.routeMigrants()
 		sw.Stop()
 	}
 	sw = c.ptel.end.Start()
-	c.each(c.endFn)
+	c.fan.Run(len(c.kernels), c.endFn)
 	sw.Stop()
 	sw = c.ptel.route.Start()
 	c.routeMigrants()
 	c.finishSlot()
 	sw.Stop()
-}
-
-// each runs a phase once per kernel, returning only after all finish.
-// Kernels run inline, in order, when single-sharded or when the runtime has
-// a single scheduler thread — phase results are independent of interleaving
-// (that is the shard-invariance battery's whole claim), and on one P the
-// goroutine fan-out is pure barrier overhead. Otherwise it is one goroutine
-// per kernel.
-func (c *Core) each(f func(k int)) {
-	k := len(c.kernels)
-	if k == 1 || runtime.GOMAXPROCS(0) == 1 {
-		for i := 0; i < k; i++ {
-			f(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(k)
-	for i := 0; i < k; i++ {
-		go func(i int) {
-			defer wg.Done()
-			f(i)
-		}(i)
-	}
-	wg.Wait()
 }

@@ -45,6 +45,7 @@ import (
 
 	"repro/internal/demand"
 	"repro/internal/geo"
+	"repro/internal/parallel"
 	"repro/internal/rng"
 	"repro/internal/station"
 	"repro/internal/synth"
@@ -279,12 +280,14 @@ type Core struct {
 	tripCount    int
 	chargeCount  int
 
-	// Phase closures, allocated once in New: Step hands each phase to each
+	// Phase closures, allocated once in New: Step hands each phase to c.fan
 	// as a func value, and a closure literal built inside Step escapes — one
 	// allocation per phase per call. The closures read their per-call
 	// parameters (actions, the minute cursor) from stepActions and
 	// stepMinute, which Step writes between barriers; under multi-shard
-	// fan-out the writes happen-before the goroutine launches that read them.
+	// fan-out the writes happen-before the hand-off of the blocks that read
+	// them.
+	fan                             parallel.Fan
 	beginFn, genFn, minuteFn, endFn func(k int)
 	stepActions                     map[int]Action
 	stepMinute                      int
@@ -354,9 +357,15 @@ func (c *Core) Reset(seed int64) {
 			lastStation:    -1,
 		}
 	}
-	c.stations = make([]*station.State, nS)
-	for i := 0; i < nS; i++ {
-		c.stations[i] = station.NewState(c.city.Stations.Station(i))
+	if len(c.stations) == nS {
+		for _, st := range c.stations {
+			st.Reset()
+		}
+	} else {
+		c.stations = make([]*station.State, nS)
+		for i := range c.stations {
+			c.stations[i] = station.NewState(c.city.Stations.Station(i))
+		}
 	}
 	c.stationInfo = c.city.Stations.Stations()
 	c.loads = make([]float64, nS)

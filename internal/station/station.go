@@ -7,6 +7,7 @@ package station
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/geo"
 	"repro/internal/rng"
@@ -89,8 +90,7 @@ func (s *State) SetDerate(n int) (promoted []int) {
 	}
 	s.derate = n
 	for len(s.waiting) > 0 && len(s.charging) < s.EffectivePoints() {
-		next := s.waiting[0]
-		s.waiting = s.waiting[1:]
+		next := s.popWaiting()
 		s.charging[next] = true
 		promoted = append(promoted, next)
 	}
@@ -128,9 +128,17 @@ func (s *State) Finish(taxi int) (promoted int) {
 		// claimed (occupancy still at or above the derated capacity).
 		return -1
 	}
-	next := s.waiting[0]
-	s.waiting = s.waiting[1:]
+	next := s.popWaiting()
 	s.charging[next] = true
+	return next
+}
+
+// popWaiting removes and returns the head of the queue, shifting the rest
+// down so appends reuse the backing array's front instead of sliding past it
+// and regrowing.
+func (s *State) popWaiting() int {
+	next := s.waiting[0]
+	s.waiting = slices.Delete(s.waiting, 0, 1)
 	return next
 }
 
@@ -154,10 +162,11 @@ func (s *State) QueueLen() int { return len(s.waiting) }
 // IsCharging reports whether taxi currently holds a point.
 func (s *State) IsCharging(taxi int) bool { return s.charging[taxi] }
 
-// Reset clears all runtime occupancy and any derate.
+// Reset clears all runtime occupancy and any derate, keeping the charging
+// map's buckets and the queue's backing array for the next episode.
 func (s *State) Reset() {
-	s.charging = make(map[int]bool)
-	s.waiting = nil
+	clear(s.charging)
+	s.waiting = s.waiting[:0]
 	s.derate = 0
 }
 

@@ -1,6 +1,7 @@
 package station
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/energy"
@@ -87,6 +88,52 @@ func TestIsChargingAndReset(t *testing.T) {
 	s.Reset()
 	if s.Occupied() != 0 || s.QueueLen() != 0 || s.IsCharging(5) {
 		t.Fatal("Reset did not clear state")
+	}
+}
+
+// Reset keeps the charging map's buckets and the queue's backing array:
+// refilling a reset state to the occupancy it had allocates nothing, and
+// the reset state answers an Arrive/Finish/SetDerate script exactly as a
+// fresh one does.
+func TestResetReusesBuffers(t *testing.T) {
+	const points, arrivals = 4, 12
+	fill := func(s *State) {
+		for id := 1; id <= arrivals; id++ {
+			s.Arrive(id)
+		}
+	}
+	s := NewState(testStation(points))
+	fill(s)
+	s.SetDerate(1)
+	if allocs := testing.AllocsPerRun(20, func() { s.Reset(); fill(s) }); allocs != 0 {
+		t.Fatalf("refill after Reset allocates %v/op, want 0", allocs)
+	}
+	if s.Occupied() != points || s.QueueLen() != arrivals-points {
+		t.Fatalf("refill: occupied=%d queue=%d", s.Occupied(), s.QueueLen())
+	}
+
+	script := func(s *State) []int {
+		var out []int
+		for id := 20; id < 27; id++ {
+			if s.Arrive(id) {
+				out = append(out, 1)
+			} else {
+				out = append(out, 0)
+			}
+		}
+		out = append(out, s.Finish(21), s.Finish(20))
+		out = append(out, s.SetDerate(3)...)
+		out = append(out, s.Finish(22), s.Finish(23))
+		out = append(out, s.SetDerate(0)...)
+		out = append(out, s.Occupied(), s.QueueLen(), s.Free(), s.Derate())
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	s.Reset()
+	if got, want := script(s), script(NewState(testStation(points))); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reset state answered %v, fresh state %v", got, want)
 	}
 }
 
