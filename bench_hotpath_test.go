@@ -2,9 +2,9 @@ package fairmove
 
 // Hot-path benchmark set: the pinned bodies behind `make alloc-gate`. Each
 // entry measures one layer of the per-slot critical path — single-shard
-// and two-shard stepping, a single observation build, the batched
-// observation rows of a slot's vacant set, one served slot (decide plus
-// step) under the GT heuristic and under CMA2C, one slot of the dispatch
+// and two-shard stepping, the engine's episode reset, a single observation
+// build, the batched observation rows of a slot's vacant set, one served
+// slot (decide plus step) under the GT heuristic and under CMA2C, one slot of the dispatch
 // service under GT (driver round trip, step and publication), single-row
 // network inference, the nearest-station lookup the matcher leans on, and
 // the ingest decoder on one recorded feed batch.
@@ -58,6 +58,10 @@ func hotpathSet() []hotBench {
 		}},
 		{"sim_step_sharded2", func(tb testing.TB) func() {
 			return stepOp(sim.New(benchCity(tb), policy.EpisodeOptions(1, 2), 42))
+		}},
+		{"sim_reset", func(tb testing.TB) func() {
+			env := sim.New(benchCity(tb), sim.DefaultOptions(1), 42)
+			return warmOnce(func() { env.Reset(42) })
 		}},
 		{"env_observe", func(tb testing.TB) func() {
 			env := sim.New(benchCity(tb), sim.DefaultOptions(1), 42)

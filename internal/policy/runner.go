@@ -93,17 +93,22 @@ type Decided struct {
 	Actions map[int]sim.Action
 }
 
+// Action returns the action d decides for taxi id: its entry in the action
+// map, or Stay for a taxi the map leaves out, exactly as Step treats it.
+// The batch records (AppendDecisions) and the dispatch service's decision
+// history both read actions through it.
+func (d *Decided) Action(id int) sim.Action {
+	if a, ok := d.Actions[id]; ok {
+		return a
+	}
+	return sim.Action{Kind: sim.Stay}
+}
+
 // AppendDecisions appends one Decision per vacant taxi of d to dst, in
-// vacant order: its slot, its pre-step region and its action, Stay for a
-// taxi the action map leaves out (exactly as Step treats it). It is the one
-// record builder of the batch loop and the dispatch service.
+// vacant order: its slot, its pre-step region and its Action.
 func (d *Decided) AppendDecisions(dst []Decision) []Decision {
 	for i, id := range d.Vacant {
-		a, ok := d.Actions[id]
-		if !ok {
-			a = sim.Action{Kind: sim.Stay}
-		}
-		dst = append(dst, Decision{Slot: d.Slot, Taxi: id, Region: d.Regions[i], Action: a})
+		dst = append(dst, Decision{Slot: d.Slot, Taxi: id, Region: d.Regions[i], Action: d.Action(id)})
 	}
 	return dst
 }

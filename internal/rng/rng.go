@@ -8,23 +8,33 @@
 package rng
 
 import (
-	"hash/fnv"
 	"math"
 	"math/rand/v2"
+	"strconv"
 )
 
 // Source is a deterministic random stream backed by a PCG generator: 16
 // bytes of state, so a simulation can hold one stream per region and per
-// station without the stream count showing up in its heap.
+// station without the stream count showing up in its heap. The generator
+// lives inside the Source, so Reseed can restart the stream in place.
 type Source struct {
-	r *rand.Rand
+	pcg rand.PCG
+	r   *rand.Rand
 }
 
 // New returns a Source seeded with seed. The seed is spread over both PCG
 // state words by a SplitMix64 finalizer, so nearby seeds start far apart.
 func New(seed int64) *Source {
+	s := &Source{}
+	s.seed(seed)
+	s.r = rand.New(&s.pcg)
+	return s
+}
+
+// seed sets the generator to the state New(seed) starts in.
+func (s *Source) seed(seed int64) {
 	hi := mix64(uint64(seed))
-	return &Source{r: rand.New(rand.NewPCG(hi, mix64(hi)))}
+	s.pcg.Seed(hi, mix64(hi))
 }
 
 // mix64 is the SplitMix64 output function: a bijective 64-bit scrambler.
@@ -39,21 +49,40 @@ func mix64(z uint64) uint64 {
 // distinct names are statistically independent; the same name always yields
 // the same stream.
 func (s *Source) Split(name string) *Source {
-	// Note: Split consumes no state from the parent; it derives purely from
-	// the parent's seed-equivalent state via one draw on a cloned hash.
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(name))
-	child := int64(h.Sum64()) ^ s.r.Int64()
-	return New(child)
+	return New(int64(fnv1a(fnvOffset, name)) ^ s.r.Int64())
 }
 
 // SplitStable derives a child stream from seed and name only, without
 // consuming parent state. Calling it repeatedly with the same name yields the
 // same stream every time.
 func SplitStable(seed int64, name string) *Source {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(name))
-	return New(seed ^ int64(h.Sum64()))
+	return New(seed ^ int64(fnv1a(fnvOffset, name)))
+}
+
+// Reseed restarts s as the stream SplitStable(seed, prefix+strconv.Itoa(i))
+// returns, without allocating: the name is hashed from prefix and i's
+// decimal digits on the stack. An engine resetting one stream per region
+// reuses its Sources this way instead of building new ones.
+func (s *Source) Reseed(seed int64, prefix string, i int) {
+	var digits [20]byte
+	h := fnv1a(fnvOffset, prefix)
+	h = fnv1a(h, strconv.AppendInt(digits[:0], int64(i), 10))
+	s.seed(seed ^ int64(h))
+}
+
+// FNV-1a, 64-bit (the hash/fnv New64a parameters).
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnv1a folds the bytes of b into the FNV-1a hash h.
+func fnv1a[B string | []byte](h uint64, b B) uint64 {
+	for i := 0; i < len(b); i++ {
+		h ^= uint64(b[i])
+		h *= fnvPrime
+	}
+	return h
 }
 
 // Float64 returns a uniform value in [0, 1).

@@ -1,7 +1,9 @@
 package rng
 
 import (
+	"hash/fnv"
 	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -34,6 +36,53 @@ func TestSplitStableIsStable(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different names produced identical streams")
+	}
+}
+
+// TestReseedMatchesSplitStable: a Source reseeded in place, whatever stream
+// it was on, draws exactly what a fresh SplitStable of the same seed and
+// name draws, for 1,000 draws of each kind the engine uses, and reseeding
+// allocates nothing.
+func TestReseedMatchesSplitStable(t *testing.T) {
+	s := New(99)
+	s.Float64()
+	for _, seed := range []int64{0, 1, 42, -7, math.MaxInt64} {
+		for _, name := range []struct {
+			prefix string
+			i      int
+		}{{"shard-demand-", 0}, {"shard-match-", 17}, {"shard-station-", 490}, {"", -12}, {"x", math.MaxInt}} {
+			want := SplitStable(seed, name.prefix+strconv.Itoa(name.i))
+			s.Reseed(seed, name.prefix, name.i)
+			for d := 0; d < 1000; d++ {
+				var got, exp float64
+				switch d % 3 {
+				case 0:
+					got, exp = s.Float64(), want.Float64()
+				case 1:
+					got, exp = float64(s.Intn(1000)), float64(want.Intn(1000))
+				default:
+					got, exp = s.Norm(0, 1), want.Norm(0, 1)
+				}
+				if got != exp {
+					t.Fatalf("seed %d name %q%d: draw %d is %v, SplitStable's is %v", seed, name.prefix, name.i, d, got, exp)
+				}
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { s.Reseed(5, "shard-station-", 123) }); n != 0 {
+		t.Errorf("Reseed allocates %v objects, want 0", n)
+	}
+}
+
+// TestNameHashIsFNV1a pins the inline name hash to hash/fnv's 64-bit
+// FNV-1a, which every stream ever derived from a name was keyed by.
+func TestNameHashIsFNV1a(t *testing.T) {
+	for _, name := range []string{"", "demand", "shard-match-17", "\xff\x00é"} {
+		h := fnv.New64a()
+		h.Write([]byte(name))
+		if got, want := fnv1a(fnvOffset, name), h.Sum64(); got != want {
+			t.Errorf("fnv1a(%q) = %x, hash/fnv = %x", name, got, want)
+		}
 	}
 }
 

@@ -8,8 +8,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-
-	"repro/internal/sim"
 )
 
 // maxBodyBytes bounds an ingest request body; batches are bounded in events
@@ -248,7 +246,7 @@ func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 	for i, d := range ds {
 		out.Decisions[i] = decisionJSON{
 			Slot: d.Slot, Taxi: d.Taxi, Region: d.Region,
-			Action: d.Action.String(), Index: sim.ActionIndex(d.Action),
+			Action: d.Action.String(), Index: actionIndex(d.Action),
 		}
 	}
 	writeJSON(w, http.StatusOK, out)

@@ -33,9 +33,9 @@
 // All environment and policy access happens on the single driver goroutine;
 // HTTP handlers communicate with it through channels and read cheap
 // snapshots through atomics, so the determinism contract of sim.Environment
-// is never stretched. The driver's publisher goroutine builds and hashes a
-// slot's decision records from the decided slot alone, while the driver
-// steps the engine (DESIGN.md §10).
+// is never stretched. The driver's publisher goroutine stores and hashes a
+// slot's decisions from the decided slot alone, while the driver steps the
+// engine (DESIGN.md §10).
 package serve
 
 import (
@@ -139,24 +139,28 @@ type Server struct {
 	// guarded by decMu. The published clock (slot, nowMin, done) is stored
 	// under decMu too, so a reader holding it sees a slot count and a
 	// latest slot that agree.
+	//
+	// The history is a ring of History+1 slot records: slot s lives in
+	// ring[s%len(ring)] while it is one of the last History committed
+	// slots, the window retained reports. Readers check that a slot is in
+	// the window before they touch its entry.
 	decMu     sync.RWMutex
-	history   map[int][]policy.Decision
+	ring      []slotRecord
 	sum       [sha256.Size]byte
 	slotCount int
 	decCount  int
 
 	// Slot publication. While the driver advances the engine, the
 	// publisher goroutine (started and stopped by the driver) builds the
-	// decided slot's records into spare, the storage the history window
-	// last evicted when it fits, and writes their digest lines, gathered
-	// in lines, into the rolling digest; busy is its build time. pubIn
-	// hands it a slot and pubOut returns it. The driver commits spare and
-	// takes digest's sum only after that receive, so the two goroutines
-	// never touch them at once, readers only see sum, and nothing is in
-	// flight between slots.
+	// decided slot's record into its ring entry, which the previous commit
+	// evicted from the window, so no reader touches it. It also writes the
+	// slot's digest lines, gathered in lines, into the rolling digest; busy
+	// is its build time. pubIn hands it a slot and pubOut returns it. The
+	// driver commits the entry and takes digest's sum only after that
+	// receive, so the two goroutines never touch them at once, readers
+	// only see sum, and nothing is in flight between slots.
 	pubIn  chan policy.Decided
 	pubOut chan struct{}
-	spare  []policy.Decision
 	digest hash.Hash
 	lines  []byte
 	busy   time.Duration
@@ -217,6 +221,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.History <= 0 {
 		cfg.History = DefaultHistory
 	}
+	if err := checkRegions(cfg.Env.City().Partition.Len()); err != nil {
+		return nil, err
+	}
 	reg := cfg.Telemetry
 	if reg == nil {
 		reg = telemetry.NewRegistry()
@@ -232,7 +239,7 @@ func New(cfg Config) (*Server, error) {
 		swapCh:  make(chan swapReq),
 		pubIn:   make(chan policy.Decided),
 		pubOut:  make(chan struct{}),
-		history: make(map[int][]policy.Decision),
+		ring:    make([]slotRecord, cfg.History+1),
 		sum:     sha256.Sum256(nil),
 		digest:  sha256.New(),
 		met: serveMetrics{
@@ -508,7 +515,7 @@ func (s *Server) stepN(n int) int {
 }
 
 // stepOnce closes one slot in three steps (DESIGN.md §10): decide, then
-// advance the engine while the publisher builds and hashes the slot's
+// advance the engine while the publisher stores and hashes the slot's
 // decisions, then commit them.
 func (s *Server) stepOnce() {
 	sw := s.met.stepTimer.Start()
@@ -520,20 +527,21 @@ func (s *Server) stepOnce() {
 	s.commit(d.Slot)
 }
 
-// publisher is the goroutine that builds each decided slot's records and
-// hashes their digest lines beside the engine step. It exits, closing
-// pubOut, when the driver closes pubIn.
+// publisher is the goroutine that stores each decided slot's decisions in
+// its ring entry and hashes their digest lines beside the engine step. It
+// exits, closing pubOut, when the driver closes pubIn.
 func (s *Server) publisher() {
 	defer close(s.pubOut)
 	for d := range s.pubIn {
 		start := time.Now()
-		if cap(s.spare) < len(d.Vacant) {
-			s.spare = make([]policy.Decision, 0, len(d.Vacant))
-		}
-		s.spare = d.AppendDecisions(s.spare[:0])
+		rec := &s.ring[d.Slot%len(s.ring)]
+		rec.fill(&d)
 		s.lines = s.lines[:0]
-		for _, dec := range s.spare {
-			s.lines = appendDecision(s.lines, dec)
+		escaped := rec.escaped
+		for i, code := range rec.code {
+			var a sim.Action
+			a, escaped = expand(code, escaped)
+			s.lines = appendLine(s.lines, d.Slot, int(rec.taxi[i]), int(rec.region[i]), a)
 			if len(s.lines) >= digestChunk {
 				s.digest.Write(s.lines)
 				s.lines = s.lines[:0]
@@ -545,28 +553,26 @@ func (s *Server) publisher() {
 	}
 }
 
-// commit publishes the slot the publisher just built: the history entry
-// (recycling the storage of the slot it evicts as the next spare), the
-// digest's sum, the counters and the published clock.
+// commit publishes the slot the publisher just built: it stamps the ring
+// entry and advances the window (the published clock), along with the
+// digest's sum and the counters.
 func (s *Server) commit(slot int) {
 	start := time.Now()
-	ds := s.spare
+	rec := &s.ring[slot%len(s.ring)]
+	n := len(rec.taxi)
 	env := s.runner.Env()
 	s.decMu.Lock()
-	evicted := s.history[slot-s.cfg.History]
-	delete(s.history, slot-s.cfg.History)
-	s.history[slot] = ds
-	s.spare = evicted[:0]
+	rec.slot = slot
 	s.digest.Sum(s.sum[:0]) // appends within sum's own 32 bytes
 	s.slotCount++
-	s.decCount += len(ds)
+	s.decCount += n
 	s.slot.Store(int64(env.Slot()))
 	s.nowMin.Store(int64(env.Now()))
 	s.done.Store(env.Done())
 	s.decMu.Unlock()
 
 	s.met.slots.Inc()
-	s.met.decisions.Add(int64(len(ds)))
+	s.met.decisions.Add(int64(n))
 	s.met.slotGauge.Set(float64(env.Slot()))
 	s.met.publishTimer.Observe(s.busy + time.Since(start))
 }
@@ -579,19 +585,21 @@ func (s *Server) install(p policy.Policy) error {
 	return nil
 }
 
-// Decisions returns a copy of the decisions of one slot (the latest when
-// slot < 0) and whether that slot is in the retained window.
+// Decisions returns the decisions of one slot (the latest when slot < 0),
+// expanded from its ring entry, and whether that slot is in the retained
+// window: the last History committed slots.
 func (s *Server) Decisions(slot int) ([]policy.Decision, int, bool) {
 	s.decMu.RLock()
 	defer s.decMu.RUnlock()
+	next := int(s.slot.Load())
 	if slot < 0 {
-		slot = int(s.slot.Load()) - 1
+		slot = next - 1
 	}
-	ds, ok := s.history[slot]
-	if !ok {
+	if slot >= next || slot < next-min(s.slotCount, s.cfg.History) {
 		return nil, slot, false
 	}
-	return append([]policy.Decision(nil), ds...), slot, true
+	rec := &s.ring[slot%len(s.ring)]
+	return rec.appendDecisions(make([]policy.Decision, 0, len(rec.taxi))), slot, true
 }
 
 // DigestState returns the number of slots stepped, decisions made, and the
@@ -603,20 +611,20 @@ func (s *Server) DigestState() (slots, decisions int, digest string) {
 	return s.slotCount, s.decCount, hex.EncodeToString(s.sum[:])
 }
 
-// appendDecision appends the canonical one-line encoding of d:
+// appendLine appends the canonical one-line encoding of one decision:
 //
 //	slot|taxi|region|action\n
 //
 // using Action.Append's stable rendering. DigestDecisions and the server's
 // rolling digest share it, so batch- and serve-side digests are comparable.
-func appendDecision(dst []byte, d policy.Decision) []byte {
-	dst = strconv.AppendInt(dst, int64(d.Slot), 10)
+func appendLine(dst []byte, slot, taxi, region int, a sim.Action) []byte {
+	dst = strconv.AppendInt(dst, int64(slot), 10)
 	dst = append(dst, '|')
-	dst = strconv.AppendInt(dst, int64(d.Taxi), 10)
+	dst = strconv.AppendInt(dst, int64(taxi), 10)
 	dst = append(dst, '|')
-	dst = strconv.AppendInt(dst, int64(d.Region), 10)
+	dst = strconv.AppendInt(dst, int64(region), 10)
 	dst = append(dst, '|')
-	dst = d.Action.Append(dst)
+	dst = a.Append(dst)
 	return append(dst, '\n')
 }
 
@@ -626,7 +634,7 @@ func DigestDecisions(ds []policy.Decision) string {
 	h := sha256.New()
 	var line []byte
 	for _, d := range ds {
-		line = appendDecision(line[:0], d)
+		line = appendLine(line[:0], d.Slot, d.Taxi, d.Region, d.Action)
 		h.Write(line)
 	}
 	return hex.EncodeToString(h.Sum(nil))

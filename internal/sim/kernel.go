@@ -41,7 +41,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"strconv"
 
 	"repro/internal/demand"
 	"repro/internal/geo"
@@ -334,17 +333,10 @@ func (c *Core) Reset(seed int64) {
 	c.nowMin = 0
 	c.endMin = (c.opts.WarmupDays + c.opts.Days) * 24 * 60
 	n := c.city.Partition.Len()
-	c.demandSrc = make([]*rng.Source, n)
-	c.matchSrc = make([]*rng.Source, n)
-	for r := 0; r < n; r++ {
-		c.demandSrc[r] = rng.SplitStable(seed, "shard-demand-"+strconv.Itoa(r))
-		c.matchSrc[r] = rng.SplitStable(seed, "shard-match-"+strconv.Itoa(r))
-	}
 	nS := c.city.Stations.Len()
-	c.stationSrc = make([]*rng.Source, nS)
-	for s := 0; s < nS; s++ {
-		c.stationSrc[s] = rng.SplitStable(seed, "shard-station-"+strconv.Itoa(s))
-	}
+	c.demandSrc = reseedStreams(c.demandSrc, n, seed, "shard-demand-")
+	c.matchSrc = reseedStreams(c.matchSrc, n, seed, "shard-match-")
+	c.stationSrc = reseedStreams(c.stationSrc, nS, seed, "shard-station-")
 	c.taxis = make([]taxi, len(c.city.Fleet))
 	for i, v := range c.city.Fleet {
 		c.taxis[i] = taxi{
@@ -415,6 +407,22 @@ func (c *Core) Reset(seed int64) {
 }
 
 func (c *Core) invalidateCaches() { c.cacheGen++ }
+
+// reseedStreams returns n streams, stream i seeded as SplitStable(seed,
+// prefix+i). It reseeds srcs in place when it already holds n streams, as
+// it does on every Reset after the first.
+func reseedStreams(srcs []*rng.Source, n int, seed int64, prefix string) []*rng.Source {
+	if len(srcs) != n {
+		srcs = make([]*rng.Source, n)
+		for i := range srcs {
+			srcs[i] = rng.New(0)
+		}
+	}
+	for i, src := range srcs {
+		src.Reseed(seed, prefix, i)
+	}
+	return srcs
+}
 
 // applyBatteryFactors scales each taxi's pack by its cohort factor and its
 // consumption rate by the cohort's vehicle model.
