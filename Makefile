@@ -13,8 +13,9 @@ GOFMT ?= gofmt
 # harness (golden digests, fuzz corpora, shard-invariance battery, kernel
 # tier bit-identity): uncovered code there is unpinned behavior — plus the
 # telemetry registry every layer timer and the benchmark recorder read, and
-# the fan-out primitive that sequences the engine, the decide and every Map.
-COVER_PKGS = ./internal/scenario/ ./internal/trace/ ./internal/checkpoint/ ./internal/sim/ ./internal/invariant/ ./internal/serve/ ./internal/nn/ ./internal/core/ ./internal/policy/ ./internal/telemetry/ ./internal/parallel/ ./internal/rng/
+# the fan-out primitive that sequences the engine, the decide and every Map,
+# and the demand model the engine samples requests from.
+COVER_PKGS = ./internal/scenario/ ./internal/trace/ ./internal/checkpoint/ ./internal/sim/ ./internal/invariant/ ./internal/serve/ ./internal/nn/ ./internal/core/ ./internal/policy/ ./internal/telemetry/ ./internal/parallel/ ./internal/rng/ ./internal/demand/
 COVER_FLOOR = 70
 
 .PHONY: ci fmt vet build cross perfbench test race cover alloc-gate smoke resume-smoke shard-smoke serve-smoke soak battery fuzz-battery fuzz bench

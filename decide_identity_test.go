@@ -122,16 +122,31 @@ func TestDecideMatchesReferenceLoop(t *testing.T) {
 		dqn.Workers = workers
 		return dqn
 	}
+	newFairMove := func(workers int) *core.FairMove {
+		cfg := core.DefaultConfig(0.6, 42)
+		cfg.Workers = workers
+		fm, err := core.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fm
+	}
 	learners := map[string]struct {
 		build  func(workers int) decideLearner
 		choose referenceChoice
 	}{
 		"FairMove": {func(workers int) decideLearner {
-			cfg := core.DefaultConfig(0.6, 42)
-			cfg.Workers = workers
-			fm, err := core.New(cfg)
-			if err != nil {
-				t.Fatal(err)
+			return newFairMove(workers)
+		}, sampledChoice},
+		// NaN actor weights: every logit is NaN, so every row's softmax is
+		// all zeros and its draw is the uniform Intn.
+		"FairMove-NaN": {func(workers int) decideLearner {
+			fm := newFairMove(workers)
+			net, _ := fm.BenchDecideState()
+			for _, l := range net.Layers {
+				for i := range l.W.Data {
+					l.W.Data[i] = float32(math.NaN())
+				}
 			}
 			return fm
 		}, sampledChoice},

@@ -133,10 +133,9 @@ type Model struct {
 	// uses it to match demand to fleet size.
 	Scale float64
 
-	// destWeights[o] caches gravity weights from origin o to every region.
-	destWeights [][]float64
-	// destAlias[o] caches the alias table of destWeights[o] for the O(1)
-	// destination draw used by SampleRegionScaledFast.
+	// destAlias[o] caches the alias table of origin o's gravity weights
+	// (gravityRow) for the O(1) destination draw used by
+	// SampleRegionScaledFast.
 	destAlias []rng.Alias
 	// tris[o] caches region o's triangle fan for O(1) point placement on
 	// the fast sampling path.
@@ -255,33 +254,42 @@ func New(part *partition.Partition, profiles []RegionProfile, fares pricing.Fare
 	return m, nil
 }
 
-// buildGravity precomputes destination weights w(o,d) ∝ A_d / (1 + dist²),
-// excluding the origin itself for all but a small self-loop weight.
+// buildGravity precomputes each origin's destination alias table and mean
+// trip distance from its gravity weights (gravityRow), filled one origin at
+// a time into one reused row: the model keeps no regions × regions matrix.
 func (m *Model) buildGravity() {
 	n := m.part.Len()
-	m.destWeights = make([][]float64, n)
 	m.destAlias = make([]rng.Alias, n)
 	m.meanDistKm = make([]float64, n)
+	ws := make([]float64, n)
 	for o := 0; o < n; o++ {
-		ws := make([]float64, n)
-		var wSum, wdSum float64
-		for d := 0; d < n; d++ {
-			dist := m.part.Distance(o, d)
-			w := m.profiles[d].Attractiveness / (1 + 0.05*dist*dist)
-			if d == o {
-				w *= 0.1 // short intra-region trips are rare but possible
-			}
-			ws[d] = w
-			wSum += w
-			wdSum += w * dist
-		}
-		m.destWeights[o] = ws
+		m.meanDistKm[o] = m.gravityRow(o, ws)
 		m.destAlias[o] = rng.NewAlias(ws)
-		if wSum > 0 {
-			m.meanDistKm[o] = wdSum / wSum
-		}
 	}
 	m.buildTris()
+}
+
+// gravityRow fills ws, one entry per region, with the destination weights
+// from origin o, w(o,d) ∝ A_d / (1 + 0.05·dist²), the origin itself at a
+// tenth of that (short intra-region trips are rare but possible), and
+// returns their weighted mean distance in km (0 when no weight is
+// positive).
+func (m *Model) gravityRow(o int, ws []float64) (meanDistKm float64) {
+	var wSum, wdSum float64
+	for d := range ws {
+		dist := m.part.Distance(o, d)
+		w := m.profiles[d].Attractiveness / (1 + 0.05*dist*dist)
+		if d == o {
+			w *= 0.1
+		}
+		ws[d] = w
+		wSum += w
+		wdSum += w * dist
+	}
+	if wSum > 0 {
+		return wdSum / wSum
+	}
+	return 0
 }
 
 // regionTris is a region polygon's triangle fan: triangle i is (apex, b[i],
@@ -454,9 +462,9 @@ func (m *Model) randPointIn(src *rng.Source, region int) geo.Point {
 // arrival-offset draw plus the trip draws. factor scales the expected demand
 // (1 = unperturbed, <= 0 silences the region without skipping the count
 // draw). This is the linear reference form — exact haversine distances,
-// rejection-sampled points, a linear destination scan — that the fast
-// sampler's distributions are tested against; the simulator samples with
-// SampleRegionScaledFast.
+// rejection-sampled points, a linear scan of the origin's gravity weights
+// computed per request — that the fast sampler's distributions are tested
+// against; the simulator samples with SampleRegionScaledFast.
 func (m *Model) SampleRegionScaled(dst []Request, src *rng.Source, region, tMin, slotMin int, factor float64) []Request {
 	return m.sampleRegion(dst, src, region, tMin, slotMin, factor, false)
 }
@@ -510,7 +518,9 @@ func (m *Model) sampleOne(src *rng.Source, origin, tMin int, fast bool) Request 
 		dLng := (dp.Lng - op.Lng) * degToRad * m.cosMidLat
 		distKm = geo.EarthRadiusKm * math.Sqrt(dLat*dLat+dLng*dLng) * RoadFactor
 	} else {
-		dest = src.WeightedChoice(m.destWeights[origin])
+		ws := make([]float64, m.part.Len())
+		m.gravityRow(origin, ws)
+		dest = src.WeightedChoice(ws)
 		op = m.randPointIn(src, origin)
 		dp = m.randPointIn(src, dest)
 		distKm = geo.Distance(op, dp) * RoadFactor

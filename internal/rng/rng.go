@@ -9,6 +9,7 @@ package rng
 
 import (
 	"math"
+	"math/bits"
 	"math/rand/v2"
 	"strconv"
 )
@@ -90,6 +91,10 @@ func (s *Source) Float64() float64 { return s.r.Float64() }
 
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
 func (s *Source) Intn(n int) int { return s.r.IntN(n) }
+
+// Uint64 returns the stream's next raw 64-bit value: the value Float64,
+// Intn and WeightedDraw consume first. WeightedDrawAt draws from it.
+func (s *Source) Uint64() uint64 { return s.pcg.Uint64() }
 
 // Int63 returns a non-negative 63-bit value.
 func (s *Source) Int63() int64 { return s.r.Int64() }
@@ -187,9 +192,11 @@ func WeightedTotal(weights []float64) (total float64, ok bool) {
 }
 
 // WeightedDraw is WeightedChoice's second pass: it draws an index of
-// weights given their WeightedTotal, consuming exactly one value from the
-// stream. A total that is not positive draws a uniform index. It panics on
-// an empty slice.
+// weights given their WeightedTotal. A positive total consumes one stream
+// value (one Float64); a total that is not positive draws a uniform index
+// with IntN, which consumes one value except in the 2^64 mod n cases out of
+// 2^64 where it rejects that value and draws again. It panics on an empty
+// slice.
 func (s *Source) WeightedDraw(weights []float64, total float64) int {
 	if len(weights) == 0 {
 		panic("rng: WeightedDraw with no weights")
@@ -197,7 +204,37 @@ func (s *Source) WeightedDraw(weights []float64, total float64) int {
 	if !(total > 0) {
 		return s.r.IntN(len(weights))
 	}
-	x := s.r.Float64() * total
+	return weightedScan(weights, total, s.r.Float64())
+}
+
+// WeightedDrawAt is WeightedDraw given the first stream value it would
+// consume, u, instead of the stream: it reads no state, so worker
+// goroutines can draw from values the stream's owner took in advance
+// (Source.Uint64). ok is false only when total is not positive and IntN
+// rejects u; the draw then continues as Intn(len(weights)) on the stream
+// after u, and the index returned is meaningless. It panics on an empty
+// slice.
+func WeightedDrawAt(weights []float64, total float64, u uint64) (i int, ok bool) {
+	n := uint64(len(weights))
+	if n == 0 {
+		panic("rng: WeightedDrawAt with no weights")
+	}
+	if total > 0 {
+		// rand.Rand.Float64's conversion of one stream value.
+		return weightedScan(weights, total, float64(u<<11>>11)/(1<<53)), true
+	}
+	// rand.Rand.IntN's first step (the 32-bit form computes the same).
+	if n&(n-1) == 0 {
+		return int(u & (n - 1)), true
+	}
+	hi, lo := bits.Mul64(u, n)
+	return int(hi), lo >= n || lo >= -n%n
+}
+
+// weightedScan is WeightedDraw's proportional pick at uniform value f in
+// [0, 1), given weights' positive total.
+func weightedScan(weights []float64, total, f float64) int {
+	x := f * total
 	last := 0
 	if math.IsInf(total, 1) {
 		// An +Inf weight, or finite weights overflowing: the draw is spent

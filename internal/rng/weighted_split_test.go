@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -88,6 +89,97 @@ func TestWeightedChoiceSplitMatchesSingleScan(t *testing.T) {
 		next := ref.Int63()
 		if composed.Int63() != next || split.Int63() != next {
 			t.Fatalf("trial %d: stream misaligned after weights %v", trial, w)
+		}
+	}
+}
+
+// seqSource is a rand.Source that returns a fixed sequence of values and
+// counts how many were taken.
+type seqSource struct {
+	vals []uint64
+	next int
+}
+
+func (s *seqSource) Uint64() uint64 {
+	v := s.vals[s.next]
+	s.next++
+	return v
+}
+
+// seqStream returns a Source whose draws come from vals through
+// math/rand/v2's own Float64 and IntN, and the sequence it reads.
+func seqStream(vals ...uint64) (*Source, *seqSource) {
+	seq := &seqSource{vals: vals}
+	return &Source{r: rand.New(seq)}, seq
+}
+
+// TestWeightedDrawAtMatchesWeightedDraw checks WeightedDrawAt, given the
+// first value of a fixed sequence, against WeightedDraw reading that
+// sequence through rand.Rand: the same index, and where WeightedDrawAt
+// reports that its value did not decide the draw, Intn over the rest of
+// the sequence finishes it at the index and position WeightedDraw reaches.
+// The first values include 0 and 2^63, which IntN(14) rejects, and the
+// rows all-zero, NaN, +Inf and overflowing weights.
+func TestWeightedDrawAtMatchesWeightedDraw(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	rows := [][]float64{
+		make([]float64, 14),
+		make([]float64, 8),
+		{nan, nan, nan},
+		{-1, 0, nan, -inf},
+		{0, 0.2, 0, 0.5, 0.3},
+		{0.1, inf, 0.3, inf},
+		{math.MaxFloat64, math.MaxFloat64, 0},
+		{1},
+	}
+	type drawCase struct {
+		w []float64
+		u uint64
+	}
+	var cases []drawCase
+	for _, w := range rows {
+		for _, u := range []uint64{0, 1, 2, 13, 14, 1 << 63, 1<<63 + 1, math.MaxUint64, 0x9e3779b97f4a7c15} {
+			cases = append(cases, drawCase{w, u})
+		}
+	}
+	g := New(7)
+	for range 2000 {
+		cases = append(cases, drawCase{randomWeights(g), g.Uint64()})
+	}
+	rest := []uint64{0, 1 << 63, 0x123456789abcdef, 42}
+	for _, c := range cases {
+		w, u := c.w, c.u
+		total, _ := WeightedTotal(w)
+		ref, refSeq := seqStream(append([]uint64{u}, rest...)...)
+		want := ref.WeightedDraw(w, total)
+		got, ok := WeightedDrawAt(w, total, u)
+		used := 1
+		if !ok {
+			if total > 0 {
+				t.Fatalf("weights %v total %v u %#x: positive total left undecided", w, total, u)
+			}
+			cont, contSeq := seqStream(rest...)
+			got = cont.Intn(len(w))
+			used += contSeq.next
+		}
+		if got != want || used != refSeq.next {
+			t.Fatalf("weights %v total %v u %#x: index %d after %d values (decided %v), WeightedDraw %d after %d",
+				w, total, u, got, used, ok, want, refSeq.next)
+		}
+	}
+	if _, ok := WeightedDrawAt(make([]float64, 14), 0, 0); ok {
+		t.Fatal("u = 0 decides a uniform draw over 14, want IntN to draw again")
+	}
+}
+
+// TestUint64IsTheNextDrawsValue checks that Uint64 takes the value the
+// stream's next Float64 would convert.
+func TestUint64IsTheNextDrawsValue(t *testing.T) {
+	a, b := New(11), New(11)
+	for range 100 {
+		u := a.Uint64()
+		if f := b.Float64(); f != float64(u<<11>>11)/(1<<53) {
+			t.Fatalf("Float64 %v, converted Uint64 %#x", f, u)
 		}
 	}
 }

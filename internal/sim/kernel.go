@@ -366,7 +366,6 @@ func (c *Core) Reset(seed int64) {
 	c.applyBatteryFactors()
 	c.res = Results{
 		SlotMinutes:  c.slotLen,
-		Accounts:     make([]TaxiAccount, len(c.taxis)),
 		RegionDemand: make([]int, n),
 		RegionServed: make([]int, n),
 	}
@@ -865,16 +864,15 @@ func (c *Core) SetTelemetry(r *telemetry.Registry) {
 	c.ptel = newPhaseTel(r)
 }
 
-// Results returns the accounting of the run as a stable snapshot.
+// Results returns the accounting of the run as a stable snapshot. Its
+// per-taxi accounts are read from the taxis: the core keeps no fleet-sized
+// copy of them, since once finalize has flushed the open cruise segments
+// they no longer change.
 func (c *Core) Results() *Results {
 	snap := c.res
-	if !c.finalized {
-		snap.Accounts = make([]TaxiAccount, len(c.taxis))
-		for i := range c.taxis {
-			snap.Accounts[i] = c.taxis[i].acct
-		}
-	} else {
-		snap.Accounts = append([]TaxiAccount(nil), c.res.Accounts...)
+	snap.Accounts = make([]TaxiAccount, len(c.taxis))
+	for i := range c.taxis {
+		snap.Accounts[i] = c.taxis[i].acct
 	}
 	snap.TripStats = make([]TripStat, 0, c.tripCount)
 	for _, ch := range c.tripChunks {
@@ -1188,7 +1186,6 @@ func (c *Core) clearAccounting() {
 	}
 	c.res = Results{
 		SlotMinutes:  c.slotLen,
-		Accounts:     make([]TaxiAccount, len(c.taxis)),
 		RegionDemand: make([]int, c.city.Partition.Len()),
 		RegionServed: make([]int, c.city.Partition.Len()),
 	}
@@ -1232,8 +1229,7 @@ func cutChunk[T any](arena []T, n int) (newArena, chunk []T) {
 	return newArena, newArena[at : at+n : at+n]
 }
 
-// finalize flushes open cruise segments, counts never-served requests, and
-// copies accounts into Results.
+// finalize flushes open cruise segments and counts never-served requests.
 func (c *Core) finalize() {
 	if c.finalized {
 		return
@@ -1253,6 +1249,5 @@ func (c *Core) finalize() {
 			flushCruise(t, c.endMin)
 			accrueCrawl(t, c.endMin)
 		}
-		c.res.Accounts[i] = t.acct
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/synth"
@@ -193,5 +194,47 @@ func TestChargeSessionsAlwaysTerminate(t *testing.T) {
 				t.Fatalf("taxi %d charging for %d min — unreachable target", i, age)
 			}
 		}
+	}
+}
+
+// The core keeps no copy of the per-taxi accounts: Results reads them from
+// the taxis, before finalize and after it. Once the run is done they are
+// final — reading the environment does not move them — and each Results
+// call returns its own copy, so mutating one snapshot leaves a later one
+// as it was.
+func TestResultsAccountsAcrossFinalize(t *testing.T) {
+	city, err := synth.Build(synth.TestConfig(63))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(city, DefaultOptions(1), 63)
+	e.Reset(63)
+	for i := 0; i < 20; i++ {
+		e.Step(nil)
+	}
+	mid := e.Results()
+	if len(mid.Accounts) != len(city.Fleet) {
+		t.Fatalf("%d accounts before finalize, want one per taxi (%d)", len(mid.Accounts), len(city.Fleet))
+	}
+	var onDuty float64
+	for _, a := range mid.Accounts {
+		onDuty += a.OnDutyMin()
+	}
+	if onDuty == 0 {
+		t.Fatal("no on-duty time accounted after 20 slots")
+	}
+	runStay(e)
+	final := e.Results()
+	for _, id := range e.VacantTaxis() {
+		e.Observe(id)
+	}
+	again := e.Results()
+	if !reflect.DeepEqual(final.Accounts, again.Accounts) {
+		t.Fatal("accounts moved after the run was done")
+	}
+	again.Accounts[0].RevenueCNY += 1e6
+	again.Accounts = again.Accounts[:1]
+	if later := e.Results(); !reflect.DeepEqual(later.Accounts, final.Accounts) {
+		t.Fatal("mutating a Results snapshot changed a later one")
 	}
 }
