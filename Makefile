@@ -58,12 +58,14 @@ race:
 	$(GO) test -short -race -timeout 1800s ./...
 
 # Enforce the coverage floor per package (committed fuzz seed corpora run
-# as ordinary test cases here, so short mode still replays them).
+# as ordinary test cases here, so short mode still replays them). Profiles
+# go to one mktemp file, removed on exit (a failure included), so a failing
+# package leaves nothing in the tree.
 cover:
-	@for pkg in $(COVER_PKGS); do \
-		$(GO) test -short -cover -coverprofile=cover.out $$pkg || exit 1; \
-		pct=$$($(GO) tool cover -func=cover.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
-		rm -f cover.out; \
+	@prof=$$(mktemp); trap 'rm -f "$$prof"' EXIT; \
+	for pkg in $(COVER_PKGS); do \
+		$(GO) test -short -cover -coverprofile="$$prof" $$pkg || exit 1; \
+		pct=$$($(GO) tool cover -func="$$prof" | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
 		echo "$$pkg statement coverage: $$pct% (floor $(COVER_FLOOR)%)"; \
 		awk -v p="$$pct" -v f="$(COVER_FLOOR)" 'BEGIN {exit (p+0 < f) ? 1 : 0}' || \
 			{ echo "coverage below floor for $$pkg"; exit 1; }; \

@@ -1,7 +1,7 @@
 package fairmove
 
-// Engine-stepping and CompareAll benchmarks. The per-table report
-// benchmarks live in bench_report_test.go.
+// Engine-stepping and CompareAll benchmarks. The paper's tables and
+// figures are printed by cmd/benchtab, not timed here.
 //
 // Scale control:
 //
@@ -36,7 +36,7 @@ func resolveBenchScale(tb testing.TB) string {
 }
 
 // benchCityConfig maps the validated scale to a synthetic-city size for the
-// engine stepping benchmarks (the report bundle has its own scale mapping).
+// engine stepping benchmarks.
 func benchCityConfig(tb testing.TB) synth.Config {
 	switch resolveBenchScale(tb) {
 	case "default":

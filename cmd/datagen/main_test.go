@@ -1,12 +1,41 @@
 package main
 
 import (
+	"encoding/csv"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
-
-	"repro/internal/trace"
 )
+
+// readRows reads a dataset CSV written by run and returns its records
+// without the header line.
+func readRows(t *testing.T, dir, name string) [][]string {
+	t.Helper()
+	f, err := os.Open(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rows, err := csv.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if len(rows) == 0 {
+		t.Fatalf("%s has no header", name)
+	}
+	return rows[1:]
+}
+
+// num parses field i of a dataset row as a number.
+func num(t *testing.T, row []string, i int) float64 {
+	t.Helper()
+	v, err := strconv.ParseFloat(row[i], 64)
+	if err != nil {
+		t.Fatalf("row %v field %d: %v", row, i, err)
+	}
+	return v
+}
 
 func TestRunWritesReadableDataset(t *testing.T) {
 	dir := t.TempDir()
@@ -14,25 +43,18 @@ func TestRunWritesReadableDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	gpsF, err := os.Open(filepath.Join(dir, "gps.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gpsF.Close()
-	gps, err := trace.ReadGPS(gpsF)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// gps.csv: vehicle_id,time_min,lng,lat,dir_deg,speed_kmh,occupied.
+	gps := readRows(t, dir, "gps.csv")
 	// One fix per taxi per slot: 60 taxis × 144 slots.
 	if len(gps) != 60*144 {
 		t.Fatalf("GPS rows = %d, want %d", len(gps), 60*144)
 	}
 	occupied := 0
 	for _, r := range gps {
-		if r.VehicleID < 0 || r.VehicleID >= 60 {
-			t.Fatalf("invalid vehicle id %d", r.VehicleID)
+		if id := num(t, r, 0); id < 0 || id >= 60 {
+			t.Fatalf("invalid vehicle id %v", id)
 		}
-		if r.Occupied {
+		if r[6] == "1" {
 			occupied++
 		}
 	}
@@ -40,55 +62,31 @@ func TestRunWritesReadableDataset(t *testing.T) {
 		t.Fatal("no occupied GPS fixes — trips missing from the stream")
 	}
 
-	txF, err := os.Open(filepath.Join(dir, "transactions.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer txF.Close()
-	txs, err := trace.ReadTransactions(txF)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// transactions.csv: pickup_min 1, dropoff_min 2, operating_km 7, fare_cny 9.
+	txs := readRows(t, dir, "transactions.csv")
 	if len(txs) == 0 {
 		t.Fatal("no transactions")
 	}
 	for _, tx := range txs {
-		if tx.DropoffMin <= tx.PickupMin {
-			t.Fatalf("non-positive trip duration: %+v", tx)
+		if num(t, tx, 2) <= num(t, tx, 1) {
+			t.Fatalf("non-positive trip duration: %v", tx)
 		}
-		if tx.FareCNY <= 0 || tx.OperatingKm <= 0 {
-			t.Fatalf("degenerate transaction: %+v", tx)
-		}
-	}
-
-	chF, err := os.Open(filepath.Join(dir, "charging.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer chF.Close()
-	evs, err := trace.ReadChargingEvents(chF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range evs {
-		if ev.StationID < 0 || ev.StationID >= 8 {
-			t.Fatalf("invalid station in charging event: %+v", ev)
-		}
-		if ev.ChargeMin() <= 0 {
-			t.Fatalf("non-positive charge duration: %+v", ev)
+		if num(t, tx, 9) <= 0 || num(t, tx, 7) <= 0 {
+			t.Fatalf("degenerate transaction: %v", tx)
 		}
 	}
 
-	stF, err := os.Open(filepath.Join(dir, "stations.csv"))
-	if err != nil {
-		t.Fatal(err)
+	// charging.csv: station_id 1, plug_min 3, finish_min 4.
+	for _, ev := range readRows(t, dir, "charging.csv") {
+		if s := num(t, ev, 1); s < 0 || s >= 8 {
+			t.Fatalf("invalid station in charging event: %v", ev)
+		}
+		if num(t, ev, 4) <= num(t, ev, 3) {
+			t.Fatalf("non-positive charge duration: %v", ev)
+		}
 	}
-	defer stF.Close()
-	metas, err := trace.ReadStationMeta(stF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(metas) != 8 {
+
+	if metas := readRows(t, dir, "stations.csv"); len(metas) != 8 {
 		t.Fatalf("station metadata rows = %d, want 8", len(metas))
 	}
 }

@@ -142,9 +142,6 @@ func New(cfg Config) (*FairMove, error) {
 // Name implements policy.Policy.
 func (f *FairMove) Name() string { return "FairMove" }
 
-// Config returns the hyperparameters.
-func (f *FairMove) Config() Config { return f.cfg }
-
 // BeginEpisode implements policy.Policy.
 func (f *FairMove) BeginEpisode(seed int64) { f.src = rng.SplitStable(seed, "cma2c") }
 

@@ -79,7 +79,8 @@ func value(f *FairMove, obs sim.Observation) float64 {
 
 // probs is the actor's masked policy distribution on one observation.
 func probs(f *FairMove, obs sim.Observation) []float64 {
-	return nn.Softmax(f.actor.Forward1(obs.Features), obs.Mask[:])
+	logits := f.actor.Forward1(obs.Features)
+	return nn.SoftmaxInto(logits, obs.Mask[:], make([]float64, len(logits)))
 }
 
 // perTaxiActor is the per-taxi rollout the batched one replaced: each

@@ -236,24 +236,6 @@ func NewShenzhenLike(seed int64, part *partition.Partition) *Model {
 	return m
 }
 
-// New builds a model from explicit profiles (profiles[i].Region must be i).
-func New(part *partition.Partition, profiles []RegionProfile, fares pricing.FareSchedule) (*Model, error) {
-	if len(profiles) != part.Len() {
-		return nil, fmt.Errorf("demand: %d profiles for %d regions", len(profiles), part.Len())
-	}
-	for i, p := range profiles {
-		if p.Region != i {
-			return nil, fmt.Errorf("demand: profile %d has region %d", i, p.Region)
-		}
-		if p.BasePerHour < 0 || p.Attractiveness < 0 {
-			return nil, fmt.Errorf("demand: profile %d has negative parameters", i)
-		}
-	}
-	m := &Model{part: part, profiles: append([]RegionProfile(nil), profiles...), fares: fares, Scale: 1}
-	m.buildGravity()
-	return m, nil
-}
-
 // buildGravity precomputes each origin's destination alias table and mean
 // trip distance from its gravity weights (gravityRow), filled one origin at
 // a time into one reused row: the model keeps no regions × regions matrix.

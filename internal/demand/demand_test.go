@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/partition"
-	"repro/internal/pricing"
 	"repro/internal/rng"
 )
 
@@ -237,31 +236,6 @@ func TestSampleDeterministicGivenSource(t *testing.T) {
 		if r1[i].Origin != r2[i].Origin || r1[i].Fare != r2[i].Fare {
 			t.Fatal("same seeds produced different requests")
 		}
-	}
-}
-
-func TestNewValidation(t *testing.T) {
-	part, _ := partition.Generate(1, 10, partition.ShenzhenBBox)
-	fares := pricing.ShenzhenFares()
-	profiles := make([]RegionProfile, 10)
-	for i := range profiles {
-		profiles[i] = RegionProfile{Region: i, Archetype: Suburb, BasePerHour: 1, Attractiveness: 1}
-	}
-	if _, err := New(part, profiles, fares); err != nil {
-		t.Fatalf("valid model rejected: %v", err)
-	}
-	if _, err := New(part, profiles[:5], fares); err == nil {
-		t.Error("profile count mismatch accepted")
-	}
-	bad := append([]RegionProfile(nil), profiles...)
-	bad[3].Region = 7
-	if _, err := New(part, bad, fares); err == nil {
-		t.Error("wrong region ID accepted")
-	}
-	neg := append([]RegionProfile(nil), profiles...)
-	neg[2].BasePerHour = -1
-	if _, err := New(part, neg, fares); err == nil {
-		t.Error("negative base accepted")
 	}
 }
 

@@ -77,12 +77,6 @@ type Charger struct {
 	TaperFloor   float64
 }
 
-// DefaultFastCharger returns a charger typical of the Shenzhen e-taxi
-// stations: 60 kW nominal, tapering above 80% SoC down to 20% power.
-func DefaultFastCharger() Charger {
-	return Charger{PowerKW: 60, TaperKneeSoC: 0.80, TaperFloor: 0.20}
-}
-
 // PowerAt returns the instantaneous charging power at the given SoC.
 func (c Charger) PowerAt(soc float64) float64 {
 	soc = clamp01(soc)

@@ -15,7 +15,7 @@ func TestBatteryEnergyConservation(t *testing.T) {
 	prop := func(seed int64, initialSoC float64, ops uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		b := NewBYDe6(math.Abs(math.Mod(initialSoC, 1)))
-		c := DefaultFastCharger()
+		c := fastCharger
 		initial := b.EnergyKWh()
 		var delivered, drawn float64
 		n := int(ops%50) + 1
@@ -54,7 +54,7 @@ func TestBatteryBoundaryCases(t *testing.T) {
 			return false
 		}
 		full := NewBYDe6(1)
-		c := DefaultFastCharger()
+		c := fastCharger
 		if e := c.Charge(&full, minutes); e != 0 {
 			t.Logf("full pack accepted %.9f kWh over %.1f min", e, minutes)
 			return false

@@ -6,6 +6,10 @@ import (
 	"testing/quick"
 )
 
+// fastCharger is a charger typical of the Shenzhen e-taxi stations: 60 kW
+// nominal, tapering above 80% SoC down to 20% power.
+var fastCharger = Charger{PowerKW: 60, TaperKneeSoC: 0.80, TaperFloor: 0.20}
+
 func TestNewBYDe6(t *testing.T) {
 	b := NewBYDe6(0.5)
 	if b.CapacityKWh != 80 {
@@ -73,7 +77,7 @@ func TestDriveEnergyConservationProperty(t *testing.T) {
 }
 
 func TestChargerPowerTaper(t *testing.T) {
-	c := DefaultFastCharger()
+	c := fastCharger
 	if p := c.PowerAt(0.5); p != 60 {
 		t.Errorf("power below knee = %v, want 60", p)
 	}
@@ -90,7 +94,7 @@ func TestChargerPowerTaper(t *testing.T) {
 }
 
 func TestChargeDeliversEnergy(t *testing.T) {
-	c := DefaultFastCharger()
+	c := fastCharger
 	b := NewBYDe6(0.2)
 	got := c.Charge(&b, 60)
 	// One hour at 60 kW from 0.2: all below knee, so exactly 60 kWh would
@@ -104,7 +108,7 @@ func TestChargeDeliversEnergy(t *testing.T) {
 }
 
 func TestChargeNeverOverfills(t *testing.T) {
-	c := DefaultFastCharger()
+	c := fastCharger
 	b := NewBYDe6(0.95)
 	c.Charge(&b, 600)
 	if b.SoC > 1 {
@@ -119,7 +123,7 @@ func TestChargeNeverOverfills(t *testing.T) {
 }
 
 func TestChargeZeroOrNegativeMinutes(t *testing.T) {
-	c := DefaultFastCharger()
+	c := fastCharger
 	b := NewBYDe6(0.5)
 	if c.Charge(&b, 0) != 0 || c.Charge(&b, -5) != 0 {
 		t.Fatal("zero/negative duration delivered energy")
@@ -130,7 +134,7 @@ func TestChargeZeroOrNegativeMinutes(t *testing.T) {
 }
 
 func TestChargeConservationProperty(t *testing.T) {
-	c := DefaultFastCharger()
+	c := fastCharger
 	f := func(soc, mins float64) bool {
 		soc = math.Abs(math.Mod(soc, 1))
 		mins = math.Abs(math.Mod(mins, 300))
@@ -147,7 +151,7 @@ func TestChargeConservationProperty(t *testing.T) {
 func TestChargeSessionMatchesPaperBand(t *testing.T) {
 	// Paper finding (i): most charge sessions last 45-120 minutes. A typical
 	// session charges from the 20% threshold to ~95% on a fast charger.
-	c := DefaultFastCharger()
+	c := fastCharger
 	b := NewBYDe6(0.20)
 	mins := 0
 	for ; b.SoC < 0.95 && mins <= 24*60; mins++ {
@@ -159,8 +163,8 @@ func TestChargeSessionMatchesPaperBand(t *testing.T) {
 }
 
 func TestChargerValidate(t *testing.T) {
-	if err := DefaultFastCharger().Validate(); err != nil {
-		t.Fatalf("default charger invalid: %v", err)
+	if err := fastCharger.Validate(); err != nil {
+		t.Fatalf("fast charger invalid: %v", err)
 	}
 	bad := []Charger{
 		{PowerKW: 0, TaperKneeSoC: 0.8, TaperFloor: 0.2},

@@ -43,12 +43,6 @@ type BBox struct {
 	MinLng, MinLat, MaxLng, MaxLat float64
 }
 
-// Contains reports whether p lies inside or on the boundary of b.
-func (b BBox) Contains(p Point) bool {
-	return p.Lng >= b.MinLng && p.Lng <= b.MaxLng &&
-		p.Lat >= b.MinLat && p.Lat <= b.MaxLat
-}
-
 // Center returns the centre point of b.
 func (b BBox) Center() Point {
 	return Point{Lng: (b.MinLng + b.MaxLng) / 2, Lat: (b.MinLat + b.MaxLat) / 2}

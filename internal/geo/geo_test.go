@@ -49,36 +49,12 @@ func TestDistanceTriangleInequality(t *testing.T) {
 	}
 }
 
-func TestBBoxContains(t *testing.T) {
-	b := BBox{MinLng: 0, MinLat: 0, MaxLng: 10, MaxLat: 5}
-	cases := []struct {
-		p    Point
-		want bool
-	}{
-		{Point{5, 2}, true},
-		{Point{0, 0}, true},
-		{Point{10, 5}, true},
-		{Point{-0.1, 2}, false},
-		{Point{5, 5.1}, false},
-	}
-	for _, c := range cases {
-		if got := b.Contains(c.p); got != c.want {
-			t.Errorf("Contains(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-}
-
 func TestBBoxOf(t *testing.T) {
 	pts := []Point{{1, 2}, {-3, 4}, {5, -1}}
 	b := BBoxOf(pts)
 	want := BBox{MinLng: -3, MinLat: -1, MaxLng: 5, MaxLat: 4}
 	if b != want {
 		t.Fatalf("BBoxOf = %+v, want %+v", b, want)
-	}
-	for _, p := range pts {
-		if !b.Contains(p) {
-			t.Errorf("bbox does not contain its own input point %v", p)
-		}
 	}
 }
 

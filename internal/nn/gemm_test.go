@@ -181,7 +181,7 @@ func gemmBlockedMatchesNaive(t *testing.T, tier string) {
 	for _, s := range shapes {
 		a := randMat(src, s.m, s.k)
 		b := randMat(src, s.n, s.k)
-		got := MatMulTransBInto(a, b, nil)
+		got := matMulTransBInto(a, b, nil)
 		want := refGemmNT(s.m, s.n, s.k, a.Data, b.Data)
 		for i := range want {
 			if got.Data[i] != want[i] {
@@ -247,7 +247,7 @@ func TestMatMulVariantsMatchNaive(t *testing.T) {
 
 		a := randMat(src, m, k)
 		b := randMat(src, k, n)
-		got := MatMulInto(a, b, nil)
+		got := matMulInto(a, b, nil)
 		for i := 0; i < m; i++ {
 			for j := 0; j < n; j++ {
 				var s float32
@@ -261,7 +261,7 @@ func TestMatMulVariantsMatchNaive(t *testing.T) {
 		}
 
 		at := randMat(src, k, m) // aᵀ stored: k×m
-		got = MatMulTransAInto(at, b, nil)
+		got = matMulTransAInto(at, b, nil)
 		for i := 0; i < m; i++ {
 			for j := 0; j < n; j++ {
 				var s float32
@@ -285,8 +285,8 @@ func TestGemmIntoReuseStable(t *testing.T) {
 		m, n, k := 1+src.Intn(8), 1+src.Intn(8), 1+src.Intn(8)
 		a := randMat(src, m, k)
 		b := randMat(src, n, k)
-		fresh := MatMulTransBInto(a, b, nil)
-		scratch = MatMulTransBInto(a, b, scratch)
+		fresh := matMulTransBInto(a, b, nil)
+		scratch = matMulTransBInto(a, b, scratch)
 		for i := range fresh.Data {
 			if scratch.Data[i] != fresh.Data[i] {
 				t.Fatalf("reused scratch differs at %d", i)

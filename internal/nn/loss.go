@@ -27,18 +27,13 @@ func MSELossInto(pred, target, grad *Mat) (float64, *Mat) {
 	return loss / n, grad
 }
 
-// Softmax computes a numerically stable softmax of float32 logits,
-// optionally restricted to a mask (nil = all valid). Masked-out entries
-// receive probability 0. The exponentials and normalization run in float64:
-// probabilities feed rng.WeightedChoice and the gradient helpers, where the
+// SoftmaxInto computes a numerically stable softmax of float32 logits into
+// probs, optionally restricted to a mask (nil = all valid), and returns
+// probs. Masked-out entries receive probability 0. probs must have the
+// logits' length; it is the caller's scratch, typically a fixed
+// action-width buffer. The exponentials and normalization run in float64:
+// probabilities feed the action draw and the gradient helpers, where the
 // extra precision is free.
-func Softmax(logits []float32, mask []bool) []float64 {
-	return SoftmaxInto(logits, mask, make([]float64, len(logits)))
-}
-
-// SoftmaxInto is Softmax writing into probs, which must have the logits'
-// length (it is the caller's scratch, typically a fixed action-width
-// buffer). Returns probs.
 //
 // On the 16-lane tier (haveAVX512) the exponentials run through
 // expKernel8 whenever every valid argument lies in [expVecMin, 0], which
@@ -151,17 +146,6 @@ func PolicyGradient(logits []float32, mask []bool, action int, advantage float64
 	grad := make([]float32, len(logits))
 	PolicyGradientRowInto(logits, mask, action, advantage, 0, 1, make([]float64, len(logits)), grad)
 	return grad
-}
-
-// Entropy returns the Shannon entropy of a probability vector.
-func Entropy(probs []float64) float64 {
-	var h float64
-	for _, p := range probs {
-		if p > 0 {
-			h -= p * math.Log(p)
-		}
-	}
-	return h
 }
 
 // ClipGrads scales all gradients so their global L2 norm does not exceed

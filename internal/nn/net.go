@@ -32,36 +32,6 @@ func (a Activation) String() string {
 	}
 }
 
-func (a Activation) apply(z float32) float32 {
-	switch a {
-	case ReLU:
-		if z < 0 {
-			return 0
-		}
-		return z
-	case Tanh:
-		return tanhF32(z)
-	default:
-		return z
-	}
-}
-
-// derivFromOut returns dσ/dz expressed via the activation output (possible
-// for ReLU and tanh, which keeps the backward pass cache small).
-func (a Activation) derivFromOut(out float32) float32 {
-	switch a {
-	case ReLU:
-		if out > 0 {
-			return 1
-		}
-		return 0
-	case Tanh:
-		return 1 - out*out
-	default:
-		return 1
-	}
-}
-
 // applyBiasAct is the fused GEMM epilogue: row = σ(row + b). The activation
 // switch is hoisted out of the element loop and row is resliced to the bias
 // length so the loops are bounds-check free. With AVX the Tanh case runs

@@ -10,7 +10,7 @@ import (
 func TestMatMulKnown(t *testing.T) {
 	a := FromSlice(2, 3, []float32{1, 2, 3, 4, 5, 6})
 	b := FromSlice(3, 2, []float32{7, 8, 9, 10, 11, 12})
-	c := MatMulInto(a, b, nil)
+	c := matMulInto(a, b, nil)
 	want := []float32{58, 64, 139, 154}
 	for i, v := range want {
 		if c.Data[i] != v {
@@ -22,7 +22,7 @@ func TestMatMulKnown(t *testing.T) {
 func TestMatMulTransVariants(t *testing.T) {
 	a := FromSlice(2, 3, []float32{1, 2, 3, 4, 5, 6})
 	bt := FromSlice(2, 3, []float32{7, 9, 11, 8, 10, 12}) // b transposed
-	c := MatMulTransBInto(a, bt, nil)
+	c := matMulTransBInto(a, bt, nil)
 	want := []float32{58, 64, 139, 154}
 	for i, v := range want {
 		if c.Data[i] != v {
@@ -31,7 +31,7 @@ func TestMatMulTransVariants(t *testing.T) {
 	}
 	at := FromSlice(3, 2, []float32{1, 4, 2, 5, 3, 6}) // a transposed
 	b := FromSlice(3, 2, []float32{7, 8, 9, 10, 11, 12})
-	c2 := MatMulTransAInto(at, b, nil)
+	c2 := matMulTransAInto(at, b, nil)
 	for i, v := range want {
 		if c2.Data[i] != v {
 			t.Fatalf("MatMulTransA[%d] = %v, want %v", i, c2.Data[i], v)
@@ -52,7 +52,7 @@ func TestMatShapePanics(t *testing.T) {
 	mustPanic("FromSlice mismatch", func() { FromSlice(2, 2, []float32{1}) })
 	a := NewMat(2, 3)
 	b := NewMat(2, 3)
-	mustPanic("MatMul mismatch", func() { MatMulInto(a, b, nil) })
+	mustPanic("MatMul mismatch", func() { matMulInto(a, b, nil) })
 }
 
 // f64Apply mirrors Activation.apply in float64 for the finite-difference
@@ -182,14 +182,14 @@ func TestMLPLearnsXOR(t *testing.T) {
 }
 
 func TestSoftmax(t *testing.T) {
-	p := Softmax([]float32{1, 1, 1}, nil)
+	p := SoftmaxInto([]float32{1, 1, 1}, nil, make([]float64, 3))
 	for _, v := range p {
 		if math.Abs(v-1.0/3) > 1e-12 {
 			t.Fatalf("uniform softmax = %v", p)
 		}
 	}
 	// Masking.
-	p = Softmax([]float32{5, 100, 5}, []bool{true, false, true})
+	p = SoftmaxInto([]float32{5, 100, 5}, []bool{true, false, true}, make([]float64, 3))
 	if p[1] != 0 {
 		t.Fatal("masked entry got probability")
 	}
@@ -197,15 +197,15 @@ func TestSoftmax(t *testing.T) {
 		t.Fatalf("masked softmax = %v", p)
 	}
 	// Numerical stability at large logits.
-	p = Softmax([]float32{1000, 1001}, nil)
+	p = SoftmaxInto([]float32{1000, 1001}, nil, make([]float64, 2))
 	if math.IsNaN(p[0]) || math.IsNaN(p[1]) {
 		t.Fatal("softmax overflow")
 	}
 	if p[1] <= p[0] {
 		t.Fatal("softmax ordering wrong")
 	}
-	// Fully masked.
-	p = Softmax([]float32{1, 2}, []bool{false, false})
+	// Fully masked: every entry of the (dirty) scratch is cleared.
+	p = SoftmaxInto([]float32{1, 2}, []bool{false, false}, []float64{7, 7})
 	if p[0] != 0 || p[1] != 0 {
 		t.Fatal("fully masked softmax should be zeros")
 	}
@@ -218,7 +218,7 @@ func TestSoftmaxSumsToOne(t *testing.T) {
 		for i := range logits {
 			logits[i] = float32(src.Norm(0, 10))
 		}
-		p := Softmax(logits, nil)
+		p := SoftmaxInto(logits, nil, make([]float64, len(logits)))
 		var sum float64
 		for _, v := range p {
 			if v < 0 {
@@ -237,27 +237,28 @@ func TestPolicyGradientDirection(t *testing.T) {
 	// positive advantage must increase that action's probability.
 	logits := []float32{0.1, 0.2, 0.3}
 	action := 0
-	before := Softmax(logits, nil)[action]
+	probs := make([]float64, len(logits))
+	before := SoftmaxInto(logits, nil, probs)[action]
 	for iter := 0; iter < 50; iter++ {
 		g := PolicyGradient(logits, nil, action, 1.0)
 		for i := range logits {
 			logits[i] -= 0.1 * g[i] // descend the loss = ascend log-prob
 		}
 	}
-	after := Softmax(logits, nil)[action]
+	after := SoftmaxInto(logits, nil, probs)[action]
 	if after <= before {
 		t.Fatalf("action prob %v -> %v did not increase", before, after)
 	}
 	// Negative advantage pushes the other way.
 	logits = []float32{0.1, 0.2, 0.3}
-	before = Softmax(logits, nil)[action]
+	before = SoftmaxInto(logits, nil, probs)[action]
 	for iter := 0; iter < 50; iter++ {
 		g := PolicyGradient(logits, nil, action, -1.0)
 		for i := range logits {
 			logits[i] -= 0.1 * g[i]
 		}
 	}
-	after = Softmax(logits, nil)[action]
+	after = SoftmaxInto(logits, nil, probs)[action]
 	if after >= before {
 		t.Fatalf("action prob %v -> %v did not decrease with negative advantage", before, after)
 	}
@@ -294,8 +295,8 @@ func TestPolicyGradientRowIntoMatchesUnfused(t *testing.T) {
 	// advantage=0 isolates the entropy term: grad_i = coef·p_i(log p_i + H).
 	const coef = 0.3
 	PolicyGradientRowInto(logits, mask, 1, 0, coef, 1, probs, grad)
-	p := Softmax(logits, mask)
-	ent := Entropy(p)
+	p := SoftmaxInto(logits, mask, make([]float64, len(logits)))
+	ent := entropy(p)
 	for i := range grad {
 		var want float64
 		if mask[i] && p[i] > 0 {
@@ -318,7 +319,7 @@ func TestEntropyBonusIncreasesEntropy(t *testing.T) {
 	logits := []float32{3, 0, 0}
 	probs := make([]float64, len(logits))
 	grad := make([]float32, len(logits))
-	before := Entropy(Softmax(logits, nil))
+	before := entropy(SoftmaxInto(logits, nil, probs))
 	for iter := 0; iter < 100; iter++ {
 		// advantage=0: pure entropy-bonus gradient.
 		PolicyGradientRowInto(logits, nil, 0, 0, 0.1, 1, probs, grad)
@@ -326,7 +327,7 @@ func TestEntropyBonusIncreasesEntropy(t *testing.T) {
 			logits[i] -= 0.1 * grad[i]
 		}
 	}
-	after := Entropy(Softmax(logits, nil))
+	after := entropy(SoftmaxInto(logits, nil, probs))
 	if after <= before {
 		t.Fatalf("entropy %v -> %v did not increase", before, after)
 	}

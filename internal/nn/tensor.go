@@ -87,41 +87,3 @@ func ensureMat(out *Mat, rows, cols int) *Mat {
 // reshaped to rows×cols, reusing its storage when capacity allows and
 // allocating otherwise (out may be nil). Contents are unspecified.
 func EnsureMat(out *Mat, rows, cols int) *Mat { return ensureMat(out, rows, cols) }
-
-// MatMulInto computes a @ b into out's storage (reused when it fits, nil
-// allocates) and returns out. This is gemmNN's native layout: both operands
-// are read in place.
-func MatMulInto(a, b, out *Mat) *Mat {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("nn: MatMul shape mismatch %dx%d @ %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out = ensureMat(out, a.Rows, b.Cols)
-	gemmNN(nil, a.Rows, b.Cols, a.Cols, a.Data, a.Cols, b.Data, b.Cols, out.Data, out.Cols)
-	return out
-}
-
-// MatMulTransBInto computes a @ bᵀ into out's storage (reused when it fits,
-// nil allocates) and returns out. This is gemmNT's native layout: no packing,
-// no zeroing pass, every cell written exactly once.
-func MatMulTransBInto(a, b, out *Mat) *Mat {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("nn: MatMulTransB shape mismatch %dx%d @ (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out = ensureMat(out, a.Rows, b.Rows)
-	gemmNT(nil, a.Rows, b.Rows, a.Cols, a.Data, a.Cols, b.Data, b.Cols, out.Data, out.Cols)
-	return out
-}
-
-// MatMulTransAInto computes aᵀ @ b into out's storage (reused when it fits,
-// nil allocates) and returns out. a is packed transposed (allocated per
-// call; the training path uses a layer-owned pack instead) and b is read in
-// place by gemmNN.
-func MatMulTransAInto(a, b, out *Mat) *Mat {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("nn: MatMulTransA shape mismatch (%dx%d)ᵀ @ %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out = ensureMat(out, a.Cols, b.Cols)
-	at := packTranspose(a, nil)
-	gemmNN(nil, a.Cols, b.Cols, a.Rows, at, a.Rows, b.Data, b.Cols, out.Data, out.Cols)
-	return out
-}

@@ -30,7 +30,6 @@ type Region struct {
 type Partition struct {
 	regions []Region
 	bbox    geo.BBox
-	index   *geo.GridIndex // nearest-centroid index for Locate
 }
 
 // New builds a Partition from regions, validating IDs and symmetry of the
@@ -68,26 +67,11 @@ func New(regions []Region) (*Partition, error) {
 		}
 		sort.Ints(r.Neighbors)
 	}
-	pts := make([]geo.Point, len(regions))
 	var all []geo.Point
-	for i, r := range regions {
-		pts[i] = r.Centroid
+	for _, r := range regions {
 		all = append(all, r.Polygon.Ring...)
 	}
-	p := &Partition{
-		regions: regions,
-		bbox:    geo.BBoxOf(all),
-		index:   geo.NewGridIndex(pts, nil, gridCellsFor(len(regions))),
-	}
-	return p, nil
-}
-
-func gridCellsFor(n int) int {
-	c := 1
-	for c*c < n {
-		c++
-	}
-	return c
+	return &Partition{regions: regions, bbox: geo.BBoxOf(all)}, nil
 }
 
 func containsInt(xs []int, v int) bool {
@@ -110,24 +94,6 @@ func (p *Partition) Regions() []Region { return p.regions }
 
 // BBox returns the bounding box of the whole partition.
 func (p *Partition) BBox() geo.BBox { return p.bbox }
-
-// Locate returns the ID of the region containing pt. Points that fall
-// outside every polygon (e.g. on excluded terrain) are assigned to the
-// nearest region by centroid distance, mirroring how trace points are
-// snapped to census regions in practice.
-func (p *Partition) Locate(pt geo.Point) int {
-	id, _ := p.index.Nearest(pt)
-	if p.regions[id].Polygon.Contains(pt) {
-		return id
-	}
-	// Check the nearest few centroids' polygons before falling back.
-	for _, nb := range p.index.KNearest(pt, 5) {
-		if p.regions[nb.Label].Polygon.Contains(pt) {
-			return nb.Label
-		}
-	}
-	return id
-}
 
 // Distance returns the centroid-to-centroid distance between two regions in
 // kilometres.
@@ -269,14 +235,4 @@ func Generate(seed int64, n int, bbox geo.BBox) (*Partition, error) {
 		return nil, fmt.Errorf("partition: generated partition is disconnected (n=%d)", n)
 	}
 	return p, nil
-}
-
-// GenerateShenzhen returns the default 491-region partition over the
-// Shenzhen bounding box used throughout the evaluation.
-func GenerateShenzhen(seed int64) *Partition {
-	p, err := Generate(seed, 491, ShenzhenBBox)
-	if err != nil {
-		panic("partition: GenerateShenzhen failed: " + err.Error())
-	}
-	return p
 }

@@ -4,11 +4,21 @@ import (
 	"testing"
 
 	"repro/internal/geo"
-	"repro/internal/rng"
 )
 
+// shenzhen generates the 491-region partition over the Shenzhen bounding
+// box that the evaluation cities use.
+func shenzhen(t *testing.T, seed int64) *Partition {
+	t.Helper()
+	p, err := Generate(seed, 491, ShenzhenBBox)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestGenerateShenzhenBasics(t *testing.T) {
-	p := GenerateShenzhen(1)
+	p := shenzhen(t, 1)
 	if p.Len() != 491 {
 		t.Fatalf("region count = %d, want 491", p.Len())
 	}
@@ -29,14 +39,14 @@ func TestGenerateShenzhenBasics(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	a := GenerateShenzhen(7)
-	b := GenerateShenzhen(7)
+	a := shenzhen(t, 7)
+	b := shenzhen(t, 7)
 	for i := 0; i < a.Len(); i++ {
 		if a.Region(i).Centroid != b.Region(i).Centroid {
 			t.Fatalf("same seed produced different centroids at region %d", i)
 		}
 	}
-	c := GenerateShenzhen(8)
+	c := shenzhen(t, 8)
 	diff := false
 	for i := 0; i < a.Len(); i++ {
 		if a.Region(i).Centroid != c.Region(i).Centroid {
@@ -50,7 +60,7 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 func TestAdjacencySymmetric(t *testing.T) {
-	p := GenerateShenzhen(2)
+	p := shenzhen(t, 2)
 	for _, r := range p.Regions() {
 		for _, nb := range r.Neighbors {
 			found := false
@@ -67,39 +77,8 @@ func TestAdjacencySymmetric(t *testing.T) {
 	}
 }
 
-func TestLocateCentroidsSelf(t *testing.T) {
-	p := GenerateShenzhen(3)
-	misses := 0
-	for _, r := range p.Regions() {
-		if p.Locate(r.Centroid) != r.ID {
-			misses++
-		}
-	}
-	// Centroids of jittered quads are almost always inside their own
-	// polygon; allow a tiny number of edge cases.
-	if misses > p.Len()/100 {
-		t.Fatalf("%d/%d centroids located in wrong region", misses, p.Len())
-	}
-}
-
-func TestLocateCoversBBox(t *testing.T) {
-	p := GenerateShenzhen(4)
-	src := rng.New(99)
-	b := p.BBox()
-	for i := 0; i < 500; i++ {
-		pt := geo.Point{
-			Lng: src.Uniform(b.MinLng, b.MaxLng),
-			Lat: src.Uniform(b.MinLat, b.MaxLat),
-		}
-		id := p.Locate(pt)
-		if id < 0 || id >= p.Len() {
-			t.Fatalf("Locate returned invalid region %d", id)
-		}
-	}
-}
-
 func TestDistancePositive(t *testing.T) {
-	p := GenerateShenzhen(10)
+	p := shenzhen(t, 10)
 	if p.Distance(0, 0) != 0 {
 		t.Fatal("self distance not 0")
 	}

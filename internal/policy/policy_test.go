@@ -240,14 +240,14 @@ func TestEpsGreedyMatchesSliceReference(t *testing.T) {
 			qs[i] = float32(g.Uniform(-1, 1))
 		}
 		for _, eps := range []float64{0, 0.03, 0.5, 1} {
-			seed := g.Int63()
+			seed := int64(g.Uint64() &^ (1 << 63)) // non-negative 63-bit seed
 			ref, got := rng.New(seed), rng.New(seed)
 			want := sliceEpsGreedy(ref, qs, mask, eps)
 			greedy, _ := maskedArgmax(qs, mask)
 			if a := epsGreedy(got, greedy, mask, eps); a != want {
 				t.Fatalf("trial %d eps %v mask %v: epsGreedy %d, reference %d", trial, eps, mask, a, want)
 			}
-			if got.Int63() != ref.Int63() {
+			if got.Uint64() != ref.Uint64() {
 				t.Fatalf("trial %d eps %v mask %v: stream misaligned", trial, eps, mask)
 			}
 		}

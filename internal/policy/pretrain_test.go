@@ -136,7 +136,7 @@ func TestTBAPretrainClonesTeacher(t *testing.T) {
 }
 
 func softmaxAt(logits []float32, mask []bool, idx int) float64 {
-	p := nn.Softmax(logits, mask)
+	p := nn.SoftmaxInto(logits, mask, make([]float64, len(logits)))
 	if idx < 0 || idx >= len(p) {
 		return 0
 	}

@@ -2,8 +2,8 @@
 //
 // FairMove's simulator, data generator, and learning algorithms each need
 // their own reproducible stream so that, for example, changing the number of
-// training epochs does not perturb the synthetic demand. A Source is split
-// into named child streams via a stable hash of the name, so the same
+// training epochs does not perturb the synthetic demand. SplitStable derives
+// a named child stream from a stable hash of the name, so the same
 // (seed, name) pair always yields the same stream.
 package rng
 
@@ -44,13 +44,6 @@ func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
-}
-
-// Split derives an independent child stream identified by name. Streams with
-// distinct names are statistically independent; the same name always yields
-// the same stream.
-func (s *Source) Split(name string) *Source {
-	return New(int64(fnv1a(fnvOffset, name)) ^ s.r.Int64())
 }
 
 // SplitStable derives a child stream from seed and name only, without
@@ -96,22 +89,10 @@ func (s *Source) Intn(n int) int { return s.r.IntN(n) }
 // Intn and WeightedDraw consume first. WeightedDrawAt draws from it.
 func (s *Source) Uint64() uint64 { return s.pcg.Uint64() }
 
-// Int63 returns a non-negative 63-bit value.
-func (s *Source) Int63() int64 { return s.r.Int64() }
-
 // Norm returns a normally distributed value with the given mean and standard
 // deviation.
 func (s *Source) Norm(mean, stddev float64) float64 {
 	return mean + stddev*s.r.NormFloat64()
-}
-
-// Exp returns an exponentially distributed value with the given rate
-// (mean 1/rate). It panics if rate <= 0.
-func (s *Source) Exp(rate float64) float64 {
-	if rate <= 0 {
-		panic("rng: Exp rate must be positive")
-	}
-	return s.r.ExpFloat64() / rate
 }
 
 // Poisson returns a Poisson-distributed count with the given mean, using
@@ -360,6 +341,3 @@ func (s *Source) AliasChoice(a Alias) int {
 	}
 	return int(a.alias[i])
 }
-
-// Perm returns a random permutation of [0, n).
-func (s *Source) Perm(n int) []int { return s.r.Perm(n) }

@@ -45,33 +45,6 @@ func TestSplitStableIndependentOfSiblingConsumption(t *testing.T) {
 	}
 }
 
-// A child produced by Source.Split depends on the parent's position at the
-// split (documented behavior), but once created it is a private stream:
-// consuming one child never perturbs another, regardless of interleaving.
-func TestSplitChildrenAreIsolatedAfterCreation(t *testing.T) {
-	mk := func() (*Source, *Source) {
-		parent := New(99)
-		a := parent.Split("a")
-		b := parent.Split("b")
-		return a, b
-	}
-
-	// Reference: drain b untouched by a.
-	_, b1 := mk()
-	ref := drain(b1, 16)
-
-	// Same creation sequence, but a is heavily consumed first.
-	a2, b2 := mk()
-	drain(a2, 1000)
-	got := drain(b2, 16)
-
-	for i := range ref {
-		if got[i] != ref[i] {
-			t.Fatalf("draw %d: consuming sibling changed the stream (%v != %v)", i, got[i], ref[i])
-		}
-	}
-}
-
 // SplitStable streams with distinct names must not be trivially correlated —
 // the degenerate failure where all "independent" workers see the same draws.
 func TestSplitStableDistinctStreams(t *testing.T) {

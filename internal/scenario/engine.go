@@ -30,8 +30,6 @@ import (
 // Because each kind merges with a commutative, associative operation, the
 // compiled answers are independent of authoring and composition order.
 type Engine struct {
-	spec *Spec
-
 	outages map[int][]window
 	derates map[int][]derate
 	demand  []regionFactor
@@ -86,7 +84,6 @@ var _ sim.Hooks = (*Engine)(nil)
 // a city; use Attach for that.
 func NewEngine(spec *Spec) *Engine {
 	e := &Engine{
-		spec:    spec,
 		outages: make(map[int][]window),
 		derates: make(map[int][]derate),
 	}
@@ -126,9 +123,6 @@ func NewEngine(spec *Spec) *Engine {
 	}
 	return e
 }
-
-// Spec returns the spec the engine was compiled from.
-func (e *Engine) Spec() *Spec { return e.spec }
 
 // StationClosed implements sim.Hooks.
 func (e *Engine) StationClosed(station, minute int) bool {

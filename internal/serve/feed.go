@@ -244,15 +244,6 @@ func (c *Client) Digest(ctx context.Context) (slots, decisions int, digest strin
 	return resp.Slots, resp.Decisions, resp.Digest, nil
 }
 
-// Healthz fetches the server's liveness snapshot.
-func (c *Client) Healthz(ctx context.Context) (status string, slot, queueDepth int, done bool, err error) {
-	var resp healthzResponse
-	if err := c.getJSON(ctx, "/healthz", &resp); err != nil {
-		return "", 0, 0, false, err
-	}
-	return resp.Status, resp.Slot, resp.QueueDepth, resp.Done, nil
-}
-
 func jsonDecode(r io.Reader, out any) error {
 	data, err := io.ReadAll(io.LimitReader(r, 1<<20))
 	if err != nil {

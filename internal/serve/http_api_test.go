@@ -18,7 +18,7 @@ import (
 
 // The HTTP API battery: every endpoint's documented statuses and payload
 // shapes, exercised through the same mux the binary mounts, plus the client
-// wrappers (Digest, Healthz, PostBatch's 429 leg) the stream tooling uses.
+// wrappers (Digest, PostBatch's 429 leg) the stream tooling uses.
 
 func apiServer(t *testing.T, reload ReloadFunc) (*Server, *httptest.Server) {
 	t.Helper()
@@ -138,22 +138,21 @@ func TestHTTPHealthzLifecycle(t *testing.T) {
 	srv, ts := apiServer(t, nil)
 	client := &Client{URL: ts.URL}
 	ctx := context.Background()
-	status, slot, _, done, err := client.Healthz(ctx)
-	if err != nil {
+	var h healthzResponse
+	if err := client.getJSON(ctx, "/healthz", &h); err != nil {
 		t.Fatal(err)
 	}
-	if status != "ok" || slot != 0 || done {
-		t.Fatalf("fresh healthz = %q slot=%d done=%v, want ok/0/false", status, slot, done)
+	if h.Status != "ok" || h.Slot != 0 || h.Done {
+		t.Fatalf("fresh healthz = %q slot=%d done=%v, want ok/0/false", h.Status, h.Slot, h.Done)
 	}
 	if err := srv.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	status, _, _, _, err = client.Healthz(ctx)
-	if err != nil {
+	if err := client.getJSON(ctx, "/healthz", &h); err != nil {
 		t.Fatal(err)
 	}
-	if status != "draining" {
-		t.Fatalf("healthz after drain = %q, want draining", status)
+	if h.Status != "draining" {
+		t.Fatalf("healthz after drain = %q, want draining", h.Status)
 	}
 	// /step during drain is a 503.
 	if resp, _ := postJSON(t, ts.URL+"/step", `{"slots":1}`); resp.StatusCode != http.StatusServiceUnavailable {

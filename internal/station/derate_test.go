@@ -30,7 +30,7 @@ func TestDerateNeverInterruptsSessions(t *testing.T) {
 		t.Fatalf("derating a full station promoted %v", promoted)
 	}
 	// Both sessions keep running even though effective capacity is zero.
-	if !s.IsCharging(1) || !s.IsCharging(2) {
+	if !s.charging[1] || !s.charging[2] {
 		t.Fatal("derate interrupted an in-progress session")
 	}
 	// A finishing session must NOT promote while occupancy >= effective.
@@ -82,7 +82,7 @@ func TestDrainQueue(t *testing.T) {
 	if got := s.DrainQueue(); !reflect.DeepEqual(got, []int{2, 3}) {
 		t.Fatalf("drained %v, want [2 3]", got)
 	}
-	if s.QueueLen() != 0 || !s.IsCharging(1) {
+	if s.QueueLen() != 0 || !s.charging[1] {
 		t.Fatal("drain touched the charging set or left queue entries")
 	}
 	if got := s.DrainQueue(); got != nil {

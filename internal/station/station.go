@@ -159,9 +159,6 @@ func (s *State) Free() int {
 // QueueLen returns the number of taxis waiting.
 func (s *State) QueueLen() int { return len(s.waiting) }
 
-// IsCharging reports whether taxi currently holds a point.
-func (s *State) IsCharging(taxi int) bool { return s.charging[taxi] }
-
 // Reset clears all runtime occupancy and any derate, keeping the charging
 // map's buckets and the queue's backing array for the next episode.
 func (s *State) Reset() {
@@ -242,15 +239,6 @@ func (n *Network) Stations() []Station { return n.stations }
 // Nearest returns the k stations closest to p ordered by distance.
 func (n *Network) Nearest(p geo.Point, k int) []geo.Neighbor {
 	return n.index.KNearest(p, k)
-}
-
-// TotalPoints returns the total charging point inventory.
-func (n *Network) TotalPoints() int {
-	var total int
-	for _, s := range n.stations {
-		total += s.Points
-	}
-	return total
 }
 
 // GenerateOpts controls synthetic station placement.

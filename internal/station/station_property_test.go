@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/energy"
 )
 
 // stationModel drives a State through a random op sequence while tracking
@@ -21,7 +19,7 @@ func newStationModel(points int) *stationModel {
 	return &stationModel{
 		st: NewState(Station{
 			ID: 0, Points: points,
-			Charger: energy.DefaultFastCharger(),
+			Charger: fastCharger,
 		}),
 		plugged: make(map[int]bool),
 	}
@@ -99,7 +97,7 @@ func TestStationQueueFIFONoLostTaxi(t *testing.T) {
 				return false
 			}
 			for id := range m.plugged {
-				if !m.st.IsCharging(id) {
+				if !m.st.charging[id] {
 					t.Logf("op %d: taxi %d lost from charging set", i, id)
 					return false
 				}

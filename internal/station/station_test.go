@@ -9,6 +9,33 @@ import (
 	"repro/internal/partition"
 )
 
+// fastCharger is a 60 kW charger tapering above 80% SoC down to 20% power.
+var fastCharger = energy.Charger{PowerKW: 60, TaperKneeSoC: 0.80, TaperFloor: 0.20}
+
+// totalPoints returns the network's charging point inventory.
+func totalPoints(n *Network) int {
+	var total int
+	for _, s := range n.Stations() {
+		total += s.Points
+	}
+	return total
+}
+
+// shenzhenSeeds returns one station seed per region of the 491-region
+// Shenzhen partition, region i weighted weight(i).
+func shenzhenSeeds(t *testing.T, weight func(i int) float64) []RegSeed {
+	t.Helper()
+	p, err := partition.Generate(1, 491, partition.ShenzhenBBox)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := make([]RegSeed, p.Len())
+	for i, r := range p.Regions() {
+		seeds[i] = RegSeed{Region: r.ID, Centroid: r.Centroid, Weight: weight(i)}
+	}
+	return seeds
+}
+
 func testStation(points int) Station {
 	return Station{
 		ID:      0,
@@ -16,7 +43,7 @@ func testStation(points int) Station {
 		Loc:     geo.Point{Lng: 114, Lat: 22.5},
 		Region:  0,
 		Points:  points,
-		Charger: energy.DefaultFastCharger(),
+		Charger: fastCharger,
 	}
 }
 
@@ -82,11 +109,11 @@ func TestArriveTwicePanics(t *testing.T) {
 func TestIsChargingAndReset(t *testing.T) {
 	s := NewState(testStation(1))
 	s.Arrive(5)
-	if !s.IsCharging(5) || s.IsCharging(6) {
-		t.Fatal("IsCharging wrong")
+	if !s.charging[5] || s.charging[6] {
+		t.Fatal("charging set wrong")
 	}
 	s.Reset()
-	if s.Occupied() != 0 || s.QueueLen() != 0 || s.IsCharging(5) {
+	if s.Occupied() != 0 || s.QueueLen() != 0 || s.charging[5] {
 		t.Fatal("Reset did not clear state")
 	}
 }
@@ -172,9 +199,9 @@ func TestNewNetworkValidation(t *testing.T) {
 
 func TestNetworkNearest(t *testing.T) {
 	stations := []Station{
-		{ID: 0, Loc: geo.Point{Lng: 0, Lat: 0}, Points: 1, Charger: energy.DefaultFastCharger()},
-		{ID: 1, Loc: geo.Point{Lng: 1, Lat: 0}, Points: 1, Charger: energy.DefaultFastCharger()},
-		{ID: 2, Loc: geo.Point{Lng: 2, Lat: 0}, Points: 1, Charger: energy.DefaultFastCharger()},
+		{ID: 0, Loc: geo.Point{Lng: 0, Lat: 0}, Points: 1, Charger: fastCharger},
+		{ID: 1, Loc: geo.Point{Lng: 1, Lat: 0}, Points: 1, Charger: fastCharger},
+		{ID: 2, Loc: geo.Point{Lng: 2, Lat: 0}, Points: 1, Charger: fastCharger},
 	}
 	n, err := NewNetwork(stations)
 	if err != nil {
@@ -184,17 +211,13 @@ func TestNetworkNearest(t *testing.T) {
 	if len(res) != 2 || res[0].Label != 0 || res[1].Label != 1 {
 		t.Fatalf("Nearest = %+v", res)
 	}
-	if n.TotalPoints() != 3 {
-		t.Fatalf("TotalPoints = %d", n.TotalPoints())
+	if tp := totalPoints(n); tp != 3 {
+		t.Fatalf("total points = %d", tp)
 	}
 }
 
 func TestGenerateShenzhenScale(t *testing.T) {
-	p := partition.GenerateShenzhen(1)
-	seeds := make([]RegSeed, p.Len())
-	for i, r := range p.Regions() {
-		seeds[i] = RegSeed{Region: r.ID, Centroid: r.Centroid, Weight: 1}
-	}
+	seeds := shenzhenSeeds(t, func(int) float64 { return 1 })
 	n, err := Generate(1, GenerateOpts{Count: 123, Regions: seeds})
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +226,7 @@ func TestGenerateShenzhenScale(t *testing.T) {
 		t.Fatalf("station count = %d, want 123", n.Len())
 	}
 	// Paper: 123 stations with over 5,000 charging points.
-	if tp := n.TotalPoints(); tp < 2400 || tp > 7500 {
+	if tp := totalPoints(n); tp < 2400 || tp > 7500 {
 		t.Fatalf("total points = %d, want thousands (paper: >5000)", tp)
 	}
 	regions := make(map[int]bool)
@@ -222,11 +245,7 @@ func TestGenerateShenzhenScale(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	p := partition.GenerateShenzhen(1)
-	seeds := make([]RegSeed, p.Len())
-	for i, r := range p.Regions() {
-		seeds[i] = RegSeed{Region: r.ID, Centroid: r.Centroid, Weight: float64(i%7) + 1}
-	}
+	seeds := shenzhenSeeds(t, func(i int) float64 { return float64(i%7) + 1 })
 	a, _ := Generate(5, GenerateOpts{Count: 50, Regions: seeds})
 	b, _ := Generate(5, GenerateOpts{Count: 50, Regions: seeds})
 	for i := 0; i < 50; i++ {

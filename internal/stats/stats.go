@@ -126,15 +126,6 @@ func (c *CDF) At(x float64) float64 {
 	return float64(idx) / float64(len(c.sorted))
 }
 
-// Quantile returns the q-th quantile (q in [0, 1]); (0, false) for an empty
-// CDF, mirroring Percentile's total contract.
-func (c *CDF) Quantile(q float64) (float64, bool) {
-	if len(c.sorted) == 0 {
-		return 0, false
-	}
-	return percentileSorted(c.sorted, q*100), true
-}
-
 // Histogram is a fixed-width bin histogram over [Min, Max). Values outside
 // the range are counted in the boundary bins.
 type Histogram struct {

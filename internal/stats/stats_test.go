@@ -149,18 +149,12 @@ func TestCDF(t *testing.T) {
 			t.Errorf("At(%v) = %v, want %v", cse.x, got, cse.want)
 		}
 	}
-	if q, ok := c.Quantile(0.5); !ok || !almostEq(q, 2.5, 1e-12) {
-		t.Errorf("Quantile(0.5) = %v,%v", q, ok)
-	}
 }
 
 func TestCDFEmpty(t *testing.T) {
 	c := NewCDF(nil)
 	if c.At(5) != 0 {
 		t.Fatal("empty CDF At should be 0")
-	}
-	if q, ok := c.Quantile(0.5); ok || q != 0 {
-		t.Fatalf("Quantile of empty CDF = %v,%v, want 0,false", q, ok)
 	}
 }
 

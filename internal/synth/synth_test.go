@@ -42,8 +42,12 @@ func TestStationPointRatio(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	points := 0
+	for _, s := range city.Stations.Stations() {
+		points += s.Points
+	}
 	// Fleet:points ratio should be near the paper's 4:1.
-	ratio := float64(len(city.Fleet)) / float64(city.Stations.TotalPoints())
+	ratio := float64(len(city.Fleet)) / float64(points)
 	if ratio < 2 || ratio > 8 {
 		t.Fatalf("fleet:points ratio %v, want near 4", ratio)
 	}

@@ -148,11 +148,11 @@ func parseEventLine(lineNo int, line string) (Event, error) {
 	}
 	var err error
 	for _, fd := range ints {
-		if *fd.dst, err = parseI(parts[fd.idx]); err != nil {
+		if *fd.dst, err = strconv.Atoi(parts[fd.idx]); err != nil {
 			return ev, fmt.Errorf("trace: event line %d field %d: %w", lineNo, fd.idx, err)
 		}
 	}
-	if ev.V, err = parseF(parts[6]); err != nil {
+	if ev.V, err = strconv.ParseFloat(parts[6], 64); err != nil {
 		return ev, fmt.Errorf("trace: event line %d value: %w", lineNo, err)
 	}
 	return ev, nil

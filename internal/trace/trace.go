@@ -1,13 +1,13 @@
-// Package trace defines the record schemas of the paper's five datasets
-// (Section II, Table I) and provides streaming CSV encoding and decoding for
-// them. The synthetic data generator writes these files and the analysis
-// benches read them back, mirroring how the original system consumed the
-// Shenzhen streams.
+// Package trace defines the record schemas of the paper's datasets
+// (Section II, Table I) and streams them out as CSV: the synthetic data
+// generator writes the GPS, transaction, charging-event and station files in
+// the layout the original system consumed from the Shenzhen streams. It also
+// holds the canonical event-log codec (event.go) the golden-trace harness
+// digests.
 package trace
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
 
@@ -71,9 +71,6 @@ type StationMeta struct {
 
 func f(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-func parseF(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
-func parseI(s string) (int, error)     { return strconv.Atoi(s) }
-
 // GPSWriter streams GPSRecords as CSV.
 type GPSWriter struct{ w *csv.Writer }
 
@@ -102,46 +99,6 @@ func (g *GPSWriter) Write(r GPSRecord) error {
 func (g *GPSWriter) Flush() error {
 	g.w.Flush()
 	return g.w.Error()
-}
-
-// ReadGPS decodes an entire GPS CSV stream.
-func ReadGPS(r io.Reader) ([]GPSRecord, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("trace: empty GPS stream")
-	}
-	out := make([]GPSRecord, 0, len(rows)-1)
-	for i, row := range rows[1:] {
-		if len(row) != 7 {
-			return nil, fmt.Errorf("trace: GPS row %d has %d fields", i+1, len(row))
-		}
-		var rec GPSRecord
-		if rec.VehicleID, err = parseI(row[0]); err != nil {
-			return nil, fmt.Errorf("trace: GPS row %d vehicle_id: %w", i+1, err)
-		}
-		if rec.TimeMin, err = parseI(row[1]); err != nil {
-			return nil, fmt.Errorf("trace: GPS row %d time_min: %w", i+1, err)
-		}
-		if rec.Loc.Lng, err = parseF(row[2]); err != nil {
-			return nil, fmt.Errorf("trace: GPS row %d lng: %w", i+1, err)
-		}
-		if rec.Loc.Lat, err = parseF(row[3]); err != nil {
-			return nil, fmt.Errorf("trace: GPS row %d lat: %w", i+1, err)
-		}
-		if rec.DirDeg, err = parseF(row[4]); err != nil {
-			return nil, fmt.Errorf("trace: GPS row %d dir: %w", i+1, err)
-		}
-		if rec.SpeedKmh, err = parseF(row[5]); err != nil {
-			return nil, fmt.Errorf("trace: GPS row %d speed: %w", i+1, err)
-		}
-		rec.Occupied = row[6] == "1"
-		out = append(out, rec)
-	}
-	return out, nil
 }
 
 // TransactionWriter streams Transactions as CSV.
@@ -176,52 +133,6 @@ func (t *TransactionWriter) Flush() error {
 	return t.w.Error()
 }
 
-// ReadTransactions decodes an entire transaction CSV stream.
-func ReadTransactions(r io.Reader) ([]Transaction, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("trace: empty transaction stream")
-	}
-	out := make([]Transaction, 0, len(rows)-1)
-	for i, row := range rows[1:] {
-		if len(row) != 12 {
-			return nil, fmt.Errorf("trace: transaction row %d has %d fields", i+1, len(row))
-		}
-		var rec Transaction
-		fields := []struct {
-			dst *int
-			idx int
-		}{
-			{&rec.VehicleID, 0}, {&rec.PickupMin, 1}, {&rec.DropoffMin, 2},
-			{&rec.PickupRegion, 10}, {&rec.DropRegion, 11},
-		}
-		for _, fd := range fields {
-			if *fd.dst, err = parseI(row[fd.idx]); err != nil {
-				return nil, fmt.Errorf("trace: transaction row %d field %d: %w", i+1, fd.idx, err)
-			}
-		}
-		ffields := []struct {
-			dst *float64
-			idx int
-		}{
-			{&rec.Pickup.Lng, 3}, {&rec.Pickup.Lat, 4}, {&rec.Dropoff.Lng, 5},
-			{&rec.Dropoff.Lat, 6}, {&rec.OperatingKm, 7}, {&rec.CruisingKm, 8},
-			{&rec.FareCNY, 9},
-		}
-		for _, fd := range ffields {
-			if *fd.dst, err = parseF(row[fd.idx]); err != nil {
-				return nil, fmt.Errorf("trace: transaction row %d field %d: %w", i+1, fd.idx, err)
-			}
-		}
-		out = append(out, rec)
-	}
-	return out, nil
-}
-
 // ChargingWriter streams ChargingEvents as CSV.
 type ChargingWriter struct{ w *csv.Writer }
 
@@ -252,50 +163,6 @@ func (c *ChargingWriter) Flush() error {
 	return c.w.Error()
 }
 
-// ReadChargingEvents decodes an entire charging-event CSV stream.
-func ReadChargingEvents(r io.Reader) ([]ChargingEvent, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("trace: empty charging stream")
-	}
-	out := make([]ChargingEvent, 0, len(rows)-1)
-	for i, row := range rows[1:] {
-		if len(row) != 9 {
-			return nil, fmt.Errorf("trace: charging row %d has %d fields", i+1, len(row))
-		}
-		var rec ChargingEvent
-		ints := []struct {
-			dst *int
-			idx int
-		}{
-			{&rec.VehicleID, 0}, {&rec.StationID, 1}, {&rec.ArriveMin, 2},
-			{&rec.PlugMin, 3}, {&rec.FinishMin, 4},
-		}
-		for _, fd := range ints {
-			if *fd.dst, err = parseI(row[fd.idx]); err != nil {
-				return nil, fmt.Errorf("trace: charging row %d field %d: %w", i+1, fd.idx, err)
-			}
-		}
-		floats := []struct {
-			dst *float64
-			idx int
-		}{
-			{&rec.EnergyKWh, 5}, {&rec.CostCNY, 6}, {&rec.StartSoC, 7}, {&rec.EndSoC, 8},
-		}
-		for _, fd := range floats {
-			if *fd.dst, err = parseF(row[fd.idx]); err != nil {
-				return nil, fmt.Errorf("trace: charging row %d field %d: %w", i+1, fd.idx, err)
-			}
-		}
-		out = append(out, rec)
-	}
-	return out, nil
-}
-
 // WriteStationMeta writes the station metadata dataset.
 func WriteStationMeta(w io.Writer, metas []StationMeta) error {
 	cw := csv.NewWriter(w)
@@ -311,38 +178,4 @@ func WriteStationMeta(w io.Writer, metas []StationMeta) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadStationMeta decodes the station metadata dataset.
-func ReadStationMeta(r io.Reader) ([]StationMeta, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("trace: empty station stream")
-	}
-	out := make([]StationMeta, 0, len(rows)-1)
-	for i, row := range rows[1:] {
-		if len(row) != 5 {
-			return nil, fmt.Errorf("trace: station row %d has %d fields", i+1, len(row))
-		}
-		var m StationMeta
-		if m.StationID, err = parseI(row[0]); err != nil {
-			return nil, fmt.Errorf("trace: station row %d id: %w", i+1, err)
-		}
-		m.Name = row[1]
-		if m.Loc.Lng, err = parseF(row[2]); err != nil {
-			return nil, fmt.Errorf("trace: station row %d lng: %w", i+1, err)
-		}
-		if m.Loc.Lat, err = parseF(row[3]); err != nil {
-			return nil, fmt.Errorf("trace: station row %d lat: %w", i+1, err)
-		}
-		if m.Points, err = parseI(row[4]); err != nil {
-			return nil, fmt.Errorf("trace: station row %d points: %w", i+1, err)
-		}
-		out = append(out, m)
-	}
-	return out, nil
 }

@@ -2,159 +2,101 @@ package trace
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"repro/internal/geo"
 )
 
-func TestGPSRoundTrip(t *testing.T) {
-	recs := []GPSRecord{
-		{VehicleID: 1, TimeMin: 100, Loc: geo.Point{Lng: 114.05, Lat: 22.53}, DirDeg: 45, SpeedKmh: 30, Occupied: true},
-		{VehicleID: 2, TimeMin: 101, Loc: geo.Point{Lng: 113.95, Lat: 22.61}, DirDeg: 180.5, SpeedKmh: 0, Occupied: false},
-	}
-	var buf bytes.Buffer
-	w, err := NewGPSWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs {
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadGPS(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(recs) {
-		t.Fatalf("round trip length %d, want %d", len(got), len(recs))
-	}
-	for i := range recs {
-		if got[i] != recs[i] {
-			t.Fatalf("record %d = %+v, want %+v", i, got[i], recs[i])
-		}
-	}
-}
-
-func TestTransactionRoundTrip(t *testing.T) {
-	recs := []Transaction{
-		{
-			VehicleID: 3, PickupMin: 500, DropoffMin: 525,
-			Pickup:      geo.Point{Lng: 114.1, Lat: 22.55},
-			Dropoff:     geo.Point{Lng: 114.2, Lat: 22.60},
-			OperatingKm: 12.5, CruisingKm: 1.2, FareCNY: 45.30,
-			PickupRegion: 17, DropRegion: 203,
-		},
-	}
-	var buf bytes.Buffer
-	w, err := NewTransactionWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs {
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTransactions(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != recs[0] {
-		t.Fatalf("round trip = %+v, want %+v", got, recs)
-	}
-}
-
-func TestChargingRoundTripAndDurations(t *testing.T) {
-	ev := ChargingEvent{
+// TestCSVWriterBytes pins each dataset writer's exact output: the header
+// line and the bytes of one record, including a station name that needs CSV
+// quoting and floats in shortest round-trip form.
+func TestCSVWriterBytes(t *testing.T) {
+	charge := ChargingEvent{
 		VehicleID: 7, StationID: 22, ArriveMin: 1000, PlugMin: 1015, FinishMin: 1090,
 		EnergyKWh: 55.5, CostCNY: 61.05, StartSoC: 0.2, EndSoC: 0.95,
 	}
-	if ev.IdleMin() != 15 {
-		t.Errorf("IdleMin = %d, want 15", ev.IdleMin())
+	if charge.IdleMin() != 15 || charge.ChargeMin() != 75 {
+		t.Fatalf("IdleMin, ChargeMin = %d, %d; want 15, 75", charge.IdleMin(), charge.ChargeMin())
 	}
-	if ev.ChargeMin() != 75 {
-		t.Errorf("ChargeMin = %d, want 75", ev.ChargeMin())
-	}
-	var buf bytes.Buffer
-	w, err := NewChargingWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Write(ev); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadChargingEvents(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != ev {
-		t.Fatalf("round trip = %+v, want %+v", got, ev)
-	}
-}
 
-func TestStationMetaRoundTrip(t *testing.T) {
-	metas := []StationMeta{
-		{StationID: 0, Name: "CS-000", Loc: geo.Point{Lng: 114.0, Lat: 22.5}, Points: 40},
-		{StationID: 1, Name: "CS, with comma", Loc: geo.Point{Lng: 114.3, Lat: 22.7}, Points: 25},
+	cases := []struct {
+		name  string
+		write func(*bytes.Buffer) error
+		want  string
+	}{
+		{
+			name: "gps",
+			write: func(buf *bytes.Buffer) error {
+				w, err := NewGPSWriter(buf)
+				if err != nil {
+					return err
+				}
+				rec := GPSRecord{VehicleID: 1, TimeMin: 100, Loc: geo.Point{Lng: 114.05, Lat: 22.53}, DirDeg: 180.5, SpeedKmh: 1e-7, Occupied: true}
+				if err := w.Write(rec); err != nil {
+					return err
+				}
+				return w.Flush()
+			},
+			want: "vehicle_id,time_min,lng,lat,dir_deg,speed_kmh,occupied\n" +
+				"1,100,114.05,22.53,180.5,1e-07,1\n",
+		},
+		{
+			name: "transactions",
+			write: func(buf *bytes.Buffer) error {
+				w, err := NewTransactionWriter(buf)
+				if err != nil {
+					return err
+				}
+				rec := Transaction{
+					VehicleID: 3, PickupMin: 500, DropoffMin: 525,
+					Pickup:      geo.Point{Lng: 114.1, Lat: 22.55},
+					Dropoff:     geo.Point{Lng: 114.2, Lat: 22.6},
+					OperatingKm: 12.5, CruisingKm: 0.30000000000000004, FareCNY: 45.3,
+					PickupRegion: 17, DropRegion: 203,
+				}
+				if err := w.Write(rec); err != nil {
+					return err
+				}
+				return w.Flush()
+			},
+			want: "vehicle_id,pickup_min,dropoff_min,pickup_lng,pickup_lat,dropoff_lng,dropoff_lat,operating_km,cruising_km,fare_cny,pickup_region,drop_region\n" +
+				"3,500,525,114.1,22.55,114.2,22.6,12.5,0.30000000000000004,45.3,17,203\n",
+		},
+		{
+			name: "charging",
+			write: func(buf *bytes.Buffer) error {
+				w, err := NewChargingWriter(buf)
+				if err != nil {
+					return err
+				}
+				if err := w.Write(charge); err != nil {
+					return err
+				}
+				return w.Flush()
+			},
+			want: "vehicle_id,station_id,arrive_min,plug_min,finish_min,energy_kwh,cost_cny,start_soc,end_soc\n" +
+				"7,22,1000,1015,1090,55.5,61.05,0.2,0.95\n",
+		},
+		{
+			name: "stations",
+			write: func(buf *bytes.Buffer) error {
+				return WriteStationMeta(buf, []StationMeta{
+					{StationID: 1, Name: `CS "East", Futian`, Loc: geo.Point{Lng: 114.3, Lat: 22.7}, Points: 25},
+				})
+			},
+			want: "station_id,name,lng,lat,points\n" +
+				`1,"CS ""East"", Futian",114.3,22.7,25` + "\n",
+		},
 	}
-	var buf bytes.Buffer
-	if err := WriteStationMeta(&buf, metas); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadStationMeta(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != metas[0] || got[1] != metas[1] {
-		t.Fatalf("round trip = %+v", got)
-	}
-}
-
-func TestReadErrors(t *testing.T) {
-	if _, err := ReadGPS(strings.NewReader("")); err == nil {
-		t.Error("empty GPS accepted")
-	}
-	if _, err := ReadTransactions(strings.NewReader("")); err == nil {
-		t.Error("empty transactions accepted")
-	}
-	if _, err := ReadChargingEvents(strings.NewReader("")); err == nil {
-		t.Error("empty charging accepted")
-	}
-	if _, err := ReadStationMeta(strings.NewReader("")); err == nil {
-		t.Error("empty stations accepted")
-	}
-	badGPS := "vehicle_id,time_min,lng,lat,dir_deg,speed_kmh,occupied\nx,0,1,2,3,4,1\n"
-	if _, err := ReadGPS(strings.NewReader(badGPS)); err == nil {
-		t.Error("malformed GPS row accepted")
-	}
-	badCharge := "vehicle_id,station_id,arrive_min,plug_min,finish_min,energy_kwh,cost_cny,start_soc,end_soc\n1,2,3,4,5,abc,7,8,9\n"
-	if _, err := ReadChargingEvents(strings.NewReader(badCharge)); err == nil {
-		t.Error("malformed charging row accepted")
-	}
-}
-
-func TestHeaderOnlyStreamsAreEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewGPSWriter(&buf)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadGPS(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Fatalf("header-only stream decoded %d records", len(got))
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := c.write(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if got := buf.String(); got != c.want {
+				t.Fatalf("wrote\n%q\nwant\n%q", got, c.want)
+			}
+		})
 	}
 }
